@@ -23,7 +23,7 @@ from .data import Schema, load_dataset, validate
 from .design import ExposureSpec, build_design_matrix, duplicate_augment
 from .errors import ConfigError, DataError, DupcoxError, EstimationError
 from .inference import compare_exposures, render_table
-from .simlab import SimConfig, estimate_power, estimate_type1_error
+from .simlab import SimConfig, _is_null_config, estimate_power, estimate_type1_error
 from . import cox
 
 _TOP_KEYS = {
@@ -255,9 +255,7 @@ def run_simulate(config: dict) -> int:
     alpha = block.get("alpha", 0.05)
     include_naive = bool(block.get("include_naive", False))
 
-    betas = set(sim_config.true_beta)
-    runner = estimate_type1_error \
-        if (len(betas) == 1 or sim_config.exposure_correlation == 1.0) else estimate_power
+    runner = estimate_type1_error if _is_null_config(sim_config) else estimate_power
     result = runner(sim_config, alpha, include_naive=include_naive)
 
     lines = [

@@ -17,7 +17,7 @@ array operations per stratum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -128,7 +128,8 @@ class _Stratum:
 
         # Flat Efron sub-step expansion: one entry per event, grouped by time.
         self.grp = np.repeat(np.arange(self.n_times), self.d)
-        self.J = np.concatenate([np.arange(dk) / dk for dk in self.d])
+        self.J = ((np.arange(self.n_events) - np.repeat(self.group_starts, self.d))
+                  / np.repeat(self.d, self.d))
 
         # Per-row windows of event times inside (entry, exit].
         self.e1 = np.searchsorted(self.event_times, entry, side="right")
@@ -221,13 +222,15 @@ class _CoxData:
     def __init__(self, design: DesignMatrix):
         self.design = design
         self.n_columns = design.n_columns
-        keys = design.strata_key.astype(str)
-        labels, inverse = np.unique(keys, return_inverse=True)
+        # Strata are visited in sorted label order, so every sum over strata
+        # adds its terms in the same order on every evaluation.
+        _, inverse = np.unique(design.strata_key.astype(str), return_inverse=True)
+        order = np.argsort(inverse, kind="stable")
+        bounds = np.flatnonzero(np.diff(inverse[order])) + 1
         self.strata: list[_Stratum] = []
         self.stratum_rows: list[np.ndarray] = []
         self.n_strata_skipped = 0
-        for s in range(len(labels)):
-            rows = np.flatnonzero(inverse == s)
+        for rows in np.split(order, bounds):
             st = _Stratum(design.X[rows], design.entry[rows],
                           design.exit[rows], design.event[rows])
             if st.n_times == 0:
@@ -389,20 +392,19 @@ def fit(design: DesignMatrix, options: FitOptions | None = None,
         if beta0.shape != (p,):
             raise ConfigError(f"initial_coefficients must have length {p}")
 
-    all_cols = np.arange(p)
-    _, _, info0 = data.score_info(beta0, all_cols, options.tie_method)
-    aliased = _aliased_columns(info0)
+    start = data.score_info(beta0, np.arange(p), options.tie_method)
+    aliased = _aliased_columns(start[2])
     if aliased.all():
         raise EstimationError("all design columns are aliased; nothing to fit")
     active = np.flatnonzero(~aliased)
 
     beta = beta0[active]
-    ll = data.loglike(beta, active, options.tie_method)
+    ll, sc, info = start if active.size == p else \
+        data.score_info(beta, active, options.tie_method)
     converged = False
     message = ""
     iterations = 0
     for iterations in range(options.max_iterations + 1):
-        _, sc, info = data.score_info(beta, active, options.tie_method)
         if np.abs(sc).max() <= options.gradient_tolerance:
             converged = True
             break
@@ -421,9 +423,13 @@ def fit(design: DesignMatrix, options: FitOptions | None = None,
         accepted = False
         for _ in range(options.step_halvings_max + 1):
             cand = beta + scale_factor * step
-            cand_ll = data.loglike(cand, active, options.tie_method)
+            # An accepted candidate's score and information serve the next
+            # iteration.  Out-of-range candidates can underflow a risk-set
+            # sum to zero; the resulting -inf is rejected here.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cand_ll, cand_sc, cand_info = data.score_info(cand, active, options.tie_method)
             if np.isfinite(cand_ll) and cand_ll >= ll - slack:
-                beta, ll = cand, max(cand_ll, ll)
+                beta, ll, sc, info = cand, max(cand_ll, ll), cand_sc, cand_info
                 accepted = True
                 break
             scale_factor /= 2.0
@@ -436,8 +442,12 @@ def fit(design: DesignMatrix, options: FitOptions | None = None,
         message = (message + "; " if message else "") + \
             "coefficient magnitude > 20 with increasing likelihood: probable separation"
 
-    _, _, info = data.score_info(beta, active, options.tie_method)
+    # Every exit from the loop leaves ``info`` evaluated at the final ``beta``.
     model_cov_active = _symmetric_inverse(info, "information matrix")
+    sandwich = None
+    if robust and converged:
+        sandwich = _expand(_sandwich(data, beta, active, options.tie_method, model_cov_active),
+                           ~aliased)
 
     diagnostics = FitDiagnostics(
         n_strata_used=len(data.strata),
@@ -446,11 +456,11 @@ def fit(design: DesignMatrix, options: FitOptions | None = None,
         separation_suspected=separation,
         message=message,
     )
-    result = CoxFit(
+    return CoxFit(
         column_names=design.column_names,
         coefficients=_expand(beta, ~aliased),
         model_covariance=_expand(model_cov_active, ~aliased),
-        robust_covariance=None,
+        robust_covariance=sandwich,
         log_partial_likelihood=ll,
         iterations=iterations,
         converged=converged,
@@ -458,9 +468,16 @@ def fit(design: DesignMatrix, options: FitOptions | None = None,
         options=options,
         diagnostics=diagnostics,
     )
-    if robust and converged:
-        result = replace(result, robust_covariance=robust_covariance(design, result))
-    return result
+
+
+def _sandwich(data: _CoxData, beta, active, tie_method: str, a_inv: np.ndarray) -> np.ndarray:
+    """``A^-1 M A^-1`` on the active columns, given ``A^-1`` at ``beta``."""
+    resid = data.residuals(beta, active, tie_method)
+    _, codes = np.unique(data.design.cluster_id.astype(str), return_inverse=True)
+    grouped = np.column_stack([np.bincount(codes, weights=resid[:, j])
+                               for j in range(resid.shape[1])])
+    sandwich = a_inv @ (grouped.T @ grouped) @ a_inv
+    return (sandwich + sandwich.T) / 2.0
 
 
 def robust_covariance(design: DesignMatrix, fit_result: CoxFit) -> np.ndarray:
@@ -469,21 +486,15 @@ def robust_covariance(design: DesignMatrix, fit_result: CoxFit) -> np.ndarray:
     ``A`` is the observed information and ``M`` sums, over clusters of rows
     sharing ``design.cluster_id`` (the duplicated copies of a subject), the
     outer products of cluster-summed score residuals.  Aliased positions are
-    NaN, matching the fitted coefficient vector.
+    NaN, matching the fitted coefficient vector.  ``fit`` computes the same
+    matrix from its own risk-set index; this entry point rebuilds it.
     """
     if not fit_result.converged:
         raise EstimationError("robust covariance requires a converged fit")
     active = np.flatnonzero(~fit_result.aliased_mask)
     beta = fit_result.coefficients[active]
+    tie_method = fit_result.options.tie_method
     data = _CoxData(design)
-    resid = data.residuals(beta, active, fit_result.options.tie_method)
-
-    _, codes = np.unique(design.cluster_id.astype(str), return_inverse=True)
-    grouped = np.zeros((codes.max() + 1, len(active)))
-    np.add.at(grouped, codes, resid)
-    middle = grouped.T @ grouped
-
-    _, _, info = data.score_info(beta, active, fit_result.options.tie_method)
+    _, _, info = data.score_info(beta, active, tie_method)
     a_inv = _symmetric_inverse(info, "information matrix")
-    sandwich = a_inv @ middle @ a_inv
-    return _expand((sandwich + sandwich.T) / 2.0, ~fit_result.aliased_mask)
+    return _expand(_sandwich(data, beta, active, tie_method, a_inv), ~fit_result.aliased_mask)

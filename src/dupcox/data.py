@@ -11,8 +11,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -148,25 +150,6 @@ class Dataset:
         return cls(schema, ids, entry, exit_, event, expo, cov, strat,
                    n_rejected_missing=n_rejected_missing)
 
-    @property
-    def rows(self) -> tuple[CohortRow, ...]:
-        out = []
-        s = self.schema
-        for i in range(len(self)):
-            out.append(CohortRow(
-                subject_id=self.subject_ids[i],
-                entry_time=float(self.entry[i]),
-                exit_time=float(self.exit[i]),
-                event=bool(self.event[i]),
-                exposure_values={c: float(self.exposures[i, j])
-                                 for j, c in enumerate(s.exposure_columns)},
-                covariate_values={c: float(self.covariates[i, j])
-                                  for j, c in enumerate(s.covariate_columns)},
-                strata_values={c: self.strata[i, j]
-                               for j, c in enumerate(s.strata_columns)},
-            ))
-        return tuple(out)
-
     def exposure(self, name: str) -> np.ndarray:
         j = self.schema.exposure_columns.index(name)
         return self.exposures[:, j]
@@ -174,25 +157,51 @@ class Dataset:
     def strata_keys(self) -> np.ndarray:
         """Per-row composite stratum label from the original strata columns."""
         if self.strata.shape[1] == 0:
-            return np.array(["" for _ in range(len(self))], dtype=object)
-        keys = np.empty(len(self), dtype=object)
-        for i in range(len(self)):
-            keys[i] = "|".join(str(v) for v in self.strata[i])
-        return keys
+            return np.full(len(self), "", dtype=object)
+        return join_labels(self.strata.T)
 
     def fingerprint(self) -> str:
-        """SHA-256 of the canonical serialization (stable across load cycles)."""
-        return hashlib.sha256(_serialize(self).encode("utf-8")).hexdigest()
+        """SHA-256 of the cohort's canonical column bytes.
+
+        The hash covers the schema and row count, the float columns as
+        little-endian float64, the event flags as uint8, and ``str()`` of
+        every subject id and stratum label as length-prefixed UTF-8.  It is
+        stable across a save/load cycle and changes with any cell.
+        """
+        h = hashlib.sha256()
+        h.update(json.dumps([asdict(self.schema), len(self)], sort_keys=True).encode("utf-8"))
+        for block in (self.entry, self.exit, self.exposures, self.covariates):
+            h.update(np.ascontiguousarray(block, dtype="<f8").tobytes())
+        h.update(np.asarray(self.event, dtype=np.uint8).tobytes())
+        for labels in (self.subject_ids, self.strata.ravel()):
+            encoded = list(map(str.encode, map(str, labels)))
+            h.update(np.fromiter(map(len, encoded), dtype="<u8", count=len(encoded)).tobytes())
+            h.update(b"".join(encoded))
+        return h.hexdigest()
+
+
+def join_labels(columns) -> np.ndarray:
+    """Per-row ``"|".join`` of ``str()`` of each label column, as an object array."""
+    key = np.asarray(columns[0]).astype(str)
+    for column in columns[1:]:
+        key = np.char.add(np.char.add(key, "|"), np.asarray(column).astype(str))
+    return key.astype(object)
 
 
 def _parse_float(cell: str, row: int, column: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise ParseError(
             f"cannot parse value {cell!r} in column '{column}' at data row {row}",
             row=row, column=column,
         ) from None
+    if not math.isfinite(value):
+        raise ParseError(
+            f"non-finite value {cell!r} in column '{column}' at data row {row}",
+            row=row, column=column,
+        )
+    return value
 
 
 def load_dataset(path: str | Path, schema: Schema) -> Dataset:
@@ -208,7 +217,8 @@ def load_dataset(path: str | Path, schema: Schema) -> Dataset:
     SchemaError
         If a schema column is absent from the header.
     ParseError
-        If a cell cannot be parsed; the error names the data row and column.
+        If a cell cannot be parsed or is not finite (``nan``, ``inf``); the
+        error names the data row and column.
     ValidationError
         If a row has ``entry_time >= exit_time``; the error names the subject.
     """
@@ -292,7 +302,7 @@ def load_dataset(path: str | Path, schema: Schema) -> Dataset:
 
 
 def _serialize(dataset: Dataset) -> str:
-    """Canonical CSV text for a dataset (used by save and fingerprint)."""
+    """Canonical CSV text for a dataset (used by save_dataset)."""
     s = dataset.schema
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -342,11 +352,27 @@ def validate(dataset: Dataset) -> ValidationReport:
     """Run structural checks on a dataset and report findings.
 
     Pure (never mutates the dataset) and report-style: fatal conditions are
-    surfaced later by the fit, not raised here.  Checks: interval ordering,
-    within-subject interval overlap, event count per stratum, and constant
-    (zero-variance) exposure/covariate columns.
+    surfaced later by the fit, not raised here.  Checks: finite times,
+    exposures and covariates, interval ordering, within-subject interval
+    overlap, event count per stratum, and constant (zero-variance)
+    exposure/covariate columns.
     """
     checks: list[CheckResult] = []
+
+    s = dataset.schema
+    names = [s.entry_column or "entry", s.exit_column,
+             *s.exposure_columns, *s.covariate_columns]
+    finite = np.isfinite(np.column_stack(
+        [dataset.entry, dataset.exit, dataset.exposures, dataset.covariates]))
+    bad_rows = np.flatnonzero(~finite.all(axis=1))
+    bad_columns = [names[j] for j in np.flatnonzero(~finite.all(axis=0))]
+    checks.append(CheckResult(
+        "finite_values", not bad_rows.size,
+        "every time, exposure and covariate value is finite" if not bad_rows.size
+        else f"{len(bad_rows)} row(s) with non-finite values in column(s): "
+             f"{', '.join(bad_columns)}",
+        tuple(dataset.subject_ids[bad_rows]),
+    ))
 
     bad_order = [dataset.subject_ids[i] for i in np.nonzero(dataset.entry >= dataset.exit)[0]]
     checks.append(CheckResult(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, join_labels
 from .errors import ConfigError, EstimationError, SchemaError, ValidationError
 
 KINDS = ("continuous", "dichotomous", "categorical", "trend")
@@ -297,18 +297,13 @@ def build_design_matrix(aug: AugmentedDataset, spec: ExposureSpec) -> DesignMatr
     X = np.column_stack(main + interactions + cov_interactions)
     column_names = tuple(names + inter_names + cov_inter_names)
 
-    strata_key = np.empty(len(aug), dtype=object)
-    for i in range(len(aug)):
-        parts = [str(v) for v in aug.strata[i]] + [str(aug.a_type[i])]
-        strata_key[i] = "|".join(parts)
-
     return DesignMatrix(
         X=X,
         column_names=column_names,
         exposure_main_columns=exposure_main,
         interaction_columns=tuple(inter_names),
         covariate_interaction_columns=tuple(cov_inter_names),
-        strata_key=strata_key,
+        strata_key=join_labels([*aug.strata.T, aug.a_type]),
         cluster_id=aug.subject_ids.copy(),
         entry=aug.entry.copy(),
         exit=aug.exit.copy(),

@@ -89,6 +89,19 @@ class TestCompareCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["compare", "--config", str(cfg)]) == 2
 
+    def test_non_finite_cell_exits_two(self, tmp_path, cohort_csv, capsys):
+        lines = cohort_csv.read_text(encoding="utf-8").splitlines()
+        cells = lines[3].split(",")
+        cells[1] = "nan"  # exit time of data row 3
+        lines[3] = ",".join(cells)
+        cohort_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path, compare_config(cohort_csv, tmp_path))
+        assert main(["compare", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "'time'" in err and "row 3" in err
+        assert "Traceback" not in err
+
     def test_human_format_writes_table(self, tmp_path, cohort_csv, capsys):
         doc = compare_config(cohort_csv, tmp_path)
         doc["format"] = "human"

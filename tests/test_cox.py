@@ -234,6 +234,22 @@ class TestRobustCovariance:
         oracle = sandwich_from_residuals(resid, d.cluster_id, dc.information(d, beta))
         assert result.robust_covariance == pytest.approx(oracle, abs=1e-12)
 
+    def test_fit_reuses_index_without_changing_results(self):
+        # Left truncation, heavy ties and clusters of three rows: the sandwich
+        # and model covariance computed inside fit match the standalone paths.
+        rng = np.random.default_rng(21)
+        base = random_design(rng, n=60, p=2, ties=True, truncation=True, n_strata=2)
+        d = plain_design(base.X, base.exit, base.event, entry=base.entry,
+                         strata=base.strata_key, cluster=[f"c{i // 3}" for i in range(60)])
+        assert np.any(d.entry > 0)
+        assert len(np.unique(d.exit[d.event])) < d.event.sum()
+        result = dc.fit(d)
+        assert result.converged
+        assert result.robust_covariance == pytest.approx(
+            dc.robust_covariance(d, result), abs=1e-12)
+        info = dc.information(d, result.coefficients)
+        assert result.model_covariance == pytest.approx(np.linalg.inv(info), abs=1e-12)
+
     def test_symmetry_on_random_instances(self):
         rng = np.random.default_rng(9)
         for _ in range(5):

@@ -1,3 +1,7 @@
+import re
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 import dupcox as dc
@@ -41,6 +45,29 @@ class TestLoad:
             dc.load_dataset(path, four_row_schema)
         assert err.value.row == 2
         assert err.value.column == "time"
+
+    @pytest.mark.parametrize("column, text", [
+        ("A", "nan"), ("time", "inf"), ("L1", "-inf"), ("time", "NaN"),
+    ])
+    def test_non_finite_cell_cites_row_and_column(self, tmp_path, four_row_schema,
+                                                  column, text):
+        header = ["id", "A", "Aprime", "Y", "time", "L1"]
+        bad = dict(zip(header, ["2", "0", "1", "0", "19", "1"]), **{column: text})
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(",".join(header) + "\n1,1,1,1,20,1\n"
+                        + ",".join(bad[h] for h in header) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="non-finite .* row 2") as err:
+            dc.load_dataset(path, four_row_schema)
+        assert err.value.row == 2
+        assert err.value.column == column
+
+    def test_non_finite_entry_rejected(self, tmp_path):
+        schema = dc.Schema(id_column="id", entry_column="t0", exit_column="t1",
+                           event_column="y", exposure_columns=("a", "b"))
+        path = tmp_path / "entry.csv"
+        path.write_text("id,t0,t1,y,a,b\ns1,0,3,1,0,1\ns2,nan,3,1,0,0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="column 't0' at data row 2"):
+            dc.load_dataset(path, schema)
 
     def test_missing_column_named(self, tmp_path, four_row_schema):
         path = tmp_path / "short.csv"
@@ -110,7 +137,8 @@ class TestValidate:
         report = dc.validate(four_row_dataset)
         assert report.all_passed
         assert {c.name for c in report.checks} == {
-            "interval_ordering", "subject_overlap", "stratum_events", "constant_columns",
+            "finite_values", "interval_ordering", "subject_overlap", "stratum_events",
+            "constant_columns",
         }
 
     def test_overlapping_intervals_flagged(self, four_row_schema):
@@ -146,7 +174,73 @@ class TestValidate:
         assert not report["stratum_events"].passed
         assert report["stratum_events"].offenders == ("y",)
 
+    def test_non_finite_values_flagged(self, four_row_dataset):
+        ds = replace(four_row_dataset,
+                     exit=np.array([20.0, np.nan, 17.0, 21.0]),
+                     covariates=np.array([[1.0], [1.0], [0.0], [np.inf]]))
+        report = dc.validate(ds)
+        assert not report.all_passed
+        check = report["finite_values"]
+        assert not check.passed
+        assert check.offenders == ("2", "4")
+        assert check.detail.endswith("column(s): time, L1")
+
     def test_validate_is_pure(self, four_row_dataset):
         before = four_row_dataset.fingerprint()
         dc.validate(four_row_dataset)
         assert four_row_dataset.fingerprint() == before
+
+
+def _delayed_entry_cohort():
+    """Three subjects, one with two intervals, delayed entry, two strata columns."""
+    schema = dc.Schema(id_column="id", entry_column="t0", exit_column="t1",
+                       event_column="y", exposure_columns=("a", "b"),
+                       covariate_columns=("c",), strata_columns=("sex", "site"))
+    return dc.Dataset(
+        schema=schema,
+        subject_ids=np.array(["u1", "u1", "u2", "u3"], dtype=object),
+        entry=np.array([0.5, 1.25, 0.0, 0.1]),
+        exit=np.array([1.25, 3.0, 2.0, 0.7]),
+        event=np.array([False, True, False, True]),
+        exposures=np.array([[0.1, 0.2], [0.1, 0.2], [1.5, -0.3], [0.0, 2.0]]),
+        covariates=np.array([[1.0], [2.0], [0.0], [1.0 / 3.0]]),
+        strata=np.array([["f", "north"], ["f", "north"], ["m", "south"], ["f", "é"]],
+                        dtype=object),
+    )
+
+
+def _with_cell(ds, field, index, value):
+    column = getattr(ds, field).copy()
+    column[index] = value
+    return replace(ds, **{field: column})
+
+
+class TestFingerprint:
+    def test_stable_across_save_and_load(self, tmp_path):
+        ds = _delayed_entry_cohort()
+        path = tmp_path / "cohort.csv"
+        dc.save_dataset(ds, path)
+        again = dc.load_dataset(path, ds.schema)
+        assert again == ds
+        assert again.fingerprint() == ds.fingerprint()
+        assert re.fullmatch("[0-9a-f]{64}", ds.fingerprint())
+
+    @pytest.mark.parametrize("field, index, value", [
+        ("subject_ids", 2, "u4"),
+        ("entry", 3, 0.2),
+        ("exit", 0, 1.3),
+        ("event", 2, True),
+        ("exposures", (1, 1), 0.25),
+        ("covariates", (2, 0), 1e-300),
+        ("strata", (0, 1), "south"),
+    ])
+    def test_changes_with_any_single_cell(self, field, index, value):
+        ds = _delayed_entry_cohort()
+        assert _with_cell(ds, field, index, value).fingerprint() != ds.fingerprint()
+
+    def test_label_boundaries_are_hashed(self):
+        ds = _delayed_entry_cohort()
+        ids = np.array(["1", "23", "x", "y"], dtype=object)
+        shifted = np.array(["12", "3", "x", "y"], dtype=object)
+        assert (replace(ds, subject_ids=ids).fingerprint()
+                != replace(ds, subject_ids=shifted).fingerprint())

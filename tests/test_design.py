@@ -214,6 +214,24 @@ class TestBuildDesignMatrix:
         assert set(design.strata_key) == {"A", "Aprime"}
         assert design.cluster_id.tolist() == ["1", "2", "3", "4"] * 2
 
+    def test_strata_key_joins_non_string_labels(self, four_row_dataset):
+        strata = np.array([[1, 2.5], [1, None], [20, 2.5], [1, 2.5]], dtype=object)
+        schema = dc.Schema(id_column="id", exit_column="time", event_column="Y",
+                           exposure_columns=("A", "Aprime"), covariate_columns=("L1",),
+                           strata_columns=("g1", "g2"))
+        ds = dc.Dataset(schema, four_row_dataset.subject_ids, four_row_dataset.entry,
+                        four_row_dataset.exit, four_row_dataset.event,
+                        four_row_dataset.exposures, four_row_dataset.covariates, strata)
+        assert ds.strata_keys().tolist() == ["|".join(str(v) for v in row) for row in strata]
+        spec = dc.ExposureSpec(kind="dichotomous", source_columns=("A", "Aprime"))
+        aug = dc.duplicate_augment(ds, spec)
+        design = dc.build_design_matrix(aug, spec)
+        assert design.strata_key.tolist() == [
+            "|".join([str(v) for v in aug.strata[i]] + [str(aug.a_type[i])])
+            for i in range(len(aug))
+        ]
+        assert design.strata_key[0] == "1|2.5|A"
+
     def test_no_events_is_an_error(self, four_row_schema):
         rows = [
             dc.CohortRow(str(i), 0.0, float(i + 1), False,
