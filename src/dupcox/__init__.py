@@ -22,8 +22,10 @@ from .data import (
 )
 from .design import (
     AugmentedDataset,
+    BlockDesign,
     DesignMatrix,
     ExposureSpec,
+    block_design,
     build_design_matrix,
     categorize_quantiles,
     dummy_code,
@@ -74,9 +76,9 @@ __all__ = [
     "__version__",
     "Schema", "CohortRow", "Dataset", "ValidationReport", "CheckResult",
     "load_dataset", "save_dataset", "validate",
-    "ExposureSpec", "AugmentedDataset", "DesignMatrix",
+    "ExposureSpec", "AugmentedDataset", "DesignMatrix", "BlockDesign",
     "categorize_quantiles", "dummy_code", "trend_scores",
-    "duplicate_augment", "build_design_matrix", "single_exposure_design",
+    "duplicate_augment", "build_design_matrix", "block_design", "single_exposure_design",
     "FitOptions", "FitDiagnostics", "CoxFit",
     "log_partial_likelihood", "score", "information", "score_residuals",
     "fit", "robust_covariance",

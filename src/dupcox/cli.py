@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .cox import FitOptions
 from .data import Schema, load_dataset, validate
-from .design import ExposureSpec, build_design_matrix, duplicate_augment
+from .design import ExposureSpec, block_design
 from .errors import ConfigError, DataError, DupcoxError, EstimationError
 from .inference import compare_exposures, render_table
 from .simlab import SimConfig, _is_null_config, estimate_power, estimate_type1_error
@@ -185,8 +185,7 @@ def run_fit(config: dict) -> int:
     dataset, schema = _load_and_validate(config)
     spec = _build_spec(config.get("exposure", {}), schema)
     options = _build_fit_options(config.get("fit"))
-    design = build_design_matrix(duplicate_augment(dataset, spec), spec)
-    fit_result = cox.fit(design, options)
+    fit_result = cox.fit(block_design(dataset, spec), options)
 
     rows = []
     for i, name in enumerate(fit_result.column_names):

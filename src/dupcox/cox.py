@@ -1,18 +1,20 @@
 """Stratified Cox partial-likelihood engine.
 
 Maximizes the log partial likelihood of a :class:`~dupcox.design.DesignMatrix`
-by Newton-Raphson with step halving, handling tied event times by the Efron
-(default) or Breslow corrections, left truncation via the counting-process
-at-risk rule (a row is at risk at event time ``t`` iff ``entry < t <= exit``),
-and cluster correlation via the sandwich variance built from score residuals.
+or :class:`~dupcox.design.BlockDesign` by Newton-Raphson with step halving,
+handling tied event times by the Efron (default) or Breslow corrections, left
+truncation via the counting-process at-risk rule (a row is at risk at event
+time ``t`` iff ``entry < t <= exit``), and cluster correlation via the
+sandwich variance built from score residuals.
 
 Baseline hazards are never estimated: the partial likelihood eliminates them.
 
-The per-stratum computations are fully vectorized.  Risk-set sums at all
-event times come from prefix sums over exit- and entry-sorted risk scores;
-tied event times are expanded into Efron sub-steps with a flat index so that
-likelihood, score, information, and score residuals are each a handful of
-array operations per stratum.
+The per-stratum computations are fully vectorized and evaluate every block
+of a block design in the same pass.  Risk-set sums at all event times are
+running totals over the rows sorted by decreasing exit, less those over the
+rows entering late; tied event times are expanded into Efron sub-steps with
+a flat index so that likelihood, score, information, and score residuals are
+each a handful of array operations per stratum.
 """
 
 from __future__ import annotations
@@ -22,10 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .design import DesignMatrix
+from .design import BlockDesign, DesignMatrix
 from .errors import ConfigError, EstimationError, SingularMatrixError
 
 TIE_METHODS = ("efron", "breslow")
+
+# Anything with the block layout: ``blocks``, ``block_map``, per-row times,
+# events, strata and clusters.
+Design = DesignMatrix | BlockDesign
 
 # Pivot ratio below which a column is declared aliased (exact collinearity),
 # relative to its diagonal in the initial information matrix.
@@ -98,169 +104,196 @@ class CoxFit:
         raise ConfigError(f"covariance kind must be 'robust' or 'model', got {kind!r}")
 
 
-class _Stratum:
-    """Static per-stratum indexing shared by all evaluations."""
+class _RiskSets:
+    """Static risk-set index of one stratum, shared by every evaluation.
 
-    def __init__(self, X, entry, exit_, event):
-        self.X = X
-        self.entry = entry
-        self.exit = exit_
-        self.n = len(exit_)
+    Rows are held in order of decreasing exit, so the rows with
+    ``exit >= t`` are a leading run and every risk-set sum is a running total
+    started at the latest exit.  Rows entering at or after the stratum's
+    first event time (none without left truncation) are indexed apart, in
+    order of decreasing entry, and their running totals are subtracted.  A
+    small late risk set is thus summed from its own few terms, never as the
+    difference of two whole-stratum totals.
+    """
 
-        self.idx_exit = np.argsort(exit_, kind="stable")
-        self.exit_sorted = exit_[self.idx_exit]
-        self.idx_entry = np.argsort(entry, kind="stable")
-        self.entry_sorted = entry[self.idx_entry]
-
-        fail = np.flatnonzero(event)
-        order = np.argsort(exit_[fail], kind="stable")
-        self.fail_rows = fail[order]
-        fail_times = exit_[self.fail_rows]
-        self.event_times, self.d = np.unique(fail_times, return_counts=True)
-        self.n_events = len(self.fail_rows)
-        self.n_times = len(self.event_times)
-        if self.n_times == 0:
+    def __init__(self, rows, blocks, entry, exit_, event, efron: bool):
+        self.rows = rows                  # original row numbers
+        X = blocks[:, rows]
+        # Column 0 of Z is ones, so one running total of w * Z gives the
+        # risk-set sums of w and of w * X together.
+        self.Z = np.concatenate((np.ones(X.shape[:2] + (1,)), X), axis=2)
+        self.X = self.Z[..., 1:]          # (m, n_s, p_b)
+        fail = np.flatnonzero(event)[::-1]
+        self.fail = fail                  # event rows by increasing exit
+        self.event_times, self.d = np.unique(exit_[fail], return_counts=True)
+        self.n_events = len(fail)
+        if self.n_events == 0:
             return
+        self.fail_sum = self.X[:, fail].sum(axis=1)
 
         self.group_starts = np.concatenate(([0], np.cumsum(self.d)[:-1]))
-        self.pos_exit = np.searchsorted(self.exit_sorted, self.event_times, side="left")
-        self.pos_entry = np.searchsorted(self.entry_sorted, self.event_times, side="left")
-
+        self.grp = np.repeat(np.arange(len(self.d)), self.d)
         # Flat Efron sub-step expansion: one entry per event, grouped by time.
-        self.grp = np.repeat(np.arange(self.n_times), self.d)
+        # Sub-step k of d tied events removes k/d of the tied rows' own sum.
         self.J = ((np.arange(self.n_events) - np.repeat(self.group_starts, self.d))
-                  / np.repeat(self.d, self.d))
+                  / np.repeat(self.d, self.d)) if efron else np.zeros(self.n_events)
+        # J is zero for untied events and under Breslow: only the groups of
+        # tied events are summed, and only sub-steps with J > 0 corrected.
+        tied = np.repeat(self.d > 1, self.d)
+        d_tied = self.d[self.d > 1]
+        self.tied_rows = fail[tied]
+        self.tied_starts = np.concatenate(([0], np.cumsum(d_tied)[:-1]))
+        self.corrected = np.flatnonzero(self.J > 0)
+        self.corrected_group = np.repeat(np.arange(len(d_tied)), d_tied)[self.J[tied] > 0]
+
+        # Per event: rows with exit >= t, and late-entry rows with entry >= t.
+        self.n_exit = np.searchsorted(-exit_, -self.event_times, side="right")[self.grp]
+        late = np.flatnonzero(entry >= self.event_times[0])
+        self.late = late[np.argsort(-entry[late], kind="stable")]
+        self.n_late = np.searchsorted(-entry[self.late], -self.event_times,
+                                      side="right")[self.grp]
 
         # Per-row windows of event times inside (entry, exit].
         self.e1 = np.searchsorted(self.event_times, entry, side="right")
         self.e2 = np.searchsorted(self.event_times, exit_, side="right")
-        self.own_k = np.searchsorted(self.event_times, fail_times, side="left")
-
-    def sums(self, beta, cols, tie_method):
-        """Risk-set sums at every event sub-step for the active columns."""
-        Xa = self.X[:, cols]
-        lp = Xa @ beta
-        lp -= lp.max()  # additive centering cancels exactly in the likelihood
-        w = np.exp(lp)
-        wX = w[:, None] * Xa
-
-        pref_exit_w = np.concatenate(([0.0], np.cumsum(w[self.idx_exit])))
-        pref_entry_w = np.concatenate(([0.0], np.cumsum(w[self.idx_entry])))
-        S0 = pref_entry_w[self.pos_entry] - pref_exit_w[self.pos_exit]
-
-        zero = np.zeros((1, Xa.shape[1]))
-        pref_exit_wX = np.concatenate((zero, np.cumsum(wX[self.idx_exit], axis=0)))
-        pref_entry_wX = np.concatenate((zero, np.cumsum(wX[self.idx_entry], axis=0)))
-        S1 = pref_entry_wX[self.pos_entry] - pref_exit_wX[self.pos_exit]
-
-        S0f = np.add.reduceat(w[self.fail_rows], self.group_starts)
-        S1f = np.add.reduceat(wX[self.fail_rows], self.group_starts, axis=0)
-
-        J = self.J if tie_method == "efron" else np.zeros_like(self.J)
-        S0_fl = S0[self.grp] - J * S0f[self.grp]
-        S1_fl = S1[self.grp] - J[:, None] * S1f[self.grp]
-        xbar = S1_fl / S0_fl[:, None]
-        return Xa, lp, w, J, S0_fl, xbar
-
-    def loglike(self, beta, cols, tie_method):
-        if self.n_times == 0:
-            return 0.0
-        # Out-of-range candidate steps can underflow a risk-set sum to zero;
-        # the resulting -inf is rejected by the optimizer's step halving.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            _, lp, _, _, S0_fl, _ = self.sums(beta, cols, tie_method)
-            return float(lp[self.fail_rows].sum() - np.log(S0_fl).sum())
-
-    def _lambdas(self, J, S0_fl):
-        lam_fl = 1.0 / S0_fl
-        lam = np.add.reduceat(lam_fl, self.group_starts)
-        lam_w = np.add.reduceat((1.0 - J) * lam_fl, self.group_starts)
-        return lam_fl, lam, lam_w
-
-    def score_info(self, beta, cols, tie_method):
-        if self.n_times == 0:
-            p = len(cols)
-            return 0.0, np.zeros(p), np.zeros((p, p))
-        Xa, lp, w, J, S0_fl, xbar = self.sums(beta, cols, tie_method)
-        ll = float(lp[self.fail_rows].sum() - np.log(S0_fl).sum())
-        score = Xa[self.fail_rows].sum(axis=0) - xbar.sum(axis=0)
-
-        _, lam, lam_w = self._lambdas(J, S0_fl)
-        pref = np.concatenate(([0.0], np.cumsum(lam)))
-        a = pref[self.e2] - pref[self.e1]
-        a[self.fail_rows] -= (lam - lam_w)[self.own_k]
-        info = (Xa * (w * a)[:, None]).T @ Xa - xbar.T @ xbar
-        return ll, score, info
-
-    def residuals(self, beta, cols, tie_method):
-        """Per-row score residuals; rows sum to the stratum score."""
-        if self.n_times == 0:
-            return np.zeros((self.n, len(cols)))
-        Xa, _, w, J, S0_fl, xbar = self.sums(beta, cols, tie_method)
-        lam_fl, lam, lam_w = self._lambdas(J, S0_fl)
-
-        g_fl = xbar * lam_fl[:, None]
-        g = np.add.reduceat(g_fl, self.group_starts, axis=0)
-        g_w = np.add.reduceat((1.0 - J)[:, None] * g_fl, self.group_starts, axis=0)
-        mbar = np.add.reduceat(xbar, self.group_starts, axis=0) / self.d[:, None]
-
-        pref_l = np.concatenate(([0.0], np.cumsum(lam)))
-        pref_g = np.concatenate((np.zeros((1, len(cols))), np.cumsum(g, axis=0)))
-        dL = pref_l[self.e2] - pref_l[self.e1]
-        dG = pref_g[self.e2] - pref_g[self.e1]
-
-        resid = -w[:, None] * (Xa * dL[:, None] - dG)
-        fr, k = self.fail_rows, self.own_k
-        resid[fr] += Xa[fr] - mbar[k]
-        resid[fr] += w[fr, None] * ((lam - lam_w)[k][:, None] * Xa[fr] - (g - g_w)[k])
-        return resid
 
 
-class _CoxData:
-    """Design split by stratum, with static risk-set indexing precomputed."""
+def _leading_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums of the first ``counts[k]`` entries along axis 1, for every ``k``."""
+    totals = np.take(np.cumsum(values, axis=1), np.maximum(counts, 1) - 1, axis=1)
+    totals[:, counts == 0] = 0.0
+    return totals
 
-    def __init__(self, design: DesignMatrix):
-        self.design = design
-        self.n_columns = design.n_columns
+
+@dataclass(frozen=True, eq=False)
+class _Evaluation:
+    """Log-likelihood, score and information at one point, active columns only.
+
+    ``parts`` keeps each stratum's risk-set sums, from which the score
+    residuals at the same point follow without another pass.
+    """
+
+    ll: float
+    score: np.ndarray
+    info: np.ndarray
+    cols: np.ndarray
+    parts: tuple
+
+
+class _Engine:
+    """Stratified Cox likelihood of a design of ``m`` row-aligned blocks.
+
+    The design supplies ``blocks`` ``(m, n, p_b)`` and ``block_map`` ``T``
+    with per-block coefficients ``b = T theta``.  Each stratum of each block
+    is its own stratum of the likelihood, so with ``T``'s rows cut per block
+    as ``T_j``: ``ll = sum_j ll_j``, ``score = sum_j T_j' s_j`` and
+    ``information = sum_j T_j' I_j T_j``.  A :class:`~dupcox.design.DesignMatrix`
+    is one block with ``T = I``.  One pass per stratum evaluates all blocks.
+    """
+
+    def __init__(self, design: Design, tie_method: str):
+        self.T = design.block_map
+        blocks = design.blocks
+        self.m, self.n, self.p_b = blocks.shape
+        self.cluster_id = design.cluster_id
         # Strata are visited in sorted label order, so every sum over strata
         # adds its terms in the same order on every evaluation.
         _, inverse = np.unique(design.strata_key.astype(str), return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
+        order = np.lexsort((-design.exit, inverse))
         bounds = np.flatnonzero(np.diff(inverse[order])) + 1
-        self.strata: list[_Stratum] = []
-        self.stratum_rows: list[np.ndarray] = []
-        self.n_strata_skipped = 0
+        self.strata: list[_RiskSets] = []
+        skipped = 0
         for rows in np.split(order, bounds):
-            st = _Stratum(design.X[rows], design.entry[rows],
-                          design.exit[rows], design.event[rows])
-            if st.n_times == 0:
-                self.n_strata_skipped += 1
-                continue
-            self.strata.append(st)
-            self.stratum_rows.append(rows)
-        self.n_events = sum(st.n_events for st in self.strata)
+            st = _RiskSets(rows, blocks, design.entry[rows], design.exit[rows],
+                           design.event[rows], tie_method == "efron")
+            if st.n_events == 0:
+                skipped += 1
+            else:
+                self.strata.append(st)
+        # Counted as in the augmented model: one stratum per block.
+        self.n_strata_used = self.m * len(self.strata)
+        self.n_strata_skipped = self.m * skipped
+        self.n_events = self.m * sum(st.n_events for st in self.strata)
 
-    def loglike(self, beta, cols, tie_method):
-        return sum(st.loglike(beta, cols, tie_method) for st in self.strata)
-
-    def score_info(self, beta, cols, tie_method):
-        p = len(cols)
-        ll, score, info = 0.0, np.zeros(p), np.zeros((p, p))
+    def evaluate(self, theta, cols) -> _Evaluation:
+        full = np.zeros(self.T.shape[1])
+        full[cols] = theta
+        b = (self.T @ full).reshape(self.m, self.p_b)
+        ll = 0.0
+        score = np.zeros((self.m, self.p_b))
+        info = np.zeros((self.m, self.p_b, self.p_b))
+        parts = []
         for st in self.strata:
-            ll_s, sc_s, in_s = st.score_info(beta, cols, tie_method)
+            ll_s, score_s, info_s, part = self._stratum(st, b)
             ll += ll_s
-            score += sc_s
-            info += in_s
-        return ll, score, info
+            score += score_s
+            info += info_s
+            parts.append(part)
+        T = self.T.reshape(self.m, self.p_b, -1)
+        info_theta = (T.transpose(0, 2, 1) @ info @ T).sum(axis=0)
+        return _Evaluation(ll, (self.T.T @ score.ravel())[cols],
+                           info_theta[np.ix_(cols, cols)], cols, tuple(parts))
 
-    def residuals(self, beta, cols, tie_method):
-        out = np.zeros((len(self.design), len(cols)))
-        for st, rows in zip(self.strata, self.stratum_rows):
-            out[rows] = st.residuals(beta, cols, tie_method)
-        return out
+    def _stratum(self, st: _RiskSets, b):
+        X = st.X
+        lp = (X @ b[:, :, None])[..., 0]
+        lp -= lp.max(axis=1, keepdims=True)  # cancels exactly in the likelihood
+        w = np.exp(lp)
+        wZ = w[..., None] * st.Z
+
+        S_fl = _leading_sums(wZ, st.n_exit)
+        if st.late.size:
+            S_fl -= _leading_sums(np.take(wZ, st.late, axis=1), st.n_late)
+        if st.corrected.size:
+            tied = np.add.reduceat(np.take(wZ, st.tied_rows, axis=1), st.tied_starts, axis=1)
+            S_fl[:, st.corrected] -= (st.J[st.corrected, None]
+                                      * tied[:, st.corrected_group])
+        fail, grp, J = st.fail, st.grp, st.J
+        S0_fl = S_fl[..., 0]
+        xbar = S_fl[..., 1:] / S0_fl[..., None]
+
+        ll = float(lp[:, fail].sum() - np.log(S0_fl).sum())
+        score = st.fail_sum - xbar.sum(axis=1)
+
+        lam_fl = 1.0 / S0_fl
+        lam = np.add.reduceat(lam_fl, st.group_starts, axis=1)
+        lam_w = np.add.reduceat((1.0 - J) * lam_fl, st.group_starts, axis=1)
+        pref = np.concatenate((np.zeros((self.m, 1)), np.cumsum(lam, axis=1)), axis=1)
+        a = np.take(pref, st.e2, axis=1) - np.take(pref, st.e1, axis=1)
+        a[:, fail] -= (lam - lam_w)[:, grp]
+        info = (X * (w * a)[..., None]).transpose(0, 2, 1) @ X \
+            - xbar.transpose(0, 2, 1) @ xbar
+        return ll, score, info, (w, xbar, lam_fl, lam, lam_w)
+
+    def residuals(self, ev: _Evaluation) -> np.ndarray:
+        """Per-row score residuals at ``ev``'s point; rows sum to its score."""
+        out = np.zeros((self.n, self.m, self.p_b))
+        for st, part in zip(self.strata, ev.parts):
+            out[st.rows] = self._stratum_residuals(st, *part).transpose(1, 0, 2)
+        return out.reshape(self.n, -1) @ self.T[:, ev.cols]
+
+    def _stratum_residuals(self, st: _RiskSets, w, xbar, lam_fl, lam, lam_w):
+        X, fail, grp, J, starts = st.X, st.fail, st.grp, st.J, st.group_starts
+        g_fl = xbar * lam_fl[..., None]
+        g = np.add.reduceat(g_fl, starts, axis=1)
+        g_w = np.add.reduceat((1.0 - J)[:, None] * g_fl, starts, axis=1)
+        mbar = np.add.reduceat(xbar, starts, axis=1) / st.d[:, None]
+
+        pref_l = np.concatenate((np.zeros((self.m, 1)), np.cumsum(lam, axis=1)), axis=1)
+        pref_g = np.concatenate((np.zeros((self.m, 1, self.p_b)), np.cumsum(g, axis=1)),
+                                axis=1)
+        dL = np.take(pref_l, st.e2, axis=1) - np.take(pref_l, st.e1, axis=1)
+        dG = np.take(pref_g, st.e2, axis=1) - np.take(pref_g, st.e1, axis=1)
+
+        resid = -w[..., None] * (X * dL[..., None] - dG)
+        Xf = np.take(X, fail, axis=1)
+        resid[:, fail] += Xf - np.take(mbar, grp, axis=1)
+        resid[:, fail] += np.take(w, fail, axis=1)[..., None] * (
+            np.take(lam - lam_w, grp, axis=1)[..., None] * Xf - np.take(g - g_w, grp, axis=1))
+        return resid
 
 
-def _check_inputs(design: DesignMatrix, beta, tie_method: str) -> np.ndarray:
+def _check_inputs(design: Design, beta, tie_method: str) -> np.ndarray:
     if tie_method not in TIE_METHODS:
         raise ConfigError(f"tie_method must be one of {TIE_METHODS}, got {tie_method!r}")
     beta = np.asarray(beta, dtype=float)
@@ -272,55 +305,54 @@ def _check_inputs(design: DesignMatrix, beta, tie_method: str) -> np.ndarray:
     return beta
 
 
-def _data_or_raise(design: DesignMatrix) -> _CoxData:
-    data = _CoxData(design)
-    if data.n_events == 0:
+def _engine_or_raise(design: Design, tie_method: str) -> _Engine:
+    engine = _Engine(design, tie_method)
+    if engine.n_events == 0:
         raise EstimationError("no informative strata: the design contains no events")
-    return data
+    return engine
 
 
-def log_partial_likelihood(design: DesignMatrix, beta, tie_method: str = "efron") -> float:
+def _evaluate(design: Design, beta, tie_method: str):
+    """The engine, and its evaluation at ``beta`` over every column."""
+    beta = _check_inputs(design, beta, tie_method)
+    engine = _engine_or_raise(design, tie_method)
+    return engine, engine.evaluate(beta, np.arange(design.n_columns))
+
+
+def log_partial_likelihood(design: Design, beta, tie_method: str = "efron") -> float:
     """Stratified Cox log partial likelihood at ``beta``.
 
     Sum over strata and distinct event times of the event terms minus the
     log of the (tie-corrected) risk-set sums; the risk set at time ``t``
     contains rows with ``entry < t <= exit`` in the same stratum.
     """
-    beta = _check_inputs(design, beta, tie_method)
-    data = _data_or_raise(design)
-    cols = np.arange(design.n_columns)
-    return data.loglike(beta, cols, tie_method)
+    # Out-of-range coefficients can underflow a risk-set sum to zero, which
+    # gives -inf.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _evaluate(design, beta, tie_method)[1].ll
 
 
-def score(design: DesignMatrix, beta, tie_method: str = "efron") -> np.ndarray:
+def score(design: Design, beta, tie_method: str = "efron") -> np.ndarray:
     """Analytic gradient of the log partial likelihood."""
-    beta = _check_inputs(design, beta, tie_method)
-    data = _data_or_raise(design)
-    cols = np.arange(design.n_columns)
-    _, sc, _ = data.score_info(beta, cols, tie_method)
-    return sc
+    return _evaluate(design, beta, tie_method)[1].score
 
 
-def information(design: DesignMatrix, beta, tie_method: str = "efron") -> np.ndarray:
+def information(design: Design, beta, tie_method: str = "efron") -> np.ndarray:
     """Observed information (negative Hessian); symmetric PSD."""
-    beta = _check_inputs(design, beta, tie_method)
-    data = _data_or_raise(design)
-    cols = np.arange(design.n_columns)
-    _, _, info = data.score_info(beta, cols, tie_method)
+    info = _evaluate(design, beta, tie_method)[1].info
     return (info + info.T) / 2.0
 
 
-def score_residuals(design: DesignMatrix, beta, tie_method: str = "efron") -> np.ndarray:
+def score_residuals(design: Design, beta, tie_method: str = "efron") -> np.ndarray:
     """Per-row score residuals (rows sum to the total score).
 
     Rows in strata without events contribute zero.  These are the building
     blocks of the cluster sandwich: sum them within ``design.cluster_id``
-    groups before forming the outer-product middle matrix.
+    groups before forming the outer-product middle matrix.  A block
+    design's row carries the summed residuals of its ``m`` copies.
     """
-    beta = _check_inputs(design, beta, tie_method)
-    data = _data_or_raise(design)
-    cols = np.arange(design.n_columns)
-    return data.residuals(beta, cols, tie_method)
+    engine, ev = _evaluate(design, beta, tie_method)
+    return engine.residuals(ev)
 
 
 def _aliased_columns(info: np.ndarray, pivot_ratio: float = ALIASING_PIVOT_RATIO) -> np.ndarray:
@@ -370,7 +402,7 @@ def _expand(values: np.ndarray, active: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit(design: DesignMatrix, options: FitOptions | None = None,
+def fit(design: Design, options: FitOptions | None = None,
         robust: bool = True) -> CoxFit:
     """Newton-Raphson maximization of the stratified log partial likelihood.
 
@@ -381,9 +413,11 @@ def fit(design: DesignMatrix, options: FitOptions | None = None,
     ``gradient_tolerance``; a non-converged fit is returned (not raised)
     with diagnostics, including a probable-separation flag when a
     coefficient runs beyond +-20 with the likelihood still increasing.
+    A :class:`~dupcox.design.BlockDesign` is fitted in the coefficients of
+    the augmented design it stands for.
     """
     options = options or FitOptions()
-    data = _data_or_raise(design)
+    engine = _engine_or_raise(design, options.tie_method)
     p = design.n_columns
 
     beta0 = np.zeros(p)
@@ -392,29 +426,29 @@ def fit(design: DesignMatrix, options: FitOptions | None = None,
         if beta0.shape != (p,):
             raise ConfigError(f"initial_coefficients must have length {p}")
 
-    start = data.score_info(beta0, np.arange(p), options.tie_method)
-    aliased = _aliased_columns(start[2])
+    start = engine.evaluate(beta0, np.arange(p))
+    aliased = _aliased_columns(start.info)
     if aliased.all():
         raise EstimationError("all design columns are aliased; nothing to fit")
     active = np.flatnonzero(~aliased)
 
     beta = beta0[active]
-    ll, sc, info = start if active.size == p else \
-        data.score_info(beta, active, options.tie_method)
+    ev = start if active.size == p else engine.evaluate(beta, active)
+    ll = ev.ll
     converged = False
     message = ""
     iterations = 0
     for iterations in range(options.max_iterations + 1):
-        if np.abs(sc).max() <= options.gradient_tolerance:
+        if np.abs(ev.score).max() <= options.gradient_tolerance:
             converged = True
             break
         if iterations == options.max_iterations:
             message = f"no convergence in {options.max_iterations} iterations"
             break
         try:
-            step = scipy.linalg.cho_solve(scipy.linalg.cho_factor(info), sc)
+            step = scipy.linalg.cho_solve(scipy.linalg.cho_factor(ev.info), ev.score)
         except (scipy.linalg.LinAlgError, ValueError):
-            step = np.linalg.pinv(info) @ sc
+            step = np.linalg.pinv(ev.info) @ ev.score
         # Near the optimum a productive Newton step moves the likelihood by
         # less than float resolution while the score still shrinks; halve
         # only on a decrease beyond rounding noise.
@@ -423,13 +457,13 @@ def fit(design: DesignMatrix, options: FitOptions | None = None,
         accepted = False
         for _ in range(options.step_halvings_max + 1):
             cand = beta + scale_factor * step
-            # An accepted candidate's score and information serve the next
-            # iteration.  Out-of-range candidates can underflow a risk-set
-            # sum to zero; the resulting -inf is rejected here.
+            # An accepted candidate's evaluation serves the next iteration.
+            # Out-of-range candidates can underflow a risk-set sum to zero;
+            # the resulting -inf is rejected here.
             with np.errstate(divide="ignore", invalid="ignore"):
-                cand_ll, cand_sc, cand_info = data.score_info(cand, active, options.tie_method)
-            if np.isfinite(cand_ll) and cand_ll >= ll - slack:
-                beta, ll, sc, info = cand, max(cand_ll, ll), cand_sc, cand_info
+                cand_ev = engine.evaluate(cand, active)
+            if np.isfinite(cand_ev.ll) and cand_ev.ll >= ll - slack:
+                beta, ll, ev = cand, max(cand_ev.ll, ll), cand_ev
                 accepted = True
                 break
             scale_factor /= 2.0
@@ -442,17 +476,16 @@ def fit(design: DesignMatrix, options: FitOptions | None = None,
         message = (message + "; " if message else "") + \
             "coefficient magnitude > 20 with increasing likelihood: probable separation"
 
-    # Every exit from the loop leaves ``info`` evaluated at the final ``beta``.
-    model_cov_active = _symmetric_inverse(info, "information matrix")
+    # Every exit from the loop leaves ``ev`` evaluated at the final ``beta``.
+    model_cov_active = _symmetric_inverse(ev.info, "information matrix")
     sandwich = None
     if robust and converged:
-        sandwich = _expand(_sandwich(data, beta, active, options.tie_method, model_cov_active),
-                           ~aliased)
+        sandwich = _expand(_sandwich(engine, ev, model_cov_active), ~aliased)
 
     diagnostics = FitDiagnostics(
-        n_strata_used=len(data.strata),
-        n_strata_skipped=data.n_strata_skipped,
-        n_events=data.n_events,
+        n_strata_used=engine.n_strata_used,
+        n_strata_skipped=engine.n_strata_skipped,
+        n_events=engine.n_events,
         separation_suspected=separation,
         message=message,
     )
@@ -470,17 +503,17 @@ def fit(design: DesignMatrix, options: FitOptions | None = None,
     )
 
 
-def _sandwich(data: _CoxData, beta, active, tie_method: str, a_inv: np.ndarray) -> np.ndarray:
-    """``A^-1 M A^-1`` on the active columns, given ``A^-1`` at ``beta``."""
-    resid = data.residuals(beta, active, tie_method)
-    _, codes = np.unique(data.design.cluster_id.astype(str), return_inverse=True)
+def _sandwich(engine: _Engine, ev: _Evaluation, a_inv: np.ndarray) -> np.ndarray:
+    """``A^-1 M A^-1`` on ``ev``'s columns, given ``A^-1`` at ``ev``'s point."""
+    resid = engine.residuals(ev)
+    _, codes = np.unique(engine.cluster_id.astype(str), return_inverse=True)
     grouped = np.column_stack([np.bincount(codes, weights=resid[:, j])
                                for j in range(resid.shape[1])])
     sandwich = a_inv @ (grouped.T @ grouped) @ a_inv
     return (sandwich + sandwich.T) / 2.0
 
 
-def robust_covariance(design: DesignMatrix, fit_result: CoxFit) -> np.ndarray:
+def robust_covariance(design: Design, fit_result: CoxFit) -> np.ndarray:
     """Cluster sandwich ``A^-1 M A^-1`` at the fitted coefficients.
 
     ``A`` is the observed information and ``M`` sums, over clusters of rows
@@ -492,9 +525,7 @@ def robust_covariance(design: DesignMatrix, fit_result: CoxFit) -> np.ndarray:
     if not fit_result.converged:
         raise EstimationError("robust covariance requires a converged fit")
     active = np.flatnonzero(~fit_result.aliased_mask)
-    beta = fit_result.coefficients[active]
-    tie_method = fit_result.options.tie_method
-    data = _CoxData(design)
-    _, _, info = data.score_info(beta, active, tie_method)
-    a_inv = _symmetric_inverse(info, "information matrix")
-    return _expand(_sandwich(data, beta, active, tie_method, a_inv), ~fit_result.aliased_mask)
+    engine = _Engine(design, fit_result.options.tie_method)
+    ev = engine.evaluate(fit_result.coefficients[active], active)
+    a_inv = _symmetric_inverse(ev.info, "information matrix")
+    return _expand(_sandwich(engine, ev, a_inv), ~fit_result.aliased_mask)

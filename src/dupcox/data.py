@@ -382,18 +382,12 @@ def validate(dataset: Dataset) -> ValidationReport:
         tuple(bad_order),
     ))
 
-    overlapping: list[str] = []
+    # In entry order a subject's first overlap is always between neighbours:
+    # until then its intervals are disjoint, so the previous one ends last.
     order = np.lexsort((dataset.entry, dataset.subject_ids.astype(str)))
-    prev_id, prev_exit = None, -np.inf
-    for i in order:
-        sid = dataset.subject_ids[i]
-        if sid == prev_id and dataset.entry[i] < prev_exit:
-            if sid not in overlapping:
-                overlapping.append(sid)
-        if sid == prev_id:
-            prev_exit = max(prev_exit, dataset.exit[i])
-        else:
-            prev_id, prev_exit = sid, dataset.exit[i]
+    ids = dataset.subject_ids[order]
+    overlaps = (ids[1:] == ids[:-1]) & (dataset.entry[order][1:] < dataset.exit[order][:-1])
+    overlapping = list(dict.fromkeys(ids[1:][overlaps]))
     checks.append(CheckResult(
         "subject_overlap", not overlapping,
         "no overlapping intervals within a subject" if not overlapping

@@ -6,6 +6,15 @@ whose exposure-by-type interaction coefficients carry the cross-exposure
 contrasts.  This module builds that augmented data and the numeric design
 matrix: exposure synthesis (continuous, dichotomous, quantile-categorical, or
 trend-scored), type indicators, dummy coding, and interaction expansion.
+
+Because every term is interacted with the type and the type is a stratum,
+copy ``j`` of the augmented design only ever multiplies the per-type
+coefficients ``b_j`` (main terms for the first type, main + type-``j``
+interactions otherwise).  :func:`block_design` therefore keeps the same
+model on the original rows, as one ``[exposure terms | covariates]`` block
+per exposure plus the fixed map from the interaction coefficients to the
+``b_j``; :func:`duplicate_augment` and :func:`build_design_matrix` are the
+literal row-bound construction.
 """
 
 from __future__ import annotations
@@ -121,6 +130,49 @@ class DesignMatrix:
         except ValueError:
             raise KeyError(f"no design column named {name!r}") from None
 
+    @property
+    def blocks(self) -> np.ndarray:
+        """The rows as a single block, in the layout of :class:`BlockDesign`."""
+        return self.X[None]
+
+    @property
+    def block_map(self) -> np.ndarray:
+        """Identity: the block's coefficients are the design's coefficients."""
+        return np.eye(self.n_columns)
+
+
+@dataclass(frozen=True)
+class BlockDesign:
+    """The augmented interaction design, kept on the original ``n`` rows.
+
+    ``blocks[j]`` is ``[exposure terms of source column j | covariates]``:
+    the non-zero part of copy ``j`` of :func:`build_design_matrix`'s rows.
+    The stacked per-type coefficients are ``b = block_map @ theta``, where
+    ``theta`` follows ``column_names`` (the augmented design's columns, in
+    its order) and ``b_j`` is main for the first type and main + type-``j``
+    interaction otherwise.  Each original stratum holds one type stratum per
+    block; ``strata_key`` and ``cluster_id`` are the original rows' own.
+    """
+
+    blocks: np.ndarray               # float, (m, n, p_b)
+    block_map: np.ndarray            # float, (m * p_b, p)
+    column_names: tuple[str, ...]
+    exposure_main_columns: tuple[str, ...]
+    interaction_columns: tuple[str, ...]
+    covariate_interaction_columns: tuple[str, ...]
+    strata_key: np.ndarray           # object, (n,)
+    cluster_id: np.ndarray           # object, (n,)
+    entry: np.ndarray                # float, (n,)
+    exit: np.ndarray                 # float, (n,)
+    event: np.ndarray                # bool, (n,)
+
+    def __len__(self) -> int:
+        return self.blocks.shape[1]
+
+    @property
+    def n_columns(self) -> int:
+        return self.block_map.shape[1]
+
 
 def categorize_quantiles(values, k: int, name: str = "exposure"):
     """Assign each value to one of ``k`` empirical quantile categories.
@@ -228,6 +280,18 @@ def _exposure_term_columns(dataset: Dataset, spec: ExposureSpec):
     return blocks, names
 
 
+def _column_names(term_names, covariate_names, n_types: int):
+    """Augmented design columns: all names, exposure and covariate interactions.
+
+    Main terms come first, then each non-reference type's exposure
+    interactions, then each non-reference type's covariate interactions.
+    """
+    later = range(2, n_types + 1)
+    inter = tuple(f"{term}:A_type{j}" for j in later for term in term_names)
+    cov_inter = tuple(f"{cov}:A_type{j}" for j in later for cov in covariate_names)
+    return tuple(term_names) + tuple(covariate_names) + inter + cov_inter, inter, cov_inter
+
+
 def duplicate_augment(dataset: Dataset, spec: ExposureSpec) -> AugmentedDataset:
     """Row-bind one copy of the cohort per compared exposure.
 
@@ -277,37 +341,63 @@ def build_design_matrix(aug: AugmentedDataset, spec: ExposureSpec) -> DesignMatr
             f"{spec.kind} spec implies {expected_terms}"
         )
 
-    n_types = len(aug.a_type_labels)
-    main = [aug.exposure_terms[:, j] for j in range(aug.exposure_terms.shape[1])]
-    main += [aug.covariates[:, j] for j in range(aug.covariates.shape[1])]
-    names = list(aug.term_names) + list(aug.covariate_names)
-    exposure_main = tuple(aug.term_names)
-
-    interactions, inter_names = [], []
-    cov_interactions, cov_inter_names = [], []
-    for j in range(1, n_types):
-        indicator = (aug.a_type == aug.a_type_labels[j]).astype(float)
-        for t, term in enumerate(aug.term_names):
-            interactions.append(aug.exposure_terms[:, t] * indicator)
-            inter_names.append(f"{term}:A_type{j + 1}")
-        for c, cov in enumerate(aug.covariate_names):
-            cov_interactions.append(aug.covariates[:, c] * indicator)
-            cov_inter_names.append(f"{cov}:A_type{j + 1}")
-
-    X = np.column_stack(main + interactions + cov_interactions)
-    column_names = tuple(names + inter_names + cov_inter_names)
+    indicators = [(aug.a_type == label).astype(float)[:, None]
+                  for label in aug.a_type_labels[1:]]
+    X = np.column_stack([aug.exposure_terms, aug.covariates]
+                        + [aug.exposure_terms * ind for ind in indicators]
+                        + [aug.covariates * ind for ind in indicators])
+    column_names, inter_names, cov_inter_names = _column_names(
+        aug.term_names, aug.covariate_names, len(aug.a_type_labels))
 
     return DesignMatrix(
         X=X,
         column_names=column_names,
-        exposure_main_columns=exposure_main,
-        interaction_columns=tuple(inter_names),
-        covariate_interaction_columns=tuple(cov_inter_names),
+        exposure_main_columns=tuple(aug.term_names),
+        interaction_columns=inter_names,
+        covariate_interaction_columns=cov_inter_names,
         strata_key=join_labels([*aug.strata.T, aug.a_type]),
         cluster_id=aug.subject_ids.copy(),
         entry=aug.entry.copy(),
         exit=aug.exit.copy(),
         event=aug.event.copy(),
+    )
+
+
+def block_design(dataset: Dataset, spec: ExposureSpec) -> BlockDesign:
+    """The design of :func:`build_design_matrix` without copying the cohort.
+
+    Fitting it gives the augmented fit's coefficients, covariances and
+    diagnostics, over ``n`` rows instead of ``m * n``.
+    """
+    terms, term_names = _exposure_term_columns(dataset, spec)
+    if len(dataset) == 0:
+        raise ValidationError("dataset is empty")
+    if not dataset.event.any():
+        raise EstimationError("no informative strata: the dataset contains no events")
+    covariate_names = dataset.schema.covariate_columns
+    column_names, inter_names, cov_inter_names = _column_names(
+        term_names, covariate_names, spec.n_compared)
+    # Block j's coefficients: each main term, plus its type-j interaction.
+    index = {name: i for i, name in enumerate(column_names)}
+    base = tuple(term_names) + covariate_names
+    block_map = np.zeros((spec.n_compared, len(base), len(column_names)))
+    for j in range(spec.n_compared):
+        for k, name in enumerate(base):
+            block_map[j, k, index[name]] = 1.0
+            if j:
+                block_map[j, k, index[f"{name}:A_type{j + 1}"]] = 1.0
+    return BlockDesign(
+        blocks=np.stack([np.column_stack([t, dataset.covariates]) for t in terms]),
+        block_map=block_map.reshape(-1, len(column_names)),
+        column_names=column_names,
+        exposure_main_columns=tuple(term_names),
+        interaction_columns=inter_names,
+        covariate_interaction_columns=cov_inter_names,
+        strata_key=dataset.strata_keys(),
+        cluster_id=dataset.subject_ids.copy(),
+        entry=dataset.entry.copy(),
+        exit=dataset.exit.copy(),
+        event=dataset.event.copy(),
     )
 
 

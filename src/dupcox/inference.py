@@ -17,12 +17,7 @@ from scipy.special import gammaincc, ndtri
 
 from .cox import CoxFit, FitOptions, fit as cox_fit
 from .data import Dataset
-from .design import (
-    ExposureSpec,
-    build_design_matrix,
-    duplicate_augment,
-    _exposure_term_columns,
-)
+from .design import BlockDesign, ExposureSpec, block_design
 from .errors import AliasedCoefficientError, ConfigError, SingularMatrixError
 
 COVARIANCE_KINDS = ("robust", "model")
@@ -310,7 +305,7 @@ def _json_float(x) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _per_exposure_scales(dataset: Dataset, spec: ExposureSpec, scale) -> list[float]:
+def _per_exposure_scales(design: BlockDesign, spec: ExposureSpec, scale) -> list[float]:
     """Resolve the reporting scale per exposure; 'p10-p90' uses the modeled column."""
     m = spec.n_compared
     if spec.kind == "categorical":
@@ -318,10 +313,10 @@ def _per_exposure_scales(dataset: Dataset, spec: ExposureSpec, scale) -> list[fl
     if isinstance(scale, str):
         if scale != "p10-p90":
             raise ConfigError(f"scale must be a positive number or 'p10-p90', got {scale!r}")
-        blocks, _ = _exposure_term_columns(dataset, spec)
         out = []
         for j, name in enumerate(spec.source_columns):
-            width = float(np.quantile(blocks[j][:, 0], 0.9) - np.quantile(blocks[j][:, 0], 0.1))
+            term = design.blocks[j, :, 0]
+            width = float(np.quantile(term, 0.9) - np.quantile(term, 0.1))
             if width <= 0:
                 raise ConfigError(
                     f"exposure {name!r} has a zero 10th-to-90th percentile increment"
@@ -349,11 +344,15 @@ def compare_exposures(dataset: Dataset, spec: ExposureSpec,
     """Run the full duplication-method comparison on one cohort.
 
     Pipeline: synthesize exposure terms per ``spec.kind`` (quantile
-    categories, dummies, or trend scores where applicable), duplicate the
-    cohort, build the stratified interaction design, fit, form the cluster
-    sandwich, and Wald-test all exposure-by-type interaction coefficients
-    (univariate for a single term, multivariate otherwise).  Per-exposure
-    hazard ratios come from the main(+interaction) parameterization.
+    categories, dummies, or trend scores where applicable), build the
+    stratified interaction design of the duplicated cohort, fit, form the
+    cluster sandwich, and Wald-test all exposure-by-type interaction
+    coefficients (univariate for a single term, multivariate otherwise).
+    Per-exposure hazard ratios come from the main(+interaction)
+    parameterization.  The design is a :class:`~dupcox.design.BlockDesign`:
+    the duplicated model evaluated on the cohort's own rows, with the same
+    coefficients as :func:`~dupcox.design.build_design_matrix` on
+    :func:`~dupcox.design.duplicate_augment`'s copies.
 
     A non-converged fit yields a report with diagnostics and no test rather
     than an exception.
@@ -363,12 +362,8 @@ def compare_exposures(dataset: Dataset, spec: ExposureSpec,
     options = options or FitOptions()
 
     try:
-        scales = _per_exposure_scales(dataset, spec, scale)
-        augmented = duplicate_augment(dataset, spec)
-    except Exception as exc:
-        raise _stage("design", exc)
-    try:
-        design = build_design_matrix(augmented, spec)
+        design = block_design(dataset, spec)
+        scales = _per_exposure_scales(design, spec, scale)
     except Exception as exc:
         raise _stage("design", exc)
     try:
@@ -401,7 +396,7 @@ def compare_exposures(dataset: Dataset, spec: ExposureSpec,
     exposures = []
     for j, source in enumerate(spec.source_columns):
         terms = []
-        for term in augmented.term_names:
+        for term in design.exposure_main_columns:
             names: tuple[str, ...]
             if j == 0:
                 names, weights = (term,), (1.0,)

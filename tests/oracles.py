@@ -134,6 +134,24 @@ def sandwich_from_residuals(residuals, cluster_ids, information):
     return a_inv @ middle @ a_inv
 
 
+def overlapping_subjects(subject_ids, entry, exit_):
+    """Subjects with overlapping intervals, by a row-by-row scan.
+
+    Rows are visited by subject (as text) and entry; a row overlaps when it
+    enters before the latest exit seen so far for its subject.
+    """
+    overlapping = []
+    order = sorted(range(len(subject_ids)), key=lambda i: (str(subject_ids[i]), entry[i]))
+    prev_id, prev_exit = None, -math.inf
+    for i in order:
+        sid = subject_ids[i]
+        if sid == prev_id and entry[i] < prev_exit and sid not in overlapping:
+            overlapping.append(sid)
+        prev_exit = max(prev_exit, exit_[i]) if sid == prev_id else exit_[i]
+        prev_id = sid
+    return tuple(overlapping)
+
+
 def plain_design(X, exit_, event, entry=None, strata=None, cluster=None, names=None):
     """Wrap raw arrays into a DesignMatrix for engine-level tests."""
     X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -267,3 +267,33 @@ class TestRobustCovariance:
             pytest.skip("separation converged unexpectedly fast")
         with pytest.raises(EstimationError, match="converged"):
             dc.robust_covariance(d, result)
+
+
+class TestConvergenceAtScale:
+    """Large cohorts converge at the default 1e-9 score tolerance.
+
+    With risk-set sums formed as differences of whole-stratum running totals,
+    the score's rounding noise at the optimum stayed above 1e-9 here and both
+    fits stopped after 25 iterations without converging.
+    """
+
+    @staticmethod
+    def cohort(n, beta, seed):
+        config = dc.SimConfig(n_subjects=n, exposure_correlation=0.7, true_beta=beta,
+                              covariate_effects=(0.3, -0.2), censoring_rate=0.3,
+                              n_strata=4, replicate_count=1, master_seed=seed)
+        return dc.simulate_cohort(config, 0)
+
+    def test_100k_continuous_converges(self):
+        dataset = self.cohort(100_000, (0.5, 0.3), 1)
+        spec = dc.ExposureSpec(kind="continuous", source_columns=("A1", "A2"))
+        result = dc.compare_exposures(dataset, spec).fit
+        assert result.options.gradient_tolerance == 1e-9
+        assert result.converged, result.diagnostics.message
+
+    def test_50k_quintiles_small_effects_converge(self):
+        dataset = self.cohort(50_000, (0.2, 0.2), 10)
+        spec = dc.ExposureSpec(kind="categorical", source_columns=("A1", "A2"), n_levels=5)
+        result = dc.compare_exposures(dataset, spec).fit
+        assert result.options.gradient_tolerance == 1e-9
+        assert result.converged, result.diagnostics.message

@@ -6,6 +6,7 @@ import pytest
 
 import dupcox as dc
 from dupcox.errors import ParseError, SchemaError, ValidationError
+from oracles import overlapping_subjects
 
 
 class TestSchema:
@@ -151,6 +152,32 @@ class TestValidate:
         check = report["subject_overlap"]
         assert not check.passed
         assert check.offenders == ("s1",)
+
+    def test_overlap_nested_and_equal_entries(self, four_row_schema):
+        # "n": (1,2) and (3,4) nested inside (0,10), given out of entry order;
+        # "e": two intervals entering together; "ok": back-to-back intervals.
+        intervals = [("ok", 1.0, 2.0), ("n", 3.0, 4.0), ("e", 0.0, 5.0), ("n", 1.0, 2.0),
+                     ("ok", 0.0, 1.0), ("e", 0.0, 3.0), ("n", 0.0, 10.0)]
+        rows = [dc.CohortRow(sid, t0, t1, False, {"A": 0, "Aprime": 1}, {"L1": 0}, {})
+                for sid, t0, t1 in intervals]
+        check = dc.validate(dc.Dataset.from_rows(rows, four_row_schema))["subject_overlap"]
+        assert not check.passed
+        assert check.offenders == ("e", "n")
+        assert check.detail == "overlapping intervals for 2 subject(s)"
+
+    def test_overlap_matches_row_scan(self):
+        schema = dc.Schema(id_column="id", entry_column="t0", exit_column="t1",
+                           event_column="y", exposure_columns=("a", "b"))
+        rng = np.random.default_rng(404)
+        for _ in range(50):
+            n = 40
+            ids = np.array([str(v) for v in rng.integers(0, 12, n)], dtype=object)
+            entry = rng.integers(0, 8, n).astype(float)
+            exit_ = entry + rng.integers(1, 4, n)
+            ds = dc.Dataset(schema, ids, entry, exit_, np.zeros(n, dtype=bool),
+                            np.zeros((n, 2)), np.zeros((n, 0)), np.empty((n, 0), dtype=object))
+            assert dc.validate(ds)["subject_overlap"].offenders == \
+                overlapping_subjects(ids, entry, exit_)
 
     def test_constant_column_flagged(self, four_row_schema):
         rows = [

@@ -112,6 +112,30 @@ class TestCalibration:
         result = dc.estimate_type1_error(cfg, 0.05, include_naive=True)
         assert result.naive_rejection_rate is not None
 
+    def test_naive_baseline_matches_separate_fits(self):
+        # Oracle: fit each exposure alone and z-test b2 - b1 with variance
+        # var1 + var2, ignoring the correlation between the two estimates.
+        cfg = config(true_beta=(0.6, 0.2), exposure_correlation=0.3,
+                     n_subjects=200, replicate_count=12)
+        spec = cfg.exposure_spec()
+        alpha = 0.2
+        oracle = []
+        for r in range(cfg.replicate_count):
+            dataset = dc.simulate_cohort(cfg, r)
+            fits = [dc.fit(dc.single_exposure_design(dataset, spec, j), robust=False)
+                    for j in range(2)]
+            z_sq = ((fits[0].coefficients[0] - fits[1].coefficients[0]) ** 2
+                    / (fits[0].model_covariance[0, 0] + fits[1].model_covariance[0, 0]))
+            oracle.append(dc.chi_square_upper_tail(float(z_sq), 1))
+            report = dc.compare_exposures(dataset, spec)
+            naive = dc.wald_univariate(report.fit, "Exposures:A_type2", "model").p_value
+            assert naive == pytest.approx(oracle[-1], abs=1e-8)
+        result = dc.estimate_power(cfg, alpha, include_naive=True)
+        assert result.n_failures == 0
+        rate = sum(p < alpha for p in oracle) / len(oracle)
+        assert 0.0 < rate < 1.0
+        assert result.naive_rejection_rate == rate
+
     def test_result_is_json_ready(self):
         import json
 
