@@ -62,3 +62,4 @@ report = json.loads((workdir / "report.json").read_text())
 test = report["report"]["difference_test"]
 print(f"machine report: df = {test['df']}, p = {test['p_value']:.3g}, "
       f"config hash {report['config_hash'][:12]}...")
+sys.exit(proc.returncode)

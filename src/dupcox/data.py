@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import warnings
@@ -204,26 +205,99 @@ def _parse_float(cell: str, row: int, column: str) -> float:
     return value
 
 
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell.strip())
+    except ValueError:
+        return math.nan
+
+
+def _float_column(cells) -> np.ndarray:
+    """``float`` of every stripped cell, NaN where a cell does not parse."""
+    # float() strips a subset of the whitespace str.strip() does, so a cell it
+    # accepts unstripped has the same value stripped; the rest go cell by cell.
+    try:
+        return np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError:
+        return np.fromiter(map(_float_or_nan, cells), dtype=float, count=len(cells))
+
+
+def _label_column(cells) -> np.ndarray:
+    return np.fromiter(map(str.strip, cells), dtype=object, count=len(cells))
+
+
+_EVENT_CODES = {"0": 0, "1": 1}
+
+
+def _check_row(record: list[str], row: int, width: int, positions: dict[str, int],
+               schema: Schema) -> str | None:
+    """Apply the loader's row rules to one record, in their order.
+
+    Returns ``"blank"`` for a row to skip, ``"missing"`` for a row rejected for
+    an empty exposure or covariate cell, and ``None`` for a good row.  Raises
+    the error a bad row gets.
+    """
+    if not any(field.strip() for field in record):
+        return "blank"
+    if len(record) < width:
+        raise ParseError(f"data row {row} has {len(record)} fields, expected {width}",
+                         row=row)
+
+    def cell(name):
+        return record[positions[name]].strip()
+
+    for name in schema.exposure_columns + schema.covariate_columns:
+        raw = cell(name)
+        if raw == "":
+            return "missing"
+        _parse_float(raw, row, name)
+    subject_id = cell(schema.id_column)
+    if subject_id == "":
+        raise ParseError(f"empty subject id at data row {row}",
+                         row=row, column=schema.id_column)
+    entry = 0.0
+    if schema.entry_column is not None:
+        entry = _parse_float(cell(schema.entry_column), row, schema.entry_column)
+    exit_ = _parse_float(cell(schema.exit_column), row, schema.exit_column)
+    raw_event = cell(schema.event_column)
+    if raw_event not in _EVENT_CODES:
+        raise ParseError(
+            f"event column must be 0 or 1, got {raw_event!r} at data row {row}",
+            row=row, column=schema.event_column,
+        )
+    if entry >= exit_:
+        raise ValidationError(
+            f"subject {subject_id!r}: entry time {entry} is not before "
+            f"exit time {exit_} (data row {row})"
+        )
+    return None
+
+
 def load_dataset(path: str | Path, schema: Schema) -> Dataset:
     """Load a delimited cohort file into a :class:`Dataset`.
 
-    The delimiter (comma or tab) is auto-detected from the header line.  The
-    event column must contain only ``0`` or ``1``.  Rows with a missing
-    exposure or covariate cell are rejected (counted, warned about), not
-    imputed.
+    The file is UTF-8, with or without a byte-order mark.  The delimiter
+    (comma or tab) is auto-detected from the header line.  Cells are stripped
+    of surrounding whitespace.  Blank lines are skipped but still counted in
+    data row numbers.  The event column must contain only ``0`` or ``1``.
+    Rows with a missing exposure or covariate cell are rejected (counted,
+    warned about), not imputed.  On a bad file the error is the first bad
+    row's, in file order.
 
     Raises
     ------
     SchemaError
-        If a schema column is absent from the header.
+        If a schema column is absent from the header or appears in it more
+        than once.
     ParseError
-        If a cell cannot be parsed or is not finite (``nan``, ``inf``); the
-        error names the data row and column.
+        If a row has fewer fields than the header, a cell cannot be parsed or
+        is not finite (``nan``, ``inf``), or a subject id is empty; the error
+        names the data row and, for a cell, the column.
     ValidationError
         If a row has ``entry_time >= exit_time``; the error names the subject.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header_line = fh.readline()
         if header_line == "":
             raise SchemaError(f"{path}: file is empty, expected a header row")
@@ -234,89 +308,78 @@ def load_dataset(path: str | Path, schema: Schema) -> Dataset:
         for name in schema.all_columns():
             if name not in header:
                 raise SchemaError(f"{path}: column '{name}' not found in header {header}")
+            if header.count(name) > 1:
+                raise SchemaError(f"{path}: column '{name}' appears "
+                                  f"{header.count(name)} times in header {header}")
             positions[name] = header.index(name)
+        records = list(csv.reader(fh, delimiter=delimiter))
 
-        rows: list[CohortRow] = []
-        n_rejected = 0
-        reader = csv.reader(fh, delimiter=delimiter)
+    width = len(header)
+    full = np.fromiter(map(len, records), dtype=int, count=len(records)) >= width
+    rows = records if full.all() else list(itertools.compress(records, full))
+    n = len(rows)
+    columns = list(zip(*rows)) or [()] * width
 
-        def cell(record, name):
-            return record[positions[name]].strip()
+    def column(name):
+        return columns[positions[name]]
 
-        for row_idx, record in enumerate(reader, start=1):
-            if not record or all(field.strip() == "" for field in record):
-                continue
-            if len(record) < len(header):
-                raise ParseError(
-                    f"data row {row_idx} has {len(record)} fields, expected {len(header)}",
-                    row=row_idx,
-                )
-            values: dict[str, float] = {}
-            missing = False
-            for name in schema.exposure_columns + schema.covariate_columns:
-                raw = cell(record, name)
-                if raw == "":
-                    missing = True
-                    break
-                values[name] = _parse_float(raw, row_idx, name)
-            if missing:
-                n_rejected += 1
-                continue
+    measured = schema.exposure_columns + schema.covariate_columns
+    values = np.empty((n, len(measured)))
+    for j, name in enumerate(measured):
+        values[:, j] = _float_column(column(name))
+    entry = (np.zeros(n) if schema.entry_column is None
+             else _float_column(column(schema.entry_column)))
+    exit_ = _float_column(column(schema.exit_column))
+    event = np.fromiter(map(_EVENT_CODES.get, map(str.strip, column(schema.event_column)),
+                            itertools.repeat(-1)), dtype=np.int8, count=n)
+    subject_ids = _label_column(column(schema.id_column))
+    strata = np.empty((n, len(schema.strata_columns)), dtype=object)
+    for j, name in enumerate(schema.strata_columns):
+        strata[:, j] = _label_column(column(name))
 
-            subject_id = cell(record, schema.id_column)
-            if subject_id == "":
-                raise ParseError(f"empty subject id at data row {row_idx}",
-                                 row=row_idx, column=schema.id_column)
-            entry = 0.0
-            if schema.entry_column is not None:
-                entry = _parse_float(cell(record, schema.entry_column),
-                                     row_idx, schema.entry_column)
-            exit_ = _parse_float(cell(record, schema.exit_column), row_idx, schema.exit_column)
-            raw_event = cell(record, schema.event_column)
-            if raw_event not in ("0", "1"):
-                raise ParseError(
-                    f"event column must be 0 or 1, got {raw_event!r} at data row {row_idx}",
-                    row=row_idx, column=schema.event_column,
-                )
-            if entry >= exit_:
-                raise ValidationError(
-                    f"subject {subject_id!r}: entry time {entry} is not before "
-                    f"exit time {exit_} (data row {row_idx})"
-                )
-            rows.append(CohortRow(
-                subject_id=subject_id,
-                entry_time=entry,
-                exit_time=exit_,
-                event=raw_event == "1",
-                exposure_values={k: values[k] for k in schema.exposure_columns},
-                covariate_values={k: values[k] for k in schema.covariate_columns},
-                strata_values={k: cell(record, k) for k in schema.strata_columns},
-            ))
+    # A row is kept as parsed unless it is short or one of its checks fails;
+    # those rows alone go through the row rules, in file order, so a bad file
+    # raises the first bad row's error and blank or missing rows are dropped.
+    keep = full.copy()
+    keep[full] = (np.isfinite(values).all(axis=1) & np.isfinite(entry) & np.isfinite(exit_)
+                  & (entry < exit_) & (event >= 0) & (subject_ids != ""))
+    n_rejected = 0
+    for i in np.flatnonzero(~keep):
+        status = _check_row(records[i], int(i) + 1, width, positions, schema)
+        n_rejected += status == "missing"
+        keep[i] = status is None
+    keep = keep[full]
+    n_exposures = len(schema.exposure_columns)
 
     if n_rejected:
         warnings.warn(
             f"{path}: rejected {n_rejected} row(s) with missing exposure/covariate values",
             stacklevel=2,
         )
-    return Dataset.from_rows(rows, schema, n_rejected_missing=n_rejected)
+    return Dataset(schema, subject_ids[keep], entry[keep], exit_[keep], event[keep] == 1,
+                   values[keep, :n_exposures], values[keep, n_exposures:], strata[keep],
+                   n_rejected_missing=n_rejected)
 
 
 def _serialize(dataset: Dataset) -> str:
     """Canonical CSV text for a dataset (used by save_dataset)."""
     s = dataset.schema
+
+    def floats(column):
+        return map(repr, np.asarray(column, dtype=float).tolist())
+
+    columns = [dataset.subject_ids.tolist()]
+    if s.entry_column is not None:
+        columns.append(floats(dataset.entry))
+    columns.append(floats(dataset.exit))
+    columns.append(["1" if e else "0" for e in dataset.event.tolist()])
+    columns += [floats(block[:, j]) for block in (dataset.exposures, dataset.covariates)
+                for j in range(block.shape[1])]
+    columns += [map(str, dataset.strata[:, j].tolist()) for j in range(dataset.strata.shape[1])]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(s.all_columns())
-    for i in range(len(dataset)):
-        record = [dataset.subject_ids[i]]
-        if s.entry_column is not None:
-            record.append(repr(float(dataset.entry[i])))
-        record.append(repr(float(dataset.exit[i])))
-        record.append("1" if dataset.event[i] else "0")
-        record += [repr(float(v)) for v in dataset.exposures[i]]
-        record += [repr(float(v)) for v in dataset.covariates[i]]
-        record += [str(v) for v in dataset.strata[i]]
-        writer.writerow(record)
+    writer.writerows(zip(*columns))
     return buf.getvalue()
 
 

@@ -6,11 +6,17 @@ matrix arithmetic.  Nothing is shared with the package's vectorized code
 paths.
 """
 
+import csv
+import io
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 
+from dupcox.data import CohortRow, Dataset
 from dupcox.design import DesignMatrix
+from dupcox.errors import ParseError, SchemaError, ValidationError
 
 
 def brute_force_loglik(entry, exit_, event, X, beta, strata=None, tie_method="breslow"):
@@ -191,3 +197,123 @@ def random_design(rng, n=6, p=2, ties=False, truncation=True, n_strata=1,
     X = rng.standard_normal((n, p))
     strata = [f"s{v}" for v in rng.integers(0, n_strata, size=n)]
     return plain_design(X, exit_, event, entry=entry, strata=strata)
+
+
+def _parse_float(cell, row, column):
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ParseError(
+            f"cannot parse value {cell!r} in column '{column}' at data row {row}",
+            row=row, column=column,
+        ) from None
+    if not math.isfinite(value):
+        raise ParseError(
+            f"non-finite value {cell!r} in column '{column}' at data row {row}",
+            row=row, column=column,
+        )
+    return value
+
+
+def load_dataset_by_rows(path, schema):
+    """Row-by-row cohort loader: one ``CohortRow`` per record, in file order.
+
+    The reference for ``load_dataset``'s data rows.  Its header handling is
+    the plain one: no byte-order mark, first of duplicated names.
+    """
+    path = Path(path)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header_line = fh.readline()
+        if header_line == "":
+            raise SchemaError(f"{path}: file is empty, expected a header row")
+        delimiter = "\t" if "\t" in header_line else ","
+        header = next(csv.reader([header_line], delimiter=delimiter))
+        header = [h.strip() for h in header]
+        positions = {}
+        for name in schema.all_columns():
+            if name not in header:
+                raise SchemaError(f"{path}: column '{name}' not found in header {header}")
+            positions[name] = header.index(name)
+
+        rows = []
+        n_rejected = 0
+        reader = csv.reader(fh, delimiter=delimiter)
+
+        def cell(record, name):
+            return record[positions[name]].strip()
+
+        for row_idx, record in enumerate(reader, start=1):
+            if not record or all(field.strip() == "" for field in record):
+                continue
+            if len(record) < len(header):
+                raise ParseError(
+                    f"data row {row_idx} has {len(record)} fields, expected {len(header)}",
+                    row=row_idx,
+                )
+            values = {}
+            missing = False
+            for name in schema.exposure_columns + schema.covariate_columns:
+                raw = cell(record, name)
+                if raw == "":
+                    missing = True
+                    break
+                values[name] = _parse_float(raw, row_idx, name)
+            if missing:
+                n_rejected += 1
+                continue
+
+            subject_id = cell(record, schema.id_column)
+            if subject_id == "":
+                raise ParseError(f"empty subject id at data row {row_idx}",
+                                 row=row_idx, column=schema.id_column)
+            entry = 0.0
+            if schema.entry_column is not None:
+                entry = _parse_float(cell(record, schema.entry_column),
+                                     row_idx, schema.entry_column)
+            exit_ = _parse_float(cell(record, schema.exit_column), row_idx, schema.exit_column)
+            raw_event = cell(record, schema.event_column)
+            if raw_event not in ("0", "1"):
+                raise ParseError(
+                    f"event column must be 0 or 1, got {raw_event!r} at data row {row_idx}",
+                    row=row_idx, column=schema.event_column,
+                )
+            if entry >= exit_:
+                raise ValidationError(
+                    f"subject {subject_id!r}: entry time {entry} is not before "
+                    f"exit time {exit_} (data row {row_idx})"
+                )
+            rows.append(CohortRow(
+                subject_id=subject_id,
+                entry_time=entry,
+                exit_time=exit_,
+                event=raw_event == "1",
+                exposure_values={k: values[k] for k in schema.exposure_columns},
+                covariate_values={k: values[k] for k in schema.covariate_columns},
+                strata_values={k: cell(record, k) for k in schema.strata_columns},
+            ))
+
+    if n_rejected:
+        warnings.warn(
+            f"{path}: rejected {n_rejected} row(s) with missing exposure/covariate values",
+            stacklevel=2,
+        )
+    return Dataset.from_rows(rows, schema, n_rejected_missing=n_rejected)
+
+
+def serialize_by_rows(dataset):
+    """CSV text of a dataset written one row at a time; the reference for ``save_dataset``."""
+    s = dataset.schema
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(s.all_columns())
+    for i in range(len(dataset)):
+        record = [dataset.subject_ids[i]]
+        if s.entry_column is not None:
+            record.append(repr(float(dataset.entry[i])))
+        record.append(repr(float(dataset.exit[i])))
+        record.append("1" if dataset.event[i] else "0")
+        record += [repr(float(v)) for v in dataset.exposures[i]]
+        record += [repr(float(v)) for v in dataset.covariates[i]]
+        record += [str(v) for v in dataset.strata[i]]
+        writer.writerow(record)
+    return buf.getvalue()

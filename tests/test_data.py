@@ -1,12 +1,20 @@
+import csv
+import io
 import re
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dupcox as dc
-from dupcox.errors import ParseError, SchemaError, ValidationError
-from oracles import overlapping_subjects
+from dupcox.errors import DataError, ParseError, SchemaError, ValidationError
+from oracles import load_dataset_by_rows, overlapping_subjects, serialize_by_rows
+
+DEMO_COHORT = Path(__file__).resolve().parents[1] / "demos" / "data" / "synthetic_cohort.csv"
 
 
 class TestSchema:
@@ -101,6 +109,54 @@ class TestLoad:
         assert len(ds) == 1
         assert ds.n_rejected_missing == 2
 
+    def test_short_row_cites_row(self, tmp_path, four_row_schema):
+        path = tmp_path / "short_row.csv"
+        path.write_text("id,A,Aprime,Y,time,L1\n1,1,1,1,20,1\n2,0,1,0,19\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="data row 2 has 5 fields, expected 6") as err:
+            dc.load_dataset(path, four_row_schema)
+        assert err.value.row == 2
+
+    def test_blank_lines_count_in_row_numbers(self, tmp_path, four_row_schema):
+        path = tmp_path / "blank.csv"
+        path.write_text("id,A,Aprime,Y,time,L1\n1,1,1,1,20,1\n\n  \n2,0,1,0,abc,1\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match="at data row 4") as err:
+            dc.load_dataset(path, four_row_schema)
+        assert err.value.row == 4
+
+    def test_empty_id_cites_id_column(self, tmp_path, four_row_schema):
+        path = tmp_path / "noid.csv"
+        path.write_text("id,A,Aprime,Y,time,L1\n1,1,1,1,20,1\n ,0,1,0,19,1\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match="empty subject id at data row 2") as err:
+            dc.load_dataset(path, four_row_schema)
+        assert (err.value.row, err.value.column) == (2, "id")
+
+    def test_first_bad_row_wins(self, tmp_path):
+        schema = dc.Schema(id_column="id", entry_column="t0", exit_column="t1",
+                           event_column="y", exposure_columns=("a", "b"))
+        path = tmp_path / "two_bad.csv"
+        path.write_text("id,t0,t1,y,a,b\ns1,0,3,1,0,1\ns2,0,3,yes,0,0\ns3,5,3,1,0,0\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match="got 'yes' at data row 2") as err:
+            dc.load_dataset(path, schema)
+        assert (err.value.row, err.value.column) == (2, "y")
+
+    def test_duplicated_header_column_rejected(self, tmp_path):
+        schema = dc.Schema(id_column="id", exit_column="t", event_column="y",
+                           exposure_columns=("a", "b"))
+        path = tmp_path / "dup.csv"
+        path.write_text("id,t,y,a,b,a\n1,1,1,0.5,0,0.1\n2,2,0,0.1,1,0.5\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match="column 'a' appears 2 times"):
+            dc.load_dataset(path, schema)
+
+    def test_byte_order_mark_ignored(self, tmp_path, four_row_path, four_row_schema):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + four_row_path.read_bytes())
+        ds, plain = (dc.load_dataset(p, four_row_schema) for p in (path, four_row_path))
+        assert ds == plain
+        assert ds.fingerprint() == plain.fingerprint()
+
     def test_tab_delimiter_autodetected(self, tmp_path, four_row_schema):
         rows = [line.replace(",", "\t")
                 for line in ("id,A,Aprime,Y,time,L1", "1,1,1,1,20,1", "2,0,1,0,19,1")]
@@ -131,6 +187,118 @@ class TestRoundTrip:
         out = tmp_path / "out.csv"
         dc.save_dataset(ds, out)
         assert dc.load_dataset(out, schema) == ds
+
+
+# Cells for generated cohort files.  Good cells load, or reject their row when
+# an exposure or covariate is empty; every good entry time is before every
+# good exit time.  Bad cells raise unless their row is rejected first.
+_GOOD = {
+    "number": ["0", "1", "2.5", "-0.25", "1e3", " 3 ", "\t4", "\x1f5", "1_0", "", "  "],
+    "entry": ["0", "0.5", " 1 "],
+    "exit": ["2", "3.5", " 4", "1_0"],
+    "event": ["0", "1", " 1 "],
+    "id": ["s1", "s2", " s3 ", "a,b", 'q"x'],
+    "label": ["x", "y", " z ", "", "a,b"],
+}
+_BAD = {
+    "number": ["abc", "nan", "inf", "-inf"],
+    "entry": ["5", "abc", "nan", ""],
+    "exit": ["0", "abc", "inf", ""],
+    "event": ["true", "2", ""],
+    "id": ["", "  "],
+    "label": [],
+}
+
+
+@st.composite
+def _cohort_files(draw):
+    """A schema and the text of a cohort file for it, blank and bad lines included."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    schema = dc.Schema(
+        id_column="id", exit_column="t1", event_column="y", exposure_columns=("a", "b"),
+        entry_column="t0" if draw(st.booleans()) else None,
+        covariate_columns=("c",)[:draw(st.integers(0, 1))],
+        strata_columns=("g", "h")[:draw(st.integers(0, 2))],
+    )
+    header = draw(st.permutations(schema.all_columns() + ["extra"]))
+    kinds = {"id": "id", "t0": "entry", "t1": "exit", "y": "event", "g": "label",
+             "h": "label", "extra": "label"}
+    bad_weight = draw(st.sampled_from([0, 1]))
+    pools = {kind: _GOOD[kind] * 3 + _BAD[kind] * bad_weight for kind in _GOOD}
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 10))):
+        shape = draw(st.sampled_from(["row"] * 6 + ["blank", "spaces", "delimiters",
+                                                    "short", "long"]))
+        record = [draw(st.sampled_from(pools[kinds.get(name, "number")])) for name in header]
+        if shape == "blank":
+            buf.write("\n")
+        elif shape == "spaces":
+            buf.write("   \n")
+        elif shape == "delimiters":
+            buf.write(delimiter * (len(header) - 1) + "\n")
+        elif shape == "short":
+            writer.writerow(record[:draw(st.integers(1, len(record) - 1))])
+        else:
+            writer.writerow(record + ["zz"] if shape == "long" else record)
+    return schema, buf.getvalue()
+
+
+def _load_outcome(loader, path, schema):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ds = loader(path, schema)
+        except DataError as exc:
+            return "raised", (type(exc), str(exc), getattr(exc, "row", None),
+                              getattr(exc, "column", None))
+    return ds, [str(w.message) for w in caught]
+
+
+class TestLoaderParity:
+    """The columnar loader against the row-by-row reference in ``oracles``."""
+
+    @given(_cohort_files())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_by_row_loader(self, tmp_path_factory, cohort):
+        schema, text = cohort
+        path = tmp_path_factory.mktemp("parity") / "cohort.csv"
+        path.write_text(text, encoding="utf-8")
+        got, got_detail = _load_outcome(dc.load_dataset, path, schema)
+        want, want_detail = _load_outcome(load_dataset_by_rows, path, schema)
+        assert got_detail == want_detail
+        if isinstance(want, dc.Dataset):
+            assert got == want
+            assert got.n_rejected_missing == want.n_rejected_missing
+            for name in ("subject_ids", "entry", "exit", "event", "exposures",
+                         "covariates", "strata"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape, a.flags.c_contiguous) == \
+                    (b.dtype, b.shape, b.flags.c_contiguous)
+        else:
+            assert got == want
+
+
+class TestSave:
+    """``save_dataset`` writes the bytes of the row-by-row writer in ``oracles``."""
+
+    def _assert_same_bytes(self, ds, tmp_path):
+        dc.save_dataset(ds, tmp_path / "columns.csv")
+        (tmp_path / "rows.csv").write_text(serialize_by_rows(ds), encoding="utf-8")
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_demo_cohort(self, tmp_path):
+        schema = dc.Schema(id_column="id", exit_column="time", event_column="event",
+                           exposure_columns=("A1", "A2"), covariate_columns=("L1",),
+                           strata_columns=("stratum",))
+        self._assert_same_bytes(dc.load_dataset(DEMO_COHORT, schema), tmp_path)
+
+    def test_left_truncated_cohort_with_quoted_id(self, tmp_path):
+        ds = _delayed_entry_cohort()
+        ds = replace(ds, subject_ids=np.array(['u,"1"', 'u,"1"', "u2", "u3"], dtype=object))
+        self._assert_same_bytes(ds, tmp_path)
+        assert dc.load_dataset(tmp_path / "columns.csv", ds.schema) == ds
 
 
 class TestValidate:
