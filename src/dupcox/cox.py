@@ -12,9 +12,9 @@ Baseline hazards are never estimated: the partial likelihood eliminates them.
 The per-stratum computations are fully vectorized and evaluate every block
 of a block design in the same pass.  Risk-set sums at all event times are
 running totals over the rows sorted by decreasing exit, less those over the
-rows entering late; tied event times are expanded into Efron sub-steps with
-a flat index so that likelihood, score, information, and score residuals are
-each a handful of array operations per stratum.
+rows entering late.  Each event is one Efron sub-step; the information and
+the score residuals both sum per-sub-step terms over each row's at-risk
+window with one helper, and Efron's correction touches only tied event times.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class FitOptions:
     max_iterations: int = 25
     gradient_tolerance: float = 1e-9
     step_halvings_max: int = 10
-    initial_coefficients: np.ndarray | None = None
 
     def __post_init__(self):
         if self.tie_method not in TIE_METHODS:
@@ -125,37 +124,47 @@ class _RiskSets:
         self.X = self.Z[..., 1:]          # (m, n_s, p_b)
         fail = np.flatnonzero(event)[::-1]
         self.fail = fail                  # event rows by increasing exit
-        self.event_times, self.d = np.unique(exit_[fail], return_counts=True)
         self.n_events = len(fail)
         if self.n_events == 0:
             return
         self.fail_sum = self.X[:, fail].sum(axis=1)
+        times = exit_[fail]               # one Efron sub-step per event
 
-        self.group_starts = np.concatenate(([0], np.cumsum(self.d)[:-1]))
-        self.grp = np.repeat(np.arange(len(self.d)), self.d)
-        # Flat Efron sub-step expansion: one entry per event, grouped by time.
-        # Sub-step k of d tied events removes k/d of the tied rows' own sum.
-        self.J = ((np.arange(self.n_events) - np.repeat(self.group_starts, self.d))
-                  / np.repeat(self.d, self.d)) if efron else np.zeros(self.n_events)
-        # J is zero for untied events and under Breslow: only the groups of
-        # tied events are summed, and only sub-steps with J > 0 corrected.
-        tied = np.repeat(self.d > 1, self.d)
-        d_tied = self.d[self.d > 1]
-        self.tied_rows = fail[tied]
-        self.tied_starts = np.concatenate(([0], np.cumsum(d_tied)[:-1]))
-        self.corrected = np.flatnonzero(self.J > 0)
-        self.corrected_group = np.repeat(np.arange(len(d_tied)), d_tied)[self.J[tied] > 0]
-
-        # Per event: rows with exit >= t, and late-entry rows with entry >= t.
-        self.n_exit = np.searchsorted(-exit_, -self.event_times, side="right")[self.grp]
-        late = np.flatnonzero(entry >= self.event_times[0])
+        # Per sub-step: rows with exit >= t, and late-entry rows with entry >= t.
+        self.n_exit = np.searchsorted(-exit_, -times, side="right")
+        late = np.flatnonzero(entry >= times[0])
         self.late = late[np.argsort(-entry[late], kind="stable")]
-        self.n_late = np.searchsorted(-entry[self.late], -self.event_times,
-                                      side="right")[self.grp]
+        self.n_late = np.searchsorted(-entry[self.late], -times, side="right")
+        # Per row: the sub-steps lo <= k < hi of event times inside (entry, exit].
+        self.lo = np.searchsorted(times, entry, side="right")
+        self.hi = np.searchsorted(times, exit_, side="right")
 
-        # Per-row windows of event times inside (entry, exit].
-        self.e1 = np.searchsorted(self.event_times, entry, side="right")
-        self.e2 = np.searchsorted(self.event_times, exit_, side="right")
+        # Under Efron, sub-step k of d events tied at one time removes J = k/d
+        # of the tied rows' own sum.  Only the events at tied times are
+        # indexed: sub-step positions, rows, and each time's start and size.
+        _, d = np.unique(times, return_counts=True)
+        tied = (d > 1) & efron
+        self.tied_pos = np.flatnonzero(np.repeat(tied, d))
+        self.tied_rows = fail[self.tied_pos]
+        self.tied_d = d[tied]
+        self.tied_starts = np.concatenate(([0], np.cumsum(self.tied_d)[:-1]))
+        self.tied_group = np.repeat(np.arange(len(self.tied_d)), self.tied_d)
+        self.J = ((np.arange(len(self.tied_pos)) - self.tied_starts[self.tied_group])
+                  / self.tied_d[self.tied_group])[:, None]
+
+    def at_risk_sums(self, per_step):
+        """Sums of ``per_step`` ``(m, n_events, q)`` over each row's at-risk
+        sub-steps, ``(m, n_s, q)``; at a tied event's own time, sub-step ``k``
+        counts with weight ``1 - J_k``.
+        """
+        total = np.cumsum(per_step, axis=1)
+        total = np.concatenate((np.zeros_like(total[:, :1]), total), axis=1)
+        sums = np.take(total, self.hi, axis=1) - np.take(total, self.lo, axis=1)
+        if self.tied_pos.size:
+            own = np.add.reduceat(self.J * np.take(per_step, self.tied_pos, axis=1),
+                                  self.tied_starts, axis=1)
+            sums[:, self.tied_rows] -= np.take(own, self.tied_group, axis=1)
+        return sums
 
 
 def _leading_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -169,8 +178,8 @@ def _leading_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class _Evaluation:
     """Log-likelihood, score and information at one point, active columns only.
 
-    ``parts`` keeps each stratum's risk-set sums, from which the score
-    residuals at the same point follow without another pass.
+    ``parts`` keeps each stratum's weights, window sums of ``1/S0``, means
+    and ``1/S0``, from which the score residuals at the same point follow.
     """
 
     ll: float
@@ -244,26 +253,20 @@ class _Engine:
         S_fl = _leading_sums(wZ, st.n_exit)
         if st.late.size:
             S_fl -= _leading_sums(np.take(wZ, st.late, axis=1), st.n_late)
-        if st.corrected.size:
+        if st.tied_pos.size:
             tied = np.add.reduceat(np.take(wZ, st.tied_rows, axis=1), st.tied_starts, axis=1)
-            S_fl[:, st.corrected] -= (st.J[st.corrected, None]
-                                      * tied[:, st.corrected_group])
-        fail, grp, J = st.fail, st.grp, st.J
+            S_fl[:, st.tied_pos] -= st.J * np.take(tied, st.tied_group, axis=1)
         S0_fl = S_fl[..., 0]
         xbar = S_fl[..., 1:] / S0_fl[..., None]
 
-        ll = float(lp[:, fail].sum() - np.log(S0_fl).sum())
+        ll = float(lp[:, st.fail].sum() - np.log(S0_fl).sum())
         score = st.fail_sum - xbar.sum(axis=1)
 
         lam_fl = 1.0 / S0_fl
-        lam = np.add.reduceat(lam_fl, st.group_starts, axis=1)
-        lam_w = np.add.reduceat((1.0 - J) * lam_fl, st.group_starts, axis=1)
-        pref = np.concatenate((np.zeros((self.m, 1)), np.cumsum(lam, axis=1)), axis=1)
-        a = np.take(pref, st.e2, axis=1) - np.take(pref, st.e1, axis=1)
-        a[:, fail] -= (lam - lam_w)[:, grp]
+        a = st.at_risk_sums(lam_fl[..., None])[..., 0]
         info = (X * (w * a)[..., None]).transpose(0, 2, 1) @ X \
             - xbar.transpose(0, 2, 1) @ xbar
-        return ll, score, info, (w, xbar, lam_fl, lam, lam_w)
+        return ll, score, info, (w, a, xbar, lam_fl)
 
     def residuals(self, ev: _Evaluation) -> np.ndarray:
         """Per-row score residuals at ``ev``'s point; rows sum to its score."""
@@ -272,24 +275,17 @@ class _Engine:
             out[st.rows] = self._stratum_residuals(st, *part).transpose(1, 0, 2)
         return out.reshape(self.n, -1) @ self.T[:, ev.cols]
 
-    def _stratum_residuals(self, st: _RiskSets, w, xbar, lam_fl, lam, lam_w):
-        X, fail, grp, J, starts = st.X, st.fail, st.grp, st.J, st.group_starts
-        g_fl = xbar * lam_fl[..., None]
-        g = np.add.reduceat(g_fl, starts, axis=1)
-        g_w = np.add.reduceat((1.0 - J)[:, None] * g_fl, starts, axis=1)
-        mbar = np.add.reduceat(xbar, starts, axis=1) / st.d[:, None]
-
-        pref_l = np.concatenate((np.zeros((self.m, 1)), np.cumsum(lam, axis=1)), axis=1)
-        pref_g = np.concatenate((np.zeros((self.m, 1, self.p_b)), np.cumsum(g, axis=1)),
-                                axis=1)
-        dL = np.take(pref_l, st.e2, axis=1) - np.take(pref_l, st.e1, axis=1)
-        dG = np.take(pref_g, st.e2, axis=1) - np.take(pref_g, st.e1, axis=1)
-
-        resid = -w[..., None] * (X * dL[..., None] - dG)
-        Xf = np.take(X, fail, axis=1)
-        resid[:, fail] += Xf - np.take(mbar, grp, axis=1)
-        resid[:, fail] += np.take(w, fail, axis=1)[..., None] * (
-            np.take(lam - lam_w, grp, axis=1)[..., None] * Xf - np.take(g - g_w, grp, axis=1))
+    def _stratum_residuals(self, st: _RiskSets, w, a, xbar, lam_fl):
+        # delta (X - mbar) - w (a X - window sum of xbar / S0), where mbar is
+        # xbar averaged over the sub-steps of each tied time.
+        resid = -w[..., None] * (st.X * a[..., None] - st.at_risk_sums(xbar * lam_fl[..., None]))
+        mbar = xbar
+        if st.tied_pos.size:
+            mbar = xbar.copy()
+            means = np.add.reduceat(np.take(xbar, st.tied_pos, axis=1), st.tied_starts,
+                                    axis=1) / st.tied_d[:, None]
+            mbar[:, st.tied_pos] = np.take(means, st.tied_group, axis=1)
+        resid[:, st.fail] += np.take(st.X, st.fail, axis=1) - mbar
         return resid
 
 
@@ -420,19 +416,13 @@ def fit(design: Design, options: FitOptions | None = None,
     engine = _engine_or_raise(design, options.tie_method)
     p = design.n_columns
 
-    beta0 = np.zeros(p)
-    if options.initial_coefficients is not None:
-        beta0 = np.asarray(options.initial_coefficients, dtype=float)
-        if beta0.shape != (p,):
-            raise ConfigError(f"initial_coefficients must have length {p}")
-
-    start = engine.evaluate(beta0, np.arange(p))
+    start = engine.evaluate(np.zeros(p), np.arange(p))
     aliased = _aliased_columns(start.info)
     if aliased.all():
         raise EstimationError("all design columns are aliased; nothing to fit")
     active = np.flatnonzero(~aliased)
 
-    beta = beta0[active]
+    beta = np.zeros(active.size)
     ev = start if active.size == p else engine.evaluate(beta, active)
     ll = ev.ll
     converged = False

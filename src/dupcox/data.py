@@ -458,11 +458,11 @@ def validate(dataset: Dataset) -> ValidationReport:
         tuple(overlapping),
     ))
 
-    keys = dataset.strata_keys()
-    silent: list[str] = []
-    for key in dict.fromkeys(keys):  # preserve first-seen order
-        if not dataset.event[keys == key].any():
-            silent.append(key)
+    labels, first, codes = np.unique(dataset.strata_keys().astype(str), return_index=True,
+                                     return_inverse=True)
+    events = np.bincount(codes, weights=dataset.event, minlength=len(labels))
+    seen = np.argsort(first)  # strata in first-seen order
+    silent = labels[seen][events[seen] == 0].tolist()
     checks.append(CheckResult(
         "stratum_events", not silent,
         "every stratum contains at least one event" if not silent

@@ -371,46 +371,33 @@ def compare_exposures(dataset: Dataset, spec: ExposureSpec,
     except Exception as exc:
         raise _stage("fit", exc)
 
-    fingerprint = dataset.fingerprint()
-    if not fit_result.converged:
-        return ComparisonReport(
-            exposures=(),
-            difference_test=None,
-            fit=fit_result,
-            spec=spec,
-            confidence=confidence,
-            covariance_used=covariance,
-            dataset_fingerprint=fingerprint,
-            n_rows=len(dataset),
-            n_events=int(dataset.event.sum()),
-            seed=seed,
-        )
+    exposures: list[ExposureSummary] = []
+    test = None
+    if fit_result.converged:
+        try:
+            test = wald_multivariate(fit_result, design.interaction_columns, covariance)
+        except Exception as exc:
+            raise _stage("wald", exc)
 
-    try:
-        test = wald_multivariate(fit_result, design.interaction_columns, covariance)
-    except Exception as exc:
-        raise _stage("wald", exc)
-
-    pruned = prune_aliased(fit_result)
-    available = set(pruned.names)
-    exposures = []
-    for j, source in enumerate(spec.source_columns):
-        terms = []
-        for term in design.exposure_main_columns:
-            names: tuple[str, ...]
-            if j == 0:
-                names, weights = (term,), (1.0,)
-            else:
-                names, weights = (term, f"{term}:A_type{j + 1}"), (1.0, 1.0)
-            if any(n not in available for n in names):
-                terms.append(ExposureTerm(term, math.nan, math.nan, scales[j],
-                                          math.nan, math.nan, math.nan))
-                continue
-            est, se, hr = _combo_hazard_ratio(pruned, covariance, names, weights,
-                                              scales[j], confidence)
-            terms.append(ExposureTerm(term, est, se, scales[j],
-                                      hr.value, hr.ci_lower, hr.ci_upper))
-        exposures.append(ExposureSummary(name=source, terms=tuple(terms)))
+        pruned = prune_aliased(fit_result)
+        available = set(pruned.names)
+        for j, source in enumerate(spec.source_columns):
+            terms = []
+            for term in design.exposure_main_columns:
+                names: tuple[str, ...]
+                if j == 0:
+                    names, weights = (term,), (1.0,)
+                else:
+                    names, weights = (term, f"{term}:A_type{j + 1}"), (1.0, 1.0)
+                if any(n not in available for n in names):
+                    terms.append(ExposureTerm(term, math.nan, math.nan, scales[j],
+                                              math.nan, math.nan, math.nan))
+                    continue
+                est, se, hr = _combo_hazard_ratio(pruned, covariance, names, weights,
+                                                  scales[j], confidence)
+                terms.append(ExposureTerm(term, est, se, scales[j],
+                                          hr.value, hr.ci_lower, hr.ci_upper))
+            exposures.append(ExposureSummary(name=source, terms=tuple(terms)))
 
     return ComparisonReport(
         exposures=tuple(exposures),
@@ -419,7 +406,7 @@ def compare_exposures(dataset: Dataset, spec: ExposureSpec,
         spec=spec,
         confidence=confidence,
         covariance_used=covariance,
-        dataset_fingerprint=fingerprint,
+        dataset_fingerprint=dataset.fingerprint(),
         n_rows=len(dataset),
         n_events=int(dataset.event.sum()),
         seed=seed,

@@ -50,6 +50,51 @@ def brute_force_loglik(entry, exit_, event, X, beta, strata=None, tie_method="br
     return ll
 
 
+def brute_force_score_residuals(entry, exit_, event, X, beta, strata=None,
+                                tie_method="breslow"):
+    """Per-row Cox score residuals by explicit loops over strata, event times
+    and Efron sub-steps.
+
+    A row's residual is its covariates less the sub-step mean of the weighted
+    means at its own event time, minus, over every sub-step ``k`` at which it
+    is at risk, ``c w (x - xbar_k) / S0_k``.  ``c`` is ``1 - k/d`` at the
+    row's own tied time under Efron and ``1`` otherwise.
+    """
+    entry = np.asarray(entry, dtype=float)
+    exit_ = np.asarray(exit_, dtype=float)
+    event = np.asarray(event, dtype=bool)
+    X = np.asarray(X, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    n = len(exit_)
+    if strata is None:
+        strata = ["" for _ in range(n)]
+    strata = list(strata)
+
+    resid = np.zeros(X.shape)
+    for s in sorted(set(strata)):
+        rows = [i for i in range(n) if strata[i] == s]
+        times = sorted({exit_[i] for i in rows if event[i]})
+        for t in times:
+            deaths = [i for i in rows if event[i] and exit_[i] == t]
+            at_risk = [i for i in rows if entry[i] < t <= exit_[i]]
+            w = {i: math.exp(float(X[i] @ beta)) for i in at_risk}
+            d = len(deaths)
+            steps = []
+            for k in range(d):
+                frac = k / d if tie_method == "efron" else 0.0
+                c = {i: 1.0 - frac if i in deaths else 1.0 for i in at_risk}
+                s0 = sum(c[i] * w[i] for i in at_risk)
+                xbar = sum(c[i] * w[i] * X[i] for i in at_risk) / s0
+                steps.append((c, s0, xbar))
+            mean_xbar = sum(xbar for _, _, xbar in steps) / d
+            for i in deaths:
+                resid[i] += X[i] - mean_xbar
+            for c, s0, xbar in steps:
+                for i in at_risk:
+                    resid[i] -= c[i] * w[i] * (X[i] - xbar) / s0
+    return resid
+
+
 def central_difference_gradient(f, beta, step=1e-5):
     beta = np.asarray(beta, dtype=float)
     grad = np.zeros_like(beta)
@@ -317,3 +362,12 @@ def serialize_by_rows(dataset):
         record += [str(v) for v in dataset.strata[i]]
         writer.writerow(record)
     return buf.getvalue()
+
+
+def strata_without_events(keys, event):
+    """Stratum labels with no event, in first-seen order, one label at a time."""
+    silent = []
+    for key in dict.fromkeys(keys):
+        if not np.asarray(event)[keys == key].any():
+            silent.append(key)
+    return tuple(silent)

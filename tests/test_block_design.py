@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import dupcox as dc
+from oracles import brute_force_score_residuals
 
 COEF_ABS = 1e-8
 COV_REL = 1e-8
@@ -154,3 +155,17 @@ def test_block_map_gives_per_type_coefficients():
     for j in range(3):
         assert design.blocks[j] @ b[j] == pytest.approx(
             augmented.X[j * n:(j + 1) * n] @ theta, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("ties", ["breslow", "efron"])
+def test_score_residuals_match_brute_force_on_augmented_rows(ties):
+    dataset = _cohort(8, 2, n=40, ties=True, truncation=True)
+    spec = dc.ExposureSpec(kind="continuous", source_columns=("A1", "A2"))
+    design = dc.block_design(dataset, spec)
+    augmented = dc.build_design_matrix(dc.duplicate_augment(dataset, spec), spec)
+    theta = np.random.default_rng(8).standard_normal(design.n_columns) * 0.3
+    want = brute_force_score_residuals(augmented.entry, augmented.exit, augmented.event,
+                                       augmented.X, theta, augmented.strata_key, ties)
+    # Augmented row j * n + i is copy j of original row i.
+    want = want.reshape(2, len(dataset), -1).sum(axis=0)
+    assert dc.score_residuals(design, theta, ties) == pytest.approx(want, abs=1e-10)

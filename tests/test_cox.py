@@ -7,6 +7,7 @@ import dupcox as dc
 from dupcox.errors import EstimationError
 from oracles import (
     brute_force_loglik,
+    brute_force_score_residuals,
     central_difference_gradient,
     central_difference_jacobian,
     golden_section_max,
@@ -194,6 +195,16 @@ class TestScoreResiduals:
             resid = dc.score_residuals(d, beta, method)
             assert resid.sum(axis=0) == pytest.approx(
                 dc.score(d, beta, method), abs=1e-10)
+
+    @pytest.mark.parametrize("method", ["breslow", "efron"])
+    def test_rows_match_brute_force(self, method):
+        rng = np.random.default_rng(55)
+        for _ in range(5):
+            d = random_design(rng, n=12, p=2, ties=True, truncation=True, n_strata=2)
+            beta = rng.standard_normal(2) * 0.4
+            want = brute_force_score_residuals(d.entry, d.exit, d.event, d.X, beta,
+                                               d.strata_key, method)
+            assert dc.score_residuals(d, beta, method) == pytest.approx(want, abs=1e-10)
 
     def test_eventless_stratum_rows_are_zero(self):
         d = plain_design(np.array([[1.0], [0.0], [1.0]]), [1.0, 2.0, 3.0],

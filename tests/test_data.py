@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 import dupcox as dc
 from dupcox.errors import DataError, ParseError, SchemaError, ValidationError
-from oracles import load_dataset_by_rows, overlapping_subjects, serialize_by_rows
+from oracles import (
+    load_dataset_by_rows,
+    overlapping_subjects,
+    serialize_by_rows,
+    strata_without_events,
+)
 
 DEMO_COHORT = Path(__file__).resolve().parents[1] / "demos" / "data" / "synthetic_cohort.csv"
 
@@ -368,6 +373,25 @@ class TestValidate:
         report = dc.validate(dc.Dataset.from_rows(rows, schema))
         assert not report["stratum_events"].passed
         assert report["stratum_events"].offenders == ("y",)
+
+    def test_eventless_strata_match_loop_over_1000_strata(self):
+        rng = np.random.default_rng(31)
+        n = 6000
+        schema = dc.Schema(id_column="id", exit_column="t", event_column="y",
+                           exposure_columns=("a", "b"), strata_columns=("g", "h"))
+        code = rng.permutation(n) % 1000
+        g, h = (code // 4).astype(str), (code % 4).astype(str)
+        event = rng.uniform(size=n) < 0.5
+        event[np.isin(g, ["7", "42", "199"])] = False
+        ds = dc.Dataset(schema, np.arange(n).astype(str).astype(object), np.zeros(n),
+                        rng.uniform(1, 2, size=n), event, rng.standard_normal((n, 2)),
+                        np.zeros((n, 0)), np.column_stack([g, h]).astype(object))
+        keys = ds.strata_keys()
+        want = strata_without_events(keys, event)
+        assert len(set(keys)) == 1000 and len(want) >= 12
+        check = dc.validate(ds)["stratum_events"]
+        assert check.offenders == want
+        assert check.detail == f"{len(want)} non-informative stratum/strata (no events)"
 
     def test_non_finite_values_flagged(self, four_row_dataset):
         ds = replace(four_row_dataset,
