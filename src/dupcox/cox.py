@@ -9,16 +9,20 @@ sandwich variance built from score residuals.
 
 Baseline hazards are never estimated: the partial likelihood eliminates them.
 
-The per-stratum computations are fully vectorized and evaluate every block
-of a block design in the same pass.  Risk-set sums at all event times are
-running totals over the rows sorted by decreasing exit, less those over the
-rows entering late.  Each event is one Efron sub-step; the information and
-the score residuals both sum per-sub-step terms over each row's at-risk
-window with one helper, and Efron's correction touches only tied event times.
+The strata with events are laid out once per fit.  Sorted by size, they are
+cut into buckets: a bucket takes strata while its largest has at most twice
+the rows of its smallest, so there are at most ``ceil(log2(largest /
+smallest)) + 1`` buckets and padding at most doubles one.  In a bucket, each
+stratum is a row of padded grids of its rows by decreasing exit and of its
+Efron sub-steps (one per event), so running totals restart at each stratum
+and one pass evaluates all strata and blocks.  Risk-set sums are running
+totals over the rows less those over the rows entering late; the information
+and the score residuals both sum sub-step terms over each row's at-risk window.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,90 +107,104 @@ class CoxFit:
         raise ConfigError(f"covariance kind must be 'robust' or 'model', got {kind!r}")
 
 
-class _RiskSets:
-    """Static risk-set index of one stratum, shared by every evaluation.
+def _running(grid: np.ndarray) -> np.ndarray:
+    """Running totals in place along an ``(m, q, S, W)`` grid's rows, flattened."""
+    return np.cumsum(grid, axis=3, out=grid).reshape(grid.shape[0], grid.shape[1], -1)
 
-    Rows are held in order of decreasing exit, so the rows with
-    ``exit >= t`` are a leading run and every risk-set sum is a running total
-    started at the latest exit.  Rows entering at or after the stratum's
-    first event time (none without left truncation) are indexed apart, in
-    order of decreasing entry, and their running totals are subtracted.  A
-    small late risk set is thus summed from its own few terms, never as the
-    difference of two whole-stratum totals.
+
+def _grid(groups, n_groups: int):
+    """For items sorted by group: group starts, each item's flat cell in a grid of
+    padded rows led by an empty cell (a running total reads 0 there), grid width."""
+    counts = np.bincount(groups, minlength=n_groups)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    width = int(counts.max(initial=0)) + 1
+    return starts, groups * width + 1 + np.arange(len(groups)) - starts[groups], width
+
+
+class _Bucket:
+    """Static risk-set index of ``S`` strata of similar size, shared by every
+    evaluation.
+
+    Stratum ``s`` is row ``s`` of an ``(S, L)`` grid of its rows, and its
+    events by increasing time are row ``s`` of an ``(S, E)`` grid of Efron
+    sub-steps, whose values are kept for the events alone.  Rows entering at
+    or after their stratum's first event time (none without left truncation)
+    are also gathered into an ``(S, K)`` grid by decreasing entry, so a small
+    late risk set is summed from its own few terms, never as the difference
+    of two whole-stratum totals.  Empty cells have ``Z = 0`` and weight 0.
+
+    ``rows`` are original row numbers by stratum and decreasing exit, ``s``
+    their stratum in the bucket, ``strata`` the strata's places in label
+    order, and ``entry`` and ``exit_`` time ranks below ``R``.  ``Z`` holds
+    ``[1 | block]'`` ``(m, q, n + 1)`` for every row, and zeros at row ``n``;
+    arrays keep the rows last, so that every pass runs along them.
     """
 
-    def __init__(self, rows, blocks, entry, exit_, event, efron: bool):
-        self.rows = rows                  # original row numbers
-        X = blocks[:, rows]
-        # Column 0 of Z is ones, so one running total of w * Z gives the
-        # risk-set sums of w and of w * X together.
-        self.Z = np.concatenate((np.ones(X.shape[:2] + (1,)), X), axis=2)
-        self.X = self.Z[..., 1:]          # (m, n_s, p_b)
-        fail = np.flatnonzero(event)[::-1]
-        self.fail = fail                  # event rows by increasing exit
-        self.n_events = len(fail)
-        if self.n_events == 0:
-            return
-        self.fail_sum = self.X[:, fail].sum(axis=1)
-        times = exit_[fail]               # one Efron sub-step per event
+    def __init__(self, Z, rows, s, strata, entry, exit_, event, R: int, efron: bool):
+        m, q, n = Z.shape[0], Z.shape[1], Z.shape[2] - 1
+        self.strata, S = strata, len(strata)
+        start, cell, L = _grid(s, S)
+        self.rows = np.full(S * L, n)                    # empty cells map past the end
+        self.rows[cell] = rows
+        self.Z = np.take(Z, self.rows, axis=2).reshape(m, q, S, L)
+        self.X = self.Z[:, 1:].reshape(m, q - 1, S * L)  # a view
+        self.pad = np.where(self.rows == n, -np.inf, 0.0).reshape(S, L)
 
-        # Per sub-step: rows with exit >= t, and late-entry rows with entry >= t.
-        self.n_exit = np.searchsorted(-exit_, -times, side="right")
-        late = np.flatnonzero(entry >= times[0])
-        self.late = late[np.argsort(-entry[late], kind="stable")]
-        self.n_late = np.searchsorted(-entry[self.late], -times, side="right")
+        fail = np.flatnonzero(event)[::-1]
+        fail = fail[np.argsort(s[fail], kind="stable")]  # by stratum, increasing exit
+        fs, times = s[fail], exit_[fail]
+        self.f_start, self.fail_step, self.E = _grid(fs, S)
+        self.fail = cell[fail]
+
+        # Per sub-step: rows with exit >= t, and late-entry rows with entry >= t,
+        # counted on (stratum, time rank) keys so that strata never mix.
+        query = fs * R + (R - 1 - times)
+        self.exit_at = fs * L + np.searchsorted(
+            s * R + (R - 1 - exit_), query, side="right") - start[fs]
+        late = np.flatnonzero(entry >= times[self.f_start][s])
+        late = late[np.lexsort((-entry[late], s[late]))]  # by stratum, decreasing entry
+        late_key = s[late] * R + (R - 1 - entry[late])
+        z_start, late_cell, K = _grid(s[late], S)
+        self.late = np.zeros((S, K), dtype=int)
+        self.late.flat[late_cell] = cell[late]
+        self.late_at = fs * K + np.searchsorted(late_key, query, side="right") - z_start[fs]
+
         # Per row: the sub-steps lo <= k < hi of event times inside (entry, exit].
-        self.lo = np.searchsorted(times, entry, side="right")
-        self.hi = np.searchsorted(times, exit_, side="right")
+        fail_key = fs * R + times
+        self.window = np.zeros((2, S * L), dtype=int)
+        self.window[:, cell] = s * self.E - self.f_start[s] + np.searchsorted(
+            fail_key, s * R + np.stack((entry, exit_)), side="right")
 
         # Under Efron, sub-step k of d events tied at one time removes J = k/d
         # of the tied rows' own sum.  Only the events at tied times are
-        # indexed: sub-step positions, rows, and each time's start and size.
-        _, d = np.unique(times, return_counts=True)
-        tied = (d > 1) & efron
-        self.tied_pos = np.flatnonzero(np.repeat(tied, d))
-        self.tied_rows = fail[self.tied_pos]
-        self.tied_d = d[tied]
-        self.tied_starts = np.concatenate(([0], np.cumsum(self.tied_d)[:-1]))
-        self.tied_group = np.repeat(np.arange(len(self.tied_d)), self.tied_d)
-        self.J = ((np.arange(len(self.tied_pos)) - self.tied_starts[self.tied_group])
-                  / self.tied_d[self.tied_group])[:, None]
+        # indexed: their sub-steps, rows, and each time's start and size.
+        new = np.diff(fail_key, prepend=-1) != 0
+        group, g_start = np.cumsum(new) - 1, np.flatnonzero(new)
+        d = np.diff(g_start, append=len(fail))[group]
+        self.tied = np.flatnonzero((d > 1) & efron)
+        self.tied_rows, group = self.fail[self.tied], group[self.tied]
+        new = np.diff(group, prepend=-1) != 0
+        self.tied_starts, self.tied_group = np.flatnonzero(new), np.cumsum(new) - 1
+        self.J = (self.tied - g_start[group]) / d[self.tied]
 
     def at_risk_sums(self, per_step):
-        """Sums of ``per_step`` ``(m, n_events, q)`` over each row's at-risk
-        sub-steps, ``(m, n_s, q)``; at a tied event's own time, sub-step ``k``
-        counts with weight ``1 - J_k``.
-        """
-        total = np.cumsum(per_step, axis=1)
-        total = np.concatenate((np.zeros_like(total[:, :1]), total), axis=1)
-        sums = np.take(total, self.hi, axis=1) - np.take(total, self.lo, axis=1)
-        if self.tied_pos.size:
-            own = np.add.reduceat(self.J * np.take(per_step, self.tied_pos, axis=1),
-                                  self.tied_starts, axis=1)
-            sums[:, self.tied_rows] -= np.take(own, self.tied_group, axis=1)
+        """Sums of ``per_step`` ``(m, q, events)`` over each row's at-risk
+        sub-steps, ``(m, q, S * L)``; at a tied event's own time, sub-step
+        ``k`` counts with weight ``1 - J_k``."""
+        m, q, _ = per_step.shape
+        grid = np.zeros((m, q, len(self.strata), self.E))
+        grid.reshape(m, q, -1)[..., self.fail_step] = per_step
+        total = _running(grid)
+        sums = np.take(total, self.window[1], axis=2) - np.take(total, self.window[0], axis=2)
+        if self.tied.size:
+            own = np.add.reduceat(self.J * np.take(per_step, self.tied, axis=2),
+                                  self.tied_starts, axis=2)
+            sums[..., self.tied_rows] -= np.take(own, self.tied_group, axis=2)
         return sums
 
 
-def _leading_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sums of the first ``counts[k]`` entries along axis 1, for every ``k``."""
-    totals = np.take(np.cumsum(values, axis=1), np.maximum(counts, 1) - 1, axis=1)
-    totals[:, counts == 0] = 0.0
-    return totals
-
-
-@dataclass(frozen=True, eq=False)
-class _Evaluation:
-    """Log-likelihood, score and information at one point, active columns only.
-
-    ``parts`` keeps each stratum's weights, window sums of ``1/S0``, means
-    and ``1/S0``, from which the score residuals at the same point follow.
-    """
-
-    ll: float
-    score: np.ndarray
-    info: np.ndarray
-    cols: np.ndarray
-    parts: tuple
+# One point's log-likelihood, score, information and what its residuals need.
+_Evaluation = namedtuple("_Evaluation", "ll score info cols parts")
 
 
 class _Engine:
@@ -197,121 +215,124 @@ class _Engine:
     is its own stratum of the likelihood, so with ``T``'s rows cut per block
     as ``T_j``: ``ll = sum_j ll_j``, ``score = sum_j T_j' s_j`` and
     ``information = sum_j T_j' I_j T_j``.  A :class:`~dupcox.design.DesignMatrix`
-    is one block with ``T = I``.  One pass per stratum evaluates all blocks.
+    is one block with ``T = I``.
     """
 
     def __init__(self, design: Design, tie_method: str):
-        self.T = design.block_map
-        blocks = design.blocks
+        blocks, self.T = design.blocks, design.block_map
         self.m, self.n, self.p_b = blocks.shape
-        self.cluster_id = design.cluster_id
-        # Strata are visited in sorted label order, so every sum over strata
-        # adds its terms in the same order on every evaluation.
-        _, inverse = np.unique(design.strata_key.astype(str), return_inverse=True)
-        order = np.lexsort((-design.exit, inverse))
-        bounds = np.flatnonzero(np.diff(inverse[order])) + 1
-        self.strata: list[_RiskSets] = []
-        skipped = 0
-        for rows in np.split(order, bounds):
-            st = _RiskSets(rows, blocks, design.entry[rows], design.exit[rows],
-                           design.event[rows], tie_method == "efron")
-            if st.n_events == 0:
-                skipped += 1
-            else:
-                self.strata.append(st)
+        self.cluster_codes = design.cluster_codes
+        codes, event = design.stratum_codes, design.event
+        n_codes = int(codes.max()) + 1 if self.n else 0
+        size = np.bincount(codes, minlength=n_codes)
+        kept = np.flatnonzero(np.bincount(codes, weights=event, minlength=n_codes))
+        by_size = np.argsort(size[kept], kind="stable")
+        s = np.full(n_codes, -1)
+        s[kept[by_size]] = np.arange(len(kept))
+        s = s[codes]                 # each row's stratum by size; -1 without events
+        # Time ranks below R, so that (stratum, time) pairs are integer keys.
+        entry, exit_ = np.unique(np.concatenate((design.entry, design.exit)),
+                                 return_inverse=True)[1].reshape(2, -1)
+        R = 2 * self.n
+        Z = np.zeros((self.m, 1 + self.p_b, self.n + 1))
+        Z[:, 0, :-1], Z[:, 1:, :-1] = 1.0, blocks.transpose(0, 2, 1)
+        rows = np.flatnonzero(s >= 0)
+        rows = rows[np.argsort(s[rows] * R + (R - 1 - exit_[rows]), kind="stable")]
+        size = np.sort(size[kept])
+        ends = np.cumsum(size)
+        self.buckets, a = [], 0
+        while a < len(kept):
+            z = int(np.searchsorted(size, 2 * size[a], side="right"))
+            r = rows[ends[a] - size[a]:ends[z - 1]]
+            self.buckets.append(_Bucket(Z, r, s[r] - a, by_size[a:z], entry[r], exit_[r],
+                                        event[r], R, tie_method == "efron"))
+            a = z
+        self.fail_sum = blocks[:, event].sum(axis=1)
         # Counted as in the augmented model: one stratum per block.
-        self.n_strata_used = self.m * len(self.strata)
-        self.n_strata_skipped = self.m * skipped
-        self.n_events = self.m * sum(st.n_events for st in self.strata)
+        self.n_strata_used = self.m * len(kept)
+        self.n_strata_skipped = self.m * (n_codes - len(kept))
+        self.n_events = self.m * int(event.sum())
+        if not self.n_events:
+            raise EstimationError("no informative strata: the design contains no events")
 
     def evaluate(self, theta, cols) -> _Evaluation:
-        full = np.zeros(self.T.shape[1])
-        full[cols] = theta
-        b = (self.T @ full).reshape(self.m, self.p_b)
-        ll = 0.0
-        score = np.zeros((self.m, self.p_b))
-        info = np.zeros((self.m, self.p_b, self.p_b))
-        parts = []
-        for st in self.strata:
-            ll_s, score_s, info_s, part = self._stratum(st, b)
-            ll += ll_s
-            score += score_s
-            info += info_s
+        b = (self.T[:, cols] @ theta).reshape(self.m, self.p_b)
+        ll = np.zeros(self.n_strata_used // self.m)  # per stratum, in label order
+        score, info, parts = self.fail_sum, 0.0, []
+        for bk in self.buckets:
+            ll[bk.strata], xbar_sum, info_b, part = self._bucket(bk, b)
+            score, info = score - xbar_sum, info + info_b
             parts.append(part)
         T = self.T.reshape(self.m, self.p_b, -1)
-        info_theta = (T.transpose(0, 2, 1) @ info @ T).sum(axis=0)
-        return _Evaluation(ll, (self.T.T @ score.ravel())[cols],
-                           info_theta[np.ix_(cols, cols)], cols, tuple(parts))
+        info = (T.transpose(0, 2, 1) @ info @ T).sum(axis=0)[cols][:, cols]
+        # Strata add up in label order, one at a time, as separate fits would.
+        ll = float(np.cumsum(ll)[-1])
+        return _Evaluation(ll, (self.T.T @ score.ravel())[cols], info, cols, tuple(parts))
 
-    def _stratum(self, st: _RiskSets, b):
-        X = st.X
-        lp = (X @ b[:, :, None])[..., 0]
-        lp -= lp.max(axis=1, keepdims=True)  # cancels exactly in the likelihood
-        w = np.exp(lp)
-        wZ = w[..., None] * st.Z
+    def _bucket(self, bk: _Bucket, b):
+        m, q = self.m, self.p_b + 1
+        # Term by term, so that a row's value, unlike a matrix product's, does
+        # not depend on where it sits or on the other strata.
+        lp = np.repeat(bk.pad[None], m, axis=0)
+        for i in range(self.p_b):
+            lp += bk.Z[:, i + 1] * b[:, i, None, None]
+        lp -= lp.max(axis=2, keepdims=True)  # cancels exactly in the likelihood
+        w = np.exp(lp).reshape(m, -1)
+        wZ = w[:, None] * bk.Z.reshape(m, q, -1)
+        # Late and tied rows' terms are read before the running total overwrites wZ.
+        late = np.take(wZ, bk.late, axis=2) if bk.late.shape[1] > 1 else None
+        if bk.tied.size:
+            tied = np.add.reduceat(np.take(wZ, bk.tied_rows, axis=2), bk.tied_starts, axis=2)
+        S_fl = np.take(_running(wZ.reshape(bk.Z.shape)), bk.exit_at, axis=2)
+        if late is not None:
+            S_fl -= np.take(_running(late), bk.late_at, axis=2)
+        if bk.tied.size:
+            S_fl[..., bk.tied] -= bk.J * np.take(tied, bk.tied_group, axis=2)
+        S0_fl, xbar = S_fl[:, 0], S_fl[:, 1:]
+        xbar /= S0_fl[:, None]
 
-        S_fl = _leading_sums(wZ, st.n_exit)
-        if st.late.size:
-            S_fl -= _leading_sums(np.take(wZ, st.late, axis=1), st.n_late)
-        if st.tied_pos.size:
-            tied = np.add.reduceat(np.take(wZ, st.tied_rows, axis=1), st.tied_starts, axis=1)
-            S_fl[:, st.tied_pos] -= st.J * np.take(tied, st.tied_group, axis=1)
-        S0_fl = S_fl[..., 0]
-        xbar = S_fl[..., 1:] / S0_fl[..., None]
-
-        ll = float(lp[:, st.fail].sum() - np.log(S0_fl).sum())
-        score = st.fail_sum - xbar.sum(axis=1)
-
+        # Each stratum's own log-likelihood, summed block by block.
+        ll = (np.add.reduceat(np.take(lp.reshape(m, -1), bk.fail, axis=1), bk.f_start, axis=1)
+              - np.add.reduceat(np.log(S0_fl), bk.f_start, axis=1)).sum(axis=0)
         lam_fl = 1.0 / S0_fl
-        a = st.at_risk_sums(lam_fl[..., None])[..., 0]
-        info = (X * (w * a)[..., None]).transpose(0, 2, 1) @ X \
-            - xbar.transpose(0, 2, 1) @ xbar
-        return ll, score, info, (w, a, xbar, lam_fl)
+        a = bk.at_risk_sums(lam_fl[:, None])[:, 0]
+        # wZ's space, free again, takes w a Z.
+        Xwa = np.multiply(bk.Z.reshape(wZ.shape), (w * a)[:, None], out=wZ)[:, 1:]
+        info = Xwa @ bk.X.transpose(0, 2, 1) - xbar @ xbar.transpose(0, 2, 1)
+        return ll, xbar.sum(axis=2), info, (w, a, xbar, lam_fl)
 
     def residuals(self, ev: _Evaluation) -> np.ndarray:
         """Per-row score residuals at ``ev``'s point; rows sum to its score."""
-        out = np.zeros((self.n, self.m, self.p_b))
-        for st, part in zip(self.strata, ev.parts):
-            out[st.rows] = self._stratum_residuals(st, *part).transpose(1, 0, 2)
-        return out.reshape(self.n, -1) @ self.T[:, ev.cols]
-
-    def _stratum_residuals(self, st: _RiskSets, w, a, xbar, lam_fl):
-        # delta (X - mbar) - w (a X - window sum of xbar / S0), where mbar is
-        # xbar averaged over the sub-steps of each tied time.
-        resid = -w[..., None] * (st.X * a[..., None] - st.at_risk_sums(xbar * lam_fl[..., None]))
-        mbar = xbar
-        if st.tied_pos.size:
-            mbar = xbar.copy()
-            means = np.add.reduceat(np.take(xbar, st.tied_pos, axis=1), st.tied_starts,
-                                    axis=1) / st.tied_d[:, None]
-            mbar[:, st.tied_pos] = np.take(means, st.tied_group, axis=1)
-        resid[:, st.fail] += np.take(st.X, st.fail, axis=1) - mbar
-        return resid
-
-
-def _check_inputs(design: Design, beta, tie_method: str) -> np.ndarray:
-    if tie_method not in TIE_METHODS:
-        raise ConfigError(f"tie_method must be one of {TIE_METHODS}, got {tie_method!r}")
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (design.n_columns,):
-        raise ValueError(
-            f"beta has shape {beta.shape}, expected ({design.n_columns},) "
-            "to match the design columns"
-        )
-    return beta
-
-
-def _engine_or_raise(design: Design, tie_method: str) -> _Engine:
-    engine = _Engine(design, tie_method)
-    if engine.n_events == 0:
-        raise EstimationError("no informative strata: the design contains no events")
-    return engine
+        T = self.T[:, ev.cols].reshape(self.m, self.p_b, -1)
+        out = np.zeros((len(ev.cols), self.n + 1))
+        for bk, (w, a, xbar, lam_fl) in zip(self.buckets, ev.parts):
+            # delta (X - mbar) - w (a X - window sum of xbar / S0), where mbar
+            # is xbar averaged over the sub-steps of each tied time.
+            resid = bk.at_risk_sums(xbar * lam_fl[:, None])
+            resid -= bk.X * a[:, None]
+            resid *= w[:, None]
+            delta = np.take(bk.X, bk.fail, axis=2)
+            delta -= xbar
+            if bk.tied.size:
+                d = np.diff(bk.tied_starts, append=bk.tied.size)  # events per time
+                means = np.add.reduceat(np.take(xbar, bk.tied, axis=2), bk.tied_starts, axis=2) / d
+                delta[..., bk.tied] += np.take(xbar, bk.tied, axis=2) \
+                    - np.take(means, bk.tied_group, axis=2)
+            resid[..., bk.fail] += delta
+            # Straight into the coefficients' columns, one block at a time.
+            out[:, bk.rows] = sum(t.T @ r for t, r in zip(T, resid))
+        return out[:, :-1].T
 
 
 def _evaluate(design: Design, beta, tie_method: str):
     """The engine, and its evaluation at ``beta`` over every column."""
-    beta = _check_inputs(design, beta, tie_method)
-    engine = _engine_or_raise(design, tie_method)
+    if tie_method not in TIE_METHODS:
+        raise ConfigError(f"tie_method must be one of {TIE_METHODS}, got {tie_method!r}")
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (design.n_columns,):
+        raise ValueError(f"beta has shape {beta.shape}, expected ({design.n_columns},) "
+                         "to match the design columns")
+    engine = _Engine(design, tie_method)
     return engine, engine.evaluate(beta, np.arange(design.n_columns))
 
 
@@ -322,8 +343,7 @@ def log_partial_likelihood(design: Design, beta, tie_method: str = "efron") -> f
     log of the (tie-corrected) risk-set sums; the risk set at time ``t``
     contains rows with ``entry < t <= exit`` in the same stratum.
     """
-    # Out-of-range coefficients can underflow a risk-set sum to zero, which
-    # gives -inf.
+    # Out-of-range coefficients can underflow a risk-set sum to zero: -inf.
     with np.errstate(divide="ignore", invalid="ignore"):
         return _evaluate(design, beta, tie_method)[1].ll
 
@@ -364,8 +384,7 @@ def _aliased_columns(info: np.ndarray, pivot_ratio: float = ALIASING_PIVOT_RATIO
     for k in range(p):
         if A[k, k] <= pivot_ratio * diag0[k] or diag0[k] <= 0.0:
             aliased[k] = True
-            A[k, :] = 0.0
-            A[:, k] = 0.0
+            A[k, :] = A[:, k] = 0.0
             continue
         rest = A[k, k + 1:]
         A[k + 1:, k + 1:] -= np.outer(rest, rest) / A[k, k]
@@ -378,23 +397,15 @@ def _symmetric_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
         inv = scipy.linalg.cho_solve(factor, np.eye(matrix.shape[0]))
     except scipy.linalg.LinAlgError:
         cond = float(np.linalg.cond(matrix))
-        raise SingularMatrixError(
-            f"{what} is singular on the non-aliased subspace "
-            f"(condition number {cond:.3e})",
-            condition_number=cond,
-        ) from None
+        raise SingularMatrixError(f"{what} is singular on the non-aliased subspace (condition "
+                                  f"number {cond:.3e})", condition_number=cond) from None
     return (inv + inv.T) / 2.0
 
 
 def _expand(values: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Scatter active-subspace results into full-size arrays, NaN elsewhere."""
-    if values.ndim == 1:
-        out = np.full(len(active), np.nan)
-        out[active] = values
-        return out
-    p = len(active)
-    out = np.full((p, p), np.nan)
-    out[np.ix_(active, active)] = values
+    out = np.full((len(active),) * values.ndim, np.nan)
+    out[np.ix_(*[active] * values.ndim)] = values
     return out
 
 
@@ -413,17 +424,17 @@ def fit(design: Design, options: FitOptions | None = None,
     the augmented design it stands for.
     """
     options = options or FitOptions()
-    engine = _engine_or_raise(design, options.tie_method)
+    engine = _Engine(design, options.tie_method)
     p = design.n_columns
 
-    start = engine.evaluate(np.zeros(p), np.arange(p))
-    aliased = _aliased_columns(start.info)
+    ev = engine.evaluate(np.zeros(p), np.arange(p))
+    aliased = _aliased_columns(ev.info)
     if aliased.all():
         raise EstimationError("all design columns are aliased; nothing to fit")
     active = np.flatnonzero(~aliased)
 
     beta = np.zeros(active.size)
-    ev = start if active.size == p else engine.evaluate(beta, active)
+    ev = ev if active.size == p else engine.evaluate(beta, active)
     ll = ev.ll
     converged = False
     message = ""
@@ -472,32 +483,20 @@ def fit(design: Design, options: FitOptions | None = None,
     if robust and converged:
         sandwich = _expand(_sandwich(engine, ev, model_cov_active), ~aliased)
 
-    diagnostics = FitDiagnostics(
-        n_strata_used=engine.n_strata_used,
-        n_strata_skipped=engine.n_strata_skipped,
-        n_events=engine.n_events,
-        separation_suspected=separation,
-        message=message,
-    )
+    diagnostics = FitDiagnostics(engine.n_strata_used, engine.n_strata_skipped,
+                                 engine.n_events, separation, message)
     return CoxFit(
-        column_names=design.column_names,
-        coefficients=_expand(beta, ~aliased),
-        model_covariance=_expand(model_cov_active, ~aliased),
-        robust_covariance=sandwich,
-        log_partial_likelihood=ll,
-        iterations=iterations,
-        converged=converged,
-        aliased_mask=aliased,
-        options=options,
-        diagnostics=diagnostics,
+        column_names=design.column_names, coefficients=_expand(beta, ~aliased),
+        model_covariance=_expand(model_cov_active, ~aliased), robust_covariance=sandwich,
+        log_partial_likelihood=ll, iterations=iterations, converged=converged,
+        aliased_mask=aliased, options=options, diagnostics=diagnostics,
     )
 
 
 def _sandwich(engine: _Engine, ev: _Evaluation, a_inv: np.ndarray) -> np.ndarray:
     """``A^-1 M A^-1`` on ``ev``'s columns, given ``A^-1`` at ``ev``'s point."""
     resid = engine.residuals(ev)
-    _, codes = np.unique(engine.cluster_id.astype(str), return_inverse=True)
-    grouped = np.column_stack([np.bincount(codes, weights=resid[:, j])
+    grouped = np.column_stack([np.bincount(engine.cluster_codes, weights=resid[:, j])
                                for j in range(resid.shape[1])])
     sandwich = a_inv @ (grouped.T @ grouped) @ a_inv
     return (sandwich + sandwich.T) / 2.0

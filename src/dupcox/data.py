@@ -16,6 +16,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -83,7 +84,9 @@ class Dataset:
     """Immutable cohort backed by column arrays.
 
     Rows preserve input order.  ``strata`` holds string labels; exposures and
-    covariates are float columns aligned with ``schema``.
+    covariates are float columns aligned with ``schema``.  The derived label
+    arrays (``strata_keys()``, ``stratum_codes``, ``subject_codes``) are
+    computed once and read-only.
     """
 
     schema: Schema
@@ -157,9 +160,25 @@ class Dataset:
 
     def strata_keys(self) -> np.ndarray:
         """Per-row composite stratum label from the original strata columns."""
+        return self._strata_keys
+
+    @cached_property
+    def _strata_keys(self) -> np.ndarray:
         if self.strata.shape[1] == 0:
-            return np.full(len(self), "", dtype=object)
-        return join_labels(self.strata.T)
+            return _read_only(np.full(len(self), "", dtype=object))
+        return _read_only(join_labels(self.strata.T))
+
+    @cached_property
+    def stratum_codes(self) -> np.ndarray:
+        """Per-row stratum code: the rank of the row's ``strata_keys()`` label
+        among the distinct labels in sorted order."""
+        return _read_only(label_codes(self.strata_keys()))
+
+    @cached_property
+    def subject_codes(self) -> np.ndarray:
+        """Per-row subject code: the rank of ``str()`` of the row's subject id
+        among the distinct ids in sorted order."""
+        return _read_only(label_codes(self.subject_ids))
 
     def fingerprint(self) -> str:
         """SHA-256 of the cohort's canonical column bytes.
@@ -187,6 +206,17 @@ def join_labels(columns) -> np.ndarray:
     for column in columns[1:]:
         key = np.char.add(np.char.add(key, "|"), np.asarray(column).astype(str))
     return key.astype(object)
+
+
+def label_codes(labels) -> np.ndarray:
+    """Integer code of each label: the rank of its ``str()`` among the
+    distinct labels in sorted order."""
+    return np.unique(np.asarray(labels).astype(str), return_inverse=True)[1]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _parse_float(cell: str, row: int, column: str) -> float:
@@ -227,6 +257,9 @@ def _label_column(cells) -> np.ndarray:
 
 
 _EVENT_CODES = {"0": 0, "1": 1}
+
+# Data rows parsed together by load_dataset.
+_CHUNK_ROWS = 4096
 
 
 def _check_row(record: list[str], row: int, width: int, positions: dict[str, int],
@@ -312,9 +345,35 @@ def load_dataset(path: str | Path, schema: Schema) -> Dataset:
                 raise SchemaError(f"{path}: column '{name}' appears "
                                   f"{header.count(name)} times in header {header}")
             positions[name] = header.index(name)
-        records = list(csv.reader(fh, delimiter=delimiter))
+        # Records are read and turned into columns a chunk at a time, so that
+        # the row lists csv.reader builds die young.
+        width = len(header)
+        reader = csv.reader(fh, delimiter=delimiter)
+        chunks, n_rejected, row = [], 0, 0
+        while records := list(itertools.islice(reader, _CHUNK_ROWS)):
+            columns, n_missing = _parse_chunk(records, row, width, positions, schema)
+            chunks.append(columns)
+            n_rejected += n_missing
+            row += len(records)
 
-    width = len(header)
+    if n_rejected:
+        warnings.warn(
+            f"{path}: rejected {n_rejected} row(s) with missing exposure/covariate values",
+            stacklevel=2,
+        )
+    if not chunks:
+        chunks.append(_parse_chunk([], 0, width, positions, schema)[0])
+    return Dataset(schema, *map(np.concatenate, zip(*chunks)), n_rejected_missing=n_rejected)
+
+
+def _parse_chunk(records, row: int, width: int, positions: dict[str, int], schema: Schema):
+    """The :class:`Dataset` columns of the good rows among ``records``, which
+    follow data row ``row``, and how many rows were rejected for a missing cell.
+
+    A row is kept as parsed unless it is short or one of its checks fails;
+    those rows alone go through the row rules, in file order, so a bad file
+    raises the first bad row's error and blank or missing rows are dropped.
+    """
     full = np.fromiter(map(len, records), dtype=int, count=len(records)) >= width
     rows = records if full.all() else list(itertools.compress(records, full))
     n = len(rows)
@@ -337,28 +396,18 @@ def load_dataset(path: str | Path, schema: Schema) -> Dataset:
     for j, name in enumerate(schema.strata_columns):
         strata[:, j] = _label_column(column(name))
 
-    # A row is kept as parsed unless it is short or one of its checks fails;
-    # those rows alone go through the row rules, in file order, so a bad file
-    # raises the first bad row's error and blank or missing rows are dropped.
     keep = full.copy()
     keep[full] = (np.isfinite(values).all(axis=1) & np.isfinite(entry) & np.isfinite(exit_)
                   & (entry < exit_) & (event >= 0) & (subject_ids != ""))
-    n_rejected = 0
+    n_missing = 0
     for i in np.flatnonzero(~keep):
-        status = _check_row(records[i], int(i) + 1, width, positions, schema)
-        n_rejected += status == "missing"
+        status = _check_row(records[i], row + int(i) + 1, width, positions, schema)
+        n_missing += status == "missing"
         keep[i] = status is None
     keep = keep[full]
     n_exposures = len(schema.exposure_columns)
-
-    if n_rejected:
-        warnings.warn(
-            f"{path}: rejected {n_rejected} row(s) with missing exposure/covariate values",
-            stacklevel=2,
-        )
-    return Dataset(schema, subject_ids[keep], entry[keep], exit_[keep], event[keep] == 1,
-                   values[keep, :n_exposures], values[keep, n_exposures:], strata[keep],
-                   n_rejected_missing=n_rejected)
+    return (subject_ids[keep], entry[keep], exit_[keep], event[keep] == 1,
+            values[keep, :n_exposures], values[keep, n_exposures:], strata[keep]), n_missing
 
 
 def _serialize(dataset: Dataset) -> str:
@@ -368,19 +417,35 @@ def _serialize(dataset: Dataset) -> str:
     def floats(column):
         return map(repr, np.asarray(column, dtype=float).tolist())
 
-    columns = [dataset.subject_ids.tolist()]
+    labels = [dataset.subject_ids.tolist()]
+    labels += [list(map(str, dataset.strata[:, j].tolist())) for j in range(dataset.strata.shape[1])]
+    columns = labels[:1]
     if s.entry_column is not None:
         columns.append(floats(dataset.entry))
     columns.append(floats(dataset.exit))
-    columns.append(["1" if e else "0" for e in dataset.event.tolist()])
+    columns.append(np.where(dataset.event, "1", "0").tolist())
     columns += [floats(block[:, j]) for block in (dataset.exposures, dataset.covariates)
                 for j in range(block.shape[1])]
-    columns += [map(str, dataset.strata[:, j].tolist()) for j in range(dataset.strata.shape[1])]
+    columns += labels[1:]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(s.all_columns())
-    writer.writerows(zip(*columns))
+    # csv quotes a field for a delimiter, quote or line break in it, which
+    # float and event text never holds; unless some label does, or is not a
+    # string, rows are joined without csv's per-field scan.
+    if any(map(_needs_quoting, labels)):
+        writer.writerows(zip(*columns))
+    else:
+        buf.writelines(map("%s\n".__mod__, map(",".join, zip(*columns))))
     return buf.getvalue()
+
+
+def _needs_quoting(labels: list) -> bool:
+    try:
+        text = "".join(labels)
+    except TypeError:  # a non-string label: leave its text to csv
+        return True
+    return any(c in text for c in ',"\r\n')
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -447,10 +512,10 @@ def validate(dataset: Dataset) -> ValidationReport:
 
     # In entry order a subject's first overlap is always between neighbours:
     # until then its intervals are disjoint, so the previous one ends last.
-    order = np.lexsort((dataset.entry, dataset.subject_ids.astype(str)))
-    ids = dataset.subject_ids[order]
-    overlaps = (ids[1:] == ids[:-1]) & (dataset.entry[order][1:] < dataset.exit[order][:-1])
-    overlapping = list(dict.fromkeys(ids[1:][overlaps]))
+    order = np.lexsort((dataset.entry, dataset.subject_codes))
+    codes = dataset.subject_codes[order]
+    overlaps = (codes[1:] == codes[:-1]) & (dataset.entry[order][1:] < dataset.exit[order][:-1])
+    overlapping = list(dict.fromkeys(dataset.subject_ids[order[1:][overlaps]]))
     checks.append(CheckResult(
         "subject_overlap", not overlapping,
         "no overlapping intervals within a subject" if not overlapping
@@ -458,11 +523,10 @@ def validate(dataset: Dataset) -> ValidationReport:
         tuple(overlapping),
     ))
 
-    labels, first, codes = np.unique(dataset.strata_keys().astype(str), return_index=True,
-                                     return_inverse=True)
-    events = np.bincount(codes, weights=dataset.event, minlength=len(labels))
+    _, first = np.unique(dataset.stratum_codes, return_index=True)
+    events = np.bincount(dataset.stratum_codes, weights=dataset.event, minlength=len(first))
     seen = np.argsort(first)  # strata in first-seen order
-    silent = labels[seen][events[seen] == 0].tolist()
+    silent = dataset.strata_keys()[first[seen][events[seen] == 0]].tolist()
     checks.append(CheckResult(
         "stratum_events", not silent,
         "every stratum contains at least one event" if not silent

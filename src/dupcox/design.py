@@ -20,11 +20,11 @@ literal row-bound construction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, join_labels
+from .data import Dataset, join_labels, label_codes
 from .errors import ConfigError, EstimationError, SchemaError, ValidationError
 
 KINDS = ("continuous", "dichotomous", "categorical", "trend")
@@ -103,7 +103,9 @@ class DesignMatrix:
     interactions, covariate-by-type interactions.  There is no type main
     effect: it is absorbed by stratification (``strata_key`` combines the
     original strata with the type label).  ``cluster_id`` ties the duplicated
-    copies of a subject together for the robust variance.
+    copies of a subject together for the robust variance.  ``stratum_codes``
+    and ``cluster_codes`` number the distinct ``str()`` of those labels in
+    sorted order; they are derived from the labels unless given.
     """
 
     X: np.ndarray                    # float, (N, p)
@@ -116,6 +118,11 @@ class DesignMatrix:
     entry: np.ndarray                # float, (N,)
     exit: np.ndarray                 # float, (N,)
     event: np.ndarray                # bool, (N,)
+    stratum_codes: np.ndarray = field(default=None, repr=False)  # int, (N,)
+    cluster_codes: np.ndarray = field(default=None, repr=False)  # int, (N,)
+
+    def __post_init__(self):
+        _derive_codes(self)
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -151,7 +158,8 @@ class BlockDesign:
     ``theta`` follows ``column_names`` (the augmented design's columns, in
     its order) and ``b_j`` is main for the first type and main + type-``j``
     interaction otherwise.  Each original stratum holds one type stratum per
-    block; ``strata_key`` and ``cluster_id`` are the original rows' own.
+    block; ``strata_key`` and ``cluster_id`` are the original rows' own, and
+    so are their codes, as in :class:`DesignMatrix`.
     """
 
     blocks: np.ndarray               # float, (m, n, p_b)
@@ -165,6 +173,11 @@ class BlockDesign:
     entry: np.ndarray                # float, (n,)
     exit: np.ndarray                 # float, (n,)
     event: np.ndarray                # bool, (n,)
+    stratum_codes: np.ndarray = field(default=None, repr=False)  # int, (n,)
+    cluster_codes: np.ndarray = field(default=None, repr=False)  # int, (n,)
+
+    def __post_init__(self):
+        _derive_codes(self)
 
     def __len__(self) -> int:
         return self.blocks.shape[1]
@@ -172,6 +185,14 @@ class BlockDesign:
     @property
     def n_columns(self) -> int:
         return self.block_map.shape[1]
+
+
+def _derive_codes(design) -> None:
+    """Fill a design's stratum and cluster codes from its labels, unless given."""
+    if design.stratum_codes is None:
+        object.__setattr__(design, "stratum_codes", label_codes(design.strata_key))
+    if design.cluster_codes is None:
+        object.__setattr__(design, "cluster_codes", label_codes(design.cluster_id))
 
 
 def categorize_quantiles(values, k: int, name: str = "exposure"):
@@ -398,6 +419,8 @@ def block_design(dataset: Dataset, spec: ExposureSpec) -> BlockDesign:
         entry=dataset.entry.copy(),
         exit=dataset.exit.copy(),
         event=dataset.event.copy(),
+        stratum_codes=dataset.stratum_codes,
+        cluster_codes=dataset.subject_codes,
     )
 
 
@@ -424,4 +447,6 @@ def single_exposure_design(dataset: Dataset, spec: ExposureSpec, index: int) -> 
         entry=dataset.entry.copy(),
         exit=dataset.exit.copy(),
         event=dataset.event.copy(),
+        stratum_codes=dataset.stratum_codes,
+        cluster_codes=dataset.subject_codes,
     )

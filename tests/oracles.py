@@ -371,3 +371,79 @@ def strata_without_events(keys, event):
         if not np.asarray(event)[keys == key].any():
             silent.append(key)
     return tuple(silent)
+
+
+def per_stratum_evaluation(design, beta, tie_method="efron"):
+    """Log-likelihood, score, information and score residuals of ``design``
+    at ``beta``, one stratum at a time in sorted label order.
+
+    The reference for the engine's single pass over all strata.  Each stratum
+    is indexed on its own: rows by decreasing exit, running totals of the
+    weighted rows less those of the rows entering at or after its first event
+    time, and one Efron sub-step per event.  Blocks and ``block_map`` are
+    handled as in the engine: ``b = T beta`` and ``T_j`` per block.
+    """
+    T = design.block_map
+    blocks = design.blocks
+    m, n, p_b = blocks.shape
+    b = (T @ np.asarray(beta, dtype=float)).reshape(m, p_b)
+    efron = tie_method == "efron"
+
+    def leading_sums(values, counts):
+        zero = np.zeros((values.shape[0], 1, values.shape[2]))
+        totals = np.concatenate((zero, np.cumsum(values, axis=1)), axis=1)
+        return np.take(totals, counts, axis=1)
+
+    ll = 0.0
+    score = np.zeros((m, p_b))
+    info = np.zeros((m, p_b, p_b))
+    resid = np.zeros((n, m, p_b))
+    keys = np.asarray(design.strata_key).astype(str)
+    for key in np.unique(keys):
+        rows = np.flatnonzero(keys == key)
+        rows = rows[np.argsort(-design.exit[rows], kind="stable")]
+        entry, exit_, event = design.entry[rows], design.exit[rows], design.event[rows]
+        if not event.any():
+            continue
+        X = blocks[:, rows]
+        fail = np.flatnonzero(event)[::-1]
+        times = exit_[fail]
+        n_exit = np.searchsorted(-exit_, -times, side="right")
+        late = np.flatnonzero(entry >= times[0])
+        late = late[np.argsort(-entry[late], kind="stable")]
+        n_late = np.searchsorted(-entry[late], -times, side="right")
+        lo = np.searchsorted(times, entry, side="right")
+        hi = np.searchsorted(times, exit_, side="right")
+        _, first, group, d = np.unique(times, return_index=True, return_inverse=True,
+                                       return_counts=True)
+        frac = (np.arange(len(times)) - first[group]) / d[group] if efron \
+            else np.zeros(len(times))
+        own_time = np.zeros((len(rows), len(times)), dtype=bool)
+        own_time[fail] = times[None, :] == times[:, None]
+
+        lp = (X @ b[:, :, None])[..., 0]
+        lp -= lp.max(axis=1, keepdims=True)
+        w = np.exp(lp)
+        wZ = np.concatenate((w[..., None], w[..., None] * X), axis=2)
+        S = leading_sums(wZ, n_exit) - leading_sums(wZ[:, late], n_late)
+        own = np.einsum("ik,mif->mkf", own_time.astype(float), wZ)
+        S -= frac[None, :, None] * own
+        xbar = S[..., 1:] / S[..., :1]
+
+        ll += float(lp[:, fail].sum() - np.log(S[..., 0]).sum())
+        score += X[:, fail].sum(axis=1) - xbar.sum(axis=1)
+        # weight[i, k]: row i's share of sub-step k (1 - frac at its own time)
+        at_risk = (np.arange(len(times))[None, :] >= lo[:, None]) & \
+            (np.arange(len(times))[None, :] < hi[:, None])
+        weight = at_risk * (1.0 - own_time * frac[None, :])
+        a = np.einsum("ik,mk->mi", weight, 1.0 / S[..., 0])
+        info += np.einsum("mip,mi,miq->mpq", X, w * a, X) \
+            - np.einsum("mkp,mkq->mpq", xbar, xbar)
+        mbar = np.stack([xbar[:, group == g].mean(axis=1) for g in range(len(d))], axis=1)
+        window = np.einsum("ik,mkp->mip", weight, xbar / S[..., :1])
+        r = -w[..., None] * (X * a[..., None] - window)
+        r[:, fail] += X[:, fail] - mbar[:, group]
+        resid[rows] = r.transpose(1, 0, 2)
+    T3 = T.reshape(m, p_b, -1)
+    return (ll, T.T @ score.ravel(), (T3.transpose(0, 2, 1) @ info @ T3).sum(axis=0),
+            resid.reshape(n, -1) @ T)

@@ -11,6 +11,7 @@ from oracles import (
     central_difference_gradient,
     central_difference_jacobian,
     golden_section_max,
+    per_stratum_evaluation,
     plain_design,
     random_design,
     sandwich_from_residuals,
@@ -308,3 +309,89 @@ class TestConvergenceAtScale:
         result = dc.compare_exposures(dataset, spec).fit
         assert result.options.gradient_tolerance == 1e-9
         assert result.converged, result.diagnostics.message
+
+
+def many_strata_design(seed, n_small=2000, n_big=1500):
+    """Thousands of strata of 1-3 rows, some without events, then one stratum
+    of ``n_big`` three-row subjects with delayed entry, on integer times
+    (so events tie), as a :class:`DesignMatrix` with 3 columns."""
+    rng = np.random.default_rng(seed)
+    size = rng.integers(1, 4, size=n_small)
+    strata = np.repeat([f"a{k:04d}" for k in range(n_small)], size).tolist()
+    exit_ = rng.integers(1, 6, size=size.sum()).astype(float)
+    entry = np.where(rng.uniform(size=size.sum()) < 0.3, exit_ - 0.5, 0.0)
+    event = rng.uniform(size=size.sum()) < 0.5
+    # The big stratum's subjects: (e, t1], (t1, t2], (t2, t3] with an event, if
+    # any, ending the last interval.
+    start = rng.integers(0, 3, size=n_big)
+    bounds = start[:, None] + np.cumsum(rng.integers(1, 4, size=(n_big, 3)), axis=1)
+    bounds = np.column_stack([start, bounds]).astype(float)
+    died = rng.uniform(size=n_big) < 0.6
+    strata += ["z"] * (3 * n_big)
+    entry = np.concatenate([entry, bounds[:, :-1].ravel()])
+    exit_ = np.concatenate([exit_, bounds[:, 1:].ravel()])
+    event = np.concatenate([event, np.repeat(died, 3) & np.tile([False, False, True], n_big)])
+    cluster = [f"c{i}" for i in range(size.sum())] + [f"s{i // 3}" for i in range(3 * n_big)]
+    X = rng.standard_normal((len(exit_), 3))
+    return plain_design(X, exit_, event, entry=entry, strata=strata, cluster=cluster)
+
+
+class TestSinglePassOverStrata:
+    """All strata in one layout give what each stratum gives on its own."""
+
+    @staticmethod
+    def assert_close(got, want):
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("method", ["efron", "breslow"])
+    def test_large_stratum_after_thousands_of_small_ones(self, method):
+        d = many_strata_design(7)
+        assert len(set(d.strata_key)) > 2000
+        beta = np.array([0.3, -0.2, 0.1])
+        ll, score, info, resid = per_stratum_evaluation(d, beta, method)
+        got_ll = dc.log_partial_likelihood(d, beta, method)
+        assert abs(got_ll - ll) <= 1e-12 * abs(ll)
+        self.assert_close(dc.score(d, beta, method), score)
+        self.assert_close(dc.information(d, beta, method), (info + info.T) / 2)
+        self.assert_close(dc.score_residuals(d, beta, method), resid)
+
+    @pytest.mark.parametrize("method", ["efron", "breslow"])
+    def test_block_design_with_many_strata(self, method):
+        d = many_strata_design(8, n_small=600, n_big=300)
+        rng = np.random.default_rng(9)
+        schema = dc.Schema(id_column="id", entry_column="entry", exit_column="exit",
+                           event_column="event", exposure_columns=("A1", "A2"),
+                           covariate_columns=("L1",), strata_columns=("g",))
+        dataset = dc.Dataset(schema, d.cluster_id, d.entry, d.exit, d.event,
+                             rng.standard_normal((len(d), 2)), d.X[:, :1],
+                             np.asarray(d.strata_key, dtype=object).reshape(-1, 1))
+        design = dc.block_design(dataset, dc.ExposureSpec("continuous", ("A1", "A2")))
+        theta = np.array([0.2, -0.1, 0.15, 0.05])
+        ll, score, info, resid = per_stratum_evaluation(design, theta, method)
+        got_ll = dc.log_partial_likelihood(design, theta, method)
+        assert abs(got_ll - ll) <= 1e-12 * abs(ll)
+        self.assert_close(dc.score(design, theta, method), score)
+        self.assert_close(dc.information(design, theta, method), (info + info.T) / 2)
+        self.assert_close(dc.score_residuals(design, theta, method), resid)
+
+    @pytest.mark.parametrize("sizes", [[1] * 50 + [1000], [3, 4, 5, 7, 9, 17, 33, 64, 65, 200],
+                                       list(range(1, 300)), [40] * 30])
+    def test_bucket_rule(self, sizes):
+        """At most ceil(log2(largest / smallest)) + 1 buckets, and no bucket's
+        grid wider than twice its smallest stratum."""
+        rng = np.random.default_rng(len(sizes))
+        strata = np.repeat(np.arange(len(sizes)), sizes)
+        rng.shuffle(strata)
+        n = len(strata)
+        d = plain_design(rng.standard_normal((n, 1)), rng.uniform(1, 2, n), np.ones(n, bool),
+                         strata=[f"k{v}" for v in strata])
+        engine = dc.cox._Engine(d, "efron")
+        bound = math.ceil(math.log2(max(sizes) / min(sizes))) + 1
+        assert len(engine.buckets) <= bound
+        assert sum(len(bk.strata) for bk in engine.buckets) == len(sizes)
+        for bk in engine.buckets:
+            cells = bk.rows.reshape(len(bk.strata), -1)
+            in_stratum = (cells != engine.n).sum(axis=1)
+            # Each grid row is one empty leading cell, then the stratum padded.
+            assert cells.shape[1] - 1 == in_stratum.max() <= 2 * in_stratum.min()

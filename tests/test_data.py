@@ -284,6 +284,38 @@ class TestLoaderParity:
         else:
             assert got == want
 
+    @staticmethod
+    def _long_file(tmp_path, edits):
+        """A 9000-row cohort file, longer than one parsing chunk, with
+        ``edits`` (data row number -> line) replacing some rows."""
+        schema = dc.Schema(id_column="id", exit_column="t", event_column="e",
+                           exposure_columns=("A", "B"), covariate_columns=("L",),
+                           strata_columns=("g",))
+        lines = ["id,t,e,A,B,L,g"]
+        for row in range(1, 9001):
+            lines.append(edits.get(row, f"{row},{row % 7 + 1}.5,{row % 2},{row % 3},0.{row},"
+                                        f"{row % 5},g{row % 4}"))
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path, schema
+
+    def test_rows_across_chunks(self, tmp_path):
+        edits = {4095: "", 4096: "x,1,0,,1,1,g1", 4097: "y,1,1,1,1,,g1", 8192: " , , ",
+                 8193: "z,2,1,1,1,1,g2"}
+        path, schema = self._long_file(tmp_path, edits)
+        got, got_detail = _load_outcome(dc.load_dataset, path, schema)
+        want, want_detail = _load_outcome(load_dataset_by_rows, path, schema)
+        assert got_detail == want_detail and got == want
+        assert got.n_rejected_missing == want.n_rejected_missing == 2
+
+    @pytest.mark.parametrize("bad_row", [4096, 4097, 8193, 9000])
+    def test_first_bad_row_across_chunks(self, tmp_path, bad_row):
+        path, schema = self._long_file(tmp_path, {bad_row: "x,1,2,1,1,1,g1",
+                                                  bad_row - 1: "x,1,0,,1,1,g1"})
+        got = _load_outcome(dc.load_dataset, path, schema)
+        assert got == _load_outcome(load_dataset_by_rows, path, schema)
+        assert got[1][2] == bad_row
+
 
 class TestSave:
     """``save_dataset`` writes the bytes of the row-by-row writer in ``oracles``."""
@@ -298,6 +330,19 @@ class TestSave:
                            exposure_columns=("A1", "A2"), covariate_columns=("L1",),
                            strata_columns=("stratum",))
         self._assert_same_bytes(dc.load_dataset(DEMO_COHORT, schema), tmp_path)
+
+    @pytest.mark.parametrize("ids, label", [
+        (np.array([1, 2, 3, 4], dtype=object), "s1"),
+        (np.array(["1", None, "3", "4"], dtype=object), "s1"),
+        (np.array(["1", "2", "3", "4"], dtype=object), "s\r1"),
+        (np.array(["1", "2", "3", "4"], dtype=object), "s\n1"),
+        (np.array(["1", "2", "3", "4"], dtype=object), " s 1 "),
+    ])
+    def test_labels_csv_would_quote_or_convert(self, tmp_path, ids, label):
+        ds = _delayed_entry_cohort()
+        strata = ds.strata.copy()
+        strata[0, 0] = label
+        self._assert_same_bytes(replace(ds, subject_ids=ids, strata=strata), tmp_path)
 
     def test_left_truncated_cohort_with_quoted_id(self, tmp_path):
         ds = _delayed_entry_cohort()
