@@ -22,7 +22,6 @@ from .data import (
 )
 from .design import (
     AugmentedDataset,
-    BlockDesign,
     DesignMatrix,
     ExposureSpec,
     block_design,
@@ -76,7 +75,7 @@ __all__ = [
     "__version__",
     "Schema", "CohortRow", "Dataset", "ValidationReport", "CheckResult",
     "load_dataset", "save_dataset", "validate",
-    "ExposureSpec", "AugmentedDataset", "DesignMatrix", "BlockDesign",
+    "ExposureSpec", "AugmentedDataset", "DesignMatrix",
     "categorize_quantiles", "dummy_code", "trend_scores",
     "duplicate_augment", "build_design_matrix", "block_design", "single_exposure_design",
     "FitOptions", "FitDiagnostics", "CoxFit",

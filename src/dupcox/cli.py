@@ -33,12 +33,15 @@ _TOP_KEYS = {
 }
 _SCHEMA_KEYS = {"id", "entry", "exit", "event", "exposures", "covariates", "strata"}
 _EXPOSURE_KEYS = {"kind", "columns", "levels", "reference", "scale", "confidence"}
-_FIT_KEYS = {"ties", "max_iterations", "gradient_tolerance", "step_halvings"}
-_SIM_KEYS = {
-    "n_subjects", "exposure_correlation", "true_beta", "covariate_effects",
-    "weibull_shape", "weibull_scale", "censoring_rate", "n_strata",
-    "replicate_count", "alpha", "include_naive",
-}
+# Config keys -> FitOptions fields; an absent key keeps the field's default.
+_FIT_FIELDS = {"ties": "tie_method", "max_iterations": "max_iterations",
+               "gradient_tolerance": "gradient_tolerance", "step_halvings": "step_halvings_max"}
+# Simulation keys that are SimConfig fields, the required ones first, and the
+# keys passed to the calibration runner.
+_SIM_REQUIRED = ("n_subjects", "exposure_correlation", "true_beta", "replicate_count")
+_SIM_FIELDS = _SIM_REQUIRED + ("covariate_effects", "weibull_shape", "weibull_scale",
+                               "censoring_rate", "n_strata")
+_RUNNER_KEYS = ("alpha", "include_naive")
 
 
 def _check_keys(block: dict, allowed: set, context: str) -> None:
@@ -108,15 +111,21 @@ def _build_spec(block: dict, schema: Schema) -> ExposureSpec:
 
 
 def _build_fit_options(block: dict | None) -> FitOptions:
-    if block is None:
-        return FitOptions()
-    _check_keys(block, _FIT_KEYS, "fit")
-    return FitOptions(
-        tie_method=block.get("ties", "efron"),
-        max_iterations=block.get("max_iterations", 25),
-        gradient_tolerance=block.get("gradient_tolerance", 1e-9),
-        step_halvings_max=block.get("step_halvings", 10),
-    )
+    block = {} if block is None else block
+    _check_keys(block, set(_FIT_FIELDS), "fit")
+    return FitOptions(**{_FIT_FIELDS[key]: value for key, value in block.items()})
+
+
+def _build_sim_config(block: dict, seed: int | None) -> SimConfig:
+    """The scenario of a ``simulation`` block; ``seed`` is the master seed if given."""
+    _check_keys(block, set(_SIM_FIELDS + _RUNNER_KEYS), "simulation")
+    missing = [key for key in _SIM_REQUIRED if key not in block]
+    if missing:
+        raise ConfigError(f"simulation block is missing required key {missing[0]!r}")
+    fields = {key: block[key] for key in _SIM_FIELDS if key in block}
+    if seed is not None:
+        fields["master_seed"] = seed
+    return SimConfig(**fields)
 
 
 def _metadata(config: dict) -> dict:
@@ -235,27 +244,9 @@ def run_simulate(config: dict) -> int:
     if "simulation" not in config:
         raise ConfigError("config is missing the 'simulation' block")
     block = config["simulation"]
-    _check_keys(block, _SIM_KEYS, "simulation")
-    try:
-        sim_config = SimConfig(
-            n_subjects=block["n_subjects"],
-            exposure_correlation=block["exposure_correlation"],
-            true_beta=tuple(block["true_beta"]),
-            covariate_effects=tuple(block.get("covariate_effects", ())),
-            weibull_shape=block.get("weibull_shape", 1.0),
-            weibull_scale=block.get("weibull_scale", 1.0),
-            censoring_rate=block.get("censoring_rate", 0.25),
-            n_strata=block.get("n_strata", 1),
-            replicate_count=block["replicate_count"],
-            master_seed=config.get("seed", 0),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"simulation block is missing required key {exc.args[0]!r}") from None
-    alpha = block.get("alpha", 0.05)
-    include_naive = bool(block.get("include_naive", False))
-
+    sim_config = _build_sim_config(block, config.get("seed"))
     runner = estimate_type1_error if _is_null_config(sim_config) else estimate_power
-    result = runner(sim_config, alpha, include_naive=include_naive)
+    result = runner(sim_config, **{key: block[key] for key in _RUNNER_KEYS if key in block})
 
     lines = [
         _human_header(config),

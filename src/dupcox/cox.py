@@ -1,8 +1,9 @@
 """Stratified Cox partial-likelihood engine.
 
 Maximizes the log partial likelihood of a :class:`~dupcox.design.DesignMatrix`
-or :class:`~dupcox.design.BlockDesign` by Newton-Raphson with step halving,
-handling tied event times by the Efron (default) or Breslow corrections, left
+(row-aligned blocks whose coefficients are ``b = T theta``; a plain design
+is one block with ``T = I``) by Newton-Raphson with step halving, handling
+tied event times by the Efron (default) or Breslow corrections, left
 truncation via the counting-process at-risk rule (a row is at risk at event
 time ``t`` iff ``entry < t <= exit``), and cluster correlation via the
 sandwich variance built from score residuals.
@@ -28,14 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .design import BlockDesign, DesignMatrix
+from .design import DesignMatrix
 from .errors import ConfigError, EstimationError, SingularMatrixError
 
 TIE_METHODS = ("efron", "breslow")
-
-# Anything with the block layout: ``blocks``, ``block_map``, per-row times,
-# events, strata and clusters.
-Design = DesignMatrix | BlockDesign
 
 # Pivot ratio below which a column is declared aliased (exact collinearity),
 # relative to its diagonal in the initial information matrix.
@@ -214,11 +211,10 @@ class _Engine:
     with per-block coefficients ``b = T theta``.  Each stratum of each block
     is its own stratum of the likelihood, so with ``T``'s rows cut per block
     as ``T_j``: ``ll = sum_j ll_j``, ``score = sum_j T_j' s_j`` and
-    ``information = sum_j T_j' I_j T_j``.  A :class:`~dupcox.design.DesignMatrix`
-    is one block with ``T = I``.
+    ``information = sum_j T_j' I_j T_j``.
     """
 
-    def __init__(self, design: Design, tie_method: str):
+    def __init__(self, design: DesignMatrix, tie_method: str):
         blocks, self.T = design.blocks, design.block_map
         self.m, self.n, self.p_b = blocks.shape
         self.cluster_codes = design.cluster_codes
@@ -324,7 +320,7 @@ class _Engine:
         return out[:, :-1].T
 
 
-def _evaluate(design: Design, beta, tie_method: str):
+def _evaluate(design: DesignMatrix, beta, tie_method: str):
     """The engine, and its evaluation at ``beta`` over every column."""
     if tie_method not in TIE_METHODS:
         raise ConfigError(f"tie_method must be one of {TIE_METHODS}, got {tie_method!r}")
@@ -336,7 +332,7 @@ def _evaluate(design: Design, beta, tie_method: str):
     return engine, engine.evaluate(beta, np.arange(design.n_columns))
 
 
-def log_partial_likelihood(design: Design, beta, tie_method: str = "efron") -> float:
+def log_partial_likelihood(design: DesignMatrix, beta, tie_method: str = "efron") -> float:
     """Stratified Cox log partial likelihood at ``beta``.
 
     Sum over strata and distinct event times of the event terms minus the
@@ -348,24 +344,24 @@ def log_partial_likelihood(design: Design, beta, tie_method: str = "efron") -> f
         return _evaluate(design, beta, tie_method)[1].ll
 
 
-def score(design: Design, beta, tie_method: str = "efron") -> np.ndarray:
+def score(design: DesignMatrix, beta, tie_method: str = "efron") -> np.ndarray:
     """Analytic gradient of the log partial likelihood."""
     return _evaluate(design, beta, tie_method)[1].score
 
 
-def information(design: Design, beta, tie_method: str = "efron") -> np.ndarray:
+def information(design: DesignMatrix, beta, tie_method: str = "efron") -> np.ndarray:
     """Observed information (negative Hessian); symmetric PSD."""
     info = _evaluate(design, beta, tie_method)[1].info
     return (info + info.T) / 2.0
 
 
-def score_residuals(design: Design, beta, tie_method: str = "efron") -> np.ndarray:
+def score_residuals(design: DesignMatrix, beta, tie_method: str = "efron") -> np.ndarray:
     """Per-row score residuals (rows sum to the total score).
 
     Rows in strata without events contribute zero.  These are the building
     blocks of the cluster sandwich: sum them within ``design.cluster_id``
-    groups before forming the outer-product middle matrix.  A block
-    design's row carries the summed residuals of its ``m`` copies.
+    groups before forming the outer-product middle matrix.  A row
+    carries the summed residuals of its ``m`` blocks.
     """
     engine, ev = _evaluate(design, beta, tie_method)
     return engine.residuals(ev)
@@ -409,7 +405,7 @@ def _expand(values: np.ndarray, active: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit(design: Design, options: FitOptions | None = None,
+def fit(design: DesignMatrix, options: FitOptions | None = None,
         robust: bool = True) -> CoxFit:
     """Newton-Raphson maximization of the stratified log partial likelihood.
 
@@ -420,8 +416,6 @@ def fit(design: Design, options: FitOptions | None = None,
     ``gradient_tolerance``; a non-converged fit is returned (not raised)
     with diagnostics, including a probable-separation flag when a
     coefficient runs beyond +-20 with the likelihood still increasing.
-    A :class:`~dupcox.design.BlockDesign` is fitted in the coefficients of
-    the augmented design it stands for.
     """
     options = options or FitOptions()
     engine = _Engine(design, options.tie_method)
@@ -502,7 +496,7 @@ def _sandwich(engine: _Engine, ev: _Evaluation, a_inv: np.ndarray) -> np.ndarray
     return (sandwich + sandwich.T) / 2.0
 
 
-def robust_covariance(design: Design, fit_result: CoxFit) -> np.ndarray:
+def robust_covariance(design: DesignMatrix, fit_result: CoxFit) -> np.ndarray:
     """Cluster sandwich ``A^-1 M A^-1`` at the fitted coefficients.
 
     ``A`` is the observed information and ``M`` sums, over clusters of rows

@@ -9,18 +9,19 @@ trend-scored), type indicators, dummy coding, and interaction expansion.
 
 Because every term is interacted with the type and the type is a stratum,
 copy ``j`` of the augmented design only ever multiplies the per-type
-coefficients ``b_j`` (main terms for the first type, main + type-``j``
-interactions otherwise).  :func:`block_design` therefore keeps the same
-model on the original rows, as one ``[exposure terms | covariates]`` block
-per exposure plus the fixed map from the interaction coefficients to the
-``b_j``; :func:`duplicate_augment` and :func:`build_design_matrix` are the
-literal row-bound construction.
+coefficients ``b_j = T_j theta`` (main terms for the first type, main +
+type-``j`` interactions otherwise).  :class:`DesignMatrix` is that
+parameterization: row-aligned blocks and the fixed map ``T``.
+:func:`block_design` keeps the model on the original rows, as one
+``[exposure terms | covariates]`` block per exposure;
+:func:`duplicate_augment` and :func:`build_design_matrix` are the literal
+row-bound construction, one block with the identity map.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -97,69 +98,23 @@ class AugmentedDataset:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Dense design for the stratified Cox fit.
+    """A stratified Cox design as row-aligned blocks and a map to the coefficients.
+
+    ``blocks[j]`` holds the covariates that copy ``j`` of the rows carries,
+    and the stacked per-block coefficients are ``b = block_map @ theta``,
+    where ``theta`` follows ``column_names``; the likelihood is the sum of
+    the blocks' own stratified likelihoods over the same rows.  A plain
+    design is one block with the identity map.  The interaction design has
+    one ``[exposure terms | covariates]`` block per exposure, and ``b_j`` is
+    main for the first type and main + type-``j`` interaction otherwise.
 
     Column order: exposure main terms, covariate main terms, exposure-by-type
     interactions, covariate-by-type interactions.  There is no type main
-    effect: it is absorbed by stratification (``strata_key`` combines the
-    original strata with the type label).  ``cluster_id`` ties the duplicated
-    copies of a subject together for the robust variance.  ``stratum_codes``
-    and ``cluster_codes`` number the distinct ``str()`` of those labels in
-    sorted order; they are derived from the labels unless given.
-    """
-
-    X: np.ndarray                    # float, (N, p)
-    column_names: tuple[str, ...]
-    exposure_main_columns: tuple[str, ...]
-    interaction_columns: tuple[str, ...]
-    covariate_interaction_columns: tuple[str, ...]
-    strata_key: np.ndarray           # object, (N,)
-    cluster_id: np.ndarray           # object, (N,)
-    entry: np.ndarray                # float, (N,)
-    exit: np.ndarray                 # float, (N,)
-    event: np.ndarray                # bool, (N,)
-    stratum_codes: np.ndarray = field(default=None, repr=False)  # int, (N,)
-    cluster_codes: np.ndarray = field(default=None, repr=False)  # int, (N,)
-
-    def __post_init__(self):
-        _derive_codes(self)
-
-    def __len__(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def n_columns(self) -> int:
-        return self.X.shape[1]
-
-    def column(self, name: str) -> int:
-        try:
-            return self.column_names.index(name)
-        except ValueError:
-            raise KeyError(f"no design column named {name!r}") from None
-
-    @property
-    def blocks(self) -> np.ndarray:
-        """The rows as a single block, in the layout of :class:`BlockDesign`."""
-        return self.X[None]
-
-    @property
-    def block_map(self) -> np.ndarray:
-        """Identity: the block's coefficients are the design's coefficients."""
-        return np.eye(self.n_columns)
-
-
-@dataclass(frozen=True)
-class BlockDesign:
-    """The augmented interaction design, kept on the original ``n`` rows.
-
-    ``blocks[j]`` is ``[exposure terms of source column j | covariates]``:
-    the non-zero part of copy ``j`` of :func:`build_design_matrix`'s rows.
-    The stacked per-type coefficients are ``b = block_map @ theta``, where
-    ``theta`` follows ``column_names`` (the augmented design's columns, in
-    its order) and ``b_j`` is main for the first type and main + type-``j``
-    interaction otherwise.  Each original stratum holds one type stratum per
-    block; ``strata_key`` and ``cluster_id`` are the original rows' own, and
-    so are their codes, as in :class:`DesignMatrix`.
+    effect: it is absorbed by stratification.  ``cluster_id`` ties a
+    subject's rows together for the robust variance.  ``stratum_codes`` and
+    ``cluster_codes`` number the distinct ``str()`` of ``strata_key`` and
+    ``cluster_id`` in sorted order; they are derived from the labels unless
+    given.
     """
 
     blocks: np.ndarray               # float, (m, n, p_b)
@@ -177,7 +132,10 @@ class BlockDesign:
     cluster_codes: np.ndarray = field(default=None, repr=False)  # int, (n,)
 
     def __post_init__(self):
-        _derive_codes(self)
+        if self.stratum_codes is None:
+            object.__setattr__(self, "stratum_codes", label_codes(self.strata_key))
+        if self.cluster_codes is None:
+            object.__setattr__(self, "cluster_codes", label_codes(self.cluster_id))
 
     def __len__(self) -> int:
         return self.blocks.shape[1]
@@ -186,13 +144,18 @@ class BlockDesign:
     def n_columns(self) -> int:
         return self.block_map.shape[1]
 
+    @property
+    def X(self) -> np.ndarray:
+        """The rows of a plain design (one block, identity map), ``(n, p)``."""
+        if len(self.blocks) != 1 or not np.array_equal(self.block_map, np.eye(self.n_columns)):
+            raise ValueError("only a one-block design with the identity map has a plain X")
+        return self.blocks[0]
 
-def _derive_codes(design) -> None:
-    """Fill a design's stratum and cluster codes from its labels, unless given."""
-    if design.stratum_codes is None:
-        object.__setattr__(design, "stratum_codes", label_codes(design.strata_key))
-    if design.cluster_codes is None:
-        object.__setattr__(design, "cluster_codes", label_codes(design.cluster_id))
+    def column(self, name: str) -> int:
+        try:
+            return self.column_names.index(name)
+        except ValueError:
+            raise KeyError(f"no design column named {name!r}") from None
 
 
 def categorize_quantiles(values, k: int, name: str = "exposure"):
@@ -371,7 +334,8 @@ def build_design_matrix(aug: AugmentedDataset, spec: ExposureSpec) -> DesignMatr
         aug.term_names, aug.covariate_names, len(aug.a_type_labels))
 
     return DesignMatrix(
-        X=X,
+        blocks=X[None],
+        block_map=np.eye(X.shape[1]),
         column_names=column_names,
         exposure_main_columns=tuple(aug.term_names),
         interaction_columns=inter_names,
@@ -384,7 +348,7 @@ def build_design_matrix(aug: AugmentedDataset, spec: ExposureSpec) -> DesignMatr
     )
 
 
-def block_design(dataset: Dataset, spec: ExposureSpec) -> BlockDesign:
+def block_design(dataset: Dataset, spec: ExposureSpec) -> DesignMatrix:
     """The design of :func:`build_design_matrix` without copying the cohort.
 
     Fitting it gives the augmented fit's coefficients, covariances and
@@ -407,7 +371,7 @@ def block_design(dataset: Dataset, spec: ExposureSpec) -> BlockDesign:
             block_map[j, k, index[name]] = 1.0
             if j:
                 block_map[j, k, index[f"{name}:A_type{j + 1}"]] = 1.0
-    return BlockDesign(
+    return DesignMatrix(
         blocks=np.stack([np.column_stack([t, dataset.covariates]) for t in terms]),
         block_map=block_map.reshape(-1, len(column_names)),
         column_names=column_names,
@@ -427,26 +391,14 @@ def block_design(dataset: Dataset, spec: ExposureSpec) -> BlockDesign:
 def single_exposure_design(dataset: Dataset, spec: ExposureSpec, index: int) -> DesignMatrix:
     """Design for fitting one exposure alone on the original cohort.
 
-    Uses the same term synthesis as the augmented build, so coefficients are
-    directly comparable with the main(+interaction) parameterization of the
-    duplicated fit.
+    Block ``index`` of :func:`block_design` under the identity map, so its
+    coefficients are directly comparable with the main(+interaction)
+    parameterization of the duplicated fit.
     """
     if not 0 <= index < spec.n_compared:
         raise ConfigError(f"exposure index {index} outside 0..{spec.n_compared - 1}")
-    blocks, term_names = _exposure_term_columns(dataset, spec)
-    X = np.column_stack([blocks[index], dataset.covariates]) \
-        if dataset.covariates.shape[1] else blocks[index]
-    return DesignMatrix(
-        X=np.asarray(X, dtype=float),
-        column_names=tuple(term_names) + dataset.schema.covariate_columns,
-        exposure_main_columns=tuple(term_names),
-        interaction_columns=(),
-        covariate_interaction_columns=(),
-        strata_key=dataset.strata_keys(),
-        cluster_id=dataset.subject_ids.copy(),
-        entry=dataset.entry.copy(),
-        exit=dataset.exit.copy(),
-        event=dataset.event.copy(),
-        stratum_codes=dataset.stratum_codes,
-        cluster_codes=dataset.subject_codes,
-    )
+    design = block_design(dataset, spec)
+    p_b = design.blocks.shape[2]
+    return replace(design, blocks=design.blocks[index:index + 1], block_map=np.eye(p_b),
+                   column_names=design.column_names[:p_b], interaction_columns=(),
+                   covariate_interaction_columns=())

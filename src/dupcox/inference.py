@@ -10,17 +10,16 @@ final difference row).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaincc, ndtri
 
 from .cox import CoxFit, FitOptions, fit as cox_fit
 from .data import Dataset
-from .design import BlockDesign, ExposureSpec, block_design
+from .design import DesignMatrix, ExposureSpec, block_design
 from .errors import AliasedCoefficientError, ConfigError, SingularMatrixError
-
-COVARIANCE_KINDS = ("robust", "model")
 
 
 def chi_square_upper_tail(q: float, df: int) -> float:
@@ -58,42 +57,41 @@ class PrunedFit:
     robust_covariance: np.ndarray | None
 
 
+def _positions(fit_result: CoxFit, names) -> list[int]:
+    """Where ``names`` sit in the fit's coefficients.
+
+    If any of them was aliased, refuse with an error instead of silently
+    testing a reduced hypothesis.
+    """
+    unknown = [n for n in names if n not in fit_result.column_names]
+    if unknown:
+        raise ConfigError(f"unknown coefficient name(s): {unknown}")
+    idx = [fit_result.column_names.index(n) for n in names]
+    dropped = [n for n, i in zip(names, idx) if fit_result.aliased_mask[i]]
+    if dropped:
+        raise AliasedCoefficientError(
+            f"coefficient(s) {dropped} were dropped for collinearity; "
+            "the requested test cannot be performed on this fit"
+        )
+    return idx
+
+
 def prune_aliased(fit_result: CoxFit, required: tuple[str, ...] | None = None) -> PrunedFit:
     """Drop aliased coefficients and their covariance rows/columns.
 
     If any name in ``required`` was aliased, refuse with an error instead of
     silently testing a reduced hypothesis.
     """
-    names = fit_result.column_names
     if required:
-        unknown = [n for n in required if n not in names]
-        if unknown:
-            raise ConfigError(f"unknown coefficient name(s): {unknown}")
-        dropped = [n for n in required
-                   if fit_result.aliased_mask[names.index(n)]]
-        if dropped:
-            raise AliasedCoefficientError(
-                f"coefficient(s) {dropped} were dropped for collinearity; "
-                "the requested test cannot be performed on this fit"
-            )
+        _positions(fit_result, required)
     keep = np.flatnonzero(~fit_result.aliased_mask)
     robust = fit_result.robust_covariance
     return PrunedFit(
-        names=tuple(names[i] for i in keep),
+        names=tuple(fit_result.column_names[i] for i in keep),
         coefficients=fit_result.coefficients[keep],
         model_covariance=fit_result.model_covariance[np.ix_(keep, keep)],
         robust_covariance=None if robust is None else robust[np.ix_(keep, keep)],
     )
-
-
-def _select_covariance(pruned: PrunedFit, covariance: str) -> np.ndarray:
-    if covariance not in COVARIANCE_KINDS:
-        raise ConfigError(f"covariance must be one of {COVARIANCE_KINDS}, got {covariance!r}")
-    if covariance == "robust":
-        if pruned.robust_covariance is None:
-            raise ConfigError("robust covariance unavailable; fit with robust=True first")
-        return pruned.robust_covariance
-    return pruned.model_covariance
 
 
 # Eigenvalues of the tested covariance block below this fraction of the
@@ -144,13 +142,12 @@ def wald_multivariate(fit_result: CoxFit, test_names, covariance: str = "robust"
     test_names = tuple(test_names)
     if not test_names:
         raise ConfigError("no coefficients to test")
-    pruned = prune_aliased(fit_result, required=test_names)
-    cov = _select_covariance(pruned, covariance)
+    idx = _positions(fit_result, test_names)
+    cov = fit_result.covariance(covariance)
 
-    idx = [pruned.names.index(n) for n in test_names]
-    b = pruned.coefficients[idx]
+    b = fit_result.coefficients[idx]
     block = cov[np.ix_(idx, idx)]
-    scale = float(np.max(np.diag(pruned.model_covariance[np.ix_(idx, idx)])))
+    scale = float(np.max(np.diag(fit_result.model_covariance[np.ix_(idx, idx)])))
     q = max(_quadratic_form(b, block, scale), 0.0)
     return TestResult(
         statistic=q,
@@ -173,13 +170,11 @@ class HazardRatio:
     ci_upper: float
 
 
-def _combo_hazard_ratio(pruned: PrunedFit, covariance: str, names, weights,
-                        scale: float, confidence: float):
-    """Estimate, standard error, and HR interval for a coefficient combination."""
-    cov = _select_covariance(pruned, covariance)
-    idx = [pruned.names.index(n) for n in names]
-    weights = np.asarray(weights, dtype=float)
-    est = float(weights @ pruned.coefficients[idx])
+def _sum_hazard_ratio(fit_result: CoxFit, cov: np.ndarray, idx, scale: float,
+                      confidence: float):
+    """Estimate, standard error, and HR interval for the sum of coefficients ``idx``."""
+    weights = np.ones(len(idx))
+    est = float(weights @ fit_result.coefficients[idx])
     var = float(weights @ cov[np.ix_(idx, idx)] @ weights)
     se = math.sqrt(max(var, 0.0))
     z = float(ndtri((1.0 + confidence) / 2.0))
@@ -202,8 +197,9 @@ def hazard_ratio(fit_result: CoxFit, name: str, scale: float = 1.0,
         raise ConfigError(f"scale must be > 0, got {scale}")
     if not 0 < confidence < 1:
         raise ConfigError(f"confidence must be in (0, 1), got {confidence}")
-    pruned = prune_aliased(fit_result, required=(name,))
-    _, _, hr = _combo_hazard_ratio(pruned, covariance, (name,), (1.0,), scale, confidence)
+    idx = _positions(fit_result, (name,))
+    _, _, hr = _sum_hazard_ratio(fit_result, fit_result.covariance(covariance), idx,
+                                 scale, confidence)
     return hr
 
 
@@ -228,7 +224,11 @@ class ExposureSummary:
 
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """Everything a comparison run produced, JSON-serializable via to_dict."""
+    """Everything a comparison run produced, JSON-serializable via to_dict.
+
+    The dataset's fingerprint and counts are read from ``dataset`` when
+    first asked for, so a report nobody serializes never hashes the cohort.
+    """
 
     exposures: tuple[ExposureSummary, ...]
     difference_test: TestResult | None
@@ -236,10 +236,20 @@ class ComparisonReport:
     spec: ExposureSpec
     confidence: float
     covariance_used: str
-    dataset_fingerprint: str
-    n_rows: int
-    n_events: int
+    dataset: Dataset = field(repr=False)
     seed: int | None = None
+
+    @cached_property
+    def dataset_fingerprint(self) -> str:
+        return self.dataset.fingerprint()
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.dataset)
+
+    @property
+    def n_events(self) -> int:
+        return int(self.dataset.event.sum())
 
     def to_dict(self) -> dict:
         diag = self.fit.diagnostics
@@ -305,7 +315,7 @@ def _json_float(x) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _per_exposure_scales(design: BlockDesign, spec: ExposureSpec, scale) -> list[float]:
+def _per_exposure_scales(design: DesignMatrix, spec: ExposureSpec, scale) -> list[float]:
     """Resolve the reporting scale per exposure; 'p10-p90' uses the modeled column."""
     m = spec.n_compared
     if spec.kind == "categorical":
@@ -349,7 +359,7 @@ def compare_exposures(dataset: Dataset, spec: ExposureSpec,
     cluster sandwich, and Wald-test all exposure-by-type interaction
     coefficients (univariate for a single term, multivariate otherwise).
     Per-exposure hazard ratios come from the main(+interaction)
-    parameterization.  The design is a :class:`~dupcox.design.BlockDesign`:
+    parameterization.  The design is :func:`~dupcox.design.block_design`'s:
     the duplicated model evaluated on the cohort's own rows, with the same
     coefficients as :func:`~dupcox.design.build_design_matrix` on
     :func:`~dupcox.design.duplicate_augment`'s copies.
@@ -379,22 +389,18 @@ def compare_exposures(dataset: Dataset, spec: ExposureSpec,
         except Exception as exc:
             raise _stage("wald", exc)
 
-        pruned = prune_aliased(fit_result)
-        available = set(pruned.names)
+        cov = fit_result.covariance(covariance)
+        p_b = design.blocks.shape[2]
         for j, source in enumerate(spec.source_columns):
             terms = []
-            for term in design.exposure_main_columns:
-                names: tuple[str, ...]
-                if j == 0:
-                    names, weights = (term,), (1.0,)
-                else:
-                    names, weights = (term, f"{term}:A_type{j + 1}"), (1.0, 1.0)
-                if any(n not in available for n in names):
+            for k, term in enumerate(design.exposure_main_columns):
+                # Exposure j's term k is b_j's k-th entry: main (+ interaction).
+                idx = np.flatnonzero(design.block_map[j * p_b + k])
+                if fit_result.aliased_mask[idx].any():
                     terms.append(ExposureTerm(term, math.nan, math.nan, scales[j],
                                               math.nan, math.nan, math.nan))
                     continue
-                est, se, hr = _combo_hazard_ratio(pruned, covariance, names, weights,
-                                                  scales[j], confidence)
+                est, se, hr = _sum_hazard_ratio(fit_result, cov, idx, scales[j], confidence)
                 terms.append(ExposureTerm(term, est, se, scales[j],
                                           hr.value, hr.ci_lower, hr.ci_upper))
             exposures.append(ExposureSummary(name=source, terms=tuple(terms)))
@@ -406,9 +412,7 @@ def compare_exposures(dataset: Dataset, spec: ExposureSpec,
         spec=spec,
         confidence=confidence,
         covariance_used=covariance,
-        dataset_fingerprint=dataset.fingerprint(),
-        n_rows=len(dataset),
-        n_events=int(dataset.event.sum()),
+        dataset=dataset,
         seed=seed,
     )
 

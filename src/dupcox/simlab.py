@@ -134,16 +134,17 @@ def simulate_cohort(config: SimConfig, replicate_index: int) -> Dataset:
     exit_ = np.minimum(t_event, t_cens)
     event = t_event <= t_cens
     strata = rng.integers(0, config.n_strata, size=n)
+    labels = np.array([f"s{v}" for v in range(config.n_strata)], dtype=object)
 
     return Dataset(
         schema=config.schema(),
-        subject_ids=np.array([str(i + 1) for i in range(n)], dtype=object),
+        subject_ids=np.fromiter(map(str, range(1, n + 1)), dtype=object, count=n),
         entry=np.zeros(n),
         exit=exit_,
         event=event,
         exposures=exposures,
         covariates=covariates,
-        strata=np.array([f"s{v}" for v in strata], dtype=object).reshape(-1, 1),
+        strata=labels[strata].reshape(-1, 1),
     )
 
 

@@ -204,13 +204,14 @@ def overlapping_subjects(subject_ids, entry, exit_):
 
 
 def plain_design(X, exit_, event, entry=None, strata=None, cluster=None, names=None):
-    """Wrap raw arrays into a DesignMatrix for engine-level tests."""
+    """Wrap raw arrays into a plain DesignMatrix (one block, identity map)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] != len(exit_):
         X = X.T
     n, p = X.shape
     return DesignMatrix(
-        X=X,
+        blocks=X[None],
+        block_map=np.eye(p),
         column_names=tuple(names) if names else tuple(f"x{j + 1}" for j in range(p)),
         exposure_main_columns=(),
         interaction_columns=(),

@@ -245,7 +245,7 @@ def test_criterion_8_structural_invariants():
     transform_ok = True
     for f in (lambda t: t ** 3, lambda t: 10.0 * t + 1.0):
         warped = dc.DesignMatrix(
-            X=d.X, column_names=d.column_names,
+            blocks=d.blocks, block_map=d.block_map, column_names=d.column_names,
             exposure_main_columns=(), interaction_columns=(),
             covariate_interaction_columns=(), strata_key=d.strata_key,
             cluster_id=d.cluster_id, entry=f(d.entry), exit=f(d.exit),
@@ -264,7 +264,7 @@ def test_criterion_8_structural_invariants():
         if not d.event[rows].any():
             continue
         sub = dc.DesignMatrix(
-            X=d.X[rows], column_names=d.column_names,
+            blocks=d.blocks[:, rows], block_map=d.block_map, column_names=d.column_names,
             exposure_main_columns=(), interaction_columns=(),
             covariate_interaction_columns=(),
             strata_key=d.strata_key[rows], cluster_id=d.cluster_id[rows],

@@ -1,6 +1,6 @@
 """The block design fits the duplicated model without duplicating the rows.
 
-``compare_exposures`` fits a ``BlockDesign``: one ``[exposure terms |
+``compare_exposures`` fits ``block_design``'s design: one ``[exposure terms |
 covariates]`` block per exposure over the cohort's own rows, and a fixed map
 from the augmented coefficients to the per-type ones.  The oracle is the
 literal construction, ``fit(build_design_matrix(duplicate_augment(...)))``.

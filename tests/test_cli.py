@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 import dupcox as dc
-from dupcox.cli import main
+from dupcox.cli import _build_fit_options, _build_sim_config, main
+from dupcox.errors import ConfigError
 
 
 @pytest.fixture
@@ -182,3 +184,45 @@ class TestSimulateCommand:
         bumped = json.loads((tmp_path / "sim.json").read_text())
         assert bumped["seed"] == 12
         assert bumped["config_hash"] != base["config_hash"]
+
+
+class TestConfigDefaults:
+    REQUIRED = {"n_subjects": 50, "exposure_correlation": 0.3, "true_beta": [0.2, 0.2],
+                "replicate_count": 4}
+
+    def test_empty_fit_block_gives_fit_option_defaults(self):
+        assert _build_fit_options({}) == dc.FitOptions()
+        assert _build_fit_options(None) == dc.FitOptions()
+        assert _build_fit_options({"ties": "breslow", "step_halvings": 3}) == \
+            dc.FitOptions(tie_method="breslow", step_halvings_max=3)
+        assert _build_fit_options({"max_iterations": 7, "gradient_tolerance": 1e-6}) == \
+            dc.FitOptions(max_iterations=7, gradient_tolerance=1e-6)
+
+    def test_required_simulation_keys_give_sim_config_defaults(self):
+        built = _build_sim_config(dict(self.REQUIRED), None)
+        assert built == dc.SimConfig(n_subjects=50, exposure_correlation=0.3,
+                                     true_beta=(0.2, 0.2), replicate_count=4)
+        for f in dataclasses.fields(dc.SimConfig):
+            if f.name not in self.REQUIRED:
+                assert getattr(built, f.name) == f.default, f.name
+        assert _build_sim_config(dict(self.REQUIRED, n_strata=3), 9) == dc.SimConfig(
+            n_subjects=50, exposure_correlation=0.3, true_beta=(0.2, 0.2),
+            replicate_count=4, n_strata=3, master_seed=9)
+
+    def test_simulation_block_key_errors(self):
+        for key in self.REQUIRED:
+            block = {k: v for k, v in self.REQUIRED.items() if k != key}
+            with pytest.raises(ConfigError, match=f"missing required key '{key}'"):
+                _build_sim_config(block, None)
+        with pytest.raises(ConfigError, match="master_seed"):
+            _build_sim_config(dict(self.REQUIRED, master_seed=1), None)
+
+    def test_empty_fit_block_reports_like_no_fit_block(self, tmp_path, cohort_csv, capsys):
+        doc = compare_config(cohort_csv, tmp_path)
+        assert main(["compare", "--config", str(write_config(tmp_path, doc))]) == 0
+        bare = json.loads((tmp_path / "report.json").read_text())["report"]
+        doc["fit"] = {}
+        assert main(["compare", "--config", str(write_config(tmp_path, doc))]) == 0
+        empty = json.loads((tmp_path / "report.json").read_text())["report"]
+        assert empty == bare
+        assert empty["fit"]["gradient_tolerance"] == dc.FitOptions().gradient_tolerance

@@ -273,3 +273,49 @@ class TestDesignProperties:
         b = np.array([shuffled.fit.coefficient(n) for n in original.fit.column_names])
         assert b_names == original.fit.column_names
         assert a == pytest.approx(b, abs=1e-8)
+
+
+class TestOneDesignType:
+    def test_augmented_design_is_one_block_with_identity_map(self, four_row_dataset):
+        spec = dc.ExposureSpec(kind="dichotomous", source_columns=("A", "Aprime"))
+        design = dc.build_design_matrix(dc.duplicate_augment(four_row_dataset, spec), spec)
+        assert design.blocks.shape == (1, 8, design.n_columns)
+        assert np.array_equal(design.block_map, np.eye(design.n_columns))
+        assert np.shares_memory(design.X, design.blocks)
+        assert len(design) == 8
+
+    def test_block_design_has_no_plain_rows(self):
+        ds, spec = simulated_cohort(seed=3, n=60)
+        design = dc.block_design(ds, spec)
+        assert isinstance(design, dc.DesignMatrix)
+        assert len(design) == 60 and design.blocks.shape[0] == 2
+        with pytest.raises(ValueError, match="one-block design"):
+            design.X
+
+    def test_single_exposure_design_is_block_j(self):
+        ds, spec = simulated_cohort(seed=4, n=80)
+        full = dc.block_design(ds, spec)
+        for j in range(2):
+            single = dc.single_exposure_design(ds, spec, j)
+            assert np.array_equal(single.X, full.blocks[j])
+            assert single.column_names == ("Exposures", "L1")
+            assert single.interaction_columns == single.covariate_interaction_columns == ()
+            assert np.array_equal(single.stratum_codes, full.stratum_codes)
+            assert np.array_equal(single.cluster_codes, full.cluster_codes)
+
+    def test_single_exposure_design_refuses_eventless_cohort(self, four_row_schema):
+        rows = [
+            dc.CohortRow(str(i), 0.0, float(i + 1), False,
+                         {"A": float(i % 2), "Aprime": float(i % 2)},
+                         {"L1": float(i)}, {})
+            for i in range(4)
+        ]
+        ds = dc.Dataset.from_rows(rows, four_row_schema)
+        spec = dc.ExposureSpec(kind="dichotomous", source_columns=("A", "Aprime"))
+        with pytest.raises(dc.errors.EstimationError, match="no informative strata"):
+            dc.single_exposure_design(ds, spec, 0)
+
+    def test_no_second_design_type_is_exported(self):
+        assert "BlockDesign" not in dc.__all__
+        assert not hasattr(dc.design, "BlockDesign")
+        assert not hasattr(dc.cox, "Design")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dupcox as dc
-from dupcox.errors import AliasedCoefficientError, SingularMatrixError
+from dupcox.errors import (AliasedCoefficientError, ConfigError, EstimationError,
+                           SingularMatrixError)
 from conftest import simulated_cohort
 from oracles import dense_wald
 
@@ -94,6 +96,37 @@ class TestWald:
         assert robust.statistic == pytest.approx(0.25)
         assert model.statistic == pytest.approx(1.0)
         assert robust.covariance_used == "robust"
+
+    def test_missing_robust_covariance_is_an_estimation_error(self):
+        fit = dataclasses.replace(fake_fit(["a", "b"], [1.0, 0.5], np.eye(2)),
+                                  robust_covariance=None)
+        for call in (lambda: dc.wald_multivariate(fit, ["a", "b"]),
+                     lambda: dc.wald_univariate(fit, "a"),
+                     lambda: dc.hazard_ratio(fit, "a")):
+            with pytest.raises(EstimationError, match="robust covariance was not computed"):
+                call()
+        assert dc.wald_univariate(fit, "a", "model").statistic == pytest.approx(1.0)
+        ds, spec = simulated_cohort(seed=22, n=120)
+        unrobust = dc.fit(dc.block_design(ds, spec), robust=False)
+        with pytest.raises(EstimationError, match="robust covariance was not computed"):
+            dc.wald_univariate(unrobust, "Exposures:A_type2")
+
+    def test_unknown_covariance_kind_or_name_is_a_config_error(self):
+        fit = fake_fit(["a", "b"], [1.0, 0.5], np.eye(2))
+        with pytest.raises(ConfigError, match="sandwich"):
+            dc.wald_univariate(fit, "a", "sandwich")
+        with pytest.raises(ConfigError, match="unknown coefficient"):
+            dc.hazard_ratio(fit, "z")
+
+    def test_aliased_name_refused_with_prune_aliased_text(self):
+        fit = fake_fit(["a", "b"], [1.0, math.nan], np.eye(2), aliased=[False, True])
+        with pytest.raises(AliasedCoefficientError) as pruned:
+            dc.prune_aliased(fit, required=("b",))
+        for call in (lambda: dc.wald_multivariate(fit, ["a", "b"]),
+                     lambda: dc.hazard_ratio(fit, "b")):
+            with pytest.raises(AliasedCoefficientError) as refused:
+                call()
+            assert str(refused.value) == str(pruned.value)
 
     def test_singular_block_reports_condition_number(self):
         cov = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -249,6 +282,36 @@ class TestCompareExposures:
         assert parsed["seed"] == 11
         assert parsed["difference_test"]["df"] == 1
         assert parsed["dataset"]["fingerprint"] == ds.fingerprint()
+
+    def test_exposure_terms_sum_main_and_interaction(self):
+        ds, _ = simulated_cohort(seed=47, n=300, betas=(0.5, 0.2))
+        ds = dataclasses.replace(ds, schema=dataclasses.replace(
+            ds.schema, exposure_columns=("A1", "A2", "A3")),
+            exposures=np.column_stack([ds.exposures, ds.exposures[:, ::-1].sum(axis=1)]))
+        spec = dc.ExposureSpec(kind="categorical", source_columns=("A1", "A2", "A3"),
+                               n_levels=3)
+        report = dc.compare_exposures(ds, spec)
+        fit = report.fit
+        for j, summary in enumerate(report.exposures):
+            for t in summary.terms:
+                names = (t.term,) if j == 0 else (t.term, f"{t.term}:A_type{j + 1}")
+                idx = [fit.column_names.index(n) for n in names]
+                assert t.coefficient == sum(fit.coefficients[i] for i in idx)
+                var = fit.robust_covariance[np.ix_(idx, idx)].sum()
+                assert t.se == pytest.approx(math.sqrt(var), rel=1e-12)
+
+    def test_report_hashes_the_cohort_only_when_asked(self, monkeypatch):
+        ds, spec = simulated_cohort(seed=48, n=120)
+        calls = []
+        original = dc.Dataset.fingerprint
+        monkeypatch.setattr(dc.Dataset, "fingerprint",
+                            lambda self: calls.append(1) or original(self))
+        report = dc.compare_exposures(ds, spec)
+        assert calls == []
+        assert report.n_rows == 120 and report.n_events == int(ds.event.sum())
+        assert report.dataset_fingerprint == original(ds)
+        assert report.to_dict()["dataset"]["fingerprint"] == original(ds)
+        assert len(calls) == 1
 
     def test_stage_labels_on_errors(self, four_row_dataset):
         spec = dc.ExposureSpec(kind="categorical", source_columns=("A", "Aprime"),

@@ -47,6 +47,18 @@ class TestSimulateCohort:
         assert a.fingerprint() == b.fingerprint()
         assert dc.simulate_cohort(cfg, 4).fingerprint() != a.fingerprint()
 
+    def test_ids_and_strata_are_plain_string_labels(self):
+        ds = dc.simulate_cohort(config(n_subjects=30, n_strata=12), 0)
+        assert ds.subject_ids.dtype == object and ds.strata.dtype == object
+        assert ds.subject_ids.tolist() == [str(i + 1) for i in range(30)]
+        assert all(type(v) is str for v in ds.subject_ids)
+        assert all(type(v) is str for v in ds.strata[:, 0])
+        # The labels drawn by the row-by-row f"s{v}" construction.
+        assert ds.strata[:, 0].tolist() == [
+            "s9", "s0", "s11", "s9", "s8", "s3", "s9", "s3", "s10", "s11", "s10", "s4",
+            "s10", "s5", "s9", "s11", "s4", "s9", "s11", "s10", "s2", "s5", "s5", "s2",
+            "s2", "s0", "s8", "s0", "s1", "s1"]
+
     def test_high_censoring_starves_events(self):
         sparse = dc.simulate_cohort(config(censoring_rate=0.97, n_subjects=400), 0)
         dense = dc.simulate_cohort(config(censoring_rate=0.0, n_subjects=400), 0)
