@@ -35,7 +35,7 @@ _SCHEMA_KEYS = {"id", "entry", "exit", "event", "exposures", "covariates", "stra
 _EXPOSURE_KEYS = {"kind", "columns", "levels", "reference", "scale", "confidence"}
 # Config keys -> FitOptions fields; an absent key keeps the field's default.
 _FIT_FIELDS = {"ties": "tie_method", "max_iterations": "max_iterations",
-               "gradient_tolerance": "gradient_tolerance", "step_halvings": "step_halvings_max"}
+               "gradient_tolerance": "gradient_tolerance"}
 # Simulation keys that are SimConfig fields, the required ones first, and the
 # keys passed to the calibration runner.
 _SIM_REQUIRED = ("n_subjects", "exposure_correlation", "true_beta", "replicate_count")

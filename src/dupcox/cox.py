@@ -27,7 +27,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .design import DesignMatrix
 from .errors import ConfigError, EstimationError, SingularMatrixError
@@ -42,15 +41,19 @@ ALIASING_PIVOT_RATIO = 1e-10
 # as probable monotone likelihood (separation).
 SEPARATION_COEF_BOUND = 20.0
 
+# Most halvings of a Newton step that lowers the log partial likelihood.
+STEP_HALVINGS_MAX = 10
+
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Optimizer knobs; defaults follow standard Cox practice."""
+    """Optimizer knobs; defaults follow standard Cox practice.  ``gradient_tolerance``
+    bounds ``sqrt(score' I^-1 score)``, the distance left to the optimum in
+    standard errors, which no shift or rescaling of a column changes."""
 
     tie_method: str = "efron"
     max_iterations: int = 25
-    gradient_tolerance: float = 1e-9
-    step_halvings_max: int = 10
+    gradient_tolerance: float = 1e-10
 
     def __post_init__(self):
         if self.tie_method not in TIE_METHODS:
@@ -387,15 +390,15 @@ def _aliased_columns(info: np.ndarray, pivot_ratio: float = ALIASING_PIVOT_RATIO
     return aliased
 
 
-def _symmetric_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
+def _symmetric_inverse(matrix: np.ndarray) -> np.ndarray:
+    """``L^-T L^-1`` from the Cholesky factor ``L``; exactly symmetric."""
     try:
-        factor = scipy.linalg.cho_factor(matrix)
-        inv = scipy.linalg.cho_solve(factor, np.eye(matrix.shape[0]))
-    except scipy.linalg.LinAlgError:
+        inv_factor = np.linalg.inv(np.linalg.cholesky(matrix))
+    except np.linalg.LinAlgError:
         cond = float(np.linalg.cond(matrix))
-        raise SingularMatrixError(f"{what} is singular on the non-aliased subspace (condition "
-                                  f"number {cond:.3e})", condition_number=cond) from None
-    return (inv + inv.T) / 2.0
+        raise SingularMatrixError(f"information matrix is singular on the non-aliased subspace "
+                                  f"(condition number {cond:.3e})", condition_number=cond) from None
+    return inv_factor.T @ inv_factor
 
 
 def _expand(values: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -410,12 +413,15 @@ def fit(design: DesignMatrix, options: FitOptions | None = None,
     """Newton-Raphson maximization of the stratified log partial likelihood.
 
     Columns found exactly collinear in the information at the starting point
-    are excluded and flagged in ``aliased_mask``.  A step that decreases the
-    log partial likelihood is halved up to ``step_halvings_max`` times.
-    Convergence means the max-norm of the score dropped to
-    ``gradient_tolerance``; a non-converged fit is returned (not raised)
-    with diagnostics, including a probable-separation flag when a
-    coefficient runs beyond +-20 with the likelihood still increasing.
+    are excluded and flagged in ``aliased_mask``.  One inverse ``I^-1`` of the
+    information per iterate gives the step ``I^-1 score``, the stop (the
+    Newton decrement ``score' I^-1 score`` at most ``gradient_tolerance**2``)
+    and, on exit, the model covariance; an ``I`` that is not positive definite
+    raises :class:`SingularMatrixError`.  A step that decreases the log
+    partial likelihood is halved up to ``STEP_HALVINGS_MAX`` times.  A
+    non-converged fit is returned (not raised) with diagnostics, including a
+    probable-separation flag when a coefficient runs beyond +-20 with the
+    likelihood still increasing.
     """
     options = options or FitOptions()
     engine = _Engine(design, options.tie_method)
@@ -434,23 +440,21 @@ def fit(design: DesignMatrix, options: FitOptions | None = None,
     message = ""
     iterations = 0
     for iterations in range(options.max_iterations + 1):
-        if np.abs(ev.score).max() <= options.gradient_tolerance:
+        cov = _symmetric_inverse(ev.info)
+        step = cov @ ev.score
+        if ev.score @ step <= options.gradient_tolerance ** 2:
             converged = True
             break
         if iterations == options.max_iterations:
             message = f"no convergence in {options.max_iterations} iterations"
             break
-        try:
-            step = scipy.linalg.cho_solve(scipy.linalg.cho_factor(ev.info), ev.score)
-        except (scipy.linalg.LinAlgError, ValueError):
-            step = np.linalg.pinv(ev.info) @ ev.score
         # Near the optimum a productive Newton step moves the likelihood by
         # less than float resolution while the score still shrinks; halve
         # only on a decrease beyond rounding noise.
         slack = 1e-10 * (abs(ll) + 1.0)
         scale_factor = 1.0
         accepted = False
-        for _ in range(options.step_halvings_max + 1):
+        for _ in range(STEP_HALVINGS_MAX + 1):
             cand = beta + scale_factor * step
             # An accepted candidate's evaluation serves the next iteration.
             # Out-of-range candidates can underflow a risk-set sum to zero;
@@ -471,17 +475,15 @@ def fit(design: DesignMatrix, options: FitOptions | None = None,
         message = (message + "; " if message else "") + \
             "coefficient magnitude > 20 with increasing likelihood: probable separation"
 
-    # Every exit from the loop leaves ``ev`` evaluated at the final ``beta``.
-    model_cov_active = _symmetric_inverse(ev.info, "information matrix")
     sandwich = None
     if robust and converged:
-        sandwich = _expand(_sandwich(engine, ev, model_cov_active), ~aliased)
+        sandwich = _expand(_sandwich(engine, ev, cov), ~aliased)
 
     diagnostics = FitDiagnostics(engine.n_strata_used, engine.n_strata_skipped,
                                  engine.n_events, separation, message)
     return CoxFit(
         column_names=design.column_names, coefficients=_expand(beta, ~aliased),
-        model_covariance=_expand(model_cov_active, ~aliased), robust_covariance=sandwich,
+        model_covariance=_expand(cov, ~aliased), robust_covariance=sandwich,
         log_partial_likelihood=ll, iterations=iterations, converged=converged,
         aliased_mask=aliased, options=options, diagnostics=diagnostics,
     )
@@ -502,13 +504,13 @@ def robust_covariance(design: DesignMatrix, fit_result: CoxFit) -> np.ndarray:
     ``A`` is the observed information and ``M`` sums, over clusters of rows
     sharing ``design.cluster_id`` (the duplicated copies of a subject), the
     outer products of cluster-summed score residuals.  Aliased positions are
-    NaN, matching the fitted coefficient vector.  ``fit`` computes the same
-    matrix from its own risk-set index; this entry point rebuilds it.
+    NaN, matching the fitted coefficient vector; ``A^-1`` is the fit's model
+    covariance.  ``fit`` computes the same matrix from its own risk-set index.
     """
     if not fit_result.converged:
         raise EstimationError("robust covariance requires a converged fit")
     active = np.flatnonzero(~fit_result.aliased_mask)
     engine = _Engine(design, fit_result.options.tie_method)
     ev = engine.evaluate(fit_result.coefficients[active], active)
-    a_inv = _symmetric_inverse(ev.info, "information matrix")
+    a_inv = fit_result.model_covariance[np.ix_(active, active)]
     return _expand(_sandwich(engine, ev, a_inv), ~fit_result.aliased_mask)

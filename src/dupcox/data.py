@@ -490,8 +490,8 @@ def validate(dataset: Dataset) -> ValidationReport:
     s = dataset.schema
     names = [s.entry_column or "entry", s.exit_column,
              *s.exposure_columns, *s.covariate_columns]
-    finite = np.isfinite(np.column_stack(
-        [dataset.entry, dataset.exit, dataset.exposures, dataset.covariates]))
+    values = np.column_stack([dataset.entry, dataset.exit, dataset.exposures, dataset.covariates])
+    finite = np.isfinite(values)
     bad_rows = np.flatnonzero(~finite.all(axis=1))
     bad_columns = [names[j] for j in np.flatnonzero(~finite.all(axis=0))]
     checks.append(CheckResult(
@@ -534,13 +534,9 @@ def validate(dataset: Dataset) -> ValidationReport:
         tuple(silent),
     ))
 
-    constant: list[str] = []
-    names = dataset.schema.exposure_columns + dataset.schema.covariate_columns
-    blocks = np.hstack([dataset.exposures, dataset.covariates]) if len(dataset) else None
-    if blocks is not None and len(dataset) > 0:
-        for j, name in enumerate(names):
-            if np.ptp(blocks[:, j]) == 0.0:
-                constant.append(name)
+    # Exposure and covariate columns follow the two time columns in ``values``.
+    constant = [names[2 + j] for j in np.flatnonzero(np.ptp(values[:, 2:], axis=0) == 0)] \
+        if len(dataset) else []
     checks.append(CheckResult(
         "constant_columns", not constant,
         "no constant exposure/covariate columns" if not constant

@@ -108,27 +108,16 @@ def _quadratic_form(b: np.ndarray, block: np.ndarray, reference_scale: float) ->
     estimate there means the contrast is deterministic and cannot be
     Wald-tested.
     """
-    if len(b) == 1:
-        variance = float(block[0, 0])
-        if variance > _VARIANCE_FLOOR_RATIO * reference_scale:
-            return float(b[0] * (b[0] / variance))
-        z = b
-        live = np.array([False])
-        vals = np.array([variance])
-    else:
-        vals, vecs = np.linalg.eigh(block)
-        z = vecs.T @ b
-        live = vals > _VARIANCE_FLOOR_RATIO * reference_scale
-    dead = ~live
-    if dead.any() and np.any(np.abs(z[dead]) > 1e-6 * math.sqrt(reference_scale)):
+    vals, vecs = np.linalg.eigh(block)
+    z = vecs.T @ b
+    live = vals > _VARIANCE_FLOOR_RATIO * reference_scale
+    if np.any(np.abs(z[~live]) > 1e-6 * math.sqrt(reference_scale)):
         cond = float(np.linalg.cond(block))
         raise SingularMatrixError(
             "test covariance block is singular along a direction with a "
             f"nonzero estimate (condition number {cond:.3e})",
             condition_number=cond,
         )
-    if not live.any():
-        return 0.0
     return float(np.sum(z[live] ** 2 / vals[live]))
 
 

@@ -193,10 +193,11 @@ class TestConfigDefaults:
     def test_empty_fit_block_gives_fit_option_defaults(self):
         assert _build_fit_options({}) == dc.FitOptions()
         assert _build_fit_options(None) == dc.FitOptions()
-        assert _build_fit_options({"ties": "breslow", "step_halvings": 3}) == \
-            dc.FitOptions(tie_method="breslow", step_halvings_max=3)
+        assert _build_fit_options({"ties": "breslow"}) == dc.FitOptions(tie_method="breslow")
         assert _build_fit_options({"max_iterations": 7, "gradient_tolerance": 1e-6}) == \
             dc.FitOptions(max_iterations=7, gradient_tolerance=1e-6)
+        with pytest.raises(ConfigError, match=r"fit: unknown key\(s\) \['step_halvings'\]"):
+            _build_fit_options({"ties": "breslow", "step_halvings": 3})
 
     def test_required_simulation_keys_give_sim_config_defaults(self):
         built = _build_sim_config(dict(self.REQUIRED), None)

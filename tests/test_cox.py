@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dupcox as dc
-from dupcox.errors import EstimationError
+from dupcox.cox import _symmetric_inverse
+from dupcox.errors import EstimationError, SingularMatrixError
 from oracles import (
     brute_force_loglik,
     brute_force_score_residuals,
@@ -138,12 +140,20 @@ class TestFit:
         assert result.coefficients[0] == pytest.approx(oracle, abs=1e-6)
 
     def test_score_norm_at_optimum_below_tolerance(self):
+        # Converged means the Newton decrement s' I^-1 s is at most tol^2.
         rng = np.random.default_rng(88)
         d = random_design(rng, n=30, p=2, ties=True, truncation=False)
         result = dc.fit(d)
         assert result.converged
         beta = result.coefficients
-        assert np.abs(dc.score(d, beta)).max() <= result.options.gradient_tolerance
+        s = dc.score(d, beta)
+        decrement = s @ np.linalg.solve(dc.information(d, beta), s)
+        assert 0.0 <= decrement <= result.options.gradient_tolerance ** 2
+
+    def test_information_not_positive_definite_raises(self):
+        with pytest.raises(SingularMatrixError) as refused:
+            _symmetric_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        assert refused.value.condition_number > 1e15
 
     def test_perfect_separation_diagnosed(self):
         d = plain_design(np.array([[1.0], [0.0]]), [1.0, 2.0], [1, 0])
@@ -271,6 +281,7 @@ class TestRobustCovariance:
                 continue
             b = result.robust_covariance
             assert np.max(np.abs(b - b.T)) <= 1e-10 * np.max(np.abs(b))
+            assert np.array_equal(result.model_covariance, result.model_covariance.T)
 
     def test_requires_converged_fit(self):
         d = plain_design(np.array([[1.0], [0.0]]), [1.0, 2.0], [1, 0])
@@ -282,11 +293,12 @@ class TestRobustCovariance:
 
 
 class TestConvergenceAtScale:
-    """Large cohorts converge at the default 1e-9 score tolerance.
+    """Large cohorts converge at the default tolerance.
 
     With risk-set sums formed as differences of whole-stratum running totals,
-    the score's rounding noise at the optimum stayed above 1e-9 here and both
-    fits stopped after 25 iterations without converging.
+    the score's rounding noise at the optimum stayed above an absolute 1e-9
+    score tolerance here and both fits stopped after 25 iterations without
+    converging.
     """
 
     @staticmethod
@@ -300,15 +312,50 @@ class TestConvergenceAtScale:
         dataset = self.cohort(100_000, (0.5, 0.3), 1)
         spec = dc.ExposureSpec(kind="continuous", source_columns=("A1", "A2"))
         result = dc.compare_exposures(dataset, spec).fit
-        assert result.options.gradient_tolerance == 1e-9
+        assert result.options.gradient_tolerance == 1e-10
         assert result.converged, result.diagnostics.message
 
     def test_50k_quintiles_small_effects_converge(self):
         dataset = self.cohort(50_000, (0.2, 0.2), 10)
         spec = dc.ExposureSpec(kind="categorical", source_columns=("A1", "A2"), n_levels=5)
         result = dc.compare_exposures(dataset, spec).fit
-        assert result.options.gradient_tolerance == 1e-9
+        assert result.options.gradient_tolerance == 1e-10
         assert result.converged, result.diagnostics.message
+
+
+class TestScaleFreeStop:
+    """The stop does not depend on a covariate's units.
+
+    A covariate in raw units, such as energy intake in kcal/day, leaves a
+    score whose rounding noise at the optimum grows with the column's scale.
+    An absolute 1e-9 bound on the score's max-norm stalled the kcal cohort
+    for 25 iterations without converging and took 9 on the rescaled one.
+    """
+
+    @staticmethod
+    def check(n, n_strata, scale, shift):
+        config = dc.SimConfig(n_subjects=n, exposure_correlation=0.7, true_beta=(0.5, 0.3),
+                              covariate_effects=(0.2, -0.1), n_strata=n_strata,
+                              replicate_count=1, master_seed=1)
+        dataset = dc.simulate_cohort(config, 0)
+        covariates = dataset.covariates.copy()
+        covariates[:, 0] = scale * covariates[:, 0] + shift  # L1
+        spec = dc.ExposureSpec(kind="continuous", source_columns=("A1", "A2"))
+        base = dc.compare_exposures(dataset, spec)
+        moved = dc.compare_exposures(replace(dataset, covariates=covariates), spec)
+        assert moved.fit.converged, moved.fit.diagnostics.message
+        assert moved.fit.iterations <= 6
+        assert moved.difference_test is not None
+        # A coefficient of the rescaled column is the original's over the scale.
+        mapped = moved.fit.coefficients * np.array(
+            [scale if name.split(":")[0] == "L1" else 1.0 for name in moved.fit.column_names])
+        assert mapped == pytest.approx(base.fit.coefficients, rel=1e-8, abs=0.0)
+
+    def test_kcal_units_converge(self):
+        self.check(5000, 4, 100.0, 2000.0)
+
+    def test_pure_rescale_converges(self):
+        self.check(50_000, 1, 2000.0, 0.0)
 
 
 def many_strata_design(seed, n_small=2000, n_big=1500):

@@ -408,6 +408,25 @@ class TestValidate:
         assert not report["constant_columns"].passed
         assert "L1" in report["constant_columns"].offenders
 
+        # Constant times are not flagged; constant exposures and covariates
+        # are, in schema order; an empty cohort has none.
+        schema = dc.Schema(id_column="id", exit_column="t", event_column="y",
+                           exposure_columns=("a", "b", "c"), covariate_columns=("l1", "l2"))
+
+        def cohort(n):
+            x = np.arange(n, dtype=float)
+            return dc.Dataset(schema, np.array([str(i) for i in range(n)], dtype=object),
+                              np.zeros(n), np.full(n, 2.0), np.ones(n, dtype=bool),
+                              np.column_stack([x, np.full(n, 3.0), x]),
+                              np.column_stack([np.full(n, -1.0), x]),
+                              np.empty((n, 0), dtype=object))
+
+        check = dc.validate(cohort(6))["constant_columns"]
+        assert check.offenders == ("b", "l1")
+        assert check.detail == "constant column(s): b, l1"
+        empty = dc.validate(cohort(0))["constant_columns"]
+        assert empty.passed and empty.offenders == ()
+
     def test_eventless_stratum_flagged(self):
         schema = dc.Schema(id_column="id", exit_column="t", event_column="y",
                            exposure_columns=("a", "b"), strata_columns=("g",))

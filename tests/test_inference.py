@@ -133,6 +133,11 @@ class TestWald:
         fit = fake_fit(["a", "b"], [1.0, 2.0], cov)
         with pytest.raises(SingularMatrixError):
             dc.wald_multivariate(fit, ["a", "b"])
+        # One coefficient with zero variance and a non-zero estimate.
+        fit = fake_fit(["a", "b"], [1.0, 2.0], np.eye(2), robust=np.diag([0.0, 1.0]))
+        with pytest.raises(SingularMatrixError) as refused:
+            dc.wald_multivariate(fit, ["a"])
+        assert refused.value.condition_number == np.inf
 
     def test_matches_dense_oracle_on_quintile_pipeline(self):
         ds, _ = simulated_cohort(seed=21, n=300, betas=(0.6, 0.1), rho=0.5)
