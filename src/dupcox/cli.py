@@ -57,6 +57,8 @@ def _load_config(path: str, command: str, overrides: dict) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text ({exc.reason})") from None
     try:
         config = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -165,6 +167,8 @@ def _load_and_validate(config: dict):
         dataset = load_dataset(config["input"], schema)
     except FileNotFoundError:
         raise DataError(f"input file {config['input']} does not exist") from None
+    except OSError as exc:
+        raise DataError(f"cannot read input file {config['input']}: {exc.strerror}") from None
     report = validate(dataset)
     for check in report.checks:
         if not check.passed:

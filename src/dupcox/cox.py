@@ -391,13 +391,21 @@ def _aliased_columns(info: np.ndarray, pivot_ratio: float = ALIASING_PIVOT_RATIO
 
 
 def _symmetric_inverse(matrix: np.ndarray) -> np.ndarray:
-    """``L^-T L^-1`` from the Cholesky factor ``L``; exactly symmetric."""
+    """``L^-T L^-1`` from the Cholesky factor ``L``; exactly symmetric.
+
+    A matrix with no Cholesky factor raises :class:`SingularMatrixError`
+    naming its smallest eigenvalue (zero or negative up to rounding) as well
+    as its condition number, which can read small for an indefinite matrix.
+    """
     try:
         inv_factor = np.linalg.inv(np.linalg.cholesky(matrix))
     except np.linalg.LinAlgError:
+        smallest = float(np.linalg.eigvalsh(matrix)[0])
         cond = float(np.linalg.cond(matrix))
-        raise SingularMatrixError(f"information matrix is singular on the non-aliased subspace "
-                                  f"(condition number {cond:.3e})", condition_number=cond) from None
+        raise SingularMatrixError(
+            "information matrix is not positive definite on the non-aliased subspace "
+            f"(smallest eigenvalue {smallest:.6g}, condition number {cond:.3e})",
+            condition_number=cond) from None
     return inv_factor.T @ inv_factor
 
 

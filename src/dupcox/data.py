@@ -194,9 +194,14 @@ class Dataset:
             h.update(np.ascontiguousarray(block, dtype="<f8").tobytes())
         h.update(np.asarray(self.event, dtype=np.uint8).tobytes())
         for labels in (self.subject_ids, self.strata.ravel()):
-            encoded = list(map(str.encode, map(str, labels)))
-            h.update(np.fromiter(map(len, encoded), dtype="<u8", count=len(encoded)).tobytes())
-            h.update(b"".join(encoded))
+            strs = list(map(str, labels))
+            text = "".join(strs)
+            data = text.encode()
+            # One byte per character: every label is ASCII, its length its byte count.
+            lengths = (map(len, strs) if len(data) == len(text)
+                       else (len(s.encode()) for s in strs))
+            h.update(np.fromiter(lengths, dtype="<u8", count=len(strs)).tobytes())
+            h.update(data)
         return h.hexdigest()
 
 
@@ -325,11 +330,27 @@ def load_dataset(path: str | Path, schema: Schema) -> Dataset:
     ParseError
         If a row has fewer fields than the header, a cell cannot be parsed or
         is not finite (``nan``, ``inf``), or a subject id is empty; the error
-        names the data row and, for a cell, the column.
+        names the data row and, for a cell, the column.  Also if the file is
+        not UTF-8 text.
     ValidationError
         If a row has ``entry_time >= exit_time``; the error names the subject.
     """
     path = Path(path)
+    try:
+        chunks, n_rejected = _read_chunks(path, schema)
+    except UnicodeDecodeError as exc:
+        # The decoder's offset counts from its current chunk, not the file start.
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if n_rejected:
+        warnings.warn(
+            f"{path}: rejected {n_rejected} row(s) with missing exposure/covariate values",
+            stacklevel=2,
+        )
+    return Dataset(schema, *map(np.concatenate, zip(*chunks)), n_rejected_missing=n_rejected)
+
+
+def _read_chunks(path: Path, schema: Schema):
+    """The parsed column chunks of ``path`` (at least one) and the rejected-row count."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header_line = fh.readline()
         if header_line == "":
@@ -355,15 +376,9 @@ def load_dataset(path: str | Path, schema: Schema) -> Dataset:
             chunks.append(columns)
             n_rejected += n_missing
             row += len(records)
-
-    if n_rejected:
-        warnings.warn(
-            f"{path}: rejected {n_rejected} row(s) with missing exposure/covariate values",
-            stacklevel=2,
-        )
     if not chunks:
         chunks.append(_parse_chunk([], 0, width, positions, schema)[0])
-    return Dataset(schema, *map(np.concatenate, zip(*chunks)), n_rejected_missing=n_rejected)
+    return chunks, n_rejected
 
 
 def _parse_chunk(records, row: int, width: int, positions: dict[str, int], schema: Schema):

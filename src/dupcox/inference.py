@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import gammaincc, ndtri
 
 from .cox import CoxFit, FitOptions, fit as cox_fit
 from .data import Dataset
@@ -23,17 +23,40 @@ from .errors import AliasedCoefficientError, ConfigError, SingularMatrixError
 
 
 def chi_square_upper_tail(q: float, df: int) -> float:
-    """Upper-tail chi-square probability via the regularized incomplete gamma.
+    """Upper-tail chi-square probability ``Q(df/2, q/2)`` for integer ``df``.
 
-    Computed as ``Q(df/2, q/2)`` directly, never as ``1 - cdf``, so small
-    tail probabilities do not cancel; relative accuracy is at the 1e-12
-    level of the underlying gamma routine.
+    With ``y = q/2`` the regularized upper incomplete gamma has a closed form
+    for integer and half-integer shape (Abramowitz & Stegun 26.4.4-5)::
+
+        Q(df/2, y) = [erfc(sqrt(y)) if df is odd]
+                     + sum of y**a exp(-y) / Gamma(a + 1), a = df/2 - 1, df/2 - 2, ... > -1
+
+    Every term is positive and each is formed as one ``exp`` of its logarithm,
+    so a small tail never cancels and no term overflows; relative error is
+    below 1e-12 wherever the probability exceeds 1e-300.  ``q = 0`` gives 1,
+    ``q = inf`` 0 and ``q = nan`` nan.  A ``df`` below 1 or not an integer,
+    or a negative ``q``, raises :class:`ConfigError`.
     """
     if df < 1:
         raise ConfigError(f"degrees of freedom must be >= 1, got {df}")
+    if not float(df).is_integer():
+        raise ConfigError(f"degrees of freedom must be an integer, got {df}")
     if q < 0:
         raise ConfigError(f"chi-square statistic must be >= 0, got {q}")
-    return float(gammaincc(df / 2.0, q / 2.0))
+    if math.isnan(q):
+        return math.nan
+    if q == 0:
+        return 1.0
+    if math.isinf(q):
+        return 0.0
+    df = int(df)
+    y = q / 2.0
+    log_y = math.log(y)
+    terms = [math.exp(a * log_y - y - math.lgamma(a + 1.0))
+             for a in (df / 2.0 - 1.0 - j for j in range(df // 2))]
+    if df % 2:
+        terms.append(math.erfc(math.sqrt(y)))
+    return math.fsum(terms)
 
 
 @dataclass(frozen=True)
@@ -152,6 +175,9 @@ def wald_univariate(fit_result: CoxFit, name: str, covariance: str = "robust") -
     return wald_multivariate(fit_result, (name,), covariance)
 
 
+_STANDARD_NORMAL = NormalDist()
+
+
 @dataclass(frozen=True)
 class HazardRatio:
     value: float
@@ -166,7 +192,7 @@ def _sum_hazard_ratio(fit_result: CoxFit, cov: np.ndarray, idx, scale: float,
     est = float(weights @ fit_result.coefficients[idx])
     var = float(weights @ cov[np.ix_(idx, idx)] @ weights)
     se = math.sqrt(max(var, 0.0))
-    z = float(ndtri((1.0 + confidence) / 2.0))
+    z = _STANDARD_NORMAL.inv_cdf((1.0 + confidence) / 2.0)
     hr = HazardRatio(
         value=math.exp(scale * est),
         ci_lower=math.exp(scale * (est - z * se)),

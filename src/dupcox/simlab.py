@@ -279,7 +279,11 @@ def ks_uniform_statistic(p_values) -> float:
 
 
 def ks_critical_value(n: int, level: float = 0.01) -> float:
-    """Finite-sample critical value for the one-sample KS statistic."""
+    """Finite-sample critical value for the one-sample KS statistic.
+
+    The only use of scipy in the package; it is imported on the first call,
+    so ``import dupcox`` and the CLI do without it.
+    """
     from scipy.stats import kstwo
 
     return float(kstwo.isf(level, n))

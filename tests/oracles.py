@@ -7,9 +7,12 @@ paths.
 """
 
 import csv
+import hashlib
 import io
+import json
 import math
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +366,22 @@ def serialize_by_rows(dataset):
         record += [str(v) for v in dataset.strata[i]]
         writer.writerow(record)
     return buf.getvalue()
+
+
+def fingerprint_by_labels(dataset):
+    """SHA-256 of the cohort with every label encoded on its own; the
+    reference for ``Dataset.fingerprint``."""
+    h = hashlib.sha256()
+    h.update(json.dumps([asdict(dataset.schema), len(dataset)], sort_keys=True).encode("utf-8"))
+    for block in (dataset.entry, dataset.exit, dataset.exposures, dataset.covariates):
+        h.update(np.ascontiguousarray(block, dtype="<f8").tobytes())
+    h.update(np.asarray(dataset.event, dtype=np.uint8).tobytes())
+    for labels in (dataset.subject_ids, dataset.strata.ravel()):
+        encoded = [str(label).encode("utf-8") for label in labels]
+        for label in encoded:
+            h.update(len(label).to_bytes(8, "little"))
+        h.update(b"".join(encoded))
+    return h.hexdigest()
 
 
 def strata_without_events(keys, event):

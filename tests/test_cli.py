@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +93,30 @@ class TestCompareCommand:
         doc = compare_config(tmp_path / "nope.csv", tmp_path)
         cfg = write_config(tmp_path, doc)
         assert main(["compare", "--config", str(cfg)]) == 2
+
+    def test_non_utf8_input_exits_two(self, tmp_path, cohort_csv, capsys):
+        raw = cohort_csv.read_bytes()
+        second_row = raw.index(b"\n", raw.index(b"\n") + 1) + 1
+        cohort_csv.write_bytes(raw[:second_row] + b"\xff" + raw[second_row:])
+        cfg = write_config(tmp_path, compare_config(cohort_csv, tmp_path))
+        assert main(["compare", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "not UTF-8 text" in err and "Traceback" not in err
+
+    def test_directory_input_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, compare_config(tmp_path, tmp_path))
+        assert main(["compare", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read input file {tmp_path}: ")
+        assert "Traceback" not in err
+
+    def test_non_utf8_config_exits_one(self, tmp_path, cohort_csv, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(json.dumps(compare_config(cohort_csv, tmp_path)).encode() + b"\xff")
+        assert main(["compare", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file {cfg} is not UTF-8 text")
 
     def test_non_finite_cell_exits_two(self, tmp_path, cohort_csv, capsys):
         lines = cohort_csv.read_text(encoding="utf-8").splitlines()
@@ -227,3 +254,12 @@ class TestConfigDefaults:
         empty = json.loads((tmp_path / "report.json").read_text())["report"]
         assert empty == bare
         assert empty["fit"]["gradient_tolerance"] == dc.FitOptions().gradient_tolerance
+
+
+def test_import_loads_no_scipy():
+    # A fresh interpreter, so that modules other tests imported do not count.
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import dupcox, dupcox.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe, str(Path(dc.__file__).parents[1])],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

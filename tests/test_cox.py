@@ -155,6 +155,12 @@ class TestFit:
             _symmetric_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
         assert refused.value.condition_number > 1e15
 
+    def test_indefinite_information_named_by_its_eigenvalue(self):
+        with pytest.raises(SingularMatrixError,
+                           match="not positive definite .*smallest eigenvalue -1,") as refused:
+            _symmetric_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert refused.value.condition_number == pytest.approx(3.0)
+
     def test_perfect_separation_diagnosed(self):
         d = plain_design(np.array([[1.0], [0.0]]), [1.0, 2.0], [1, 0])
         result = dc.fit(d, robust=False)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import dupcox as dc
 from dupcox.errors import DataError, ParseError, SchemaError, ValidationError
 from oracles import (
+    fingerprint_by_labels,
     load_dataset_by_rows,
     overlapping_subjects,
     serialize_by_rows,
@@ -161,6 +162,17 @@ class TestLoad:
         ds, plain = (dc.load_dataset(p, four_row_schema) for p in (path, four_row_path))
         assert ds == plain
         assert ds.fingerprint() == plain.fingerprint()
+
+    def test_non_utf8_bytes_are_a_parse_error(self, tmp_path, four_row_path, four_row_schema):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(four_row_path.read_bytes().replace(b"\n3,", b"\n\xff3,"))
+        with pytest.raises(ParseError, match=r"latin\.csv: not UTF-8 text \(invalid start byte\)"):
+            dc.load_dataset(path, four_row_schema)
+
+    def test_directory_input_is_an_os_error(self, tmp_path, four_row_schema):
+        # load_dataset leaves OS failures to the caller; the CLI maps them to DataError.
+        with pytest.raises(IsADirectoryError):
+            dc.load_dataset(tmp_path, four_row_schema)
 
     def test_tab_delimiter_autodetected(self, tmp_path, four_row_schema):
         rows = [line.replace(",", "\t")
@@ -520,6 +532,17 @@ class TestFingerprint:
     def test_changes_with_any_single_cell(self, field, index, value):
         ds = _delayed_entry_cohort()
         assert _with_cell(ds, field, index, value).fingerprint() != ds.fingerprint()
+
+    @pytest.mark.parametrize("ids, strata", [
+        (["u1", "u1", "u2", "u3"], [["f", "north"], ["f", "north"], ["m", "south"], ["f", "s"]]),
+        (["é", "é", "日本", "ü"], [["é", "日本"], ["é", "日本"], ["ß", "日"], ["é", "ø"]]),
+        (["u1", "u1", "日本", "u3"], [["f", "north"], ["f", "north"], ["m", "south"], ["f", "é"]]),
+        ([1, 1, 2, 30], [["f", "north"], ["f", "north"], ["m", "south"], ["f", "x"]]),
+    ], ids=["ascii", "non-ascii", "mixed", "integer-ids"])
+    def test_equals_per_label_reference(self, ids, strata):
+        ds = replace(_delayed_entry_cohort(), subject_ids=np.array(ids, dtype=object),
+                     strata=np.array(strata, dtype=object))
+        assert ds.fingerprint() == fingerprint_by_labels(ds)
 
     def test_label_boundaries_are_hashed(self):
         ds = _delayed_entry_cohort()

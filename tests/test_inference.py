@@ -50,6 +50,36 @@ class TestChiSquareTail:
         df = 3
         assert dc.chi_square_upper_tail(q + bump, df) < dc.chi_square_upper_tail(q, df)
 
+    def test_matches_scipy_regularized_gamma(self):
+        from scipy.special import gammaincc
+        qs = np.concatenate([[0.0], np.geomspace(1e-6, 4000.0, 300)])
+        for df in [*range(1, 61), 100, 200]:
+            got = np.array([dc.chi_square_upper_tail(q, df) for q in qs])
+            want = gammaincc(df / 2.0, qs / 2.0)
+            tail = want > 1e-300
+            np.testing.assert_allclose(got[tail], want[tail], rtol=1e-12, atol=0,
+                                       err_msg=f"df={df}")
+            assert np.all(np.abs(got[~tail] - want[~tail]) <= 1e-300), f"df={df}"
+
+    def test_edge_values(self):
+        for df in (1, 2, 7):
+            assert dc.chi_square_upper_tail(math.inf, df) == 0.0
+            assert math.isnan(dc.chi_square_upper_tail(math.nan, df))
+        with pytest.raises(ConfigError, match="integer"):
+            dc.chi_square_upper_tail(1.0, 2.5)
+        with pytest.raises(ConfigError, match=">= 1"):
+            dc.chi_square_upper_tail(1.0, 0)
+        with pytest.raises(ConfigError, match=">= 0"):
+            dc.chi_square_upper_tail(-1.0, 2)
+
+
+def test_interval_quantile_matches_scipy_ndtri():
+    from scipy.special import ndtri
+    from dupcox.inference import _STANDARD_NORMAL
+    for confidence in np.linspace(0.5, 0.999999, 1001):
+        p = (1.0 + confidence) / 2.0
+        assert _STANDARD_NORMAL.inv_cdf(p) == pytest.approx(float(ndtri(p)), rel=1e-15, abs=0)
+
 
 class TestWald:
     def test_identity_covariance_unit_coefficients(self):
