@@ -19,6 +19,11 @@ Efron sub-steps (one per event), so running totals restart at each stratum
 and one pass evaluates all strata and blocks.  Risk-set sums are running
 totals over the rows less those over the rows entering late; the information
 and the score residuals both sum sub-step terms over each row's at-risk window.
+
+Score residuals stay in block coordinates: the sandwich sums them by cluster
+there and maps only its small middle matrix through ``T``.  Mapping each row
+through ``T`` would be a product over all rows, which OpenBLAS splits across
+its threads, and the woken worker then spins: CPU time for no speed.
 """
 
 from __future__ import annotations
@@ -301,9 +306,10 @@ class _Engine:
         return ll, xbar.sum(axis=2), info, (w, a, xbar, lam_fl)
 
     def residuals(self, ev: _Evaluation) -> np.ndarray:
-        """Per-row score residuals at ``ev``'s point; rows sum to its score."""
-        T = self.T[:, ev.cols].reshape(self.m, self.p_b, -1)
-        out = np.zeros((len(ev.cols), self.n + 1))
+        """Per-row score residuals at ``ev``'s point in block coordinates,
+        ``(m * p_b, n)`` with contiguous rows; mapped by ``T[:, ev.cols]``,
+        they sum to its score."""
+        out = np.zeros((self.m, self.p_b, self.n + 1))
         for bk, (w, a, xbar, lam_fl) in zip(self.buckets, ev.parts):
             # delta (X - mbar) - w (a X - window sum of xbar / S0), where mbar
             # is xbar averaged over the sub-steps of each tied time.
@@ -318,9 +324,8 @@ class _Engine:
                 delta[..., bk.tied] += np.take(xbar, bk.tied, axis=2) \
                     - np.take(means, bk.tied_group, axis=2)
             resid[..., bk.fail] += delta
-            # Straight into the coefficients' columns, one block at a time.
-            out[:, bk.rows] = sum(t.T @ r for t, r in zip(T, resid))
-        return out[:, :-1].T
+            out[:, :, bk.rows] = resid
+        return out.reshape(-1, self.n + 1)[:, :-1]
 
 
 def _evaluate(design: DesignMatrix, beta, tie_method: str):
@@ -364,10 +369,11 @@ def score_residuals(design: DesignMatrix, beta, tie_method: str = "efron") -> np
     Rows in strata without events contribute zero.  These are the building
     blocks of the cluster sandwich: sum them within ``design.cluster_id``
     groups before forming the outer-product middle matrix.  A row
-    carries the summed residuals of its ``m`` blocks.
+    carries the summed residuals of its ``m`` blocks, mapped to the
+    coefficients by ``design.block_map``.
     """
     engine, ev = _evaluate(design, beta, tie_method)
-    return engine.residuals(ev)
+    return engine.residuals(ev).T @ engine.T
 
 
 def _aliased_columns(info: np.ndarray, pivot_ratio: float = ALIASING_PIVOT_RATIO) -> np.ndarray:
@@ -498,11 +504,17 @@ def fit(design: DesignMatrix, options: FitOptions | None = None,
 
 
 def _sandwich(engine: _Engine, ev: _Evaluation, a_inv: np.ndarray) -> np.ndarray:
-    """``A^-1 M A^-1`` on ``ev``'s columns, given ``A^-1`` at ``ev``'s point."""
-    resid = engine.residuals(ev)
-    grouped = np.column_stack([np.bincount(engine.cluster_codes, weights=resid[:, j])
-                               for j in range(resid.shape[1])])
-    sandwich = a_inv @ (grouped.T @ grouped) @ a_inv
+    """``A^-1 M A^-1`` on ``ev``'s columns, given ``A^-1`` at ``ev``'s point.
+
+    The score residuals are summed by cluster in block coordinates, ``G``
+    ``(m * p_b, clusters)``.  Cluster sums commute with the block map, so
+    ``M = T_c' (G G') T_c`` with ``T_c = T[:, ev.cols]``, the same matrix as
+    the outer products of cluster-summed residuals in coefficient columns.
+    """
+    grouped = np.array([np.bincount(engine.cluster_codes, weights=r)
+                        for r in engine.residuals(ev)])
+    T = engine.T[:, ev.cols]
+    sandwich = a_inv @ (T.T @ (grouped @ grouped.T) @ T) @ a_inv
     return (sandwich + sandwich.T) / 2.0
 
 
@@ -511,9 +523,11 @@ def robust_covariance(design: DesignMatrix, fit_result: CoxFit) -> np.ndarray:
 
     ``A`` is the observed information and ``M`` sums, over clusters of rows
     sharing ``design.cluster_id`` (the duplicated copies of a subject), the
-    outer products of cluster-summed score residuals.  Aliased positions are
-    NaN, matching the fitted coefficient vector; ``A^-1`` is the fit's model
-    covariance.  ``fit`` computes the same matrix from its own risk-set index.
+    outer products of cluster-summed score residuals; the residuals are
+    summed in block coordinates and only ``M`` is mapped to the coefficients.
+    Aliased positions are NaN, matching the fitted coefficient vector;
+    ``A^-1`` is the fit's model covariance.  ``fit`` computes the same matrix
+    from its own risk-set index.
     """
     if not fit_result.converged:
         raise EstimationError("robust covariance requires a converged fit")

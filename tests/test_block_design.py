@@ -169,3 +169,22 @@ def test_score_residuals_match_brute_force_on_augmented_rows(ties):
     # Augmented row j * n + i is copy j of original row i.
     want = want.reshape(2, len(dataset), -1).sum(axis=0)
     assert dc.score_residuals(design, theta, ties) == pytest.approx(want, abs=1e-10)
+
+
+def test_sandwich_matches_cluster_sums_in_coefficient_columns():
+    # The fit sums score residuals by cluster in block coordinates and maps
+    # only the middle matrix; the oracle sums the coefficient-column residuals.
+    dataset = _cohort(9, 3, ties=True, truncation=True)
+    assert np.any(dataset.entry > 0)
+    assert len(np.unique(dataset.exit[dataset.event])) < dataset.event.sum()
+    spec = dc.ExposureSpec(kind="categorical", source_columns=("A1", "A2", "A3"), n_levels=3)
+    design = dc.block_design(dataset, spec)
+    result = dc.fit(design)
+    assert result.converged and not result.aliased_mask.any()
+    beta = result.coefficients
+    clusters, codes = np.unique(design.cluster_id, return_inverse=True)
+    assert len(clusters) * 3 == len(design)
+    U = np.zeros((len(clusters), design.n_columns))
+    np.add.at(U, codes, dc.score_residuals(design, beta))
+    a_inv = np.linalg.inv(dc.information(design, beta))
+    assert _relative(result.robust_covariance, a_inv @ (U.T @ U) @ a_inv) <= 1e-12

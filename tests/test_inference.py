@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,6 +351,28 @@ class TestCompareExposures:
         assert report.dataset_fingerprint == original(ds)
         assert report.to_dict()["dataset"]["fingerprint"] == original(ds)
         assert len(calls) == 1
+
+    def test_report_bytes_do_not_depend_on_blas_threads(self):
+        # Fresh interpreters, so that the thread count is set before numpy loads.
+        probe = (
+            "import json, sys; sys.path.insert(0, sys.argv[1]); import dupcox as dc\n"
+            "config = dc.SimConfig(n_subjects=20_000, exposure_correlation=0.7,"
+            " true_beta=(0.5, 0.3), covariate_effects=(0.3, -0.2), censoring_rate=0.3,"
+            " n_strata=4, replicate_count=1, master_seed=3)\n"
+            "spec = dc.ExposureSpec(kind='categorical', source_columns=('A1', 'A2'),"
+            " n_levels=5)\n"
+            "report = dc.compare_exposures(dc.simulate_cohort(config, 0), spec)\n"
+            "print(json.dumps(report.to_dict()))\n")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-c", probe, str(Path(dc.__file__).parents[1])], env=env,
+                capture_output=True, text=True, timeout=300, check=True)
+            outputs.append(done.stdout)
+        assert json.loads(outputs[0])["difference_test"] is not None
+        assert outputs[0] == outputs[1]
 
     def test_stage_labels_on_errors(self, four_row_dataset):
         spec = dc.ExposureSpec(kind="categorical", source_columns=("A", "Aprime"),
