@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .data import (
     CheckResult,
-    CohortRow,
     Dataset,
     Schema,
     ValidationReport,
@@ -48,14 +47,12 @@ from .inference import (
     ExposureSummary,
     ExposureTerm,
     HazardRatio,
-    PrunedFit,
     TestResult,
     chi_square_upper_tail,
     compare_exposures,
     format_hr_ci,
     format_p,
     hazard_ratio,
-    prune_aliased,
     render_table,
     wald_multivariate,
     wald_univariate,
@@ -73,7 +70,7 @@ from . import errors
 
 __all__ = [
     "__version__",
-    "Schema", "CohortRow", "Dataset", "ValidationReport", "CheckResult",
+    "Schema", "Dataset", "ValidationReport", "CheckResult",
     "load_dataset", "save_dataset", "validate",
     "ExposureSpec", "AugmentedDataset", "DesignMatrix",
     "categorize_quantiles", "dummy_code", "trend_scores",
@@ -81,8 +78,8 @@ __all__ = [
     "FitOptions", "FitDiagnostics", "CoxFit",
     "log_partial_likelihood", "score", "information", "score_residuals",
     "fit", "robust_covariance",
-    "TestResult", "PrunedFit", "HazardRatio", "ExposureTerm", "ExposureSummary",
-    "ComparisonReport", "chi_square_upper_tail", "prune_aliased",
+    "TestResult", "HazardRatio", "ExposureTerm", "ExposureSummary",
+    "ComparisonReport", "chi_square_upper_tail",
     "wald_multivariate", "wald_univariate", "hazard_ratio",
     "compare_exposures", "render_table", "format_hr_ci", "format_p",
     "SimConfig", "CalibrationResult", "simulate_cohort",

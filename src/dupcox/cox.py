@@ -376,7 +376,7 @@ def score_residuals(design: DesignMatrix, beta, tie_method: str = "efron") -> np
     return engine.residuals(ev).T @ engine.T
 
 
-def _aliased_columns(info: np.ndarray, pivot_ratio: float = ALIASING_PIVOT_RATIO) -> np.ndarray:
+def _aliased_columns(info: np.ndarray) -> np.ndarray:
     """Mark columns whose pivot collapses during an in-order Cholesky sweep.
 
     Keeps the earliest column of any collinear group (mirroring how aliased
@@ -387,7 +387,7 @@ def _aliased_columns(info: np.ndarray, pivot_ratio: float = ALIASING_PIVOT_RATIO
     diag0 = np.diag(info).copy()
     aliased = np.zeros(p, dtype=bool)
     for k in range(p):
-        if A[k, k] <= pivot_ratio * diag0[k] or diag0[k] <= 0.0:
+        if A[k, k] <= ALIASING_PIVOT_RATIO * diag0[k] or diag0[k] <= 0.0:
             aliased[k] = True
             A[k, :] = A[:, k] = 0.0
             continue

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -64,19 +63,6 @@ class Schema:
         names += list(self.covariate_columns)
         names += list(self.strata_columns)
         return names
-
-
-@dataclass(frozen=True)
-class CohortRow:
-    """One counting-process interval (entry, exit] for one subject."""
-
-    subject_id: str
-    entry_time: float
-    exit_time: float
-    event: bool
-    exposure_values: dict[str, float]
-    covariate_values: dict[str, float]
-    strata_values: dict[str, str]
 
 
 @dataclass(frozen=True)
@@ -131,28 +117,6 @@ class Dataset:
             and np.array_equal(self.covariates, other.covariates)
             and np.array_equal(self.strata, other.strata)
         )
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[CohortRow], schema: Schema,
-                  n_rejected_missing: int = 0) -> "Dataset":
-        rows = list(rows)
-        n = len(rows)
-        ids = np.array([r.subject_id for r in rows], dtype=object)
-        entry = np.array([r.entry_time for r in rows], dtype=float)
-        exit_ = np.array([r.exit_time for r in rows], dtype=float)
-        event = np.array([r.event for r in rows], dtype=bool)
-        expo = np.empty((n, len(schema.exposure_columns)), dtype=float)
-        cov = np.empty((n, len(schema.covariate_columns)), dtype=float)
-        strat = np.empty((n, len(schema.strata_columns)), dtype=object)
-        for i, r in enumerate(rows):
-            for j, name in enumerate(schema.exposure_columns):
-                expo[i, j] = r.exposure_values[name]
-            for j, name in enumerate(schema.covariate_columns):
-                cov[i, j] = r.covariate_values[name]
-            for j, name in enumerate(schema.strata_columns):
-                strat[i, j] = r.strata_values[name]
-        return cls(schema, ids, entry, exit_, event, expo, cov, strat,
-                   n_rejected_missing=n_rejected_missing)
 
     def exposure(self, name: str) -> np.ndarray:
         j = self.schema.exposure_columns.index(name)

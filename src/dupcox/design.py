@@ -122,7 +122,6 @@ class DesignMatrix:
     column_names: tuple[str, ...]
     exposure_main_columns: tuple[str, ...]
     interaction_columns: tuple[str, ...]
-    covariate_interaction_columns: tuple[str, ...]
     strata_key: np.ndarray           # object, (n,)
     cluster_id: np.ndarray           # object, (n,)
     entry: np.ndarray                # float, (n,)
@@ -265,7 +264,7 @@ def _exposure_term_columns(dataset: Dataset, spec: ExposureSpec):
 
 
 def _column_names(term_names, covariate_names, n_types: int):
-    """Augmented design columns: all names, exposure and covariate interactions.
+    """Augmented design columns: all names, and the exposure interactions.
 
     Main terms come first, then each non-reference type's exposure
     interactions, then each non-reference type's covariate interactions.
@@ -273,7 +272,7 @@ def _column_names(term_names, covariate_names, n_types: int):
     later = range(2, n_types + 1)
     inter = tuple(f"{term}:A_type{j}" for j in later for term in term_names)
     cov_inter = tuple(f"{cov}:A_type{j}" for j in later for cov in covariate_names)
-    return tuple(term_names) + tuple(covariate_names) + inter + cov_inter, inter, cov_inter
+    return tuple(term_names) + tuple(covariate_names) + inter + cov_inter, inter
 
 
 def duplicate_augment(dataset: Dataset, spec: ExposureSpec) -> AugmentedDataset:
@@ -330,7 +329,7 @@ def build_design_matrix(aug: AugmentedDataset, spec: ExposureSpec) -> DesignMatr
     X = np.column_stack([aug.exposure_terms, aug.covariates]
                         + [aug.exposure_terms * ind for ind in indicators]
                         + [aug.covariates * ind for ind in indicators])
-    column_names, inter_names, cov_inter_names = _column_names(
+    column_names, inter_names = _column_names(
         aug.term_names, aug.covariate_names, len(aug.a_type_labels))
 
     return DesignMatrix(
@@ -339,7 +338,6 @@ def build_design_matrix(aug: AugmentedDataset, spec: ExposureSpec) -> DesignMatr
         column_names=column_names,
         exposure_main_columns=tuple(aug.term_names),
         interaction_columns=inter_names,
-        covariate_interaction_columns=cov_inter_names,
         strata_key=join_labels([*aug.strata.T, aug.a_type]),
         cluster_id=aug.subject_ids.copy(),
         entry=aug.entry.copy(),
@@ -360,8 +358,7 @@ def block_design(dataset: Dataset, spec: ExposureSpec) -> DesignMatrix:
     if not dataset.event.any():
         raise EstimationError("no informative strata: the dataset contains no events")
     covariate_names = dataset.schema.covariate_columns
-    column_names, inter_names, cov_inter_names = _column_names(
-        term_names, covariate_names, spec.n_compared)
+    column_names, inter_names = _column_names(term_names, covariate_names, spec.n_compared)
     # Block j's coefficients: each main term, plus its type-j interaction.
     index = {name: i for i, name in enumerate(column_names)}
     base = tuple(term_names) + covariate_names
@@ -377,7 +374,6 @@ def block_design(dataset: Dataset, spec: ExposureSpec) -> DesignMatrix:
         column_names=column_names,
         exposure_main_columns=tuple(term_names),
         interaction_columns=inter_names,
-        covariate_interaction_columns=cov_inter_names,
         strata_key=dataset.strata_keys(),
         cluster_id=dataset.subject_ids.copy(),
         entry=dataset.entry.copy(),
@@ -400,5 +396,4 @@ def single_exposure_design(dataset: Dataset, spec: ExposureSpec, index: int) -> 
     design = block_design(dataset, spec)
     p_b = design.blocks.shape[2]
     return replace(design, blocks=design.blocks[index:index + 1], block_map=np.eye(p_b),
-                   column_names=design.column_names[:p_b], interaction_columns=(),
-                   covariate_interaction_columns=())
+                   column_names=design.column_names[:p_b], interaction_columns=())

@@ -70,16 +70,6 @@ class TestResult:
     covariance_used: str
 
 
-@dataclass(frozen=True)
-class PrunedFit:
-    """Coefficients and covariances with aliased entries removed."""
-
-    names: tuple[str, ...]
-    coefficients: np.ndarray
-    model_covariance: np.ndarray
-    robust_covariance: np.ndarray | None
-
-
 def _positions(fit_result: CoxFit, names) -> list[int]:
     """Where ``names`` sit in the fit's coefficients.
 
@@ -97,24 +87,6 @@ def _positions(fit_result: CoxFit, names) -> list[int]:
             "the requested test cannot be performed on this fit"
         )
     return idx
-
-
-def prune_aliased(fit_result: CoxFit, required: tuple[str, ...] | None = None) -> PrunedFit:
-    """Drop aliased coefficients and their covariance rows/columns.
-
-    If any name in ``required`` was aliased, refuse with an error instead of
-    silently testing a reduced hypothesis.
-    """
-    if required:
-        _positions(fit_result, required)
-    keep = np.flatnonzero(~fit_result.aliased_mask)
-    robust = fit_result.robust_covariance
-    return PrunedFit(
-        names=tuple(fit_result.column_names[i] for i in keep),
-        coefficients=fit_result.coefficients[keep],
-        model_covariance=fit_result.model_covariance[np.ix_(keep, keep)],
-        robust_covariance=None if robust is None else robust[np.ix_(keep, keep)],
-    )
 
 
 # Eigenvalues of the tested covariance block below this fraction of the
@@ -250,7 +222,6 @@ class ComparisonReport:
     fit: CoxFit
     spec: ExposureSpec
     confidence: float
-    covariance_used: str
     dataset: Dataset = field(repr=False)
     seed: int | None = None
 
@@ -362,7 +333,6 @@ def _stage(stage_name: str, exc: Exception) -> Exception:
 
 def compare_exposures(dataset: Dataset, spec: ExposureSpec,
                       options: FitOptions | None = None, *,
-                      covariance: str = "robust",
                       confidence: float = 0.95,
                       scale=1.0,
                       seed: int | None = None) -> ComparisonReport:
@@ -374,7 +344,9 @@ def compare_exposures(dataset: Dataset, spec: ExposureSpec,
     cluster sandwich, and Wald-test all exposure-by-type interaction
     coefficients (univariate for a single term, multivariate otherwise).
     Per-exposure hazard ratios come from the main(+interaction)
-    parameterization.  The design is :func:`~dupcox.design.block_design`'s:
+    parameterization.  The test and the intervals use the sandwich; the
+    model-based test is ``wald_multivariate(report.fit, names, "model")``.
+    The design is :func:`~dupcox.design.block_design`'s:
     the duplicated model evaluated on the cohort's own rows, with the same
     coefficients as :func:`~dupcox.design.build_design_matrix` on
     :func:`~dupcox.design.duplicate_augment`'s copies.
@@ -400,11 +372,11 @@ def compare_exposures(dataset: Dataset, spec: ExposureSpec,
     test = None
     if fit_result.converged:
         try:
-            test = wald_multivariate(fit_result, design.interaction_columns, covariance)
+            test = wald_multivariate(fit_result, design.interaction_columns)
         except Exception as exc:
             raise _stage("wald", exc)
 
-        cov = fit_result.covariance(covariance)
+        cov = fit_result.robust_covariance
         p_b = design.blocks.shape[2]
         for j, source in enumerate(spec.source_columns):
             terms = []
@@ -426,7 +398,6 @@ def compare_exposures(dataset: Dataset, spec: ExposureSpec,
         fit=fit_result,
         spec=spec,
         confidence=confidence,
-        covariance_used=covariance,
         dataset=dataset,
         seed=seed,
     )

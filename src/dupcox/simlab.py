@@ -8,7 +8,7 @@ identically with the outcome is available by symmetric generation (equal
 true coefficients over exchangeable exposures), and the degenerate null by
 ``exposure_correlation = 1``.  The harness measures rejection rates of the
 duplication-method test over independent replicates, each with its own
-deterministic sub-seed.
+deterministic sub-seed and fitted with the default ``FitOptions``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cox import FitOptions
 from .data import Dataset, Schema
 from .design import ExposureSpec
 from .errors import ConfigError, DupcoxError
@@ -185,12 +184,10 @@ class CalibrationResult:
 MAX_FAILURE_FRACTION = 0.02
 
 
-def _run_replicates(config: SimConfig, alpha: float, scenario: str,
-                    options: FitOptions | None = None,
+def _run_replicates(config: SimConfig, alpha: float, scenario: str, *,
                     include_naive: bool = False) -> CalibrationResult:
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
-    options = options or FitOptions()
     spec = config.exposure_spec()
 
     p_values: list[float] = []
@@ -200,7 +197,7 @@ def _run_replicates(config: SimConfig, alpha: float, scenario: str,
     for r in range(config.replicate_count):
         dataset = simulate_cohort(config, r)
         try:
-            report = compare_exposures(dataset, spec, options)
+            report = compare_exposures(dataset, spec)
             if report.difference_test is None:
                 raise DupcoxError("fit did not converge")
             p_values.append(report.difference_test.p_value)
@@ -244,8 +241,7 @@ def _is_null_config(config: SimConfig) -> bool:
     return len(betas) == 1 or config.exposure_correlation == 1.0
 
 
-def estimate_type1_error(config: SimConfig, alpha: float = 0.05,
-                         options: FitOptions | None = None,
+def estimate_type1_error(config: SimConfig, alpha: float = 0.05, *,
                          include_naive: bool = False) -> CalibrationResult:
     """Rejection rate under a null scenario, with a binomial Monte Carlo CI.
 
@@ -258,14 +254,13 @@ def estimate_type1_error(config: SimConfig, alpha: float = 0.05,
             "not a null scenario: true_beta entries differ and exposures are "
             "not identical; use estimate_power instead"
         )
-    return _run_replicates(config, alpha, "type1", options, include_naive)
+    return _run_replicates(config, alpha, "type1", include_naive=include_naive)
 
 
-def estimate_power(config: SimConfig, alpha: float = 0.05,
-                   options: FitOptions | None = None,
+def estimate_power(config: SimConfig, alpha: float = 0.05, *,
                    include_naive: bool = False) -> CalibrationResult:
     """Rejection rate under an alternative (differing true coefficients)."""
-    return _run_replicates(config, alpha, "power", options, include_naive)
+    return _run_replicates(config, alpha, "power", include_naive=include_naive)
 
 
 def ks_uniform_statistic(p_values) -> float:

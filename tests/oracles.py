@@ -12,14 +12,16 @@ import io
 import json
 import math
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from dupcox.data import CohortRow, Dataset
+from dupcox.cox import CoxFit
+from dupcox.data import Dataset
 from dupcox.design import DesignMatrix
 from dupcox.errors import ParseError, SchemaError, ValidationError
+from dupcox.inference import _positions
 
 
 def brute_force_loglik(entry, exit_, event, X, beta, strata=None, tie_method="breslow"):
@@ -139,6 +141,34 @@ def golden_section_max(f, lo, hi, tol=1e-12):
     return (a + b) / 2.0
 
 
+@dataclass(frozen=True)
+class PrunedFit:
+    """Coefficients and covariances with aliased entries removed."""
+
+    names: tuple[str, ...]
+    coefficients: np.ndarray
+    model_covariance: np.ndarray
+    robust_covariance: np.ndarray | None
+
+
+def prune_aliased(fit_result: CoxFit, required: tuple[str, ...] | None = None) -> PrunedFit:
+    """Drop aliased coefficients and their covariance rows/columns.
+
+    If any name in ``required`` was aliased, refuse with an error instead of
+    silently testing a reduced hypothesis.
+    """
+    if required:
+        _positions(fit_result, required)
+    keep = np.flatnonzero(~fit_result.aliased_mask)
+    robust = fit_result.robust_covariance
+    return PrunedFit(
+        names=tuple(fit_result.column_names[i] for i in keep),
+        coefficients=fit_result.coefficients[keep],
+        model_covariance=fit_result.model_covariance[np.ix_(keep, keep)],
+        robust_covariance=None if robust is None else robust[np.ix_(keep, keep)],
+    )
+
+
 def dense_wald(b, V):
     """Quadratic form b' V^-1 b via explicit dense inversion."""
     b = np.asarray(b, dtype=float)
@@ -218,7 +248,6 @@ def plain_design(X, exit_, event, entry=None, strata=None, cluster=None, names=N
         column_names=tuple(names) if names else tuple(f"x{j + 1}" for j in range(p)),
         exposure_main_columns=(),
         interaction_columns=(),
-        covariate_interaction_columns=(),
         strata_key=np.asarray(strata, dtype=object) if strata is not None
         else np.array([""] * n, dtype=object),
         cluster_id=np.asarray(cluster, dtype=object) if cluster is not None
@@ -262,6 +291,41 @@ def _parse_float(cell, row, column):
             row=row, column=column,
         )
     return value
+
+
+@dataclass(frozen=True)
+class CohortRow:
+    """One counting-process interval (entry, exit] for one subject."""
+
+    subject_id: str
+    entry_time: float
+    exit_time: float
+    event: bool
+    exposure_values: dict[str, float]
+    covariate_values: dict[str, float]
+    strata_values: dict[str, str]
+
+
+def dataset_from_rows(rows, schema, n_rejected_missing=0):
+    """A :class:`Dataset` built from ``CohortRow`` records, one cell at a time."""
+    rows = list(rows)
+    n = len(rows)
+    ids = np.array([r.subject_id for r in rows], dtype=object)
+    entry = np.array([r.entry_time for r in rows], dtype=float)
+    exit_ = np.array([r.exit_time for r in rows], dtype=float)
+    event = np.array([r.event for r in rows], dtype=bool)
+    expo = np.empty((n, len(schema.exposure_columns)), dtype=float)
+    cov = np.empty((n, len(schema.covariate_columns)), dtype=float)
+    strat = np.empty((n, len(schema.strata_columns)), dtype=object)
+    for i, r in enumerate(rows):
+        for j, name in enumerate(schema.exposure_columns):
+            expo[i, j] = r.exposure_values[name]
+        for j, name in enumerate(schema.covariate_columns):
+            cov[i, j] = r.covariate_values[name]
+        for j, name in enumerate(schema.strata_columns):
+            strat[i, j] = r.strata_values[name]
+    return Dataset(schema, ids, entry, exit_, event, expo, cov, strat,
+                   n_rejected_missing=n_rejected_missing)
 
 
 def load_dataset_by_rows(path, schema):
@@ -346,7 +410,7 @@ def load_dataset_by_rows(path, schema):
             f"{path}: rejected {n_rejected} row(s) with missing exposure/covariate values",
             stacklevel=2,
         )
-    return Dataset.from_rows(rows, schema, n_rejected_missing=n_rejected)
+    return dataset_from_rows(rows, schema, n_rejected_missing=n_rejected)
 
 
 def serialize_by_rows(dataset):

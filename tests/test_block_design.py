@@ -146,7 +146,6 @@ def test_block_map_gives_per_type_coefficients():
     augmented = dc.build_design_matrix(dc.duplicate_augment(dataset, spec), spec)
     assert design.column_names == augmented.column_names
     assert design.interaction_columns == augmented.interaction_columns
-    assert design.covariate_interaction_columns == augmented.covariate_interaction_columns
     assert design.blocks.shape == (3, len(dataset), 3)
     # Copy j of the augmented rows is block j times its slice of the map.
     theta = np.arange(1.0, design.n_columns + 1)

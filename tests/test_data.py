@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import dupcox as dc
 from dupcox.errors import DataError, ParseError, SchemaError, ValidationError
 from oracles import (
+    CohortRow,
+    dataset_from_rows,
     fingerprint_by_labels,
     load_dataset_by_rows,
     overlapping_subjects,
@@ -374,10 +376,10 @@ class TestValidate:
 
     def test_overlapping_intervals_flagged(self, four_row_schema):
         rows = [
-            dc.CohortRow("s1", 0.0, 5.0, False, {"A": 0, "Aprime": 0}, {"L1": 0}, {}),
-            dc.CohortRow("s1", 3.0, 8.0, True, {"A": 1, "Aprime": 1}, {"L1": 1}, {}),
+            CohortRow("s1", 0.0, 5.0, False, {"A": 0, "Aprime": 0}, {"L1": 0}, {}),
+            CohortRow("s1", 3.0, 8.0, True, {"A": 1, "Aprime": 1}, {"L1": 1}, {}),
         ]
-        ds = dc.Dataset.from_rows(rows, four_row_schema)
+        ds = dataset_from_rows(rows, four_row_schema)
         report = dc.validate(ds)
         check = report["subject_overlap"]
         assert not check.passed
@@ -388,9 +390,9 @@ class TestValidate:
         # "e": two intervals entering together; "ok": back-to-back intervals.
         intervals = [("ok", 1.0, 2.0), ("n", 3.0, 4.0), ("e", 0.0, 5.0), ("n", 1.0, 2.0),
                      ("ok", 0.0, 1.0), ("e", 0.0, 3.0), ("n", 0.0, 10.0)]
-        rows = [dc.CohortRow(sid, t0, t1, False, {"A": 0, "Aprime": 1}, {"L1": 0}, {})
+        rows = [CohortRow(sid, t0, t1, False, {"A": 0, "Aprime": 1}, {"L1": 0}, {})
                 for sid, t0, t1 in intervals]
-        check = dc.validate(dc.Dataset.from_rows(rows, four_row_schema))["subject_overlap"]
+        check = dc.validate(dataset_from_rows(rows, four_row_schema))["subject_overlap"]
         assert not check.passed
         assert check.offenders == ("e", "n")
         assert check.detail == "overlapping intervals for 2 subject(s)"
@@ -411,11 +413,11 @@ class TestValidate:
 
     def test_constant_column_flagged(self, four_row_schema):
         rows = [
-            dc.CohortRow(str(i), 0.0, float(i + 1), i == 0,
-                         {"A": float(i % 2), "Aprime": float(i % 2)}, {"L1": 1.0}, {})
+            CohortRow(str(i), 0.0, float(i + 1), i == 0,
+                      {"A": float(i % 2), "Aprime": float(i % 2)}, {"L1": 1.0}, {})
             for i in range(4)
         ]
-        ds = dc.Dataset.from_rows(rows, four_row_schema)
+        ds = dataset_from_rows(rows, four_row_schema)
         report = dc.validate(ds)
         assert not report["constant_columns"].passed
         assert "L1" in report["constant_columns"].offenders
@@ -443,10 +445,10 @@ class TestValidate:
         schema = dc.Schema(id_column="id", exit_column="t", event_column="y",
                            exposure_columns=("a", "b"), strata_columns=("g",))
         rows = [
-            dc.CohortRow("1", 0.0, 1.0, True, {"a": 1, "b": 0}, {}, {"g": "x"}),
-            dc.CohortRow("2", 0.0, 2.0, False, {"a": 0, "b": 1}, {}, {"g": "y"}),
+            CohortRow("1", 0.0, 1.0, True, {"a": 1, "b": 0}, {}, {"g": "x"}),
+            CohortRow("2", 0.0, 2.0, False, {"a": 0, "b": 1}, {}, {"g": "y"}),
         ]
-        report = dc.validate(dc.Dataset.from_rows(rows, schema))
+        report = dc.validate(dataset_from_rows(rows, schema))
         assert not report["stratum_events"].passed
         assert report["stratum_events"].offenders == ("y",)
 

@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,7 @@ from hypothesis import strategies as st
 import dupcox as dc
 from dupcox.errors import ConfigError, SchemaError, ValidationError
 from conftest import simulated_cohort
-from oracles import per_bin_medians, quantile_categories
+from oracles import CohortRow, dataset_from_rows, per_bin_medians, quantile_categories
 
 
 class TestCategorizeQuantiles:
@@ -120,11 +123,11 @@ class TestDuplicateAugment:
         schema = dc.Schema(id_column="id", exit_column="t", event_column="y",
                            exposure_columns=("a", "a_copy"))
         rows = [
-            dc.CohortRow(str(i), 0.0, float(i + 1), i == 0,
-                         {"a": float(i % 2), "a_copy": float(i % 2)}, {}, {})
+            CohortRow(str(i), 0.0, float(i + 1), i == 0,
+                      {"a": float(i % 2), "a_copy": float(i % 2)}, {}, {})
             for i in range(4)
         ]
-        ds = dc.Dataset.from_rows(rows, schema)
+        ds = dataset_from_rows(rows, schema)
         spec = dc.ExposureSpec(kind="dichotomous", source_columns=("a", "a_copy"))
         aug = dc.duplicate_augment(ds, spec)
         n = len(ds)
@@ -141,11 +144,11 @@ class TestDuplicateAugment:
         schema = dc.Schema(id_column="id", exit_column="t", event_column="y",
                            exposure_columns=("e1", "e2", "e3"))
         rows = [
-            dc.CohortRow(str(i), 0.0, float(i + 1), i % 2 == 0,
-                         {"e1": float(i), "e2": float(-i), "e3": float(2 * i)}, {}, {})
+            CohortRow(str(i), 0.0, float(i + 1), i % 2 == 0,
+                      {"e1": float(i), "e2": float(-i), "e3": float(2 * i)}, {}, {})
             for i in range(5)
         ]
-        ds = dc.Dataset.from_rows(rows, schema)
+        ds = dataset_from_rows(rows, schema)
         spec = dc.ExposureSpec(kind="continuous", source_columns=("e1", "e2", "e3"))
         aug = dc.duplicate_augment(ds, spec)
         assert len(aug) == 15
@@ -174,7 +177,6 @@ class TestBuildDesignMatrix:
             "Exposures", "L1", "Exposures:A_type2", "L1:A_type2",
         )
         assert design.interaction_columns == ("Exposures:A_type2",)
-        assert design.covariate_interaction_columns == ("L1:A_type2",)
 
     def test_five_level_categorical_columns(self):
         ds, _ = simulated_cohort(seed=5, n=60, covs=())
@@ -197,16 +199,17 @@ class TestBuildDesignMatrix:
                            exposure_columns=("e1", "e2", "e3"),
                            covariate_columns=("c1", "c2"))
         rows = [
-            dc.CohortRow(str(i), 0.0, float(i + 1), i % 2 == 0,
-                         {"e1": float(i), "e2": float(i * i), "e3": float(-i)},
-                         {"c1": float(i % 3), "c2": float(i % 2)}, {})
+            CohortRow(str(i), 0.0, float(i + 1), i % 2 == 0,
+                      {"e1": float(i), "e2": float(i * i), "e3": float(-i)},
+                      {"c1": float(i % 3), "c2": float(i % 2)}, {})
             for i in range(8)
         ]
-        ds = dc.Dataset.from_rows(rows, schema)
+        ds = dataset_from_rows(rows, schema)
         spec = dc.ExposureSpec(kind="continuous", source_columns=("e1", "e2", "e3"))
         design = dc.build_design_matrix(dc.duplicate_augment(ds, spec), spec)
         assert len(design.interaction_columns) == (3 - 1) * 1
-        assert len(design.covariate_interaction_columns) == (3 - 1) * 2
+        assert design.column_names[-(3 - 1) * 2:] == (
+            "c1:A_type2", "c2:A_type2", "c1:A_type3", "c2:A_type3")
 
     def test_strata_key_includes_a_type(self, four_row_dataset):
         spec = dc.ExposureSpec(kind="dichotomous", source_columns=("A", "Aprime"))
@@ -234,12 +237,12 @@ class TestBuildDesignMatrix:
 
     def test_no_events_is_an_error(self, four_row_schema):
         rows = [
-            dc.CohortRow(str(i), 0.0, float(i + 1), False,
-                         {"A": float(i % 2), "Aprime": float(i % 2)},
-                         {"L1": float(i)}, {})
+            CohortRow(str(i), 0.0, float(i + 1), False,
+                      {"A": float(i % 2), "Aprime": float(i % 2)},
+                      {"L1": float(i)}, {})
             for i in range(4)
         ]
-        ds = dc.Dataset.from_rows(rows, four_row_schema)
+        ds = dataset_from_rows(rows, four_row_schema)
         spec = dc.ExposureSpec(kind="dichotomous", source_columns=("A", "Aprime"))
         with pytest.raises(dc.errors.EstimationError, match="no informative strata"):
             dc.build_design_matrix(dc.duplicate_augment(ds, spec), spec)
@@ -299,18 +302,18 @@ class TestOneDesignType:
             single = dc.single_exposure_design(ds, spec, j)
             assert np.array_equal(single.X, full.blocks[j])
             assert single.column_names == ("Exposures", "L1")
-            assert single.interaction_columns == single.covariate_interaction_columns == ()
+            assert single.interaction_columns == ()
             assert np.array_equal(single.stratum_codes, full.stratum_codes)
             assert np.array_equal(single.cluster_codes, full.cluster_codes)
 
     def test_single_exposure_design_refuses_eventless_cohort(self, four_row_schema):
         rows = [
-            dc.CohortRow(str(i), 0.0, float(i + 1), False,
-                         {"A": float(i % 2), "Aprime": float(i % 2)},
-                         {"L1": float(i)}, {})
+            CohortRow(str(i), 0.0, float(i + 1), False,
+                      {"A": float(i % 2), "Aprime": float(i % 2)},
+                      {"L1": float(i)}, {})
             for i in range(4)
         ]
-        ds = dc.Dataset.from_rows(rows, four_row_schema)
+        ds = dataset_from_rows(rows, four_row_schema)
         spec = dc.ExposureSpec(kind="dichotomous", source_columns=("A", "Aprime"))
         with pytest.raises(dc.errors.EstimationError, match="no informative strata"):
             dc.single_exposure_design(ds, spec, 0)
@@ -319,3 +322,19 @@ class TestOneDesignType:
         assert "BlockDesign" not in dc.__all__
         assert not hasattr(dc.design, "BlockDesign")
         assert not hasattr(dc.cox, "Design")
+        # Helpers only the tests use live in tests/oracles.py.
+        for name in ("CohortRow", "PrunedFit", "prune_aliased"):
+            assert name not in dc.__all__
+            assert not hasattr(dc, name)
+        assert not hasattr(dc.Dataset, "from_rows")
+        # Fields nothing reads and parameters with one value in use.
+        fields = {cls: {f.name for f in dataclasses.fields(cls)}
+                  for cls in (dc.DesignMatrix, dc.ComparisonReport)}
+        assert "covariate_interaction_columns" not in fields[dc.DesignMatrix]
+        assert "covariance_used" not in fields[dc.ComparisonReport]
+        assert "covariance" not in inspect.signature(dc.compare_exposures).parameters
+        for runner in (dc.estimate_type1_error, dc.estimate_power):
+            params = inspect.signature(runner).parameters
+            assert not {"covariance", "options"} & set(params)
+            # An old positional FitOptions must not land in include_naive.
+            assert params["include_naive"].kind is inspect.Parameter.KEYWORD_ONLY
