@@ -26,30 +26,68 @@ from .inference import compare_exposures, render_table
 from .simlab import SimConfig, _is_null_config, estimate_power, estimate_type1_error
 from . import cox
 
-_TOP_KEYS = {
-    "compare": {"command", "input", "schema", "exposure", "fit", "output", "format", "seed"},
-    "fit": {"command", "input", "schema", "exposure", "fit", "output", "format", "seed"},
-    "simulate": {"command", "simulation", "output", "format", "seed"},
-}
-_SCHEMA_KEYS = {"id", "entry", "exit", "event", "exposures", "covariates", "strata"}
-_EXPOSURE_KEYS = {"kind", "columns", "levels", "reference", "scale", "confidence"}
-# Config keys -> FitOptions fields; an absent key keeps the field's default.
-_FIT_FIELDS = {"ties": "tie_method", "max_iterations": "max_iterations",
-               "gradient_tolerance": "gradient_tolerance"}
-# Simulation keys that are SimConfig fields, the required ones first, and the
-# keys passed to the calibration runner.
-_SIM_REQUIRED = ("n_subjects", "exposure_correlation", "true_beta", "replicate_count")
-_SIM_FIELDS = _SIM_REQUIRED + ("covariate_effects", "weibull_shape", "weibull_scale",
-                               "censoring_rate", "n_strata")
-_RUNNER_KEYS = ("alpha", "include_naive")
+# Each block's keys and the JSON type of each: str, int, float (any number),
+# bool, dict (a key/value block), a one-item list for a list of that type, or
+# a tuple of alternatives.  A key may be left out, or be null to the same
+# effect, exactly when None is among its alternatives.
+_COMMON_KEYS = {"command": (str, None), "output": (str, None), "format": (str, None),
+                "seed": (int, None)}
+_RUN_KEYS = _COMMON_KEYS | {"input": str, "schema": dict, "exposure": (dict, None),
+                            "fit": (dict, None)}
+_TOP_KEYS = {"compare": _RUN_KEYS, "fit": _RUN_KEYS,
+             "simulate": _COMMON_KEYS | {"simulation": dict}}
+_SCHEMA_KEYS = {"id": str, "entry": (str, None), "exit": str, "event": str,
+                "exposures": [str], "covariates": ([str], None), "strata": ([str], None)}
+_EXPOSURE_KEYS = {"kind": (str, None), "columns": ([str], None), "levels": (int, None),
+                  "reference": (int, None), "scale": (float, str, None),
+                  "confidence": (float, None)}
+# FitOptions fields, named as such but for "ties" (tie_method).
+_FIT_KEYS = {"ties": (str, None), "max_iterations": (int, None),
+             "gradient_tolerance": (float, None)}
+# Simulation keys: SimConfig fields, then the calibration runner's.
+_SIM_KEYS = {"n_subjects": int, "exposure_correlation": float, "true_beta": [float],
+             "replicate_count": int, "covariate_effects": ([float], None),
+             "censoring_rate": (float, None), "n_strata": (int, None)}
+_RUNNER_KEYS = {"alpha": (float, None), "include_naive": (bool, None)}
 
 
-def _check_keys(block: dict, allowed: set, context: str) -> None:
+def _is_type(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return any(_is_type(value, k) for k in kind)
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_is_type(v, kind[0]) for v in value)
+    if kind is None:
+        return value is None
+    if isinstance(value, bool):  # JSON true and false are not numbers
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _type_name(kind) -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(map(_type_name, kind))
+    if isinstance(kind, list):  # "a string" -> "a list of strings"
+        return f"a list of {_type_name(kind[0]).split(' ', 1)[1]}s"
+    return {str: "a string", int: "an integer", float: "a number", bool: "true or false",
+            dict: "a key/value block", None: "null"}[kind]
+
+
+def _check_keys(block, keys: dict, context: str) -> dict:
+    """``block`` without its null values, once every key is known, of its
+    type, and present if required."""
     if not isinstance(block, dict):
         raise ConfigError(f"{context}: expected a key/value block")
-    unknown = sorted(set(block) - allowed)
+    unknown = sorted(set(block) - set(keys))
     if unknown:
         raise ConfigError(f"{context}: unknown key(s) {unknown}")
+    for key, value in block.items():
+        if not _is_type(value, keys[key]):
+            raise ConfigError(f"{context}: {key!r} must be {_type_name(keys[key])}, "
+                              f"got {json.dumps(value)}")
+    missing = [key for key, kind in keys.items() if key not in block and not _is_type(None, kind)]
+    if missing:
+        raise ConfigError(f"{context} is missing required key {missing[0]!r}")
+    return {key: value for key, value in block.items() if value is not None}
 
 
 def _load_config(path: str, command: str, overrides: dict) -> dict:
@@ -63,15 +101,15 @@ def _load_config(path: str, command: str, overrides: dict) -> dict:
         config = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise ConfigError("config: expected a key/value block")
+    config |= {key: value for key, value in overrides.items() if value is not None}
     _check_keys(config, _TOP_KEYS[command], "config")
     declared = config.get("command")
     if declared is not None and declared != command:
         raise ConfigError(
             f"config declares command {declared!r} but {command!r} was invoked"
         )
-    for key, value in overrides.items():
-        if value is not None:
-            config[key] = value
     config["command"] = command
     return config
 
@@ -82,23 +120,20 @@ def _config_hash(config: dict) -> str:
 
 
 def _build_schema(block: dict) -> Schema:
-    _check_keys(block, _SCHEMA_KEYS, "schema")
-    try:
-        return Schema(
-            id_column=block["id"],
-            entry_column=block.get("entry"),
-            exit_column=block["exit"],
-            event_column=block["event"],
-            exposure_columns=tuple(block["exposures"]),
-            covariate_columns=tuple(block.get("covariates", ())),
-            strata_columns=tuple(block.get("strata", ())),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"schema block is missing required key {exc.args[0]!r}") from None
+    block = _check_keys(block, _SCHEMA_KEYS, "schema")
+    return Schema(
+        id_column=block["id"],
+        entry_column=block.get("entry"),
+        exit_column=block["exit"],
+        event_column=block["event"],
+        exposure_columns=tuple(block["exposures"]),
+        covariate_columns=tuple(block.get("covariates", ())),
+        strata_columns=tuple(block.get("strata", ())),
+    )
 
 
 def _build_spec(block: dict, schema: Schema) -> ExposureSpec:
-    _check_keys(block, _EXPOSURE_KEYS, "exposure")
+    """The spec of an ``exposure`` block that :func:`_check_keys` passed."""
     kind = block.get("kind", "continuous")
     columns = tuple(block.get("columns", schema.exposure_columns))
     missing = [c for c in columns if c not in schema.exposure_columns]
@@ -113,18 +148,15 @@ def _build_spec(block: dict, schema: Schema) -> ExposureSpec:
 
 
 def _build_fit_options(block: dict | None) -> FitOptions:
-    block = {} if block is None else block
-    _check_keys(block, set(_FIT_FIELDS), "fit")
-    return FitOptions(**{_FIT_FIELDS[key]: value for key, value in block.items()})
+    block = _check_keys({} if block is None else block, _FIT_KEYS, "fit")
+    return FitOptions(**{"tie_method" if key == "ties" else key: value
+                         for key, value in block.items()})
 
 
 def _build_sim_config(block: dict, seed: int | None) -> SimConfig:
     """The scenario of a ``simulation`` block; ``seed`` is the master seed if given."""
-    _check_keys(block, set(_SIM_FIELDS + _RUNNER_KEYS), "simulation")
-    missing = [key for key in _SIM_REQUIRED if key not in block]
-    if missing:
-        raise ConfigError(f"simulation block is missing required key {missing[0]!r}")
-    fields = {key: block[key] for key in _SIM_FIELDS if key in block}
+    block = _check_keys(block, _SIM_KEYS | _RUNNER_KEYS, "simulation")
+    fields = {key: block[key] for key in _SIM_KEYS if key in block}
     if seed is not None:
         fields["master_seed"] = seed
     return SimConfig(**fields)
@@ -157,12 +189,14 @@ def _human_header(config: dict) -> str:
             f"config={meta['config_hash'][:12]}  seed={seed if seed is not None else '-'}")
 
 
-def _load_and_validate(config: dict):
-    if "input" not in config:
-        raise ConfigError("config is missing 'input'")
-    if "schema" not in config:
-        raise ConfigError("config is missing the 'schema' block")
+def _run_inputs(config: dict):
+    """The validated cohort, exposure spec, fit options and exposure block of
+    a ``compare`` or ``fit`` run; every block is checked before the cohort
+    is read."""
     schema = _build_schema(config["schema"])
+    exposure = _check_keys(config.get("exposure") or {}, _EXPOSURE_KEYS, "exposure")
+    spec = _build_spec(exposure, schema)
+    options = _build_fit_options(config.get("fit"))
     try:
         dataset = load_dataset(config["input"], schema)
     except FileNotFoundError:
@@ -173,18 +207,15 @@ def _load_and_validate(config: dict):
     for check in report.checks:
         if not check.passed:
             print(f"warning: {check.name}: {check.detail}", file=sys.stderr)
-    return dataset, schema
+    return dataset, spec, options, exposure
 
 
 def run_compare(config: dict) -> int:
-    dataset, schema = _load_and_validate(config)
-    exposure_block = config.get("exposure", {})
-    spec = _build_spec(exposure_block, schema)
-    options = _build_fit_options(config.get("fit"))
+    dataset, spec, options, exposure = _run_inputs(config)
     report = compare_exposures(
         dataset, spec, options,
-        confidence=exposure_block.get("confidence", 0.95),
-        scale=exposure_block.get("scale", 1.0),
+        confidence=exposure.get("confidence", 0.95),
+        scale=exposure.get("scale", 1.0),
         seed=config.get("seed"),
     )
     human = _human_header(config) + "\n" + render_table(report)
@@ -195,9 +226,7 @@ def run_compare(config: dict) -> int:
 
 
 def run_fit(config: dict) -> int:
-    dataset, schema = _load_and_validate(config)
-    spec = _build_spec(config.get("exposure", {}), schema)
-    options = _build_fit_options(config.get("fit"))
+    dataset, spec, options, _ = _run_inputs(config)
     fit_result = cox.fit(block_design(dataset, spec), options)
 
     rows = []
@@ -245,12 +274,11 @@ def run_fit(config: dict) -> int:
 
 
 def run_simulate(config: dict) -> int:
-    if "simulation" not in config:
-        raise ConfigError("config is missing the 'simulation' block")
     block = config["simulation"]
     sim_config = _build_sim_config(block, config.get("seed"))
     runner = estimate_type1_error if _is_null_config(sim_config) else estimate_power
-    result = runner(sim_config, **{key: block[key] for key in _RUNNER_KEYS if key in block})
+    result = runner(sim_config, **{key: block[key] for key in _RUNNER_KEYS
+                                   if block.get(key) is not None})
 
     lines = [
         _human_header(config),
@@ -260,9 +288,8 @@ def run_simulate(config: dict) -> int:
         f"replicates: {result.n_used} used / {result.n_replicates} total "
         f"({result.n_failures} failed fits)",
         f"scenario valid: {'yes' if result.valid else 'NO (failure fraction > 2%)'}",
+        f"per-exposure CI overlap fraction: {result.ci_overlap_fraction:.4f}",
     ]
-    if result.ci_overlap_fraction is not None:
-        lines.append(f"per-exposure CI overlap fraction: {result.ci_overlap_fraction:.4f}")
     if result.naive_rejection_rate is not None:
         lines.append(f"naive (uncorrelated z) rejection rate: "
                      f"{result.naive_rejection_rate:.4f}")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import DesignMatrix
-from .errors import ConfigError, EstimationError, SingularMatrixError
+from .errors import ConfigError, EstimationError, SingularMatrixError, ValidationError
 
 TIE_METHODS = ("efron", "breslow")
 
@@ -227,6 +227,10 @@ class _Engine:
         self.m, self.n, self.p_b = blocks.shape
         self.cluster_codes = design.cluster_codes
         codes, event = design.stratum_codes, design.event
+        if event.dtype != bool:  # 0 and 1 of any dtype are read as flags
+            if not np.isin(event, (0, 1)).all():
+                raise ValidationError("event indicators must be 0 or 1 (or False or True)")
+            event = event == 1
         n_codes = int(codes.max()) + 1 if self.n else 0
         size = np.bincount(codes, minlength=n_codes)
         kept = np.flatnonzero(np.bincount(codes, weights=event, minlength=n_codes))

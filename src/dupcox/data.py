@@ -183,6 +183,19 @@ def label_codes(labels) -> np.ndarray:
     return np.unique(np.asarray(labels).astype(str), return_inverse=True)[1]
 
 
+def row_faults(entry, exit_, *blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The rows that break a cohort's interval rules, as two masks.
+
+    ``nonfinite``: the entry or exit time, or a value in one of the ``(n, k)``
+    ``blocks``, is not finite.  ``misordered``: a finite row whose entry
+    time is not before its exit time.
+    """
+    finite = np.isfinite(entry) & np.isfinite(exit_)
+    for block in blocks:
+        finite &= np.isfinite(block).all(axis=1)
+    return ~finite, finite & ~(entry < exit_)
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -375,9 +388,9 @@ def _parse_chunk(records, row: int, width: int, positions: dict[str, int], schem
     for j, name in enumerate(schema.strata_columns):
         strata[:, j] = _label_column(column(name))
 
+    nonfinite, misordered = row_faults(entry, exit_, values)
     keep = full.copy()
-    keep[full] = (np.isfinite(values).all(axis=1) & np.isfinite(entry) & np.isfinite(exit_)
-                  & (entry < exit_) & (event >= 0) & (subject_ids != ""))
+    keep[full] = ~(nonfinite | misordered) & (event >= 0) & (subject_ids != "")
     n_missing = 0
     for i in np.flatnonzero(~keep):
         status = _check_row(records[i], row + int(i) + 1, width, positions, schema)
@@ -458,11 +471,12 @@ class ValidationReport:
 def validate(dataset: Dataset) -> ValidationReport:
     """Run structural checks on a dataset and report findings.
 
-    Pure (never mutates the dataset) and report-style: fatal conditions are
-    surfaced later by the fit, not raised here.  Checks: finite times,
-    exposures and covariates, interval ordering, within-subject interval
-    overlap, event count per stratum, and constant (zero-variance)
-    exposure/covariate columns.
+    Pure (never mutates the dataset) and report-style: nothing is raised
+    here.  Checks: finite times, exposures and covariates, interval ordering
+    (among finite rows), within-subject interval overlap, event count per
+    stratum, and constant (zero-variance) exposure/covariate columns.  The
+    first two are fatal: :func:`~dupcox.design.block_design` and
+    :func:`~dupcox.design.duplicate_augment` refuse a cohort that fails them.
     """
     checks: list[CheckResult] = []
 
@@ -470,9 +484,9 @@ def validate(dataset: Dataset) -> ValidationReport:
     names = [s.entry_column or "entry", s.exit_column,
              *s.exposure_columns, *s.covariate_columns]
     values = np.column_stack([dataset.entry, dataset.exit, dataset.exposures, dataset.covariates])
-    finite = np.isfinite(values)
-    bad_rows = np.flatnonzero(~finite.all(axis=1))
-    bad_columns = [names[j] for j in np.flatnonzero(~finite.all(axis=0))]
+    nonfinite, misordered = row_faults(dataset.entry, dataset.exit, values[:, 2:])
+    bad_rows = np.flatnonzero(nonfinite)
+    bad_columns = [names[j] for j in np.flatnonzero(~np.isfinite(values[bad_rows]).all(axis=0))]
     checks.append(CheckResult(
         "finite_values", not bad_rows.size,
         "every time, exposure and covariate value is finite" if not bad_rows.size
@@ -481,7 +495,7 @@ def validate(dataset: Dataset) -> ValidationReport:
         tuple(dataset.subject_ids[bad_rows]),
     ))
 
-    bad_order = [dataset.subject_ids[i] for i in np.nonzero(dataset.entry >= dataset.exit)[0]]
+    bad_order = dataset.subject_ids[misordered].tolist()
     checks.append(CheckResult(
         "interval_ordering", not bad_order,
         "every interval satisfies entry < exit" if not bad_order

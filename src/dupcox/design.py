@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, join_labels, label_codes
+from .data import Dataset, join_labels, label_codes, row_faults
 from .errors import ConfigError, EstimationError, SchemaError, ValidationError
 
 KINDS = ("continuous", "dichotomous", "categorical", "trend")
@@ -235,7 +235,16 @@ def trend_scores(categories, raw_values, k: int) -> np.ndarray:
 
 
 def _exposure_term_columns(dataset: Dataset, spec: ExposureSpec):
-    """Per-source-column model terms: list of (n, n_terms) arrays plus names."""
+    """Per-source-column model terms: list of (n, n_terms) arrays plus names.
+
+    A cohort with a row that breaks :func:`~dupcox.data.row_faults`' rules
+    is refused with a :class:`ValidationError` naming the rule and the count.
+    """
+    faults = row_faults(dataset.entry, dataset.exit, dataset.exposures, dataset.covariates)
+    for rows, rule in zip(faults, ("with a non-finite time, exposure or covariate value",
+                                   "whose entry time is not before the exit time")):
+        if rows.any():
+            raise ValidationError(f"{rows.sum()} row(s) {rule}")
     for name in spec.source_columns:
         if name not in dataset.schema.exposure_columns:
             raise SchemaError(f"exposure column {name!r} not declared in the dataset schema")

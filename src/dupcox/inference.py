@@ -157,20 +157,15 @@ class HazardRatio:
     ci_upper: float
 
 
-def _sum_hazard_ratio(fit_result: CoxFit, cov: np.ndarray, idx, scale: float,
-                      confidence: float):
-    """Estimate, standard error, and HR interval for the sum of coefficients ``idx``."""
-    weights = np.ones(len(idx))
-    est = float(weights @ fit_result.coefficients[idx])
-    var = float(weights @ cov[np.ix_(idx, idx)] @ weights)
+def _interval(est: float, var: float, scale: float, confidence: float):
+    """Standard error of ``est`` and its hazard ratio with a symmetric Wald interval."""
     se = math.sqrt(max(var, 0.0))
     z = _STANDARD_NORMAL.inv_cdf((1.0 + confidence) / 2.0)
-    hr = HazardRatio(
+    return se, HazardRatio(
         value=math.exp(scale * est),
         ci_lower=math.exp(scale * (est - z * se)),
         ci_upper=math.exp(scale * (est + z * se)),
     )
-    return est, se, hr
 
 
 def hazard_ratio(fit_result: CoxFit, name: str, scale: float = 1.0,
@@ -184,10 +179,9 @@ def hazard_ratio(fit_result: CoxFit, name: str, scale: float = 1.0,
         raise ConfigError(f"scale must be > 0, got {scale}")
     if not 0 < confidence < 1:
         raise ConfigError(f"confidence must be in (0, 1), got {confidence}")
-    idx = _positions(fit_result, (name,))
-    _, _, hr = _sum_hazard_ratio(fit_result, fit_result.covariance(covariance), idx,
-                                 scale, confidence)
-    return hr
+    (i,) = _positions(fit_result, (name,))
+    var = fit_result.covariance(covariance)[i, i]
+    return _interval(fit_result.coefficients[i], var, scale, confidence)[1]
 
 
 @dataclass(frozen=True)
@@ -376,19 +370,20 @@ def compare_exposures(dataset: Dataset, spec: ExposureSpec,
         except Exception as exc:
             raise _stage("wald", exc)
 
-        cov = fit_result.robust_covariance
-        p_b = design.blocks.shape[2]
+        # b = T theta and the diagonal of T V T' over the fitted columns.  An
+        # exposure term's row touches its main term and its interaction, and
+        # an aliased main term aliases its interactions too, so the Wald test
+        # has refused any aliased column those rows touch.
+        ok = ~fit_result.aliased_mask
+        T = design.block_map[:, ok]
+        b = (T @ fit_result.coefficients[ok]).reshape(spec.n_compared, -1)
+        var = ((T @ fit_result.robust_covariance[np.ix_(ok, ok)]) * T).sum(axis=1)
+        var = var.reshape(b.shape)
         for j, source in enumerate(spec.source_columns):
             terms = []
             for k, term in enumerate(design.exposure_main_columns):
-                # Exposure j's term k is b_j's k-th entry: main (+ interaction).
-                idx = np.flatnonzero(design.block_map[j * p_b + k])
-                if fit_result.aliased_mask[idx].any():
-                    terms.append(ExposureTerm(term, math.nan, math.nan, scales[j],
-                                              math.nan, math.nan, math.nan))
-                    continue
-                est, se, hr = _sum_hazard_ratio(fit_result, cov, idx, scales[j], confidence)
-                terms.append(ExposureTerm(term, est, se, scales[j],
+                se, hr = _interval(b[j, k], var[j, k], scales[j], confidence)
+                terms.append(ExposureTerm(term, float(b[j, k]), se, scales[j],
                                           hr.value, hr.ci_lower, hr.ci_upper))
             exposures.append(ExposureSummary(name=source, terms=tuple(terms)))
 
@@ -434,28 +429,16 @@ def render_table(report: ComparisonReport) -> str:
         return "\n".join(lines)
 
     if spec.kind == "categorical":
-        k = spec.n_levels
-        headers = [""] + [f"Q{c}" for c in range(1, k + 1)]
-        rows = []
-        for summary in report.exposures:
-            cells = [summary.name]
-            by_level = {int(t.term.removeprefix("Exposures")): t for t in summary.terms}
-            for c in range(1, k + 1):
-                if c == spec.reference_level:
-                    cells.append("-")
-                else:
-                    t = by_level[c]
-                    cells.append(format_hr_ci(t.hazard_ratio, t.ci_lower, t.ci_upper))
-            rows.append(cells)
+        headers = [""] + [f"Q{c}" for c in range(1, spec.n_levels + 1)]
     else:
         headers = ["", "Continuous"]
-        rows = [
-            [summary.name,
-             format_hr_ci(summary.terms[0].hazard_ratio,
-                          summary.terms[0].ci_lower,
-                          summary.terms[0].ci_upper)]
-            for summary in report.exposures
-        ]
+    rows = []
+    for summary in report.exposures:
+        cells = [format_hr_ci(t.hazard_ratio, t.ci_lower, t.ci_upper) for t in summary.terms]
+        if spec.kind == "categorical":
+            # The terms are the non-reference levels in increasing order.
+            cells.insert(spec.reference_level - 1, "-")
+        rows.append([summary.name] + cells)
     diff = ["Difference"] + [""] * (len(headers) - 1)
     if report.difference_test is not None:
         diff[1] = format_p(report.difference_test.p_value)

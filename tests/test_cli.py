@@ -256,6 +256,97 @@ class TestConfigDefaults:
         assert empty["fit"]["gradient_tolerance"] == dc.FitOptions().gradient_tolerance
 
 
+class TestConfigTypes:
+    """A value of the wrong JSON type is a config error naming its block and key."""
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("exposure", "confidence", "0.9"),
+        ("exposure", "levels", "5"),
+        ("exposure", "levels", 5.5),
+        ("exposure", "levels", True),
+        ("exposure", "reference", "1"),
+        ("exposure", "scale", [1]),
+        ("exposure", "columns", ["A1", 2]),
+        ("fit", "max_iterations", "10"),
+        ("fit", "gradient_tolerance", "x"),
+        ("schema", "exposures", "A1,A2"),
+        ("config", "seed", "abc"),
+        ("config", "fit", [1]),
+    ])
+    def test_compare_exits_one(self, tmp_path, cohort_csv, capsys, block, key, value):
+        doc = compare_config(cohort_csv, tmp_path, kind="categorical", levels=5)
+        (doc if block == "config" else doc.setdefault(block, {}))[key] = value
+        cfg = write_config(tmp_path, doc)
+        for command in ("compare", "fit"):
+            assert main([command, "--config", str(cfg)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {block}: {key!r} must be ")
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("true_beta", ["a", "b"]),
+        ("n_subjects", "400"),
+        ("n_subjects", 400.0),
+        ("alpha", "0.05"),
+        ("n_strata", 2.5),
+        ("include_naive", "yes"),
+        ("include_naive", 1),
+        ("censoring_rate", False),
+        ("seed", "abc"),
+    ])
+    def test_simulate_exits_one(self, tmp_path, capsys, key, value):
+        doc = TestSimulateCommand().simulate_config(tmp_path)
+        block = "config" if key == "seed" else "simulation"
+        (doc if block == "config" else doc[block])[key] = value
+        assert main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {block}: {key!r} must be ")
+        assert "Traceback" not in err
+
+    def test_message_names_the_expected_type(self, tmp_path, capsys):
+        doc = TestSimulateCommand().simulate_config(tmp_path)
+        doc["simulation"]["true_beta"] = [0.4, "0.4"]
+        assert main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 1
+        assert capsys.readouterr().err == (
+            "config error: simulation: 'true_beta' must be a list of numbers, "
+            "got [0.4, \"0.4\"]\n")
+
+    def test_null_is_like_leaving_an_optional_key_out(self, tmp_path, cohort_csv, capsys):
+        doc = compare_config(cohort_csv, tmp_path)
+        assert main(["compare", "--config", str(write_config(tmp_path, doc))]) == 0
+        bare = json.loads((tmp_path / "report.json").read_text())["report"]
+        doc["exposure"] = {"kind": None, "levels": None, "reference": None,
+                           "scale": None, "confidence": None, "columns": None}
+        doc["schema"]["entry"] = None
+        doc["fit"] = {"ties": None, "max_iterations": None, "gradient_tolerance": None}
+        assert main(["compare", "--config", str(write_config(tmp_path, doc))]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["report"] == bare
+        doc["exposure"] = doc["fit"] = None
+        assert main(["compare", "--config", str(write_config(tmp_path, doc))]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["report"] == bare
+
+        sim = TestSimulateCommand().simulate_config(tmp_path)
+        del sim["simulation"]["alpha"], sim["simulation"]["censoring_rate"]
+        assert main(["simulate", "--config", str(write_config(tmp_path, sim))]) == 0
+        bare = json.loads((tmp_path / "sim.json").read_text())["result"]
+        sim["simulation"].update(dict.fromkeys(
+            ("alpha", "include_naive", "covariate_effects", "censoring_rate", "n_strata")))
+        assert main(["simulate", "--config", str(write_config(tmp_path, sim))]) == 0
+        assert json.loads((tmp_path / "sim.json").read_text())["result"] == bare
+
+    def test_required_key_may_come_from_the_command_line(self, tmp_path, cohort_csv, capsys):
+        doc = compare_config(cohort_csv, tmp_path)
+        del doc["input"]
+        cfg = write_config(tmp_path, doc)
+        assert main(["compare", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "config error: config is missing required key 'input'\n"
+        assert main(["compare", "--config", str(cfg), "--input", str(cohort_csv)]) == 0
+        del doc["schema"]
+        assert main(["compare", "--config", str(write_config(tmp_path, doc)),
+                     "--input", str(cohort_csv)]) == 1
+        assert "missing required key 'schema'" in capsys.readouterr().err
+
+
 def test_import_loads_no_scipy():
     # A fresh interpreter, so that modules other tests imported do not count.
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import dupcox, dupcox.cli; "

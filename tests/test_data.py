@@ -482,6 +482,16 @@ class TestValidate:
         assert check.offenders == ("2", "4")
         assert check.detail.endswith("column(s): time, L1")
 
+    def test_interval_ordering_counts_finite_rows(self, four_row_dataset):
+        # A row with a non-finite time is a finite_values offender alone.
+        ds = replace(four_row_dataset,
+                     entry=np.array([20.0, 1.0, np.inf, 30.0]),
+                     exit=np.array([20.0, 19.0, 17.0, 21.0]))
+        report = dc.validate(ds)
+        assert report["finite_values"].offenders == ("3",)
+        assert report["interval_ordering"].offenders == ("1", "4")
+        assert report["interval_ordering"].detail == "2 interval(s) with entry >= exit"
+
     def test_validate_is_pure(self, four_row_dataset):
         before = four_row_dataset.fingerprint()
         dc.validate(four_row_dataset)

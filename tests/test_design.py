@@ -1,5 +1,7 @@
 import dataclasses
 import inspect
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +250,29 @@ class TestBuildDesignMatrix:
             dc.build_design_matrix(dc.duplicate_augment(ds, spec), spec)
 
 
+class TestRowRules:
+    """Rows the fit cannot use are refused when the design is built."""
+
+    @pytest.mark.parametrize("field, rows, value, rule", [
+        ("exit", [5, 9], np.nan, "2 row(s) with a non-finite time"),
+        ("entry", [5], 1e6, "1 row(s) whose entry time is not before the exit time"),
+        ("exit", [3], 0.0, "1 row(s) whose entry time is not before the exit time"),
+        ("covariates", [7], np.nan, "1 row(s) with a non-finite time, exposure or covariate"),
+    ], ids=["nan-exit", "entry-after-exit", "entry-at-exit", "nan-covariate"])
+    def test_bad_rows_are_refused(self, field, rows, value, rule):
+        ds, spec = simulated_cohort(seed=9, n=80)
+        column = getattr(ds, field).copy()
+        column[rows] = value
+        bad = dataclasses.replace(ds, **{field: column})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before numpy sees the cell
+            for build in (dc.block_design, dc.duplicate_augment):
+                with pytest.raises(ValidationError, match=re.escape(rule)):
+                    build(bad, spec)
+            with pytest.raises(ValidationError, match=re.escape(f"[design] {rule}")):
+                dc.compare_exposures(bad, spec)
+
+
 class TestDesignProperties:
     def test_identical_columns_zero_interaction(self):
         ds, _ = simulated_cohort(seed=7, n=150, betas=(0.4, 0.4), rho=1.0)
@@ -333,6 +358,10 @@ class TestOneDesignType:
         assert "covariate_interaction_columns" not in fields[dc.DesignMatrix]
         assert "covariance_used" not in fields[dc.ComparisonReport]
         assert "covariance" not in inspect.signature(dc.compare_exposures).parameters
+        # The times' order is all a fit sees, so no baseline-shape knob.
+        assert [f.name for f in dataclasses.fields(dc.SimConfig)] == [
+            "n_subjects", "exposure_correlation", "true_beta", "covariate_effects",
+            "censoring_rate", "n_strata", "replicate_count", "master_seed"]
         for runner in (dc.estimate_type1_error, dc.estimate_power):
             params = inspect.signature(runner).parameters
             assert not {"covariance", "options"} & set(params)

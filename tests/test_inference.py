@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import dupcox as dc
 from dupcox.errors import (AliasedCoefficientError, ConfigError, EstimationError,
-                           SingularMatrixError)
+                           SingularMatrixError, ValidationError)
 from conftest import simulated_cohort
 from oracles import dense_wald, prune_aliased
 
@@ -374,6 +374,57 @@ class TestCompareExposures:
         assert json.loads(outputs[0])["difference_test"] is not None
         assert outputs[0] == outputs[1]
 
+    def test_events_of_any_dtype_read_as_booleans(self):
+        ds, spec = simulated_cohort(seed=49, n=150)
+        want = dc.compare_exposures(ds, spec).to_dict()
+        for dtype in (np.int64, np.int8, float):
+            as_dtype = dataclasses.replace(ds, event=ds.event.astype(dtype))
+            assert dc.compare_exposures(as_dtype, spec).to_dict() == want
+        for bad in (2.0, -1.0, np.nan):
+            event = ds.event.astype(float)
+            event[0] = bad
+            with pytest.raises(ValidationError, match=r"^\[fit\] event indicators must be 0 or 1"):
+                dc.compare_exposures(dataclasses.replace(ds, event=event), spec)
+
+    def test_aliased_covariate_leaves_exposure_terms_alone(self):
+        # A copy of L1 is aliased, as main term and interaction.  The exposure
+        # terms' rows of the block map do not touch those columns, so the
+        # terms are those of the cohort without the copy.
+        ds, spec = simulated_cohort(seed=55, n=200)
+        doubled = dataclasses.replace(
+            ds, schema=dataclasses.replace(ds.schema, covariate_columns=("L1", "L2")),
+            covariates=np.column_stack([ds.covariates, ds.covariates]))
+        report = dc.compare_exposures(doubled, spec)
+        assert report.fit.aliased_mask.tolist() == [False, False, True, False, False, True]
+        want = dc.compare_exposures(ds, spec).exposures
+        for summary, expected in zip(report.exposures, want):
+            for t, e in zip(summary.terms, expected.terms):
+                assert [t.coefficient, t.se, t.ci_lower, t.ci_upper] == pytest.approx(
+                    [e.coefficient, e.se, e.ci_lower, e.ci_upper], rel=1e-9)
+
+    @pytest.mark.filterwarnings("ignore:.*unbalanced bins")
+    @pytest.mark.parametrize("tied, aliased", [
+        ((0, 1), ["Exposures2", "Exposures2:A_type2"]),
+        ((0,), ["Exposures2:A_type2"]),
+    ], ids=["both-exposures", "first-exposure"])
+    def test_aliased_exposure_term_is_refused(self, tied, aliased):
+        # Tied values leave quantile category 2 empty.  An aliased main term
+        # aliases its interaction too, so the Wald test refuses every cohort
+        # in which an exposure term's row of the block map touches an
+        # aliased column, before any term is formed.
+        ds, _ = simulated_cohort(seed=56, n=300)
+        exposures = ds.exposures.copy()
+        for j in tied:
+            x = exposures[:, j]
+            exposures[:, j] = np.where(x < np.quantile(x, 0.75), 0.0, x + 10.0)
+        ds = dataclasses.replace(ds, exposures=exposures)
+        spec = dc.ExposureSpec(kind="categorical", source_columns=("A1", "A2"), n_levels=3)
+        fit = dc.fit(dc.block_design(ds, spec))
+        assert [n for n, a in zip(fit.column_names, fit.aliased_mask) if a] == aliased
+        with pytest.raises(AliasedCoefficientError,
+                           match=r"^\[wald\] coefficient\(s\) \['Exposures2:A_type2'\]"):
+            dc.compare_exposures(ds, spec)
+
     def test_stage_labels_on_errors(self, four_row_dataset):
         spec = dc.ExposureSpec(kind="categorical", source_columns=("A", "Aprime"),
                                n_levels=5)
@@ -401,6 +452,23 @@ class TestRenderTable:
         assert [f"Q{c}" in header for c in range(1, 6)] == [True] * 5
         row = text.splitlines()[1]
         assert row.split()[1] == "-"
+
+    def test_reference_dash_sits_under_its_level(self):
+        ds, _ = simulated_cohort(seed=53, n=300)
+        spec = dc.ExposureSpec(kind="categorical", source_columns=("A1", "A2"),
+                               n_levels=5, reference_level=3)
+        report = dc.compare_exposures(ds, spec)
+        lines = dc.render_table(report).splitlines()
+        starts = [lines[0].index(f"Q{c}") for c in range(1, 6)] + [None]
+        for summary, line in zip(report.exposures, lines[1:3]):
+            cells = [line[a:b].strip() for a, b in zip(starts, starts[1:])]
+            by_level = {int(t.term.removeprefix("Exposures")): t for t in summary.terms}
+            assert sorted(by_level) == [1, 2, 4, 5]
+            assert cells == [
+                "-" if c == 3 else dc.format_hr_ci(by_level[c].hazard_ratio,
+                                                   by_level[c].ci_lower,
+                                                   by_level[c].ci_upper)
+                for c in range(1, 6)]
 
     def test_p_formatting(self):
         assert dc.format_p(0.005) == "P = 0.005"

@@ -85,6 +85,28 @@ class TestSimulateCohort:
         report = dc.validate(dc.simulate_cohort(config(), 0))
         assert report.all_passed
 
+    @pytest.mark.parametrize("seed, large, null", [
+        (1, "ccc095f42b4108dba9f06ecb2d9183948a5be00895b686bbc966c6dd74bf7751",
+         "2b9f7ec9c4d3f7ae5c1863bf7967d6a08bee1ffe0e5fae5eca2bd84e8b95f57a"),
+        (2, "aa83114f84f070b6f694de6412f7955d04b33e64282a7d6bedc953fc78f9ec23",
+         "eaa1129466c7856c18ca8d95baff7cdcbdfc55f902e602d1eafbd5767d9314a0"),
+        (3, "15016b1139c146e7fdbe063f63ba24fd46ce3b6e978b0d3fb08dc71258fe52ae",
+         "c229523c7e8dfe3a35996df8cb7de18ec4dc0cee566f397479b6b467e8447419"),
+    ])
+    def test_benchmark_cohorts_are_pinned(self, seed, large, null):
+        # The cohorts of the benchmark's compare_large and simlab_null
+        # workloads (replicate 0), byte for byte.
+        compare_large = dc.SimConfig(
+            n_subjects=50_000, exposure_correlation=0.7, true_beta=(0.5, 0.3),
+            covariate_effects=(0.3, -0.2), censoring_rate=0.3, n_strata=4,
+            replicate_count=1, master_seed=seed)
+        simlab_null = dc.SimConfig(
+            n_subjects=500, exposure_correlation=0.7, true_beta=(0.4, 0.4),
+            covariate_effects=(0.3,), censoring_rate=0.3, n_strata=4,
+            replicate_count=20, master_seed=seed)
+        assert dc.simulate_cohort(compare_large, 0).fingerprint() == large
+        assert dc.simulate_cohort(simlab_null, 0).fingerprint() == null
+
 
 class TestCalibration:
     def test_degenerate_null_never_rejects(self):
