@@ -49,6 +49,7 @@ _SIM_KEYS = {"n_subjects": int, "exposure_correlation": float, "true_beta": [flo
              "replicate_count": int, "covariate_effects": ([float], None),
              "censoring_rate": (float, None), "n_strata": (int, None)}
 _RUNNER_KEYS = {"alpha": (float, None), "include_naive": (bool, None)}
+_FORMATS = ("human", "machine")
 
 
 def _is_type(value, kind) -> bool:
@@ -105,6 +106,9 @@ def _load_config(path: str, command: str, overrides: dict) -> dict:
         raise ConfigError("config: expected a key/value block")
     config |= {key: value for key, value in overrides.items() if value is not None}
     _check_keys(config, _TOP_KEYS[command], "config")
+    if config.get("format") not in (None, *_FORMATS):
+        raise ConfigError(f"config: 'format' must be \"human\" or \"machine\", "
+                          f"got {json.dumps(config['format'])}")
     declared = config.get("command")
     if declared is not None and declared != command:
         raise ConfigError(
@@ -287,6 +291,9 @@ def run_simulate(config: dict) -> int:
         f"[{result.ci_lower:.4f}, {result.ci_upper:.4f}] (95% Monte Carlo CI)",
         f"replicates: {result.n_used} used / {result.n_replicates} total "
         f"({result.n_failures} failed fits)",
+        "failed fits by reason: " + (", ".join(
+            f"{reason} {count}" for reason, count in result.failure_reasons.items() if count)
+            or "none"),
         f"scenario valid: {'yes' if result.valid else 'NO (failure fraction > 2%)'}",
         f"per-exposure CI overlap fraction: {result.ci_overlap_fraction:.4f}",
     ]
@@ -318,7 +325,7 @@ def main(argv=None) -> int:
         p.add_argument("--input", help="override the input path from the config")
         p.add_argument("--output", help="override the output path from the config")
         p.add_argument("--seed", type=int, help="override the seed from the config")
-        p.add_argument("--format", choices=("human", "machine"),
+        p.add_argument("--format", choices=_FORMATS,
                        help="override the output format from the config")
     args = parser.parse_args(argv)
 

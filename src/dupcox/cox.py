@@ -10,15 +10,32 @@ sandwich variance built from score residuals.
 
 Baseline hazards are never estimated: the partial likelihood eliminates them.
 
-The strata with events are laid out once per fit.  Sorted by size, they are
+One engine evaluates a stack of independent problems: designs with the same
+blocks, block map and columns, each with its own rows, strata and clusters.
+:func:`fit_stack` runs one Newton loop over the stack, and :func:`fit` is
+the stack of one.  Each problem keeps its own iterate, step halvings, stop
+and failure.
+
+The strata with events are laid out once per stack.  Sorted by size, they are
 cut into buckets: a bucket takes strata while its largest has at most twice
 the rows of its smallest, so there are at most ``ceil(log2(largest /
 smallest)) + 1`` buckets and padding at most doubles one.  In a bucket, each
 stratum is a row of padded grids of its rows by decreasing exit and of its
 Efron sub-steps (one per event), so running totals restart at each stratum
-and one pass evaluates all strata and blocks.  Risk-set sums are running
-totals over the rows less those over the rows entering late; the information
-and the score residuals both sum sub-step terms over each row's at-risk window.
+and one pass evaluates all strata, blocks and problems.  Risk-set sums are
+running totals over the rows less those over the rows entering late; the
+information and the score residuals both sum sub-step terms over each row's
+at-risk window.
+
+A problem's answer does not depend on which other problems share its stack
+or its bucket.  Terms are formed per row and running totals are sequential,
+with a row's padding after it.  Every other sum over a stratum's rows or
+events, or over a problem's clusters, is taken on exactly that segment, by
+``np.add.reduceat`` or by a BLAS product over the segment alone, never over
+a padded grid row: the padded width would change the blocking of a pairwise
+sum or of a BLAS product.  Which of the two forms a stratum's information
+follows from its own size.  A problem's strata are then added in label
+order, one at a time.
 
 Score residuals stay in block coordinates: the sandwich sums them by cluster
 there and maps only its small middle matrix through ``T``.  Mapping each row
@@ -42,12 +59,18 @@ TIE_METHODS = ("efron", "breslow")
 # relative to its diagonal in the initial information matrix.
 ALIASING_PIVOT_RATIO = 1e-10
 
+# Rows from which a stratum's information is formed by BLAS products over its
+# own rows; smaller strata share elementwise products, summed per stratum.
+OWN_PRODUCT_ROWS = 1024
+
 # Coefficient magnitude beyond which a still-increasing likelihood is taken
 # as probable monotone likelihood (separation).
 SEPARATION_COEF_BOUND = 20.0
 
-# Most halvings of a Newton step that lowers the log partial likelihood.
+# Most halvings of a Newton step that lowers the log partial likelihood, and
+# the message of a fit that ran out of them.
 STEP_HALVINGS_MAX = 10
+STEP_HALVING_FAILED = "step halving failed to increase the log partial likelihood"
 
 
 @dataclass(frozen=True)
@@ -126,6 +149,15 @@ def _grid(groups, n_groups: int):
     return starts, groups * width + 1 + np.arange(len(groups)) - starts[groups], width
 
 
+def _offset_codes(code_arrays):
+    """A stack's codes, each problem's numbered after the previous problem's;
+    each problem's first code, and the number of codes."""
+    counts = [int(codes.max()) + 1 if codes.size else 0 for codes in code_arrays]
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(int)
+    return (np.concatenate([codes + s for codes, s in zip(code_arrays, starts)]),
+            starts, sum(counts))
+
+
 class _Bucket:
     """Static risk-set index of ``S`` strata of similar size, shared by every
     evaluation.
@@ -140,14 +172,16 @@ class _Bucket:
 
     ``rows`` are original row numbers by stratum and decreasing exit, ``s``
     their stratum in the bucket, ``strata`` the strata's places in label
-    order, and ``entry`` and ``exit_`` time ranks below ``R``.  ``Z`` holds
-    ``[1 | block]'`` ``(m, q, n + 1)`` for every row, and zeros at row ``n``;
-    arrays keep the rows last, so that every pass runs along them.
+    order, ``problem`` their problems, and ``entry`` and ``exit_`` time
+    ranks below ``span``.  ``Z`` holds ``[1 | block]'`` ``(m, q, n + 1)`` for
+    every row, and zeros at row ``n``; arrays keep the rows last, so that
+    every pass runs along them.
     """
 
-    def __init__(self, Z, rows, s, strata, entry, exit_, event, R: int, efron: bool):
+    def __init__(self, Z, rows, s, strata, problem, entry, exit_, event, span: int,
+                 efron: bool):
         m, q, n = Z.shape[0], Z.shape[1], Z.shape[2] - 1
-        self.strata, S = strata, len(strata)
+        self.strata, self.problem, S = strata, problem, len(strata)
         start, cell, L = _grid(s, S)
         self.rows = np.full(S * L, n)                    # empty cells map past the end
         self.rows[cell] = rows
@@ -161,24 +195,37 @@ class _Bucket:
         self.f_start, self.fail_step, self.E = _grid(fs, S)
         self.fail = cell[fail]
 
+        # Each stratum's own cells and sub-steps.  Large strata take BLAS
+        # products over them; the rest share elementwise products summed by
+        # reduceat, whose even places are the strata's own cells.
+        first = np.arange(S) * L + 1
+        ends = np.column_stack((first, first + np.diff(start, append=len(s)),
+                                self.f_start, np.append(self.f_start[1:], len(fail))))
+        self.own = [(k, slice(*ends[k, :2]), slice(*ends[k, 2:]))
+                    for k in np.flatnonzero(ends[:, 1] - ends[:, 0] >= OWN_PRODUCT_ROWS)]
+        self.segments = ends[:, :2].ravel()
+        if self.segments[-1] == S * L:
+            self.segments = self.segments[:-1]
+        self.fail_sum = np.add.reduceat(np.take(self.X, self.fail, axis=2), self.f_start, axis=2)
+
         # Per sub-step: rows with exit >= t, and late-entry rows with entry >= t,
         # counted on (stratum, time rank) keys so that strata never mix.
-        query = fs * R + (R - 1 - times)
+        query = fs * span + (span - 1 - times)
         self.exit_at = fs * L + np.searchsorted(
-            s * R + (R - 1 - exit_), query, side="right") - start[fs]
+            s * span + (span - 1 - exit_), query, side="right") - start[fs]
         late = np.flatnonzero(entry >= times[self.f_start][s])
         late = late[np.lexsort((-entry[late], s[late]))]  # by stratum, decreasing entry
-        late_key = s[late] * R + (R - 1 - entry[late])
+        late_key = s[late] * span + (span - 1 - entry[late])
         z_start, late_cell, K = _grid(s[late], S)
         self.late = np.zeros((S, K), dtype=int)
         self.late.flat[late_cell] = cell[late]
         self.late_at = fs * K + np.searchsorted(late_key, query, side="right") - z_start[fs]
 
         # Per row: the sub-steps lo <= k < hi of event times inside (entry, exit].
-        fail_key = fs * R + times
+        fail_key = fs * span + times
         self.window = np.zeros((2, S * L), dtype=int)
         self.window[:, cell] = s * self.E - self.f_start[s] + np.searchsorted(
-            fail_key, s * R + np.stack((entry, exit_)), side="right")
+            fail_key, s * span + np.stack((entry, exit_)), side="right")
 
         # Under Efron, sub-step k of d events tied at one time removes J = k/d
         # of the tied rows' own sum.  Only the events at tied times are
@@ -208,82 +255,113 @@ class _Bucket:
         return sums
 
 
-# One point's log-likelihood, score, information and what its residuals need.
+# Each problem's log-likelihood, score and information at one point, over the
+# columns ``cols``, and what the residuals need.
 _Evaluation = namedtuple("_Evaluation", "ll score info cols parts")
 
 
 class _Engine:
-    """Stratified Cox likelihood of a design of ``m`` row-aligned blocks.
+    """Stratified Cox likelihoods of a stack of ``R`` designs of ``m``
+    row-aligned blocks.
 
-    The design supplies ``blocks`` ``(m, n, p_b)`` and ``block_map`` ``T``
-    with per-block coefficients ``b = T theta``.  Each stratum of each block
-    is its own stratum of the likelihood, so with ``T``'s rows cut per block
-    as ``T_j``: ``ll = sum_j ll_j``, ``score = sum_j T_j' s_j`` and
-    ``information = sum_j T_j' I_j T_j``.
+    The designs share ``p_b`` and the block map ``T``, with per-block
+    coefficients ``b = T theta``; their rows, strata and clusters are their
+    own.  Each stratum of each block is its own stratum of the likelihood,
+    so with ``T``'s rows cut per block as ``T_j``, per problem: ``ll =
+    sum_j ll_j``, ``score = sum_j T_j' s_j`` and ``information = sum_j T_j'
+    I_j T_j``.
     """
 
-    def __init__(self, design: DesignMatrix, tie_method: str):
-        blocks, self.T = design.blocks, design.block_map
-        self.m, self.n, self.p_b = blocks.shape
-        self.cluster_codes = design.cluster_codes
-        codes, event = design.stratum_codes, design.event
+    def __init__(self, designs, tie_method: str):
+        self.T, self.R = designs[0].block_map, len(designs)
+        self.m, _, self.p_b = designs[0].blocks.shape
+        sizes = [len(d) for d in designs]
+        self.n = sum(sizes)
+        codes, code_start, n_codes = _offset_codes([d.stratum_codes for d in designs])
+        self.cluster_codes, self.cluster_start, self.n_clusters = _offset_codes(
+            [d.cluster_codes for d in designs])
+        event = np.concatenate([d.event for d in designs])
         if event.dtype != bool:  # 0 and 1 of any dtype are read as flags
             if not np.isin(event, (0, 1)).all():
                 raise ValidationError("event indicators must be 0 or 1 (or False or True)")
             event = event == 1
-        n_codes = int(codes.max()) + 1 if self.n else 0
         size = np.bincount(codes, minlength=n_codes)
         kept = np.flatnonzero(np.bincount(codes, weights=event, minlength=n_codes))
+        # Each kept stratum's problem; kept strata run by problem, then by label.
+        problem = np.repeat(np.arange(self.R), np.diff(code_start, append=n_codes))[kept]
+        kept_count = np.bincount(problem, minlength=self.R)
+        # Each kept stratum's cell in a grid of problems by their strata in label order.
+        self.stratum_cell = (problem, np.arange(len(kept))
+                             - np.searchsorted(problem, np.arange(self.R))[problem])
+        self.width = int(kept_count.max())
+        # Counted as in the augmented model: one stratum per block.
+        self.n_strata_used = self.m * kept_count
+        self.n_strata_skipped = self.m * (np.diff(code_start, append=n_codes) - kept_count)
+        self.n_events = self.m * np.array([int(d.event.sum()) for d in designs])
+        if not self.n_events.all():
+            raise EstimationError("no informative strata: the design contains no events")
+
         by_size = np.argsort(size[kept], kind="stable")
         s = np.full(n_codes, -1)
         s[kept[by_size]] = np.arange(len(kept))
         s = s[codes]                 # each row's stratum by size; -1 without events
-        # Time ranks below R, so that (stratum, time) pairs are integer keys.
-        entry, exit_ = np.unique(np.concatenate((design.entry, design.exit)),
+        # Time ranks below span, so that (stratum, time) pairs are integer keys.
+        entry, exit_ = np.unique(np.concatenate([d.entry for d in designs]
+                                                + [d.exit for d in designs]),
                                  return_inverse=True)[1].reshape(2, -1)
-        R = 2 * self.n
+        span = 2 * self.n
         Z = np.zeros((self.m, 1 + self.p_b, self.n + 1))
-        Z[:, 0, :-1], Z[:, 1:, :-1] = 1.0, blocks.transpose(0, 2, 1)
+        Z[:, 0, :-1] = 1.0
+        for d, at in zip(designs, np.cumsum([0] + sizes)):
+            Z[:, 1:, at:at + len(d)] = d.blocks.transpose(0, 2, 1)
         rows = np.flatnonzero(s >= 0)
-        rows = rows[np.argsort(s[rows] * R + (R - 1 - exit_[rows]), kind="stable")]
+        rows = rows[np.argsort(s[rows] * span + (span - 1 - exit_[rows]), kind="stable")]
         size = np.sort(size[kept])
         ends = np.cumsum(size)
         self.buckets, a = [], 0
         while a < len(kept):
             z = int(np.searchsorted(size, 2 * size[a], side="right"))
             r = rows[ends[a] - size[a]:ends[z - 1]]
-            self.buckets.append(_Bucket(Z, r, s[r] - a, by_size[a:z], entry[r], exit_[r],
-                                        event[r], R, tie_method == "efron"))
+            self.buckets.append(_Bucket(Z, r, s[r] - a, by_size[a:z], problem[by_size[a:z]],
+                                        entry[r], exit_[r], event[r], span,
+                                        tie_method == "efron"))
             a = z
-        self.fail_sum = blocks[:, event].sum(axis=1)
-        # Counted as in the augmented model: one stratum per block.
-        self.n_strata_used = self.m * len(kept)
-        self.n_strata_skipped = self.m * (n_codes - len(kept))
-        self.n_events = self.m * int(event.sum())
-        if not self.n_events:
-            raise EstimationError("no informative strata: the design contains no events")
 
     def evaluate(self, theta, cols) -> _Evaluation:
-        b = (self.T[:, cols] @ theta).reshape(self.m, self.p_b)
-        ll = np.zeros(self.n_strata_used // self.m)  # per stratum, in label order
-        score, info, parts = self.fail_sum, 0.0, []
+        """Each problem's evaluation at its row of ``theta`` ``(R, len(cols))``:
+        ``ll`` ``(R,)``, ``score`` ``(R, len(cols))``, ``info`` ``(R, len(cols),
+        len(cols))``."""
+        T = self.T[:, cols]
+        b = (T @ theta[..., None]).reshape(self.R, self.m, self.p_b)
+        n_kept = len(self.stratum_cell[0])
+        ll = np.empty(n_kept)
+        score = np.empty((n_kept, self.m, self.p_b))
+        info = np.empty((n_kept, self.m, self.p_b, self.p_b))
+        parts = []
         for bk in self.buckets:
-            ll[bk.strata], xbar_sum, info_b, part = self._bucket(bk, b)
-            score, info = score - xbar_sum, info + info_b
+            ll[bk.strata], score[bk.strata], info[bk.strata], part = self._bucket(bk, b)
             parts.append(part)
-        T = self.T.reshape(self.m, self.p_b, -1)
-        info = (T.transpose(0, 2, 1) @ info @ T).sum(axis=0)[cols][:, cols]
-        # Strata add up in label order, one at a time, as separate fits would.
-        ll = float(np.cumsum(ll)[-1])
-        return _Evaluation(ll, (self.T.T @ score.ravel())[cols], info, cols, tuple(parts))
+        ll, score, info = map(self._per_problem, (ll, score, info))
+        T_j = T.reshape(self.m, self.p_b, -1)
+        info = (T_j.transpose(0, 2, 1) @ info @ T_j).sum(axis=1)
+        return _Evaluation(ll, (T.T @ score.reshape(self.R, -1, 1))[..., 0], info, cols,
+                           tuple(parts))
+
+    def _per_problem(self, per_stratum):
+        """Each problem's sum of per-stratum values, adding its strata one at a
+        time in label order, as a stack of one would."""
+        grid = np.zeros((self.R, self.width) + per_stratum.shape[1:])
+        grid[self.stratum_cell] = per_stratum
+        return np.cumsum(grid, axis=1)[:, -1]
 
     def _bucket(self, bk: _Bucket, b):
         m, q = self.m, self.p_b + 1
+        b = b[bk.problem].transpose(1, 2, 0)[..., None]  # each stratum's problem's, (m, p_b, S, 1)
         # Term by term, so that a row's value, unlike a matrix product's, does
         # not depend on where it sits or on the other strata.
         lp = np.repeat(bk.pad[None], m, axis=0)
         for i in range(self.p_b):
-            lp += bk.Z[:, i + 1] * b[:, i, None, None]
+            lp += bk.Z[:, i + 1] * b[:, i]
         lp -= lp.max(axis=2, keepdims=True)  # cancels exactly in the likelihood
         w = np.exp(lp).reshape(m, -1)
         wZ = w[:, None] * bk.Z.reshape(m, q, -1)
@@ -302,17 +380,33 @@ class _Engine:
         # Each stratum's own log-likelihood, summed block by block.
         ll = (np.add.reduceat(np.take(lp.reshape(m, -1), bk.fail, axis=1), bk.f_start, axis=1)
               - np.add.reduceat(np.log(S0_fl), bk.f_start, axis=1)).sum(axis=0)
+        score = bk.fail_sum - np.add.reduceat(xbar, bk.f_start, axis=2)
         lam_fl = 1.0 / S0_fl
         a = bk.at_risk_sums(lam_fl[:, None])[:, 0]
         # wZ's space, free again, takes w a Z.
         Xwa = np.multiply(bk.Z.reshape(wZ.shape), (w * a)[:, None], out=wZ)[:, 1:]
-        info = Xwa @ bk.X.transpose(0, 2, 1) - xbar @ xbar.transpose(0, 2, 1)
-        return ll, xbar.sum(axis=2), info, (w, a, xbar, lam_fl)
+        # Each stratum's information from its own rows and events alone.
+        p_b = self.p_b
+        info = np.empty((len(bk.strata), m, p_b, p_b))
+        if len(bk.own) < len(bk.strata):
+            # The upper triangle row by row, the products in two reused buffers.
+            by_row, by_step = np.empty(Xwa.shape), np.empty(xbar.shape)
+            for i in range(p_b):
+                rows = np.multiply(Xwa[:, i, None], bk.X[:, i:], out=by_row[:, :p_b - i])
+                steps = np.multiply(xbar[:, i, None], xbar[:, i:], out=by_step[:, :p_b - i])
+                upper = (np.add.reduceat(rows, bk.segments, axis=2)[..., ::2]
+                         - np.add.reduceat(steps, bk.f_start, axis=2))
+                info[:, :, i, i:] = info[:, :, i:, i] = upper.transpose(2, 0, 1)
+        for k, rows, steps in bk.own:
+            outer = Xwa[..., rows] @ bk.X[..., rows].transpose(0, 2, 1)
+            info[k] = ((outer + outer.transpose(0, 2, 1)) / 2.0
+                       - xbar[..., steps] @ xbar[..., steps].transpose(0, 2, 1))
+        return ll, score.transpose(2, 0, 1), info, (w, a, xbar, lam_fl)
 
     def residuals(self, ev: _Evaluation) -> np.ndarray:
-        """Per-row score residuals at ``ev``'s point in block coordinates,
+        """Per-row score residuals at ``ev``'s points in block coordinates,
         ``(m * p_b, n)`` with contiguous rows; mapped by ``T[:, ev.cols]``,
-        they sum to its score."""
+        a problem's rows sum to its score."""
         out = np.zeros((self.m, self.p_b, self.n + 1))
         for bk, (w, a, xbar, lam_fl) in zip(self.buckets, ev.parts):
             # delta (X - mbar) - w (a X - window sum of xbar / S0), where mbar
@@ -333,15 +427,15 @@ class _Engine:
 
 
 def _evaluate(design: DesignMatrix, beta, tie_method: str):
-    """The engine, and its evaluation at ``beta`` over every column."""
+    """The engine of ``design`` alone, and its evaluation at ``beta`` over every column."""
     if tie_method not in TIE_METHODS:
         raise ConfigError(f"tie_method must be one of {TIE_METHODS}, got {tie_method!r}")
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (design.n_columns,):
         raise ValueError(f"beta has shape {beta.shape}, expected ({design.n_columns},) "
                          "to match the design columns")
-    engine = _Engine(design, tie_method)
-    return engine, engine.evaluate(beta, np.arange(design.n_columns))
+    engine = _Engine([design], tie_method)
+    return engine, engine.evaluate(beta[None], np.arange(design.n_columns))
 
 
 def log_partial_likelihood(design: DesignMatrix, beta, tie_method: str = "efron") -> float:
@@ -353,18 +447,17 @@ def log_partial_likelihood(design: DesignMatrix, beta, tie_method: str = "efron"
     """
     # Out-of-range coefficients can underflow a risk-set sum to zero: -inf.
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _evaluate(design, beta, tie_method)[1].ll
+        return float(_evaluate(design, beta, tie_method)[1].ll[0])
 
 
 def score(design: DesignMatrix, beta, tie_method: str = "efron") -> np.ndarray:
     """Analytic gradient of the log partial likelihood."""
-    return _evaluate(design, beta, tie_method)[1].score
+    return _evaluate(design, beta, tie_method)[1].score[0]
 
 
 def information(design: DesignMatrix, beta, tie_method: str = "efron") -> np.ndarray:
     """Observed information (negative Hessian); symmetric PSD."""
-    info = _evaluate(design, beta, tie_method)[1].info
-    return (info + info.T) / 2.0
+    return _evaluate(design, beta, tie_method)[1].info[0]
 
 
 def score_residuals(design: DesignMatrix, beta, tie_method: str = "efron") -> np.ndarray:
@@ -381,27 +474,28 @@ def score_residuals(design: DesignMatrix, beta, tie_method: str = "efron") -> np
 
 
 def _aliased_columns(info: np.ndarray) -> np.ndarray:
-    """Mark columns whose pivot collapses during an in-order Cholesky sweep.
+    """Mark, in each matrix of an ``(R, p, p)`` stack, the columns whose pivot
+    collapses during an in-order Cholesky sweep.
 
     Keeps the earliest column of any collinear group (mirroring how aliased
     terms surface as NA in common model summaries).
     """
-    p = info.shape[0]
     A = info.copy()
-    diag0 = np.diag(info).copy()
-    aliased = np.zeros(p, dtype=bool)
-    for k in range(p):
-        if A[k, k] <= ALIASING_PIVOT_RATIO * diag0[k] or diag0[k] <= 0.0:
-            aliased[k] = True
-            A[k, :] = A[:, k] = 0.0
-            continue
-        rest = A[k, k + 1:]
-        A[k + 1:, k + 1:] -= np.outer(rest, rest) / A[k, k]
+    diag0 = np.diagonal(info, axis1=1, axis2=2).copy()
+    aliased = np.zeros(diag0.shape, dtype=bool)
+    for k in range(info.shape[1]):
+        hit = (A[:, k, k] <= ALIASING_PIVOT_RATIO * diag0[:, k]) | (diag0[:, k] <= 0.0)
+        aliased[:, k] = hit
+        A[hit, k, :] = 0.0
+        A[hit, :, k] = 0.0
+        rest = A[~hit, k, k + 1:]
+        A[~hit, k + 1:, k + 1:] -= rest[:, :, None] * rest[:, None, :] / A[~hit, k, k, None, None]
     return aliased
 
 
 def _symmetric_inverse(matrix: np.ndarray) -> np.ndarray:
-    """``L^-T L^-1`` from the Cholesky factor ``L``; exactly symmetric.
+    """``L^-T L^-1`` from the Cholesky factor ``L`` of each matrix of a
+    ``(..., p, p)`` stack; exactly symmetric.
 
     A matrix with no Cholesky factor raises :class:`SingularMatrixError`
     naming its smallest eigenvalue (zero or negative up to rounding) as well
@@ -410,13 +504,30 @@ def _symmetric_inverse(matrix: np.ndarray) -> np.ndarray:
     try:
         inv_factor = np.linalg.inv(np.linalg.cholesky(matrix))
     except np.linalg.LinAlgError:
-        smallest = float(np.linalg.eigvalsh(matrix)[0])
-        cond = float(np.linalg.cond(matrix))
+        smallest = float(np.linalg.eigvalsh(matrix).min())
+        cond = float(np.max(np.linalg.cond(matrix)))
         raise SingularMatrixError(
             "information matrix is not positive definite on the non-aliased subspace "
             f"(smallest eigenvalue {smallest:.6g}, condition number {cond:.3e})",
             condition_number=cond) from None
-    return inv_factor.T @ inv_factor
+    return np.swapaxes(inv_factor, -1, -2) @ inv_factor
+
+
+def _inverses(stack: np.ndarray):
+    """``_symmetric_inverse`` of each matrix of an ``(R, p, p)`` stack, and
+    per matrix ``None`` or, with NaN for its inverse, the error it raised."""
+    try:
+        return _symmetric_inverse(stack), [None] * len(stack)
+    except SingularMatrixError:
+        pass
+    out, errors = np.full(stack.shape, np.nan), []
+    for i in range(len(stack)):
+        try:
+            out[i] = _symmetric_inverse(stack[i:i + 1])[0]
+            errors.append(None)
+        except SingularMatrixError as exc:
+            errors.append(exc)
+    return out, errors
 
 
 def _expand(values: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -441,85 +552,138 @@ def fit(design: DesignMatrix, options: FitOptions | None = None,
     probable-separation flag when a coefficient runs beyond +-20 with the
     likelihood still increasing.
     """
+    (result,) = fit_stack([design], options, robust)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def fit_stack(designs, options: FitOptions | None = None, robust: bool = True) -> list:
+    """:func:`fit` of each of a stack of designs, in one Newton loop over one engine.
+
+    The designs share their blocks' width, block map and columns (one
+    exposure spec's designs of different cohorts).  Each design's result
+    is its :class:`CoxFit`, or the :class:`~dupcox.errors.DupcoxError` that
+    :func:`fit` would raise for it.  In a stack of more than one, a design with a
+    column aliased at the starting point gets ``None``: its columns differ
+    from the others', so fit it alone.  Every evaluation covers the whole
+    stack; a problem that has stopped is evaluated at its last iterate.
+    """
     options = options or FitOptions()
-    engine = _Engine(design, options.tie_method)
-    p = design.n_columns
+    engine = _Engine(designs, options.tie_method)
+    R, p = engine.R, designs[0].n_columns
 
-    ev = engine.evaluate(np.zeros(p), np.arange(p))
+    ev = engine.evaluate(np.zeros((R, p)), np.arange(p))
     aliased = _aliased_columns(ev.info)
-    if aliased.all():
-        raise EstimationError("all design columns are aliased; nothing to fit")
-    active = np.flatnonzero(~aliased)
+    common = aliased[0] if R == 1 else np.zeros(p, dtype=bool)
+    if common.all():
+        return [EstimationError("all design columns are aliased; nothing to fit")]
+    active = np.flatnonzero(~common)
+    aside = (aliased != common).any(axis=1)
 
-    beta = np.zeros(active.size)
+    beta = np.zeros((R, active.size))
     ev = ev if active.size == p else engine.evaluate(beta, active)
-    ll = ev.ll
-    converged = False
-    message = ""
-    iterations = 0
-    for iterations in range(options.max_iterations + 1):
-        cov = _symmetric_inverse(ev.info)
-        step = cov @ ev.score
-        if ev.score @ step <= options.gradient_tolerance ** 2:
-            converged = True
+    ll, score_, info = ev.ll.copy(), ev.score.copy(), ev.info.copy()
+    cov, step = np.full(info.shape, np.nan), np.zeros(beta.shape)
+    scale, halvings, slack = np.ones(R), np.zeros(R, dtype=int), np.zeros(R)
+    iterations, converged = np.zeros(R, dtype=int), np.zeros(R, dtype=bool)
+    messages, errors = [""] * R, [None] * R
+    live = ~aside                  # still iterating
+    fresh = live.copy()            # at a new iterate, to take its Newton step
+    while True:
+        new = np.flatnonzero(fresh)
+        if new.size:
+            fresh[:] = False
+            cov[new], failed = _inverses(info[new])
+            for r, exc in zip(new, failed):
+                if exc is not None:
+                    errors[r], live[r] = exc, False
+            step[new] = (cov[new] @ score_[new, :, None])[..., 0]
+            decrement = (score_[new] * step[new]).sum(axis=1)
+            done = live[new] & (decrement <= options.gradient_tolerance ** 2)
+            converged[new[done]] = True
+            out = live[new] & ~done & (iterations[new] == options.max_iterations)
+            for r in new[out]:
+                messages[r] = f"no convergence in {options.max_iterations} iterations"
+            live[new[done | out]] = False
+            # Near the optimum a productive Newton step moves the likelihood by
+            # less than float resolution while the score still shrinks; halve
+            # only on a decrease beyond rounding noise.
+            slack[new] = 1e-10 * (np.abs(ll[new]) + 1.0)
+            scale[new], halvings[new] = 1.0, 0
+        if not live.any():
             break
-        if iterations == options.max_iterations:
-            message = f"no convergence in {options.max_iterations} iterations"
-            break
-        # Near the optimum a productive Newton step moves the likelihood by
-        # less than float resolution while the score still shrinks; halve
-        # only on a decrease beyond rounding noise.
-        slack = 1e-10 * (abs(ll) + 1.0)
-        scale_factor = 1.0
-        accepted = False
-        for _ in range(STEP_HALVINGS_MAX + 1):
-            cand = beta + scale_factor * step
-            # An accepted candidate's evaluation serves the next iteration.
-            # Out-of-range candidates can underflow a risk-set sum to zero;
-            # the resulting -inf is rejected here.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cand_ev = engine.evaluate(cand, active)
-            if np.isfinite(cand_ev.ll) and cand_ev.ll >= ll - slack:
-                beta, ll, ev = cand, max(cand_ev.ll, ll), cand_ev
-                accepted = True
-                break
-            scale_factor /= 2.0
-        if not accepted:
-            message = "step halving failed to increase the log partial likelihood"
-            break
-
-    separation = bool(np.abs(beta).max() > SEPARATION_COEF_BOUND) if beta.size else False
-    if separation:
-        message = (message + "; " if message else "") + \
-            "coefficient magnitude > 20 with increasing likelihood: probable separation"
+        # A stopped problem stays at its iterate, so the last evaluation is at
+        # every converged problem's final point.
+        cand = beta.copy()
+        cand[live] += scale[live, None] * step[live]
+        # Out-of-range candidates can underflow a risk-set sum to zero or
+        # overflow its inverse; the resulting -inf or NaN is rejected here.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ev = engine.evaluate(cand, active)
+        up = live & np.isfinite(ev.ll) & (ev.ll >= ll - slack)
+        beta[up], score_[up], info[up] = cand[up], ev.score[up], ev.info[up]
+        ll[up] = np.maximum(ev.ll[up], ll[up])
+        iterations[up] += 1
+        fresh |= up
+        down = live & ~up
+        scale[down] /= 2.0
+        halvings[down] += 1
+        for r in np.flatnonzero(down & (halvings > STEP_HALVINGS_MAX)):
+            messages[r] = STEP_HALVING_FAILED
+            live[r] = False
 
     sandwich = None
-    if robust and converged:
-        sandwich = _expand(_sandwich(engine, ev, cov), ~aliased)
-
-    diagnostics = FitDiagnostics(engine.n_strata_used, engine.n_strata_skipped,
-                                 engine.n_events, separation, message)
-    return CoxFit(
-        column_names=design.column_names, coefficients=_expand(beta, ~aliased),
-        model_covariance=_expand(cov, ~aliased), robust_covariance=sandwich,
-        log_partial_likelihood=ll, iterations=iterations, converged=converged,
-        aliased_mask=aliased, options=options, diagnostics=diagnostics,
-    )
+    if robust and converged.any():
+        # A problem that failed in the last evaluation sits at its rejected
+        # candidate there; its values, perhaps not finite, are not used.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sandwich = _sandwich(engine, ev, cov)
+    results = []
+    for r, design in enumerate(designs):
+        if aside[r] or errors[r] is not None:
+            results.append(errors[r])
+            continue
+        separation = bool(np.abs(beta[r]).max() > SEPARATION_COEF_BOUND)
+        message = messages[r]
+        if separation:
+            message = (message + "; " if message else "") + \
+                "coefficient magnitude > 20 with increasing likelihood: probable separation"
+        diagnostics = FitDiagnostics(int(engine.n_strata_used[r]),
+                                     int(engine.n_strata_skipped[r]),
+                                     int(engine.n_events[r]), separation, message)
+        results.append(CoxFit(
+            column_names=design.column_names, coefficients=_expand(beta[r], ~common),
+            model_covariance=_expand(cov[r], ~common),
+            robust_covariance=(_expand(sandwich[r], ~common)
+                               if sandwich is not None and converged[r] else None),
+            log_partial_likelihood=float(ll[r]), iterations=int(iterations[r]),
+            converged=bool(converged[r]), aliased_mask=common.copy(), options=options,
+            diagnostics=diagnostics,
+        ))
+    return results
 
 
 def _sandwich(engine: _Engine, ev: _Evaluation, a_inv: np.ndarray) -> np.ndarray:
-    """``A^-1 M A^-1`` on ``ev``'s columns, given ``A^-1`` at ``ev``'s point.
+    """Each problem's ``A^-1 M A^-1`` on ``ev``'s columns, given its ``A^-1``
+    ``(R, k, k)`` at its point in ``ev``.
 
     The score residuals are summed by cluster in block coordinates, ``G``
-    ``(m * p_b, clusters)``.  Cluster sums commute with the block map, so
-    ``M = T_c' (G G') T_c`` with ``T_c = T[:, ev.cols]``, the same matrix as
-    the outer products of cluster-summed residuals in coefficient columns.
+    ``(m * p_b, clusters)``; each problem's clusters are numbered after the
+    previous problem's, so one ``bincount`` per row of ``G`` serves the
+    stack.  Cluster sums commute with the block map, so ``M = T_c' (G G')
+    T_c`` with ``T_c = T[:, ev.cols]``, the same matrix as the outer
+    products of cluster-summed residuals in coefficient columns; each
+    problem's ``G G'`` is a product over exactly its own clusters.
     """
-    grouped = np.array([np.bincount(engine.cluster_codes, weights=r)
-                        for r in engine.residuals(ev)])
+    C = engine.n_clusters
+    G = np.array([np.bincount(engine.cluster_codes, weights=r, minlength=C)
+                  for r in engine.residuals(ev)])
+    ends = np.append(engine.cluster_start, C)
+    M = np.array([g @ g.T for g in (G[:, a:z] for a, z in zip(ends[:-1], ends[1:]))])
     T = engine.T[:, ev.cols]
-    sandwich = a_inv @ (T.T @ (grouped @ grouped.T) @ T) @ a_inv
-    return (sandwich + sandwich.T) / 2.0
+    sandwich = a_inv @ (T.T @ M @ T) @ a_inv
+    return (sandwich + np.swapaxes(sandwich, 1, 2)) / 2.0
 
 
 def robust_covariance(design: DesignMatrix, fit_result: CoxFit) -> np.ndarray:
@@ -536,7 +700,7 @@ def robust_covariance(design: DesignMatrix, fit_result: CoxFit) -> np.ndarray:
     if not fit_result.converged:
         raise EstimationError("robust covariance requires a converged fit")
     active = np.flatnonzero(~fit_result.aliased_mask)
-    engine = _Engine(design, fit_result.options.tie_method)
-    ev = engine.evaluate(fit_result.coefficients[active], active)
-    a_inv = fit_result.model_covariance[np.ix_(active, active)]
-    return _expand(_sandwich(engine, ev, a_inv), ~fit_result.aliased_mask)
+    engine = _Engine([design], fit_result.options.tie_method)
+    ev = engine.evaluate(fit_result.coefficients[active][None], active)
+    a_inv = fit_result.model_covariance[np.ix_(active, active)][None]
+    return _expand(_sandwich(engine, ev, a_inv)[0], ~fit_result.aliased_mask)

@@ -361,7 +361,21 @@ def compare_exposures(dataset: Dataset, spec: ExposureSpec,
         fit_result = cox_fit(design, options, robust=True)
     except Exception as exc:
         raise _stage("fit", exc)
+    return comparison_report(dataset, spec, design, fit_result, scales,
+                             confidence=confidence, seed=seed)
 
+
+def comparison_report(dataset: Dataset, spec: ExposureSpec, design: DesignMatrix,
+                      fit_result: CoxFit, scales, *, confidence: float = 0.95,
+                      seed: int | None = None) -> ComparisonReport:
+    """The report of a fitted comparison: what :func:`compare_exposures` does
+    after its fit.
+
+    ``design`` is :func:`~dupcox.design.block_design`'s for ``dataset`` and
+    ``spec``, and ``scales`` gives each exposure's reporting increment.  A
+    converged fit gets the Wald test of the interaction coefficients and
+    per-exposure hazard ratios; a non-converged one gets neither.
+    """
     exposures: list[ExposureSummary] = []
     test = None
     if fit_result.converged:

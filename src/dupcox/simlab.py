@@ -17,14 +17,15 @@ deterministic sub-seed and fitted with the default ``FitOptions``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cox import STEP_HALVING_FAILED, fit_stack
 from .data import Dataset, Schema
-from .design import ExposureSpec
-from .errors import ConfigError, DupcoxError
-from .inference import compare_exposures, wald_univariate
+from .design import ExposureSpec, block_design
+from .errors import AliasedCoefficientError, ConfigError, DupcoxError, SingularMatrixError
+from .inference import comparison_report, compare_exposures, wald_univariate
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,10 @@ class SimConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_subjects", "n_strata", "replicate_count", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         object.__setattr__(self, "true_beta", tuple(float(b) for b in self.true_beta))
         object.__setattr__(self, "covariate_effects",
                            tuple(float(g) for g in self.covariate_effects))
@@ -144,7 +149,11 @@ def simulate_cohort(config: SimConfig, replicate_index: int) -> Dataset:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Rejection rate of the comparison test over independent replicates."""
+    """Rejection rate of the comparison test over independent replicates.
+
+    ``failure_reasons`` counts the failed replicates by why they failed, one
+    reason each, with every key of ``FAILURE_REASONS``.
+    """
 
     scenario: str
     alpha: float
@@ -158,6 +167,7 @@ class CalibrationResult:
     p_values: tuple[float, ...]
     ci_overlap_fraction: float
     naive_rejection_rate: float | None = None
+    failure_reasons: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -168,6 +178,7 @@ class CalibrationResult:
             "n_replicates": self.n_replicates,
             "n_used": self.n_used,
             "n_failures": self.n_failures,
+            "failure_reasons": dict(self.failure_reasons),
             "valid": self.valid,
             "ci_overlap_fraction": self.ci_overlap_fraction,
             "naive_rejection_rate": self.naive_rejection_rate,
@@ -178,27 +189,83 @@ class CalibrationResult:
 # invalid rather than silently summarized.
 MAX_FAILURE_FRACTION = 0.02
 
+# Most cohort rows fitted together in one engine pass.  Replicates are fitted
+# in chunks of this many rows (at least one replicate each), so memory does
+# not grow with replicate_count.
+CHUNK_ROWS = 100_000
+
+# Why a replicate failed.  A fit that stopped short of convergence with a
+# coefficient beyond +-20 counts as probable separation, whatever stopped it;
+# "singular" is a singular information matrix or tested covariance block.
+FAILURE_REASONS = ("not_converged", "step_halving_failed", "probable_separation",
+                   "singular", "aliased_tested_term", "other")
+
+
+def _failure_reason(outcome) -> str:
+    """The reason of a replicate whose outcome is an error or a report
+    without a difference test."""
+    if isinstance(outcome, SingularMatrixError):
+        return "singular"
+    if isinstance(outcome, AliasedCoefficientError):
+        return "aliased_tested_term"
+    if isinstance(outcome, DupcoxError):
+        return "other"
+    diag = outcome.fit.diagnostics
+    if diag.separation_suspected:
+        return "probable_separation"
+    return "step_halving_failed" if STEP_HALVING_FAILED in diag.message else "not_converged"
+
+
+def _compare_replicates(cohorts, spec: ExposureSpec) -> list:
+    """Each cohort's :func:`compare_exposures` report, or the error that ended it.
+
+    The cohorts' designs are fitted together by one :func:`fit_stack`; a
+    design with a column aliased at the starting point is compared alone.
+    """
+    outcomes, designs, where = [None] * len(cohorts), [], []
+    for i, cohort in enumerate(cohorts):
+        try:
+            designs.append(block_design(cohort, spec))
+            where.append(i)
+        except DupcoxError as exc:
+            outcomes[i] = exc
+    scales = (1.0,) * spec.n_compared
+    for i, design, fit_result in zip(where, designs, fit_stack(designs) if designs else ()):
+        try:
+            if fit_result is None:
+                outcomes[i] = compare_exposures(cohorts[i], spec)
+            elif isinstance(fit_result, DupcoxError):
+                outcomes[i] = fit_result
+            else:
+                outcomes[i] = comparison_report(cohorts[i], spec, design, fit_result, scales)
+        except DupcoxError as exc:
+            outcomes[i] = exc
+    return outcomes
+
 
 def _run_replicates(config: SimConfig, alpha: float, scenario: str, *,
                     include_naive: bool = False) -> CalibrationResult:
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
     spec = config.exposure_spec()
+    chunk = max(CHUNK_ROWS // config.n_subjects, 1)
 
     p_values: list[float] = []
     naive_p: list[float] = []
     overlaps = 0
-    failures = 0
-    for r in range(config.replicate_count):
-        dataset = simulate_cohort(config, r)
-        try:
-            report = compare_exposures(dataset, spec)
-            if report.difference_test is None:
-                raise DupcoxError("fit did not converge")
+    reasons = dict.fromkeys(FAILURE_REASONS, 0)
+    for first in range(0, config.replicate_count, chunk):
+        cohorts = [simulate_cohort(config, r)
+                   for r in range(first, min(first + chunk, config.replicate_count))]
+        for report in _compare_replicates(cohorts, spec):
+            if isinstance(report, DupcoxError) or report.difference_test is None:
+                reasons[_failure_reason(report)] += 1
+                continue
             p_values.append(report.difference_test.p_value)
-            first = report.exposures[0].terms[0]
-            second = report.exposures[1].terms[0]
-            if first.ci_lower <= second.ci_upper and second.ci_lower <= first.ci_upper:
+            first_term = report.exposures[0].terms[0]
+            second_term = report.exposures[1].terms[0]
+            if (first_term.ci_lower <= second_term.ci_upper
+                    and second_term.ci_lower <= first_term.ci_upper):
                 overlaps += 1
             if include_naive:
                 # Separate-fit z-test of the first tested interaction, b2 - b1,
@@ -207,10 +274,9 @@ def _run_replicates(config: SimConfig, alpha: float, scenario: str, *,
                 # block-diagonal over the types.
                 b2_minus_b1 = report.difference_test.tested_coefficients[0]
                 naive_p.append(wald_univariate(report.fit, b2_minus_b1, "model").p_value)
-        except DupcoxError:
-            failures += 1
 
     n_used = len(p_values)
+    failures = sum(reasons.values())
     if n_used == 0:
         raise DupcoxError(f"all {config.replicate_count} replicates failed to fit")
     rate = sum(p < alpha for p in p_values) / n_used
@@ -229,6 +295,7 @@ def _run_replicates(config: SimConfig, alpha: float, scenario: str, *,
         ci_overlap_fraction=overlaps / n_used,
         naive_rejection_rate=(sum(p < alpha for p in naive_p) / len(naive_p)
                               if naive_p else None),
+        failure_reasons=reasons,
     )
 
 

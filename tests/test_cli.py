@@ -83,6 +83,16 @@ class TestCompareCommand:
         assert main(["compare", "--config", str(cfg)]) == 1
         assert "extranous" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["Machine", "json", ""])
+    def test_unknown_format_exits_one(self, tmp_path, cohort_csv, capsys, fmt):
+        doc = compare_config(cohort_csv, tmp_path)
+        doc["format"] = fmt
+        cfg = write_config(tmp_path, doc)
+        assert main(["compare", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'format'" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_command_mismatch_exits_one(self, tmp_path, cohort_csv, capsys):
         doc = compare_config(cohort_csv, tmp_path)
         doc["command"] = "simulate"
@@ -183,6 +193,18 @@ class TestSimulateCommand:
         assert doc["result"]["scenario"] == "type1"
         assert doc["result"]["n_replicates"] == 10
         assert len(doc["result"]["mc_ci"]) == 2
+
+    def test_failure_reasons_reported(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.simulate_config(
+            tmp_path, n_subjects=15, exposure_correlation=0.3, true_beta=[1.5, 0.2],
+            covariate_effects=[0.3], censoring_rate=0.5, n_strata=2, replicate_count=60)
+            | {"seed": 5, "format": "human"})
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert "failed fits by reason: probable_separation 16\n" in capsys.readouterr().out
+        assert main(["simulate", "--config", str(cfg), "--format", "machine"]) == 0
+        reasons = json.loads((tmp_path / "sim.json").read_text())["result"]["failure_reasons"]
+        assert reasons == dict.fromkeys(dc.simlab.FAILURE_REASONS, 0) | {
+            "probable_separation": 16}
 
     def test_seed_repetition_is_byte_identical(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.simulate_config(tmp_path))

@@ -439,7 +439,7 @@ class TestSinglePassOverStrata:
         n = len(strata)
         d = plain_design(rng.standard_normal((n, 1)), rng.uniform(1, 2, n), np.ones(n, bool),
                          strata=[f"k{v}" for v in strata])
-        engine = dc.cox._Engine(d, "efron")
+        engine = dc.cox._Engine([d], "efron")
         bound = math.ceil(math.log2(max(sizes) / min(sizes))) + 1
         assert len(engine.buckets) <= bound
         assert sum(len(bk.strata) for bk in engine.buckets) == len(sizes)

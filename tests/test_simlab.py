@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import dupcox as dc
+from dupcox import cox, simlab
 from dupcox.errors import ConfigError
 
 
@@ -36,6 +39,17 @@ class TestSimConfig:
     def test_censoring_rate_one_rejected(self):
         with pytest.raises(ConfigError, match="censoring_rate"):
             config(censoring_rate=1.0)
+
+    @pytest.mark.parametrize("name", ["n_subjects", "n_strata", "replicate_count",
+                                      "master_seed"])
+    @pytest.mark.parametrize("value", [100.5, 10.0, True, "10", None])
+    def test_integer_fields_refuse_other_types(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            config(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = config(n_subjects=np.int64(30), replicate_count=np.int32(2))
+        assert len(dc.simulate_cohort(cfg, 0)) == 30
 
 
 class TestSimulateCohort:
@@ -177,6 +191,101 @@ class TestCalibration:
         doc = json.loads(json.dumps(result.to_dict()))
         assert doc["scenario"] == "type1"
         assert doc["n_replicates"] == 5
+
+
+# A scenario with failing replicates: at n = 15, 16 of its 60 replicates stop
+# with a coefficient beyond +-20.
+FAILING = dict(n_subjects=15, exposure_correlation=0.3, true_beta=(1.5, 0.2),
+               covariate_effects=(0.3,), censoring_rate=0.5, n_strata=2,
+               replicate_count=60, master_seed=5)
+
+
+def relative_gap(a, b):
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+class TestBatchedReplicates:
+    def test_p_values_do_not_depend_on_count_or_chunks(self, monkeypatch):
+        full = dc.estimate_type1_error(config(replicate_count=20), 0.05).p_values
+        assert len(full) == 20
+        for count in (1, 7):
+            assert dc.estimate_type1_error(config(replicate_count=count), 0.05).p_values \
+                == full[:count]
+        # Chunks of 3 replicates: a chunk boundary after every third one.
+        monkeypatch.setattr(simlab, "CHUNK_ROWS", 3 * 120 + 50)
+        assert dc.estimate_type1_error(config(replicate_count=20), 0.05).p_values == full
+
+    def test_failing_scenario_does_not_depend_on_chunks(self, monkeypatch):
+        cfg = dc.SimConfig(**FAILING)
+        whole = dc.estimate_power(cfg, 0.05, include_naive=True)
+        monkeypatch.setattr(simlab, "CHUNK_ROWS", 7 * 15)
+        chunked = dc.estimate_power(cfg, 0.05, include_naive=True)
+        assert chunked.to_dict() == whole.to_dict()
+        assert chunked.p_values == whole.p_values
+
+    def test_each_replicate_matches_its_own_compare(self):
+        cfg = dc.SimConfig(**FAILING)
+        spec = cfg.exposure_spec()
+        cohorts = [dc.simulate_cohort(cfg, r) for r in range(cfg.replicate_count)]
+        batched = simlab._compare_replicates(cohorts, spec)
+        failed = set()
+        for r, (cohort, report) in enumerate(zip(cohorts, batched)):
+            alone = dc.compare_exposures(cohort, spec)
+            if alone.difference_test is None:
+                failed.add(r)
+                assert report.difference_test is None
+                assert report.fit.diagnostics.message == alone.fit.diagnostics.message
+                continue
+            test, want = report.difference_test, alone.difference_test
+            assert relative_gap(test.p_value, want.p_value) <= 1e-8
+            name = test.tested_coefficients[0]
+            assert relative_gap(dc.wald_univariate(report.fit, name, "model").p_value,
+                                dc.wald_univariate(alone.fit, name, "model").p_value) <= 1e-8
+            overlap = [(t.terms[0].ci_lower <= u.terms[0].ci_upper
+                        and u.terms[0].ci_lower <= t.terms[0].ci_upper)
+                       for t, u in (report.exposures, alone.exposures)]
+            assert overlap[0] == overlap[1]
+            assert report.fit.iterations == alone.fit.iterations
+        assert len(failed) == 16
+        result = dc.estimate_power(cfg, 0.05)
+        assert result.n_failures == 16
+        assert result.failure_reasons == dict.fromkeys(simlab.FAILURE_REASONS, 0) | {
+            "probable_separation": 16}
+        assert result.to_dict()["failure_reasons"] == result.failure_reasons
+
+    def test_step_halving_overflow_does_not_warn(self):
+        # Replicate 11's rejected candidates overflow 1 / S0; they are rejected
+        # by design, silently, alone and among the other replicates.
+        cfg = dc.SimConfig(**FAILING | {"n_subjects": 25, "censoring_rate": 0.7})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = dc.compare_exposures(dc.simulate_cohort(cfg, 11), cfg.exposure_spec())
+            result = dc.estimate_power(cfg, 0.05)
+        assert not report.fit.converged and report.difference_test is None
+        assert report.fit.diagnostics.message.startswith(cox.STEP_HALVING_FAILED)
+        assert result.n_failures == 4
+
+    @pytest.mark.parametrize("sizes", [(40, 70), (900, 1500), (1100, 2000)])
+    def test_stratum_alone_or_in_a_wider_bucket(self, sizes):
+        # Each cohort is one stratum; stacked, the first shares a bucket whose
+        # grid is the second's width.
+        designs = [dc.block_design(dc.simulate_cohort(
+            config(n_subjects=n, n_strata=1, master_seed=n), 0), config().exposure_spec())
+            for n in sizes]
+        stacked = cox._Engine(designs, "efron")
+        assert len(stacked.buckets) == 1
+        assert stacked.buckets[0].rows.size == 2 * (max(sizes) + 1)
+        alone = cox._Engine(designs[:1], "efron")
+        theta = np.array([[0.3, -0.2, 0.1, 0.25], [0.5, 0.4, -0.3, 0.2]])
+        cols = np.arange(4)
+        got, want = stacked.evaluate(theta, cols), alone.evaluate(theta[:1], cols)
+        for key in ("ll", "score", "info"):
+            assert np.array_equal(getattr(got, key)[:1], getattr(want, key))
+        fits = cox.fit_stack(designs)
+        one = dc.fit(designs[0])
+        for key in ("coefficients", "model_covariance", "robust_covariance"):
+            assert np.array_equal(getattr(fits[0], key), getattr(one, key))
+        assert fits[0].iterations == one.iterations
 
 
 class TestKolmogorovSmirnov:
