@@ -247,7 +247,8 @@ class _Bucket:
         grid = np.zeros((m, q, len(self.strata), self.E))
         grid.reshape(m, q, -1)[..., self.fail_step] = per_step
         total = _running(grid)
-        sums = np.take(total, self.window[1], axis=2) - np.take(total, self.window[0], axis=2)
+        sums = np.take(total, self.window[1], axis=2)
+        sums -= np.take(total, self.window[0], axis=2)
         if self.tied.size:
             own = np.add.reduceat(self.J * np.take(per_step, self.tied, axis=2),
                                   self.tied_starts, axis=2)
@@ -363,7 +364,8 @@ class _Engine:
         for i in range(self.p_b):
             lp += bk.Z[:, i + 1] * b[:, i]
         lp -= lp.max(axis=2, keepdims=True)  # cancels exactly in the likelihood
-        w = np.exp(lp).reshape(m, -1)
+        lp_fail = np.add.reduceat(np.take(lp.reshape(m, -1), bk.fail, axis=1), bk.f_start, axis=1)
+        w = np.exp(lp, out=lp).reshape(m, -1)
         wZ = w[:, None] * bk.Z.reshape(m, q, -1)
         # Late and tied rows' terms are read before the running total overwrites wZ.
         late = np.take(wZ, bk.late, axis=2) if bk.late.shape[1] > 1 else None
@@ -378,8 +380,7 @@ class _Engine:
         xbar /= S0_fl[:, None]
 
         # Each stratum's own log-likelihood, summed block by block.
-        ll = (np.add.reduceat(np.take(lp.reshape(m, -1), bk.fail, axis=1), bk.f_start, axis=1)
-              - np.add.reduceat(np.log(S0_fl), bk.f_start, axis=1)).sum(axis=0)
+        ll = (lp_fail - np.add.reduceat(np.log(S0_fl), bk.f_start, axis=1)).sum(axis=0)
         score = bk.fail_sum - np.add.reduceat(xbar, bk.f_start, axis=2)
         lam_fl = 1.0 / S0_fl
         a = bk.at_risk_sums(lam_fl[:, None])[:, 0]
@@ -619,6 +620,7 @@ def fit_stack(designs, options: FitOptions | None = None, robust: bool = True) -
         cand[live] += scale[live, None] * step[live]
         # Out-of-range candidates can underflow a risk-set sum to zero or
         # overflow its inverse; the resulting -inf or NaN is rejected here.
+        ev = None  # the last evaluation's parts go before the next one's are formed
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ev = engine.evaluate(cand, active)
         up = live & np.isfinite(ev.ll) & (ev.ll >= ll - slack)

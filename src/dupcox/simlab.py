@@ -189,10 +189,10 @@ class CalibrationResult:
 # invalid rather than silently summarized.
 MAX_FAILURE_FRACTION = 0.02
 
-# Most cohort rows fitted together in one engine pass.  Replicates are fitted
-# in chunks of this many rows (at least one replicate each), so memory does
-# not grow with replicate_count.
-CHUNK_ROWS = 100_000
+# Most cohort rows fitted together in one engine pass (at least one
+# replicate).  A pass holds its cohorts, designs and engine at once, about
+# 0.6 kB a row, so a bound keeps memory from growing with replicate_count.
+CHUNK_ROWS = 5_000
 
 # Why a replicate failed.  A fit that stopped short of convergence with a
 # coefficient beyond +-20 counts as probable separation, whatever stopped it;
@@ -254,18 +254,17 @@ def _run_replicates(config: SimConfig, alpha: float, scenario: str, *,
     naive_p: list[float] = []
     overlaps = 0
     reasons = dict.fromkeys(FAILURE_REASONS, 0)
-    for first in range(0, config.replicate_count, chunk):
+    for start in range(0, config.replicate_count, chunk):
         cohorts = [simulate_cohort(config, r)
-                   for r in range(first, min(first + chunk, config.replicate_count))]
+                   for r in range(start, min(start + chunk, config.replicate_count))]
         for report in _compare_replicates(cohorts, spec):
             if isinstance(report, DupcoxError) or report.difference_test is None:
                 reasons[_failure_reason(report)] += 1
                 continue
             p_values.append(report.difference_test.p_value)
-            first_term = report.exposures[0].terms[0]
-            second_term = report.exposures[1].terms[0]
-            if (first_term.ci_lower <= second_term.ci_upper
-                    and second_term.ci_lower <= first_term.ci_upper):
+            first = report.exposures[0].terms[0]
+            second = report.exposures[1].terms[0]
+            if first.ci_lower <= second.ci_upper and second.ci_lower <= first.ci_upper:
                 overlaps += 1
             if include_naive:
                 # Separate-fit z-test of the first tested interaction, b2 - b1,
