@@ -45,6 +45,7 @@ its threads, and the woken worker then spins: CPU time for no speed.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -86,10 +87,14 @@ class FitOptions:
     def __post_init__(self):
         if self.tie_method not in TIE_METHODS:
             raise ConfigError(f"tie_method must be one of {TIE_METHODS}, got {self.tie_method!r}")
-        if self.gradient_tolerance <= 0:
-            raise ConfigError("gradient_tolerance must be > 0")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
+        tolerance, iterations = self.gradient_tolerance, self.max_iterations
+        if (isinstance(tolerance, bool)
+                or not isinstance(tolerance, (int, float, np.integer, np.floating))
+                or not math.isfinite(tolerance) or tolerance <= 0):
+            raise ConfigError(f"gradient_tolerance must be a finite number > 0, got {tolerance!r}")
+        if (isinstance(iterations, bool) or not isinstance(iterations, (int, np.integer))
+                or iterations < 1):
+            raise ConfigError(f"max_iterations must be an integer >= 1, got {iterations!r}")
 
 
 @dataclass(frozen=True)

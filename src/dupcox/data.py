@@ -72,7 +72,8 @@ class Dataset:
     Rows preserve input order.  ``strata`` holds string labels; exposures and
     covariates are float columns aligned with ``schema``.  The derived label
     arrays (``strata_keys()``, ``stratum_codes``, ``subject_codes``) are
-    computed once and read-only.
+    derived from the labels once, unless the cohort's maker gave them, and
+    read-only.
     """
 
     schema: Schema
@@ -143,6 +144,20 @@ class Dataset:
         """Per-row subject code: the rank of ``str()`` of the row's subject id
         among the distinct ids in sorted order."""
         return _read_only(label_codes(self.subject_ids))
+
+    def _with_codes(self, strata_keys, stratum_codes, subject_codes) -> Dataset:
+        """This cohort, with its derived label arrays set to the given ones.
+
+        For a caller that knows them without a string pass; they must equal
+        what ``strata_keys()``, ``stratum_codes`` and ``subject_codes`` would
+        derive from the labels.
+        """
+        self.__dict__.update(
+            _strata_keys=_read_only(strata_keys),
+            stratum_codes=_read_only(np.asarray(stratum_codes, dtype=np.intp)),
+            subject_codes=_read_only(np.asarray(subject_codes, dtype=np.intp)),
+        )
+        return self
 
     def fingerprint(self) -> str:
         """SHA-256 of the cohort's canonical column bytes.

@@ -16,6 +16,7 @@ deterministic sub-seed and fitted with the default ``FitOptions``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -46,9 +47,13 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(self, "true_beta", tuple(float(b) for b in self.true_beta))
-        object.__setattr__(self, "covariate_effects",
-                           tuple(float(g) for g in self.covariate_effects))
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+        for name in ("true_beta", "covariate_effects"):
+            values = tuple(float(v) for v in getattr(self, name))
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"{name} must be finite, got {list(values)}")
+            object.__setattr__(self, name, values)
         m = len(self.true_beta)
         if m < 2:
             raise ConfigError("true_beta needs one entry per exposure, at least two")
@@ -110,8 +115,13 @@ def simulate_cohort(config: SimConfig, replicate_index: int) -> Dataset:
     baseline under the configured log-hazard; censoring times are
     exponential with mean ``(1 - censoring_rate) / censoring_rate``, so that
     a baseline subject is censored with probability ``censoring_rate``;
-    strata labels are uniform and carry no effect.
+    strata labels are uniform and carry no effect.  The cohort carries its
+    label codes, so no fit on it builds a string array.
     """
+    if (isinstance(replicate_index, bool) or not isinstance(replicate_index, (int, np.integer))
+            or replicate_index < 0):
+        raise ConfigError(f"replicate_index must be an integer >= 0, got {replicate_index!r}")
+    labels = _labels(config)
     rng = np.random.default_rng([config.master_seed, replicate_index])
     n = config.n_subjects
     m = config.n_exposures
@@ -133,18 +143,69 @@ def simulate_cohort(config: SimConfig, replicate_index: int) -> Dataset:
     exit_ = np.minimum(t_event, t_cens)
     event = t_event <= t_cens
     strata = rng.integers(0, config.n_strata, size=n)
-    labels = np.array([f"s{v}" for v in range(config.n_strata)], dtype=object)
+    keys = labels.strata[strata]
 
     return Dataset(
-        schema=config.schema(),
-        subject_ids=np.fromiter(map(str, range(1, n + 1)), dtype=object, count=n),
+        schema=labels.schema,
+        subject_ids=labels.subject_ids.copy(),
         entry=np.zeros(n),
         exit=exit_,
         event=event,
         exposures=exposures,
         covariates=covariates,
-        strata=labels[strata].reshape(-1, 1),
-    )
+        strata=keys.reshape(-1, 1).copy(),
+    )._with_codes(keys, _sorted_ranks(labels.strata_order, strata), labels.subject_codes)
+
+
+@dataclass(frozen=True)
+class _Labels:
+    """The labels that every cohort of a scenario shares, and their order."""
+
+    schema: Schema
+    subject_ids: np.ndarray    # "1".."n"; each cohort takes a copy
+    subject_codes: np.ndarray  # rank of each id in sorted order
+    strata: np.ndarray         # "s0", "s1", ..., as objects
+    strata_order: np.ndarray   # indices of ``strata`` in sorted order
+
+
+# One entry: a scenario's replicates are simulated one after another.
+@functools.lru_cache(maxsize=1)
+def _labels(config: SimConfig) -> _Labels:
+    """The shared labels of ``config``'s cohorts, as read-only arrays."""
+    n = config.n_subjects
+    strata = np.array([f"s{v}" for v in range(config.n_strata)], dtype=object)
+    ids = np.fromiter(map(str, range(1, n + 1)), dtype=object, count=n)
+    order = np.array(sorted(range(len(strata)), key=strata.__getitem__), dtype=np.intp)
+    codes = _decimal_ranks(n)
+    for array in (strata, order, ids, codes):
+        array.flags.writeable = False
+    return _Labels(config.schema(), ids, codes, strata, order)
+
+
+def _sorted_ranks(order: np.ndarray, drawn: np.ndarray) -> np.ndarray:
+    """Code of each drawn label index: its rank among the drawn indices,
+    taken in ``order`` (every label's index, in the labels' sorted order)."""
+    present = np.bincount(drawn, minlength=len(order))[order] > 0
+    table = np.empty(len(order), dtype=np.intp)
+    table[order] = np.cumsum(present) - 1
+    return table[drawn]
+
+
+def _decimal_ranks(n: int) -> np.ndarray:
+    """Rank of ``str(i)`` among ``str(1), ..., str(n)`` in sorted order, for each i.
+
+    Padded on the right with zeros to the width of ``str(n)``, decimal
+    strings sort as integers.  Where two pad alike, one is a prefix of the
+    other: the shorter, which is the smaller number, sorts first, as a
+    stable sort keeps it.
+    """
+    i = np.arange(1, n + 1)
+    width = len(str(n))
+    powers = 10 ** np.arange(width + 1)
+    digits = np.searchsorted(powers, i, side="right")
+    ranks = np.empty(n, dtype=np.intp)
+    ranks[np.argsort(i * powers[width - digits], kind="stable")] = np.arange(n)
+    return ranks
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,18 @@ class TestCompareCommand:
         text = (tmp_path / "report.txt").read_text()
         assert "Continuous" in text and "# dupcox" in text
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_gradient_tolerance_exits_one(self, tmp_path, cohort_csv, capsys, value):
+        # json writes and reads these as Infinity and NaN.
+        doc = compare_config(cohort_csv, tmp_path) | {"fit": {"gradient_tolerance": value}}
+        cfg = write_config(tmp_path, doc)
+        for command in ("compare", "fit"):
+            assert main([command, "--config", str(cfg)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: gradient_tolerance must be a finite number > 0")
+            assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestFitCommand:
     def test_fit_prints_coefficient_table(self, tmp_path, cohort_csv, capsys):
@@ -217,6 +229,23 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path, self.simulate_config(tmp_path, replicate_count=0))
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert "replicate_count" in capsys.readouterr().err
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.simulate_config(tmp_path) | {"seed": -1})
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "config error: master_seed must be >= 0, got -1\n"
+        cfg = write_config(tmp_path, self.simulate_config(tmp_path))
+        assert main(["simulate", "--config", str(cfg), "--seed", "-2"]) == 1
+        assert capsys.readouterr().err.startswith("config error: master_seed must be >= 0")
+
+    @pytest.mark.parametrize("key, value", [("true_beta", [0.4, float("nan")]),
+                                            ("covariate_effects", [float("inf")])])
+    def test_non_finite_effect_exits_one(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, self.simulate_config(tmp_path, **{key: value}))
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be finite")
+        assert "Traceback" not in err
 
     def test_power_scenario_detected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.simulate_config(

@@ -6,7 +6,7 @@ import pytest
 
 import dupcox as dc
 from dupcox.cox import _symmetric_inverse
-from dupcox.errors import EstimationError, SingularMatrixError
+from dupcox.errors import ConfigError, EstimationError, SingularMatrixError
 from oracles import (
     brute_force_loglik,
     brute_force_score_residuals,
@@ -128,6 +128,23 @@ class TestScoreInformation:
         info = dc.information(d, rng.standard_normal(3))
         assert np.max(np.abs(info - info.T)) <= 1e-10 * max(np.max(np.abs(info)), 1.0)
         assert np.linalg.eigvalsh(info).min() >= -1e-10
+
+
+class TestFitOptions:
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf, 0.0, -1e-10, True, "1e-6"])
+    def test_gradient_tolerance_must_be_finite_and_positive(self, value):
+        with pytest.raises(ConfigError, match="gradient_tolerance must be a finite number > 0"):
+            dc.FitOptions(gradient_tolerance=value)
+
+    @pytest.mark.parametrize("value", [2.5, 25.0, 0, -3, True, "25"])
+    def test_max_iterations_must_be_a_positive_integer(self, value):
+        with pytest.raises(ConfigError, match="max_iterations must be an integer >= 1"):
+            dc.FitOptions(max_iterations=value)
+
+    def test_numpy_scalars_accepted(self):
+        options = dc.FitOptions(max_iterations=np.int64(3), gradient_tolerance=np.float32(1e-6))
+        result = dc.fit(four_row_design(), options, robust=False)
+        assert result.iterations <= 3
 
 
 class TestFit:

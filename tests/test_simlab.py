@@ -47,6 +47,18 @@ class TestSimConfig:
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             config(**{name: value})
 
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(ConfigError, match="master_seed must be >= 0"):
+            config(master_seed=-1)
+
+    @pytest.mark.parametrize("name, values", [("true_beta", (0.4, np.nan)),
+                                              ("true_beta", (np.inf, 0.4)),
+                                              ("covariate_effects", (-np.inf,)),
+                                              ("covariate_effects", (0.3, np.nan))])
+    def test_non_finite_effects_rejected(self, name, values):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            config(**{name: values})
+
     def test_numpy_integers_accepted(self):
         cfg = config(n_subjects=np.int64(30), replicate_count=np.int32(2))
         assert len(dc.simulate_cohort(cfg, 0)) == 30
@@ -72,6 +84,46 @@ class TestSimulateCohort:
             "s9", "s0", "s11", "s9", "s8", "s3", "s9", "s3", "s10", "s11", "s10", "s4",
             "s10", "s5", "s9", "s11", "s4", "s9", "s11", "s10", "s2", "s5", "s5", "s2",
             "s2", "s0", "s8", "s0", "s1", "s1"]
+
+    @pytest.mark.parametrize("index", [-1, 1.5, True])
+    def test_replicate_index_must_be_a_non_negative_integer(self, index):
+        with pytest.raises(ConfigError, match="replicate_index must be an integer >= 0"):
+            dc.simulate_cohort(config(), index)
+
+    @pytest.mark.parametrize("n_strata", [1, 3, 12])
+    @pytest.mark.parametrize("n", [2, 9, 10, 11, 99, 100, 101, 500, 1000])
+    def test_cohort_carries_the_codes_its_labels_give(self, n, n_strata):
+        # "s10" sorts before "s2", and "10" before "2": the codes are ranks of
+        # the labels' text, not of the numbers drawn.
+        for replicate in (0, 1):
+            given = dc.simulate_cohort(config(n_subjects=n, n_strata=n_strata), replicate)
+            derived = dc.Dataset(given.schema, given.subject_ids, given.entry, given.exit,
+                                 given.event, given.exposures, given.covariates, given.strata)
+            for name in ("_strata_keys", "stratum_codes", "subject_codes"):
+                want = getattr(derived, name)
+                got = given.__dict__[name]  # set by simulate_cohort, not derived
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+                assert not got.flags.writeable
+            assert given.strata_keys() is given.__dict__["_strata_keys"]
+
+    def test_codes_skip_a_stratum_the_cohort_lacks(self):
+        ds = dc.simulate_cohort(config(n_subjects=9, n_strata=12), 0)
+        present = sorted(set(ds.strata[:, 0]))
+        assert len(present) < 12
+        assert ds.stratum_codes.tolist() == [present.index(v) for v in ds.strata[:, 0]]
+        assert ds.subject_codes.tolist() == [sorted(ds.subject_ids).index(v)
+                                             for v in ds.subject_ids]
+
+    def test_cohorts_of_a_scenario_share_no_writable_array(self):
+        # The ids and codes are built once per scenario; each cohort's ids
+        # are its own copy.
+        cfg = config(n_subjects=30)
+        first = dc.simulate_cohort(cfg, 0)
+        first.subject_ids[0] = "changed"
+        second = dc.simulate_cohort(cfg, 1)
+        assert second.subject_ids[0] == "1"
+        assert not second.subject_codes.flags.writeable
 
     def test_high_censoring_starves_events(self):
         sparse = dc.simulate_cohort(config(censoring_rate=0.97, n_subjects=400), 0)
