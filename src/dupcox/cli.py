@@ -22,7 +22,7 @@ from .cox import FitOptions
 from .data import Schema, load_dataset, validate
 from .design import ExposureSpec, block_design
 from .errors import ConfigError, DataError, DupcoxError, EstimationError
-from .inference import compare_exposures, render_table
+from .inference import _finite_scale, compare_exposures, render_table
 from .simlab import SimConfig, _is_null_config, estimate_power, estimate_type1_error
 from . import cox
 
@@ -200,6 +200,9 @@ def _run_inputs(config: dict):
     schema = _build_schema(config["schema"])
     exposure = _check_keys(config.get("exposure") or {}, _EXPOSURE_KEYS, "exposure")
     spec = _build_spec(exposure, schema)
+    scale = exposure.get("scale", 1.0)
+    if not isinstance(scale, str):
+        _finite_scale(scale)
     options = _build_fit_options(config.get("fit"))
     try:
         dataset = load_dataset(config["input"], schema)

@@ -261,9 +261,9 @@ class _Bucket:
         return sums
 
 
-# Each problem's log-likelihood, score and information at one point, over the
-# columns ``cols``, and what the residuals need.
-_Evaluation = namedtuple("_Evaluation", "ll score info cols parts")
+# Each problem's log-likelihood, score and information at one point, and what
+# the residuals need.
+_Evaluation = namedtuple("_Evaluation", "ll score info parts")
 
 
 class _Engine:
@@ -333,11 +333,10 @@ class _Engine:
                                         tie_method == "efron"))
             a = z
 
-    def evaluate(self, theta, cols) -> _Evaluation:
-        """Each problem's evaluation at its row of ``theta`` ``(R, len(cols))``:
-        ``ll`` ``(R,)``, ``score`` ``(R, len(cols))``, ``info`` ``(R, len(cols),
-        len(cols))``."""
-        T = self.T[:, cols]
+    def evaluate(self, theta) -> _Evaluation:
+        """Each problem's evaluation at its row of ``theta`` ``(R, p)``: ``ll``
+        ``(R,)``, ``score`` ``(R, p)``, ``info`` ``(R, p, p)``."""
+        T = self.T
         b = (T @ theta[..., None]).reshape(self.R, self.m, self.p_b)
         n_kept = len(self.stratum_cell[0])
         ll = np.empty(n_kept)
@@ -350,7 +349,7 @@ class _Engine:
         ll, score, info = map(self._per_problem, (ll, score, info))
         T_j = T.reshape(self.m, self.p_b, -1)
         info = (T_j.transpose(0, 2, 1) @ info @ T_j).sum(axis=1)
-        return _Evaluation(ll, (T.T @ score.reshape(self.R, -1, 1))[..., 0], info, cols,
+        return _Evaluation(ll, (T.T @ score.reshape(self.R, -1, 1))[..., 0], info,
                            tuple(parts))
 
     def _per_problem(self, per_stratum):
@@ -411,8 +410,8 @@ class _Engine:
 
     def residuals(self, ev: _Evaluation) -> np.ndarray:
         """Per-row score residuals at ``ev``'s points in block coordinates,
-        ``(m * p_b, n)`` with contiguous rows; mapped by ``T[:, ev.cols]``,
-        a problem's rows sum to its score."""
+        ``(m * p_b, n)`` with contiguous rows; mapped by ``T``, a problem's
+        rows sum to its score."""
         out = np.zeros((self.m, self.p_b, self.n + 1))
         for bk, (w, a, xbar, lam_fl) in zip(self.buckets, ev.parts):
             # delta (X - mbar) - w (a X - window sum of xbar / S0), where mbar
@@ -441,7 +440,7 @@ def _evaluate(design: DesignMatrix, beta, tie_method: str):
         raise ValueError(f"beta has shape {beta.shape}, expected ({design.n_columns},) "
                          "to match the design columns")
     engine = _Engine([design], tie_method)
-    return engine, engine.evaluate(beta[None], np.arange(design.n_columns))
+    return engine, engine.evaluate(beta[None])
 
 
 def log_partial_likelihood(design: DesignMatrix, beta, tie_method: str = "efron") -> float:
@@ -536,11 +535,20 @@ def _inverses(stack: np.ndarray):
     return out, errors
 
 
-def _expand(values: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Scatter active-subspace results into full-size arrays, NaN elsewhere."""
-    out = np.full((len(active),) * values.ndim, np.nan)
-    out[np.ix_(*[active] * values.ndim)] = values
-    return out
+def _pin(matrices: np.ndarray, aliased: np.ndarray) -> np.ndarray:
+    """Give each matrix of an ``(R, p, p)`` stack, in place, a unit row and
+    column at its ``(R, p)`` aliased positions; the rest of its inverse is the
+    inverse of the remaining block."""
+    r, k = np.nonzero(aliased)
+    matrices[r, k, :] = 0.0
+    matrices[r, :, k] = 0.0
+    matrices[r, k, k] = 1.0
+    return matrices
+
+
+def _nan_at(matrix: np.ndarray, aliased: np.ndarray) -> np.ndarray:
+    """``matrix`` with NaN in the rows and columns of its aliased positions."""
+    return np.where(aliased[:, None] | aliased, np.nan, matrix)
 
 
 def fit(design: DesignMatrix, options: FitOptions | None = None,
@@ -548,11 +556,12 @@ def fit(design: DesignMatrix, options: FitOptions | None = None,
     """Newton-Raphson maximization of the stratified log partial likelihood.
 
     Columns found exactly collinear in the information at the starting point
-    are excluded and flagged in ``aliased_mask``.  One inverse ``I^-1`` of the
-    information per iterate gives the step ``I^-1 score``, the stop (the
-    Newton decrement ``score' I^-1 score`` at most ``gradient_tolerance**2``)
-    and, on exit, the model covariance; an ``I`` that is not positive definite
-    raises :class:`SingularMatrixError`.  A step that decreases the log
+    are flagged in ``aliased_mask`` and held at zero: before each inverse, the
+    information gets a unit row and column there and the score a zero.  One
+    inverse ``I^-1`` of the information per iterate gives the step ``I^-1
+    score``, the stop (the Newton decrement ``score' I^-1 score`` at most
+    ``gradient_tolerance**2``) and, on exit, the model covariance; an ``I``
+    that is not positive definite raises :class:`SingularMatrixError`.  A step that decreases the log
     partial likelihood is halved up to ``STEP_HALVINGS_MAX`` times.  A
     non-converged fit is returned (not raised) with diagnostics, including a
     probable-separation flag when a coefficient runs beyond +-20 with the
@@ -570,37 +579,31 @@ def fit_stack(designs, options: FitOptions | None = None, robust: bool = True) -
     The designs share their blocks' width, block map and columns (one
     exposure spec's designs of different cohorts).  Each design's result
     is its :class:`CoxFit`, or the :class:`~dupcox.errors.DupcoxError` that
-    :func:`fit` would raise for it.  In a stack of more than one, a design with a
-    column aliased at the starting point gets ``None``: its columns differ
-    from the others', so fit it alone.  Every evaluation covers the whole
+    :func:`fit` would raise for it.  Every evaluation covers the whole
     stack; a problem that has stopped is evaluated at its last iterate.
     """
     options = options or FitOptions()
     engine = _Engine(designs, options.tie_method)
     R, p = engine.R, designs[0].n_columns
 
-    ev = engine.evaluate(np.zeros((R, p)), np.arange(p))
+    beta = np.zeros((R, p))
+    ev = engine.evaluate(beta)
     aliased = _aliased_columns(ev.info)
-    common = aliased[0] if R == 1 else np.zeros(p, dtype=bool)
-    if common.all():
-        return [EstimationError("all design columns are aliased; nothing to fit")]
-    active = np.flatnonzero(~common)
-    aside = (aliased != common).any(axis=1)
-
-    beta = np.zeros((R, active.size))
-    ev = ev if active.size == p else engine.evaluate(beta, active)
     ll, score_, info = ev.ll.copy(), ev.score.copy(), ev.info.copy()
     cov, step = np.full(info.shape, np.nan), np.zeros(beta.shape)
     scale, halvings, slack = np.ones(R), np.zeros(R, dtype=int), np.zeros(R)
     iterations, converged = np.zeros(R, dtype=int), np.zeros(R, dtype=bool)
-    messages, errors = [""] * R, [None] * R
-    live = ~aside                  # still iterating
+    messages = [""] * R
+    errors = [EstimationError("all design columns are aliased; nothing to fit")
+              if a.all() else None for a in aliased]
+    live = ~aliased.all(axis=1)    # still iterating
     fresh = live.copy()            # at a new iterate, to take its Newton step
     while True:
         new = np.flatnonzero(fresh)
         if new.size:
             fresh[:] = False
-            cov[new], failed = _inverses(info[new])
+            score_[aliased] = 0.0
+            cov[new], failed = _inverses(_pin(info, aliased)[new])
             for r, exc in zip(new, failed):
                 if exc is not None:
                     errors[r], live[r] = exc, False
@@ -627,7 +630,7 @@ def fit_stack(designs, options: FitOptions | None = None, robust: bool = True) -
         # overflow its inverse; the resulting -inf or NaN is rejected here.
         ev = None  # the last evaluation's parts go before the next one's are formed
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ev = engine.evaluate(cand, active)
+            ev = engine.evaluate(cand)
         up = live & np.isfinite(ev.ll) & (ev.ll >= ll - slack)
         beta[up], score_[up], info[up] = cand[up], ev.score[up], ev.info[up]
         ll[up] = np.maximum(ev.ll[up], ll[up])
@@ -648,7 +651,7 @@ def fit_stack(designs, options: FitOptions | None = None, robust: bool = True) -
             sandwich = _sandwich(engine, ev, cov)
     results = []
     for r, design in enumerate(designs):
-        if aside[r] or errors[r] is not None:
+        if errors[r] is not None:
             results.append(errors[r])
             continue
         separation = bool(np.abs(beta[r]).max() > SEPARATION_COEF_BOUND)
@@ -660,35 +663,36 @@ def fit_stack(designs, options: FitOptions | None = None, robust: bool = True) -
                                      int(engine.n_strata_skipped[r]),
                                      int(engine.n_events[r]), separation, message)
         results.append(CoxFit(
-            column_names=design.column_names, coefficients=_expand(beta[r], ~common),
-            model_covariance=_expand(cov[r], ~common),
-            robust_covariance=(_expand(sandwich[r], ~common)
+            column_names=design.column_names,
+            coefficients=np.where(aliased[r], np.nan, beta[r]),
+            model_covariance=_nan_at(cov[r], aliased[r]),
+            robust_covariance=(_nan_at(sandwich[r], aliased[r])
                                if sandwich is not None and converged[r] else None),
             log_partial_likelihood=float(ll[r]), iterations=int(iterations[r]),
-            converged=bool(converged[r]), aliased_mask=common.copy(), options=options,
+            converged=bool(converged[r]), aliased_mask=aliased[r].copy(), options=options,
             diagnostics=diagnostics,
         ))
     return results
 
 
 def _sandwich(engine: _Engine, ev: _Evaluation, a_inv: np.ndarray) -> np.ndarray:
-    """Each problem's ``A^-1 M A^-1`` on ``ev``'s columns, given its ``A^-1``
-    ``(R, k, k)`` at its point in ``ev``.
+    """Each problem's ``A^-1 M A^-1``, given its ``A^-1`` ``(R, p, p)`` at its
+    point in ``ev``.
 
     The score residuals are summed by cluster in block coordinates, ``G``
     ``(m * p_b, clusters)``; each problem's clusters are numbered after the
     previous problem's, so one ``bincount`` per row of ``G`` serves the
-    stack.  Cluster sums commute with the block map, so ``M = T_c' (G G')
-    T_c`` with ``T_c = T[:, ev.cols]``, the same matrix as the outer
-    products of cluster-summed residuals in coefficient columns; each
-    problem's ``G G'`` is a product over exactly its own clusters.
+    stack.  Cluster sums commute with the block map, so ``M = T' (G G') T``,
+    the same matrix as the outer products of cluster-summed residuals in
+    coefficient columns; each problem's ``G G'`` is a product over exactly
+    its own clusters.
     """
     C = engine.n_clusters
     G = np.array([np.bincount(engine.cluster_codes, weights=r, minlength=C)
                   for r in engine.residuals(ev)])
     ends = np.append(engine.cluster_start, C)
     M = np.array([g @ g.T for g in (G[:, a:z] for a, z in zip(ends[:-1], ends[1:]))])
-    T = engine.T[:, ev.cols]
+    T = engine.T
     sandwich = a_inv @ (T.T @ M @ T) @ a_inv
     return (sandwich + np.swapaxes(sandwich, 1, 2)) / 2.0
 
@@ -701,13 +705,14 @@ def robust_covariance(design: DesignMatrix, fit_result: CoxFit) -> np.ndarray:
     outer products of cluster-summed score residuals; the residuals are
     summed in block coordinates and only ``M`` is mapped to the coefficients.
     Aliased positions are NaN, matching the fitted coefficient vector;
-    ``A^-1`` is the fit's model covariance.  ``fit`` computes the same matrix
-    from its own risk-set index.
+    ``A^-1`` is the fit's model covariance, pinned there as in the fit, with
+    those coefficients at 0.  ``fit`` computes the same matrix from its own
+    risk-set index.
     """
     if not fit_result.converged:
         raise EstimationError("robust covariance requires a converged fit")
-    active = np.flatnonzero(~fit_result.aliased_mask)
+    aliased = fit_result.aliased_mask
     engine = _Engine([design], fit_result.options.tie_method)
-    ev = engine.evaluate(fit_result.coefficients[active][None], active)
-    a_inv = fit_result.model_covariance[np.ix_(active, active)][None]
-    return _expand(_sandwich(engine, ev, a_inv)[0], ~fit_result.aliased_mask)
+    ev = engine.evaluate(np.where(aliased, 0.0, fit_result.coefficients)[None])
+    a_inv = _pin(fit_result.model_covariance[None].copy(), aliased[None])
+    return _nan_at(_sandwich(engine, ev, a_inv)[0], aliased)

@@ -31,6 +31,11 @@ from .errors import ConfigError, EstimationError, SchemaError, ValidationError
 KINDS = ("continuous", "dichotomous", "categorical", "trend")
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
 @dataclass(frozen=True)
 class ExposureSpec:
     """How the compared exposure columns are turned into model terms.
@@ -58,7 +63,12 @@ class ExposureSpec:
                 f"compared exposure columns must be distinct, got {list(self.source_columns)}"
             )
         if self.kind in ("categorical", "trend"):
-            if self.n_levels is None or self.n_levels < 2:
+            for name in ("n_levels", "reference_level"):
+                value = getattr(self, name)
+                if not _is_integer(value):
+                    raise ConfigError(f"kind {self.kind!r} requires an integer {name}, "
+                                      f"got {value!r}")
+            if self.n_levels < 2:
                 raise ConfigError(f"kind {self.kind!r} requires n_levels >= 2")
             if not 1 <= self.reference_level <= self.n_levels:
                 raise ConfigError(

@@ -168,6 +168,14 @@ def _interval(est: float, var: float, scale: float, confidence: float):
     )
 
 
+def _finite_scale(scale) -> float:
+    """A numeric reporting scale as a float, refused unless finite and > 0."""
+    scale = float(scale)
+    if not (math.isfinite(scale) and scale > 0):
+        raise ConfigError(f"scale must be a finite number > 0, got {scale}")
+    return scale
+
+
 def hazard_ratio(fit_result: CoxFit, name: str, scale: float = 1.0,
                  confidence: float = 0.95, covariance: str = "robust") -> HazardRatio:
     """Hazard ratio ``exp(scale * b)`` with a symmetric Wald interval.
@@ -175,8 +183,7 @@ def hazard_ratio(fit_result: CoxFit, name: str, scale: float = 1.0,
     ``scale`` is the exposure increment per reported ratio (e.g. the
     10th-to-90th-percentile increment).
     """
-    if scale <= 0:
-        raise ConfigError(f"scale must be > 0, got {scale}")
+    scale = _finite_scale(scale)
     if not 0 < confidence < 1:
         raise ConfigError(f"confidence must be in (0, 1), got {confidence}")
     (i,) = _positions(fit_result, (name,))
@@ -313,10 +320,7 @@ def _per_exposure_scales(design: DesignMatrix, spec: ExposureSpec, scale) -> lis
                 )
             out.append(width)
         return out
-    scale = float(scale)
-    if scale <= 0:
-        raise ConfigError(f"scale must be > 0, got {scale}")
-    return [scale] * m
+    return [_finite_scale(scale)] * m
 
 
 def _stage(stage_name: str, exc: Exception) -> Exception:

@@ -24,9 +24,9 @@ import numpy as np
 
 from .cox import STEP_HALVING_FAILED, fit_stack
 from .data import Dataset, Schema
-from .design import ExposureSpec, block_design
+from .design import ExposureSpec, _is_integer, block_design
 from .errors import AliasedCoefficientError, ConfigError, DupcoxError, SingularMatrixError
-from .inference import comparison_report, compare_exposures, wald_univariate
+from .inference import comparison_report, wald_univariate
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class SimConfig:
     def __post_init__(self):
         for name in ("n_subjects", "n_strata", "replicate_count", "master_seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
@@ -118,8 +118,7 @@ def simulate_cohort(config: SimConfig, replicate_index: int) -> Dataset:
     strata labels are uniform and carry no effect.  The cohort carries its
     label codes, so no fit on it builds a string array.
     """
-    if (isinstance(replicate_index, bool) or not isinstance(replicate_index, (int, np.integer))
-            or replicate_index < 0):
+    if not _is_integer(replicate_index) or replicate_index < 0:
         raise ConfigError(f"replicate_index must be an integer >= 0, got {replicate_index!r}")
     labels = _labels(config)
     rng = np.random.default_rng([config.master_seed, replicate_index])
@@ -280,8 +279,7 @@ def _failure_reason(outcome) -> str:
 def _compare_replicates(cohorts, spec: ExposureSpec) -> list:
     """Each cohort's :func:`compare_exposures` report, or the error that ended it.
 
-    The cohorts' designs are fitted together by one :func:`fit_stack`; a
-    design with a column aliased at the starting point is compared alone.
+    The cohorts' designs are fitted together by one :func:`fit_stack`.
     """
     outcomes, designs, where = [None] * len(cohorts), [], []
     for i, cohort in enumerate(cohorts):
@@ -293,9 +291,7 @@ def _compare_replicates(cohorts, spec: ExposureSpec) -> list:
     scales = (1.0,) * spec.n_compared
     for i, design, fit_result in zip(where, designs, fit_stack(designs) if designs else ()):
         try:
-            if fit_result is None:
-                outcomes[i] = compare_exposures(cohorts[i], spec)
-            elif isinstance(fit_result, DupcoxError):
+            if isinstance(fit_result, DupcoxError):
                 outcomes[i] = fit_result
             else:
                 outcomes[i] = comparison_report(cohorts[i], spec, design, fit_result, scales)

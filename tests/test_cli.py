@@ -162,6 +162,15 @@ class TestCompareCommand:
             assert "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_scale_exits_one(self, tmp_path, cohort_csv, capsys, value):
+        cfg = write_config(tmp_path, compare_config(cohort_csv, tmp_path, scale=value))
+        assert main(["compare", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: scale must be a finite number > 0")
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestFitCommand:
     def test_fit_prints_coefficient_table(self, tmp_path, cohort_csv, capsys):

@@ -196,6 +196,40 @@ class TestFit:
         assert result.converged
         assert np.isnan(result.model_covariance[1]).all()
 
+    def test_aliased_design_stacked_fits_as_alone(self):
+        # The duplicated column is held at zero in the stack's one Newton loop.
+        rng = np.random.default_rng(99)
+        x = rng.standard_normal(12)
+        designs = [plain_design(np.column_stack([x, x]), rng.uniform(1, 5, size=12),
+                                rng.integers(0, 2, size=12)),
+                   plain_design(rng.standard_normal((30, 2)), rng.uniform(1, 5, size=30),
+                                rng.integers(0, 2, size=30))]
+        stacked = dc.cox.fit_stack(designs)
+        assert stacked[0].aliased_mask.tolist() == [False, True]
+        assert not stacked[1].aliased_mask.any()
+        for got, design in zip(stacked, designs):
+            want = dc.fit(design)
+            assert got.converged and want.converged
+            for key in ("coefficients", "model_covariance", "robust_covariance"):
+                assert np.array_equal(getattr(got, key), getattr(want, key), equal_nan=True)
+            assert np.array_equal(got.aliased_mask, want.aliased_mask)
+            assert got.iterations == want.iterations
+
+    def test_wholly_aliased_design_fails_alone_in_a_stack(self):
+        rng = np.random.default_rng(7)
+        empty = plain_design(np.zeros((10, 2)), rng.uniform(1, 5, size=10), np.ones(10, bool))
+        other = plain_design(rng.standard_normal((30, 2)), rng.uniform(1, 5, size=30),
+                             rng.integers(0, 2, size=30))
+        failed, fitted = dc.cox.fit_stack([empty, other])
+        assert isinstance(failed, EstimationError)
+        assert "all design columns are aliased" in str(failed)
+        with pytest.raises(EstimationError, match="all design columns are aliased"):
+            dc.fit(empty)
+        want = dc.fit(other)
+        for key in ("coefficients", "model_covariance", "robust_covariance"):
+            assert np.array_equal(getattr(fitted, key), getattr(want, key))
+        assert fitted.iterations == want.iterations
+
     def test_no_events_raises(self):
         d = plain_design(np.ones((2, 1)), [1.0, 2.0], [0, 0])
         with pytest.raises(EstimationError, match="no informative strata"):

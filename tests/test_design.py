@@ -165,6 +165,14 @@ class TestDuplicateAugment:
         with pytest.raises(ConfigError, match="at least two"):
             dc.ExposureSpec(kind="continuous", source_columns=("only",))
 
+    @pytest.mark.parametrize("field, value", [("n_levels", 3.0), ("n_levels", True),
+                                              ("n_levels", None), ("reference_level", 1.5),
+                                              ("reference_level", False)])
+    def test_levels_must_be_integers(self, field, value):
+        levels = {"n_levels": 3, "reference_level": 1} | {field: value}
+        with pytest.raises(ConfigError, match=f"requires an integer {field}, got {value!r}"):
+            dc.ExposureSpec(kind="categorical", source_columns=("A1", "A2"), **levels)
+
     def test_unknown_source_column(self, four_row_dataset):
         spec = dc.ExposureSpec(kind="continuous", source_columns=("A", "nope"))
         with pytest.raises(SchemaError, match="nope"):

@@ -256,6 +256,15 @@ class TestHazardRatio:
         twice = dc.hazard_ratio(fit, "a", scale=3.4)
         assert twice.value == pytest.approx(once.value ** 2, rel=1e-14)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        fit = fake_fit(["a", "b"], [0.2, 1.0], np.eye(2))
+        with pytest.raises(ConfigError, match="scale must be a finite number > 0"):
+            dc.hazard_ratio(fit, "a", scale=scale)
+        ds, spec = simulated_cohort(seed=31, n=200)
+        with pytest.raises(ConfigError, match=r"^\[design\] scale must be a finite number > 0"):
+            dc.compare_exposures(ds, spec, scale=scale)
+
     def test_interval_brackets_the_point(self):
         ds, spec = simulated_cohort(seed=31, n=200)
         report = dc.compare_exposures(ds, spec)
