@@ -5,6 +5,10 @@ with cluster-robust variance -> Wald test(s) on the exposure-by-type
 interaction coefficients -> per-exposure hazard ratios, rendered either as a
 JSON-compatible tree or as a human table (exposures by effect columns, with a
 final difference row).
+
+:func:`comparison_report` reports a stack of fits of one spec in one pass
+(the simulation lab's replicates); :func:`compare_exposures` is the stack of
+one.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 from .cox import CoxFit, FitOptions, fit as cox_fit
 from .data import Dataset
 from .design import DesignMatrix, ExposureSpec, block_design
-from .errors import AliasedCoefficientError, ConfigError, SingularMatrixError
+from .errors import AliasedCoefficientError, ConfigError, DupcoxError, SingularMatrixError
 
 
 def chi_square_upper_tail(q: float, df: int) -> float:
@@ -95,25 +99,40 @@ def _positions(fit_result: CoxFit, names) -> list[int]:
 _VARIANCE_FLOOR_RATIO = 1e-10
 
 
-def _quadratic_form(b: np.ndarray, block: np.ndarray, reference_scale: float) -> float:
-    """``b' block^-1 b`` with numerically-zero variance directions handled.
+def _wald_tests(coefficients: np.ndarray, covariances: np.ndarray,
+                model_covariances: np.ndarray, idx: np.ndarray, test_names: tuple,
+                covariance: str) -> list:
+    """Each stacked fit's test that its coefficients at ``idx`` are jointly
+    zero, from ``(R, p)`` coefficients and ``(R, p, p)`` covariances: its
+    :class:`TestResult` or the :class:`SingularMatrixError` that refuses it.
 
-    A direction whose variance is zero at the reference scale must carry a
-    zero estimate (it then contributes nothing); a materially nonzero
-    estimate there means the contrast is deterministic and cannot be
-    Wald-tested.
+    A direction of the tested block with numerically zero variance must carry
+    a zero estimate, and then adds nothing to ``Q``; a materially nonzero
+    estimate there means the contrast is deterministic and cannot be tested.
     """
-    vals, vecs = np.linalg.eigh(block)
-    z = vecs.T @ b
-    live = vals > _VARIANCE_FLOOR_RATIO * reference_scale
-    if np.any(np.abs(z[~live]) > 1e-6 * math.sqrt(reference_scale)):
-        cond = float(np.linalg.cond(block))
-        raise SingularMatrixError(
-            "test covariance block is singular along a direction with a "
-            f"nonzero estimate (condition number {cond:.3e})",
-            condition_number=cond,
-        )
-    return float(np.sum(z[live] ** 2 / vals[live]))
+    b = coefficients[:, idx]
+    blocks = covariances[:, idx[:, None], idx]
+    scale = model_covariances[:, idx, idx].max(axis=1)
+    vals, vecs = np.linalg.eigh(blocks)
+    z = (np.swapaxes(vecs, 1, 2) @ b[:, :, None])[:, :, 0]
+    live = vals > _VARIANCE_FLOOR_RATIO * scale[:, None]
+    singular = (~live & (np.abs(z) > 1e-6 * np.sqrt(scale)[:, None])).any(axis=1)
+    q = np.divide(z ** 2, vals, out=np.zeros_like(vals), where=live).sum(axis=1)
+    out = []
+    for r in range(len(q)):
+        if singular[r]:
+            cond = float(np.linalg.cond(blocks[r]))
+            out.append(SingularMatrixError(
+                "test covariance block is singular along a direction with a "
+                f"nonzero estimate (condition number {cond:.3e})",
+                condition_number=cond,
+            ))
+            continue
+        statistic = max(float(q[r]), 0.0)
+        out.append(TestResult(statistic=statistic, df=len(idx),
+                              p_value=chi_square_upper_tail(statistic, len(idx)),
+                              tested_coefficients=test_names, covariance_used=covariance))
+    return out
 
 
 def wald_multivariate(fit_result: CoxFit, test_names, covariance: str = "robust") -> TestResult:
@@ -121,25 +140,18 @@ def wald_multivariate(fit_result: CoxFit, test_names, covariance: str = "robust"
 
     ``Q = (C b)' (C V C')^-1 (C b)`` with ``C`` the selection matrix for
     ``test_names``; under the null ``Q`` is chi-square with one degree of
-    freedom per tested coefficient.
+    freedom per tested coefficient.  It is the stacked test of one fit.
     """
     test_names = tuple(test_names)
     if not test_names:
         raise ConfigError("no coefficients to test")
-    idx = _positions(fit_result, test_names)
+    idx = np.array(_positions(fit_result, test_names))
     cov = fit_result.covariance(covariance)
-
-    b = fit_result.coefficients[idx]
-    block = cov[np.ix_(idx, idx)]
-    scale = float(np.max(np.diag(fit_result.model_covariance[np.ix_(idx, idx)])))
-    q = max(_quadratic_form(b, block, scale), 0.0)
-    return TestResult(
-        statistic=q,
-        df=len(idx),
-        p_value=chi_square_upper_tail(q, len(idx)),
-        tested_coefficients=test_names,
-        covariance_used=covariance,
-    )
+    (test,) = _wald_tests(fit_result.coefficients[None], cov[None],
+                          fit_result.model_covariance[None], idx, test_names, covariance)
+    if isinstance(test, DupcoxError):
+        raise test
+    return test
 
 
 def wald_univariate(fit_result: CoxFit, name: str, covariance: str = "robust") -> TestResult:
@@ -157,10 +169,15 @@ class HazardRatio:
     ci_upper: float
 
 
-def _interval(est: float, var: float, scale: float, confidence: float):
-    """Standard error of ``est`` and its hazard ratio with a symmetric Wald interval."""
+def _quantile(confidence: float) -> float:
+    """The standard normal quantile of a symmetric ``confidence`` interval."""
+    return _STANDARD_NORMAL.inv_cdf((1.0 + confidence) / 2.0)
+
+
+def _interval(est: float, var: float, scale: float, z: float):
+    """Standard error of ``est`` and its hazard ratio with the symmetric Wald
+    interval of normal quantile ``z``."""
     se = math.sqrt(max(var, 0.0))
-    z = _STANDARD_NORMAL.inv_cdf((1.0 + confidence) / 2.0)
     return se, HazardRatio(
         value=math.exp(scale * est),
         ci_lower=math.exp(scale * (est - z * se)),
@@ -188,7 +205,7 @@ def hazard_ratio(fit_result: CoxFit, name: str, scale: float = 1.0,
         raise ConfigError(f"confidence must be in (0, 1), got {confidence}")
     (i,) = _positions(fit_result, (name,))
     var = fit_result.covariance(covariance)[i, i]
-    return _interval(fit_result.coefficients[i], var, scale, confidence)[1]
+    return _interval(fit_result.coefficients[i], var, scale, _quantile(confidence))[1]
 
 
 @dataclass(frozen=True)
@@ -350,7 +367,8 @@ def compare_exposures(dataset: Dataset, spec: ExposureSpec,
     :func:`~dupcox.design.duplicate_augment`'s copies.
 
     A non-converged fit yields a report with diagnostics and no test rather
-    than an exception.
+    than an exception.  An error is raised with its stage, ``[design]``,
+    ``[fit]`` or ``[wald]``, in front of its message.
     """
     if not 0 < confidence < 1:
         raise ConfigError(f"confidence must be in (0, 1), got {confidence}")
@@ -365,55 +383,80 @@ def compare_exposures(dataset: Dataset, spec: ExposureSpec,
         fit_result = cox_fit(design, options, robust=True)
     except Exception as exc:
         raise _stage("fit", exc)
-    return comparison_report(dataset, spec, design, fit_result, scales,
-                             confidence=confidence, seed=seed)
+    (report,), _ = comparison_report([dataset], spec, [design], [fit_result], scales,
+                                     confidence=confidence, seed=seed)
+    if isinstance(report, DupcoxError):
+        raise report
+    return report
 
 
-def comparison_report(dataset: Dataset, spec: ExposureSpec, design: DesignMatrix,
-                      fit_result: CoxFit, scales, *, confidence: float = 0.95,
-                      seed: int | None = None) -> ComparisonReport:
-    """The report of a fitted comparison: what :func:`compare_exposures` does
-    after its fit.
+def comparison_report(datasets, spec: ExposureSpec, designs, fits, scales, *,
+                      confidence: float = 0.95, seed: int | None = None):
+    """What :func:`compare_exposures` does after its fit, for a stack of
+    :func:`~dupcox.cox.fit_stack` results of one spec's ``designs``, in one
+    pass over ``(R, p)`` coefficients and ``(R, p, p)`` covariances.
+    ``scales`` gives each exposure's reporting increment.
 
-    ``design`` is :func:`~dupcox.design.block_design`'s for ``dataset`` and
-    ``spec``, and ``scales`` gives each exposure's reporting increment.  A
-    converged fit gets the Wald test of the interaction coefficients and
-    per-exposure hazard ratios; a non-converged one gets neither.
+    Returns each fit's report (a non-converged fit gets no test and no hazard
+    ratios) or its error, labelled ``[fit]`` or ``[wald]`` as
+    :func:`compare_exposures` labels it; and beside each report with a test,
+    the model-variance test of its first tested coefficient (else ``None``).
     """
-    exposures: list[ExposureSummary] = []
-    test = None
-    if fit_result.converged:
-        try:
-            test = wald_multivariate(fit_result, design.interaction_columns)
-        except Exception as exc:
-            raise _stage("wald", exc)
+    def report(r, exposures=(), test=None):
+        return ComparisonReport(exposures=exposures, difference_test=test, fit=fits[r],
+                                spec=spec, confidence=confidence, dataset=datasets[r], seed=seed)
 
-        # b = T theta and the diagonal of T V T' over the fitted columns.  An
-        # exposure term's row touches its main term and its interaction, and
-        # an aliased main term aliases its interactions too, so the Wald test
-        # has refused any aliased column those rows touch.
-        ok = ~fit_result.aliased_mask
-        T = design.block_map[:, ok]
-        b = (T @ fit_result.coefficients[ok]).reshape(spec.n_compared, -1)
-        var = ((T @ fit_result.robust_covariance[np.ix_(ok, ok)]) * T).sum(axis=1)
-        var = var.reshape(b.shape)
+    names = designs[0].interaction_columns
+    outcomes, first_tests = [None] * len(fits), [None] * len(fits)
+    where, idx = [], None
+    for r, fit_result in enumerate(fits):
+        if isinstance(fit_result, DupcoxError):
+            outcomes[r] = _stage("fit", fit_result)
+        elif not fit_result.converged:
+            outcomes[r] = report(r)
+        else:
+            try:
+                idx = np.array(_positions(fit_result, names))
+                fit_result.covariance("robust")
+            except DupcoxError as exc:
+                outcomes[r] = _stage("wald", exc)
+                continue
+            where.append(r)
+    if not where:
+        return outcomes, first_tests
+
+    kept = [fits[r] for r in where]
+    aliased = np.array([f.aliased_mask for f in kept])
+    theta = np.where(aliased, 0.0, [f.coefficients for f in kept])
+    robust = np.where(aliased[:, :, None] | aliased[:, None, :], 0.0,
+                      [f.robust_covariance for f in kept])
+    model = np.array([f.model_covariance for f in kept])
+    tests = _wald_tests(theta, robust, model, idx, names, "robust")
+    firsts = _wald_tests(theta, model, model, idx[:1], names[:1], "model")
+
+    # An exposure term's row of T holds a 1 at its main term and, past the
+    # first exposure, one at its interaction, so each entry of T theta and of
+    # diag(T V T') is one sum of at most two terms, the same in any order;
+    # the zeros at aliased positions add nothing, as if those were dropped.
+    T, shape = designs[0].block_map, (len(kept), spec.n_compared, -1)
+    b = (theta @ T.T).reshape(shape).tolist()
+    var = ((T @ robust) * T).sum(axis=2).reshape(shape).tolist()
+    z = _quantile(confidence)
+    for i, r in enumerate(where):
+        if isinstance(tests[i], DupcoxError):
+            outcomes[r] = _stage("wald", tests[i])
+            continue
+        exposures = []
         for j, source in enumerate(spec.source_columns):
             terms = []
-            for k, term in enumerate(design.exposure_main_columns):
-                se, hr = _interval(b[j, k], var[j, k], scales[j], confidence)
-                terms.append(ExposureTerm(term, float(b[j, k]), se, scales[j],
+            for k, term in enumerate(designs[0].exposure_main_columns):
+                se, hr = _interval(b[i][j][k], var[i][j][k], scales[j], z)
+                terms.append(ExposureTerm(term, b[i][j][k], se, scales[j],
                                           hr.value, hr.ci_lower, hr.ci_upper))
             exposures.append(ExposureSummary(name=source, terms=tuple(terms)))
-
-    return ComparisonReport(
-        exposures=tuple(exposures),
-        difference_test=test,
-        fit=fit_result,
-        spec=spec,
-        confidence=confidence,
-        dataset=dataset,
-        seed=seed,
-    )
+        outcomes[r] = report(r, tuple(exposures), tests[i])
+        first_tests[r] = firsts[i]
+    return outcomes, first_tests
 
 
 def format_hr_ci(hr: float, lower: float, upper: float) -> str:

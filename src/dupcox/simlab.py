@@ -26,7 +26,7 @@ from .cox import STEP_HALVING_FAILED, fit_stack
 from .data import Dataset, Schema
 from .design import ExposureSpec, _is_integer, block_design
 from .errors import AliasedCoefficientError, ConfigError, DupcoxError, SingularMatrixError
-from .inference import comparison_report, wald_univariate
+from .inference import _stage, comparison_report
 
 
 @dataclass(frozen=True)
@@ -276,28 +276,28 @@ def _failure_reason(outcome) -> str:
     return "step_halving_failed" if STEP_HALVING_FAILED in diag.message else "not_converged"
 
 
-def _compare_replicates(cohorts, spec: ExposureSpec) -> list:
-    """Each cohort's :func:`compare_exposures` report, or the error that ended it.
+def _compare_replicates(cohorts, spec: ExposureSpec):
+    """Each cohort's :func:`compare_exposures` report, or the error that ended
+    it, and beside it the model-variance test of the report's first tested
+    coefficient (``None`` without a report test).
 
-    The cohorts' designs are fitted together by one :func:`fit_stack`.
+    The cohorts' designs are fitted together by one :func:`fit_stack` and
+    reported together by one :func:`comparison_report`.
     """
-    outcomes, designs, where = [None] * len(cohorts), [], []
+    outcomes, naive = [None] * len(cohorts), [None] * len(cohorts)
+    designs, where = [], []
     for i, cohort in enumerate(cohorts):
         try:
             designs.append(block_design(cohort, spec))
             where.append(i)
         except DupcoxError as exc:
-            outcomes[i] = exc
-    scales = (1.0,) * spec.n_compared
-    for i, design, fit_result in zip(where, designs, fit_stack(designs) if designs else ()):
-        try:
-            if isinstance(fit_result, DupcoxError):
-                outcomes[i] = fit_result
-            else:
-                outcomes[i] = comparison_report(cohorts[i], spec, design, fit_result, scales)
-        except DupcoxError as exc:
-            outcomes[i] = exc
-    return outcomes
+            outcomes[i] = _stage("design", exc)
+    if designs:
+        reports, tests = comparison_report([cohorts[i] for i in where], spec, designs,
+                                           fit_stack(designs), (1.0,) * spec.n_compared)
+        for i, report, test in zip(where, reports, tests):
+            outcomes[i], naive[i] = report, test
+    return outcomes, naive
 
 
 def _run_replicates(config: SimConfig, alpha: float, scenario: str, *,
@@ -314,7 +314,7 @@ def _run_replicates(config: SimConfig, alpha: float, scenario: str, *,
     for start in range(0, config.replicate_count, chunk):
         cohorts = [simulate_cohort(config, r)
                    for r in range(start, min(start + chunk, config.replicate_count))]
-        for report in _compare_replicates(cohorts, spec):
+        for report, naive in zip(*_compare_replicates(cohorts, spec)):
             if isinstance(report, DupcoxError) or report.difference_test is None:
                 reasons[_failure_reason(report)] += 1
                 continue
@@ -327,9 +327,11 @@ def _run_replicates(config: SimConfig, alpha: float, scenario: str, *,
                 # Separate-fit z-test of the first tested interaction, b2 - b1,
                 # ignoring the correlation between the estimates: its model
                 # variance is var1 + var2, because the information is
-                # block-diagonal over the types.
-                b2_minus_b1 = report.difference_test.tested_coefficients[0]
-                naive_p.append(wald_univariate(report.fit, b2_minus_b1, "model").p_value)
+                # block-diagonal over the types.  comparison_report takes it
+                # from the same batch as the report's own test.
+                if isinstance(naive, DupcoxError):
+                    raise naive
+                naive_p.append(naive.p_value)
 
     n_used = len(p_values)
     failures = sum(reasons.values())

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dupcox as dc
+from dupcox import inference
 from dupcox.errors import (AliasedCoefficientError, ConfigError, EstimationError,
                            SingularMatrixError, ValidationError)
 from conftest import simulated_cohort
@@ -172,6 +173,44 @@ class TestWald:
         with pytest.raises(SingularMatrixError) as refused:
             dc.wald_multivariate(fit, ["a"])
         assert refused.value.condition_number == np.inf
+
+    def test_stacked_kernel_is_each_fit_alone(self):
+        # One pass over a stack gives each fit what wald_multivariate gives it
+        # alone (the kernel on a stack of one): a regular fit, a zero estimate
+        # along a zero-variance direction (Q from the other two), a nonzero one
+        # there (refused), and the fits of simulated 4-level comparisons.
+        rng = np.random.default_rng(6)
+        u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        zero_along_first = u @ np.diag([0.0, 1.0, 2.0]) @ u.T
+        root = rng.standard_normal((3, 3))
+        fakes = [fake_fit("abc", rng.standard_normal(3), root @ root.T + np.eye(3),
+                          robust=2 * (root @ root.T) + np.eye(3)),
+                 fake_fit("abc", u @ [0.0, 0.5, -1.0], zero_along_first),
+                 fake_fit("abc", u @ [0.3, 0.5, -1.0], zero_along_first)]
+        cfg = dc.SimConfig(n_subjects=80, exposure_correlation=0.5, true_beta=(0.5, 0.2),
+                           covariate_effects=(0.3,), n_strata=2, replicate_count=6,
+                           master_seed=9)
+        spec = dc.ExposureSpec(kind="categorical", source_columns=("A1", "A2"), n_levels=4)
+        fits = [dc.fit(dc.block_design(dc.simulate_cohort(cfg, r), spec)) for r in range(6)]
+        names = dc.block_design(dc.simulate_cohort(cfg, 0), spec).interaction_columns
+        refused = 0
+        for stack, tested in ((fakes, tuple("abc")), (fits, names)):
+            idx = np.array([stack[0].column_names.index(n) for n in tested])
+            for covariance in ("robust", "model"):
+                got = inference._wald_tests(
+                    np.array([f.coefficients for f in stack]),
+                    np.array([f.covariance(covariance) for f in stack]),
+                    np.array([f.model_covariance for f in stack]), idx, tested, covariance)
+                for fit, test in zip(stack, got):
+                    try:
+                        assert test == dc.wald_multivariate(fit, tested, covariance)
+                    except SingularMatrixError as exc:
+                        assert type(test) is type(exc) and str(test) == str(exc)
+                        assert test.condition_number == exc.condition_number
+                        refused += 1
+        assert refused == 2
+        assert dc.wald_multivariate(fakes[1], tuple("abc")).statistic \
+            == pytest.approx(0.5 ** 2 / 1.0 + 1.0 / 2.0, rel=1e-12)
 
     def test_matches_dense_oracle_on_quintile_pipeline(self):
         ds, _ = simulated_cohort(seed=21, n=300, betas=(0.6, 0.1), rho=0.5)

@@ -252,8 +252,26 @@ FAILING = dict(n_subjects=15, exposure_correlation=0.3, true_beta=(1.5, 0.2),
                replicate_count=60, master_seed=5)
 
 
-def relative_gap(a, b):
-    return abs(a - b) / max(abs(a), abs(b))
+def assert_matches_own_compare(cohorts, spec):
+    """Each cohort's outcome in one batched pass equals its own compare_exposures:
+    the same report, table and model-variance test of the first tested
+    coefficient, or an error of the same type and text."""
+    reports, naive = simlab._compare_replicates(cohorts, spec)
+    for cohort, got, test in zip(cohorts, reports, naive):
+        try:
+            want = dc.compare_exposures(cohort, spec)
+        except DupcoxError as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            assert test is None
+            continue
+        assert got.to_dict() == want.to_dict()
+        assert dc.render_table(got) == dc.render_table(want)
+        if want.difference_test is None:
+            assert test is None
+        else:
+            first = want.difference_test.tested_coefficients[0]
+            assert test == dc.wald_univariate(want.fit, first, "model")
+    return reports
 
 
 class TestBatchedReplicates:
@@ -279,25 +297,8 @@ class TestBatchedReplicates:
         cfg = dc.SimConfig(**FAILING)
         spec = cfg.exposure_spec()
         cohorts = [dc.simulate_cohort(cfg, r) for r in range(cfg.replicate_count)]
-        batched = simlab._compare_replicates(cohorts, spec)
-        failed = set()
-        for r, (cohort, report) in enumerate(zip(cohorts, batched)):
-            alone = dc.compare_exposures(cohort, spec)
-            if alone.difference_test is None:
-                failed.add(r)
-                assert report.difference_test is None
-                assert report.fit.diagnostics.message == alone.fit.diagnostics.message
-                continue
-            test, want = report.difference_test, alone.difference_test
-            assert relative_gap(test.p_value, want.p_value) <= 1e-8
-            name = test.tested_coefficients[0]
-            assert relative_gap(dc.wald_univariate(report.fit, name, "model").p_value,
-                                dc.wald_univariate(alone.fit, name, "model").p_value) <= 1e-8
-            overlap = [(t.terms[0].ci_lower <= u.terms[0].ci_upper
-                        and u.terms[0].ci_lower <= t.terms[0].ci_upper)
-                       for t, u in (report.exposures, alone.exposures)]
-            assert overlap[0] == overlap[1]
-            assert report.fit.iterations == alone.fit.iterations
+        reports = assert_matches_own_compare(cohorts, spec)
+        failed = [r for r, report in enumerate(reports) if report.difference_test is None]
         assert len(failed) == 16
         result = dc.estimate_power(cfg, 0.05)
         assert result.n_failures == 16
@@ -311,19 +312,40 @@ class TestBatchedReplicates:
         cfg = dc.SimConfig(n_subjects=8, exposure_correlation=0.3, true_beta=(0.4, 0.4),
                            covariate_effects=(0.3,), censoring_rate=0.5, n_strata=2,
                            replicate_count=50, master_seed=3)
-        spec = cfg.exposure_spec()
         cohorts = [dc.simulate_cohort(cfg, r) for r in range(cfg.replicate_count)]
-        aliased = 0
-        for cohort, got in zip(cohorts, simlab._compare_replicates(cohorts, spec)):
-            try:
-                want = dc.compare_exposures(cohort, spec)
-            except DupcoxError as exc:
-                assert type(got) is type(exc) and str(exc).endswith(str(got))
-                aliased += "aliased" in str(exc)
-                continue
-            assert got.to_dict() == want.to_dict()
-            aliased += bool(want.fit.aliased_mask.any())
-        assert aliased >= 1
+        reports = assert_matches_own_compare(cohorts, cfg.exposure_spec())
+        assert str(reports[27]) == "[fit] all design columns are aliased; nothing to fit"
+        assert reports[49].fit.aliased_mask.any()
+
+    def test_eventless_replicates_match_their_own_compare(self):
+        # At n = 6 with 90% censoring, 13 of 20 cohorts have no event, and
+        # block_design refuses them.
+        cfg = dc.SimConfig(n_subjects=6, exposure_correlation=0.3, true_beta=(0.4, 0.4),
+                           censoring_rate=0.9, replicate_count=20, master_seed=1)
+        cohorts = [dc.simulate_cohort(cfg, r) for r in range(cfg.replicate_count)]
+        reports = assert_matches_own_compare(cohorts, cfg.exposure_spec())
+        assert str(reports[0]) == "[design] no informative strata: the dataset contains no events"
+
+    @pytest.mark.parametrize("kind, m, rho", [
+        ("categorical", 2, 0.5),  # 3 tested interactions: 3 x 3 blocks
+        ("trend", 3, 0.5),        # 2 tested interactions: 2 x 2 blocks
+        ("continuous", 2, 1.0),   # identical exposures: zero-variance directions
+        ("categorical", 3, 1.0),  # ... in 6 x 6 blocks
+    ])
+    def test_spec_stack_matches_its_own_compare(self, kind, m, rho):
+        # At n = 30, 6 of the 4-level categorical replicates at rho = 0.5 stop
+        # short of convergence.
+        cfg = dc.SimConfig(n_subjects=30, exposure_correlation=rho,
+                           true_beta=(0.5,) + (0.2,) * (m - 1), covariate_effects=(0.3,),
+                           censoring_rate=0.4, n_strata=2, replicate_count=30, master_seed=1)
+        spec = dc.ExposureSpec(kind=kind, source_columns=cfg.exposure_columns(), n_levels=4)
+        cohorts = [dc.simulate_cohort(cfg, r) for r in range(cfg.replicate_count)]
+        reports = assert_matches_own_compare(cohorts, spec)
+        tests = [r.difference_test for r in reports if r.difference_test is not None]
+        assert len(tests) >= 24
+        assert {t.df for t in tests} == {(m - 1) * (3 if kind == "categorical" else 1)}
+        if rho == 1.0:
+            assert all(t.statistic == 0.0 and t.p_value == 1.0 for t in tests)
 
     def test_step_halving_overflow_does_not_warn(self):
         # Replicate 11's rejected candidates overflow 1 / S0; they are rejected
