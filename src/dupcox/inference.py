@@ -6,9 +6,9 @@ interaction coefficients -> per-exposure hazard ratios, rendered either as a
 JSON-compatible tree or as a human table (exposures by effect columns, with a
 final difference row).
 
-:func:`comparison_report` reports a stack of fits of one spec in one pass
-(the simulation lab's replicates); :func:`compare_exposures` is the stack of
-one.
+:func:`compare_stack` runs that pipeline on a stack of cohorts of one spec,
+with one stacked fit and one report pass (the simulation lab's replicates);
+:func:`compare_exposures` is its stack of one cohort.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .cox import CoxFit, FitOptions, fit as cox_fit
+from .cox import CoxFit, FitOptions, fit_stack
 from .data import Dataset
 from .design import DesignMatrix, ExposureSpec, block_design
 from .errors import AliasedCoefficientError, ConfigError, DupcoxError, SingularMatrixError
@@ -368,94 +368,107 @@ def compare_exposures(dataset: Dataset, spec: ExposureSpec,
 
     A non-converged fit yields a report with diagnostics and no test rather
     than an exception.  An error is raised with its stage, ``[design]``,
-    ``[fit]`` or ``[wald]``, in front of its message.
+    ``[fit]`` or ``[wald]``, in front of its message.  This is
+    :func:`compare_stack` of one cohort.
     """
-    if not 0 < confidence < 1:
-        raise ConfigError(f"confidence must be in (0, 1), got {confidence}")
-    options = options or FitOptions()
-
-    try:
-        design = block_design(dataset, spec)
-        scales = _per_exposure_scales(design, spec, scale)
-    except Exception as exc:
-        raise _stage("design", exc)
-    try:
-        fit_result = cox_fit(design, options, robust=True)
-    except Exception as exc:
-        raise _stage("fit", exc)
-    (report,), _ = comparison_report([dataset], spec, [design], [fit_result], scales,
-                                     confidence=confidence, seed=seed)
+    (report,), _ = compare_stack([dataset], spec, options, confidence=confidence,
+                                 scale=scale, seed=seed)
     if isinstance(report, DupcoxError):
         raise report
     return report
 
 
-def comparison_report(datasets, spec: ExposureSpec, designs, fits, scales, *,
-                      confidence: float = 0.95, seed: int | None = None):
-    """What :func:`compare_exposures` does after its fit, for a stack of
-    :func:`~dupcox.cox.fit_stack` results of one spec's ``designs``, in one
-    pass over ``(R, p)`` coefficients and ``(R, p, p)`` covariances.
-    ``scales`` gives each exposure's reporting increment.
+def compare_stack(cohorts, spec: ExposureSpec, options: FitOptions | None = None, *,
+                  confidence: float = 0.95, scale=1.0, seed: int | None = None):
+    """:func:`compare_exposures` of each of a stack of cohorts of one spec.
 
-    Returns each fit's report (a non-converged fit gets no test and no hazard
-    ratios) or its error, labelled ``[fit]`` or ``[wald]`` as
-    :func:`compare_exposures` labels it; and beside each report with a test,
-    the model-variance test of its first tested coefficient (else ``None``).
+    Each cohort gets its own design and reporting scales; the designs are
+    fitted by one :func:`~dupcox.cox.fit_stack` and reported in one pass over
+    ``(R, p)`` coefficients and ``(R, p, p)`` covariances.  Returns each
+    cohort's report (a non-converged fit gets no test and no hazard ratios)
+    or the :class:`DupcoxError` that refused it, and beside each report with
+    a test, the model-variance test of its first tested coefficient (else
+    ``None``).  Every error carries its stage, ``[design]``, ``[fit]`` or
+    ``[wald]``, in front of its message; one that is not a
+    :class:`DupcoxError`, or that refuses the whole stack, is raised.
     """
+    if not 0 < confidence < 1:
+        raise ConfigError(f"confidence must be in (0, 1), got {confidence}")
+
     def report(r, exposures=(), test=None):
         return ComparisonReport(exposures=exposures, difference_test=test, fit=fits[r],
-                                spec=spec, confidence=confidence, dataset=datasets[r], seed=seed)
+                                spec=spec, confidence=confidence, dataset=cohorts[r], seed=seed)
 
-    names = designs[0].interaction_columns
-    outcomes, first_tests = [None] * len(fits), [None] * len(fits)
-    where, idx = [], None
-    for r, fit_result in enumerate(fits):
-        if isinstance(fit_result, DupcoxError):
-            outcomes[r] = _stage("fit", fit_result)
-        elif not fit_result.converged:
-            outcomes[r] = report(r)
-        else:
+    outcomes, first_tests = [None] * len(cohorts), [None] * len(cohorts)
+    refused = {}  # cohort -> (stage, error), labelled on the way out
+    stage = "design"
+    try:
+        designs, scales = {}, {}
+        for r, cohort in enumerate(cohorts):
             try:
-                idx = np.array(_positions(fit_result, names))
-                fit_result.covariance("robust")
+                design = block_design(cohort, spec)
+                scales[r] = _per_exposure_scales(design, spec, scale)
+                designs[r] = design
             except DupcoxError as exc:
-                outcomes[r] = _stage("wald", exc)
-                continue
-            where.append(r)
-    if not where:
-        return outcomes, first_tests
+                refused[r] = stage, exc
 
-    kept = [fits[r] for r in where]
-    aliased = np.array([f.aliased_mask for f in kept])
-    theta = np.where(aliased, 0.0, [f.coefficients for f in kept])
-    robust = np.where(aliased[:, :, None] | aliased[:, None, :], 0.0,
-                      [f.robust_covariance for f in kept])
-    model = np.array([f.model_covariance for f in kept])
-    tests = _wald_tests(theta, robust, model, idx, names, "robust")
-    firsts = _wald_tests(theta, model, model, idx[:1], names[:1], "model")
+        stage = "fit"
+        fits = dict(zip(designs, fit_stack(list(designs.values()), options) if designs else ()))
+        converged = []
+        for r, fit_result in fits.items():
+            if isinstance(fit_result, DupcoxError):
+                refused[r] = stage, fit_result
+            elif fit_result.converged:
+                converged.append(r)
+            else:
+                outcomes[r] = report(r)
 
-    # An exposure term's row of T holds a 1 at its main term and, past the
-    # first exposure, one at its interaction, so each entry of T theta and of
-    # diag(T V T') is one sum of at most two terms, the same in any order;
-    # the zeros at aliased positions add nothing, as if those were dropped.
-    T, shape = designs[0].block_map, (len(kept), spec.n_compared, -1)
-    b = (theta @ T.T).reshape(shape).tolist()
-    var = ((T @ robust) * T).sum(axis=2).reshape(shape).tolist()
-    z = _quantile(confidence)
-    for i, r in enumerate(where):
-        if isinstance(tests[i], DupcoxError):
-            outcomes[r] = _stage("wald", tests[i])
-            continue
-        exposures = []
-        for j, source in enumerate(spec.source_columns):
-            terms = []
-            for k, term in enumerate(designs[0].exposure_main_columns):
-                se, hr = _interval(b[i][j][k], var[i][j][k], scales[j], z)
-                terms.append(ExposureTerm(term, b[i][j][k], se, scales[j],
-                                          hr.value, hr.ci_lower, hr.ci_upper))
-            exposures.append(ExposureSummary(name=source, terms=tuple(terms)))
-        outcomes[r] = report(r, tuple(exposures), tests[i])
-        first_tests[r] = firsts[i]
+        stage = "wald"
+        where = []
+        for r in converged:
+            try:
+                idx = np.array(_positions(fits[r], designs[r].interaction_columns))
+                where.append(r)
+            except DupcoxError as exc:
+                refused[r] = stage, exc
+        if where:
+            shared, kept = designs[where[0]], [fits[r] for r in where]
+            names = shared.interaction_columns
+            aliased = np.array([f.aliased_mask for f in kept])
+            theta = np.where(aliased, 0.0, [f.coefficients for f in kept])
+            robust = np.where(aliased[:, :, None] | aliased[:, None, :], 0.0,
+                              [f.robust_covariance for f in kept])
+            model = np.array([f.model_covariance for f in kept])
+            tests = _wald_tests(theta, robust, model, idx, names, "robust")
+            firsts = _wald_tests(theta, model, model, idx[:1], names[:1], "model")
+
+            # An exposure term's row of T holds a 1 at its main term and, past
+            # the first exposure, one at its interaction, so each entry of T
+            # theta and of diag(T V T') is one sum of at most two terms, the
+            # same in any order; the zeros at aliased positions add nothing,
+            # as if those were dropped.
+            T, shape = shared.block_map, (len(kept), spec.n_compared, -1)
+            b = (theta @ T.T).reshape(shape).tolist()
+            var = ((T @ robust) * T).sum(axis=2).reshape(shape).tolist()
+            z = _quantile(confidence)
+            for i, r in enumerate(where):
+                if isinstance(tests[i], DupcoxError):
+                    refused[r] = stage, tests[i]
+                    continue
+                exposures = []
+                for j, source in enumerate(spec.source_columns):
+                    terms = []
+                    for k, term in enumerate(shared.exposure_main_columns):
+                        se, hr = _interval(b[i][j][k], var[i][j][k], scales[r][j], z)
+                        terms.append(ExposureTerm(term, b[i][j][k], se, scales[r][j],
+                                                  hr.value, hr.ci_lower, hr.ci_upper))
+                    exposures.append(ExposureSummary(name=source, terms=tuple(terms)))
+                outcomes[r] = report(r, tuple(exposures), tests[i])
+                first_tests[r] = firsts[i]
+    except Exception as exc:
+        raise _stage(stage, exc)
+    for r, (name, exc) in refused.items():
+        outcomes[r] = _stage(name, exc)
     return outcomes, first_tests
 
 

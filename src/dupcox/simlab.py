@@ -11,7 +11,10 @@ identically with the outcome is available by symmetric generation (equal
 true coefficients over exchangeable exposures), and the degenerate null by
 ``exposure_correlation = 1``.  The harness measures rejection rates of the
 duplication-method test over independent replicates, each with its own
-deterministic sub-seed and fitted with the default ``FitOptions``.
+deterministic sub-seed and fitted with the default ``FitOptions``.  A chunk
+of replicates goes through :func:`~dupcox.inference.compare_stack`, the
+pipeline that :func:`~dupcox.inference.compare_exposures` runs on a stack of
+one cohort, so each replicate's report or error is its own compare's.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cox import STEP_HALVING_FAILED, fit_stack
+from .cox import STEP_HALVING_FAILED
 from .data import Dataset, Schema
-from .design import ExposureSpec, _is_integer, block_design
+from .design import ExposureSpec, _is_integer
 from .errors import AliasedCoefficientError, ConfigError, DupcoxError, SingularMatrixError
-from .inference import _stage, comparison_report
+from .inference import compare_stack
 
 
 @dataclass(frozen=True)
@@ -276,30 +279,6 @@ def _failure_reason(outcome) -> str:
     return "step_halving_failed" if STEP_HALVING_FAILED in diag.message else "not_converged"
 
 
-def _compare_replicates(cohorts, spec: ExposureSpec):
-    """Each cohort's :func:`compare_exposures` report, or the error that ended
-    it, and beside it the model-variance test of the report's first tested
-    coefficient (``None`` without a report test).
-
-    The cohorts' designs are fitted together by one :func:`fit_stack` and
-    reported together by one :func:`comparison_report`.
-    """
-    outcomes, naive = [None] * len(cohorts), [None] * len(cohorts)
-    designs, where = [], []
-    for i, cohort in enumerate(cohorts):
-        try:
-            designs.append(block_design(cohort, spec))
-            where.append(i)
-        except DupcoxError as exc:
-            outcomes[i] = _stage("design", exc)
-    if designs:
-        reports, tests = comparison_report([cohorts[i] for i in where], spec, designs,
-                                           fit_stack(designs), (1.0,) * spec.n_compared)
-        for i, report, test in zip(where, reports, tests):
-            outcomes[i], naive[i] = report, test
-    return outcomes, naive
-
-
 def _run_replicates(config: SimConfig, alpha: float, scenario: str, *,
                     include_naive: bool = False) -> CalibrationResult:
     if not 0.0 < alpha <= 1.0:
@@ -314,7 +293,7 @@ def _run_replicates(config: SimConfig, alpha: float, scenario: str, *,
     for start in range(0, config.replicate_count, chunk):
         cohorts = [simulate_cohort(config, r)
                    for r in range(start, min(start + chunk, config.replicate_count))]
-        for report, naive in zip(*_compare_replicates(cohorts, spec)):
+        for report, naive in zip(*compare_stack(cohorts, spec)):
             if isinstance(report, DupcoxError) or report.difference_test is None:
                 reasons[_failure_reason(report)] += 1
                 continue
@@ -327,8 +306,8 @@ def _run_replicates(config: SimConfig, alpha: float, scenario: str, *,
                 # Separate-fit z-test of the first tested interaction, b2 - b1,
                 # ignoring the correlation between the estimates: its model
                 # variance is var1 + var2, because the information is
-                # block-diagonal over the types.  comparison_report takes it
-                # from the same batch as the report's own test.
+                # block-diagonal over the types.  compare_stack takes it from
+                # the same batch as the report's own test.
                 if isinstance(naive, DupcoxError):
                     raise naive
                 naive_p.append(naive.p_value)

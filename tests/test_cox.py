@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import dupcox as dc
-from dupcox.cox import _symmetric_inverse
+from dupcox.cox import _inverses, _symmetric_inverse
 from dupcox.errors import ConfigError, EstimationError, SingularMatrixError
 from oracles import (
     brute_force_loglik,
@@ -177,6 +177,16 @@ class TestFit:
                            match="not positive definite .*smallest eigenvalue -1,") as refused:
             _symmetric_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert refused.value.condition_number == pytest.approx(3.0)
+
+    def test_stacked_inverse_refuses_only_the_singular_matrix(self):
+        # The batched Cholesky fails for the whole stack, so each matrix is
+        # inverted alone: the positive-definite one as if it had no company.
+        good = np.array([[2.0, 0.5], [0.5, 1.0]])
+        inverse, errors = _inverses(np.array([good, [[1.0, 1.0], [1.0, 1.0]]]))
+        assert np.array_equal(inverse[0], _symmetric_inverse(good))
+        assert errors[0] is None
+        assert isinstance(errors[1], SingularMatrixError)
+        assert np.isnan(inverse[1]).all()
 
     def test_perfect_separation_diagnosed(self):
         d = plain_design(np.array([[1.0], [0.0]]), [1.0, 2.0], [1, 0])

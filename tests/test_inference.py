@@ -361,6 +361,18 @@ class TestCompareExposures:
                       - np.quantile(ds.exposure("A1"), 0.1))
         assert report.exposures[0].terms[0].scale == pytest.approx(width)
 
+    def test_p10_p90_scale_refuses_a_zero_increment(self):
+        # Not constant, but with 19 zeros and one 1 the 10th and 90th
+        # percentiles coincide.
+        ds, spec = simulated_cohort(seed=45, n=20)
+        exposures = ds.exposures.copy()
+        exposures[:, 0] = 0.0
+        exposures[7, 0] = 1.0
+        ds = dataclasses.replace(ds, exposures=exposures)
+        with pytest.raises(ConfigError, match=r"^\[design\] exposure 'A1' has a zero "
+                                              "10th-to-90th percentile increment"):
+            dc.compare_exposures(ds, spec, scale="p10-p90")
+
     def test_report_serializes_to_json(self):
         ds, spec = simulated_cohort(seed=46, n=120)
         report = dc.compare_exposures(ds, spec, seed=11)
@@ -478,6 +490,38 @@ class TestCompareExposures:
                                n_levels=5)
         with pytest.raises(Exception, match=r"\[design\]"):
             dc.compare_exposures(four_row_dataset, spec)
+
+
+class TestCompareStack:
+    def test_each_cohort_gets_its_own_scales_and_refusal(self):
+        first, spec = simulated_cohort(seed=61, n=150)
+        second, _ = simulated_cohort(seed=62, n=150)
+        flat = second.exposures.copy()
+        flat[:, 1] = 0.0
+        flat[3, 1] = 1.0
+        cohorts = [first, dataclasses.replace(second, exposures=flat), second]
+        reports, _ = inference.compare_stack(cohorts, spec, scale="p10-p90", seed=5)
+        assert str(reports[1]) == ("[design] exposure 'A2' has a zero 10th-to-90th "
+                                   "percentile increment")
+        for cohort, report in zip(cohorts[::2], reports[::2]):
+            want = dc.compare_exposures(cohort, spec, scale="p10-p90", seed=5)
+            assert report.to_dict() == want.to_dict()
+        assert reports[0].exposures[0].terms[0].scale \
+            != reports[2].exposures[0].terms[0].scale
+
+    @pytest.mark.parametrize("stage, target", [("design", "block_design"),
+                                               ("fit", "fit_stack"),
+                                               ("wald", "_wald_tests")])
+    def test_an_error_that_is_not_a_dupcox_error_is_raised_with_its_stage(
+            self, monkeypatch, stage, target):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("boom")
+
+        first, spec = simulated_cohort(seed=63, n=100)
+        second, _ = simulated_cohort(seed=64, n=100)
+        monkeypatch.setattr(inference, target, broken)
+        with pytest.raises(ZeroDivisionError, match=rf"^\[{stage}\] boom$"):
+            inference.compare_stack([first, second], spec)
 
 
 class TestRenderTable:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import dupcox as dc
-from dupcox import cox, simlab
-from dupcox.errors import ConfigError, DupcoxError
+from dupcox import cox, inference, simlab
+from dupcox.errors import (AliasedCoefficientError, ConfigError, DupcoxError,
+                           SingularMatrixError)
 
 
 def config(**overrides):
@@ -143,6 +144,13 @@ class TestSimulateCohort:
         observed = np.corrcoef(ds.exposures[:, 0], ds.exposures[:, 1])[0, 1]
         assert observed == pytest.approx(0.7, abs=0.05)
 
+    def test_negative_equicorrelation(self):
+        cfg = config(n_subjects=20_000, exposure_correlation=-0.4, true_beta=(0.4, 0.4, 0.4))
+        exposures = dc.simulate_cohort(cfg, 0).exposures
+        corr = np.corrcoef(exposures, rowvar=False)[~np.eye(3, dtype=bool)]
+        assert np.abs(corr + 0.4).max() < 0.03
+        assert np.array_equal(dc.simulate_cohort(cfg, 0).exposures, exposures)
+
     def test_rho_one_duplicates_the_exposure(self):
         ds = dc.simulate_cohort(config(exposure_correlation=1.0), 0)
         assert np.array_equal(ds.exposures[:, 0], ds.exposures[:, 1])
@@ -252,11 +260,23 @@ FAILING = dict(n_subjects=15, exposure_correlation=0.3, true_beta=(1.5, 0.2),
                replicate_count=60, master_seed=5)
 
 
+# At n = 8, some designs have a column aliased at the starting point:
+# replicate 27 wholly, replicate 49 in part.
+ALIASED = dict(n_subjects=8, exposure_correlation=0.3, true_beta=(0.4, 0.4),
+               covariate_effects=(0.3,), censoring_rate=0.5, n_strata=2,
+               replicate_count=50, master_seed=3)
+
+# At n = 6 with 90% censoring, 13 of 20 cohorts have no event, and
+# block_design refuses them.
+EVENTLESS = dict(n_subjects=6, exposure_correlation=0.3, true_beta=(0.4, 0.4),
+                 censoring_rate=0.9, replicate_count=20, master_seed=1)
+
+
 def assert_matches_own_compare(cohorts, spec):
     """Each cohort's outcome in one batched pass equals its own compare_exposures:
     the same report, table and model-variance test of the first tested
     coefficient, or an error of the same type and text."""
-    reports, naive = simlab._compare_replicates(cohorts, spec)
+    reports, naive = inference.compare_stack(cohorts, spec)
     for cohort, got, test in zip(cohorts, reports, naive):
         try:
             want = dc.compare_exposures(cohort, spec)
@@ -307,24 +327,32 @@ class TestBatchedReplicates:
         assert result.to_dict()["failure_reasons"] == result.failure_reasons
 
     def test_aliased_replicates_match_their_own_compare(self):
-        # At n = 8, some designs have a column aliased at the starting point:
-        # replicate 27 wholly, replicate 49 in part.
-        cfg = dc.SimConfig(n_subjects=8, exposure_correlation=0.3, true_beta=(0.4, 0.4),
-                           covariate_effects=(0.3,), censoring_rate=0.5, n_strata=2,
-                           replicate_count=50, master_seed=3)
+        cfg = dc.SimConfig(**ALIASED)
         cohorts = [dc.simulate_cohort(cfg, r) for r in range(cfg.replicate_count)]
         reports = assert_matches_own_compare(cohorts, cfg.exposure_spec())
         assert str(reports[27]) == "[fit] all design columns are aliased; nothing to fit"
         assert reports[49].fit.aliased_mask.any()
 
     def test_eventless_replicates_match_their_own_compare(self):
-        # At n = 6 with 90% censoring, 13 of 20 cohorts have no event, and
-        # block_design refuses them.
-        cfg = dc.SimConfig(n_subjects=6, exposure_correlation=0.3, true_beta=(0.4, 0.4),
-                           censoring_rate=0.9, replicate_count=20, master_seed=1)
+        cfg = dc.SimConfig(**EVENTLESS)
         cohorts = [dc.simulate_cohort(cfg, r) for r in range(cfg.replicate_count)]
         reports = assert_matches_own_compare(cohorts, cfg.exposure_spec())
         assert str(reports[0]) == "[design] no informative strata: the dataset contains no events"
+
+    @pytest.mark.parametrize("scenario, reasons, n_used", [
+        (ALIASED, {"not_converged": 1, "probable_separation": 26, "other": 1}, 22),
+        (EVENTLESS, {"probable_separation": 3, "other": 14}, 3),
+    ])
+    def test_failure_reasons_of_failing_replicates(self, scenario, reasons, n_used):
+        result = dc.estimate_power(dc.SimConfig(**scenario), 0.05)
+        assert result.failure_reasons == dict.fromkeys(simlab.FAILURE_REASONS, 0) | reasons
+        assert result.n_used == n_used
+        assert result.n_failures == sum(reasons.values())
+
+    def test_failure_reason_of_an_error_follows_its_type(self):
+        assert simlab._failure_reason(SingularMatrixError("x")) == "singular"
+        assert simlab._failure_reason(AliasedCoefficientError("x")) == "aliased_tested_term"
+        assert simlab._failure_reason(ConfigError("x")) == "other"
 
     @pytest.mark.parametrize("kind, m, rho", [
         ("categorical", 2, 0.5),  # 3 tested interactions: 3 x 3 blocks
