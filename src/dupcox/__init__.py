@@ -40,7 +40,6 @@ from .cox import (
     log_partial_likelihood,
     robust_covariance,
     score,
-    score_residuals,
 )
 from .inference import (
     ComparisonReport,
@@ -76,7 +75,7 @@ __all__ = [
     "categorize_quantiles", "dummy_code", "trend_scores",
     "duplicate_augment", "build_design_matrix", "block_design", "single_exposure_design",
     "FitOptions", "FitDiagnostics", "CoxFit",
-    "log_partial_likelihood", "score", "information", "score_residuals",
+    "log_partial_likelihood", "score", "information",
     "fit", "robust_covariance",
     "TestResult", "HazardRatio", "ExposureTerm", "ExposureSummary",
     "ComparisonReport", "chi_square_upper_tail",

@@ -465,19 +465,6 @@ def information(design: DesignMatrix, beta, tie_method: str = "efron") -> np.nda
     return _evaluate(design, beta, tie_method)[1].info[0]
 
 
-def score_residuals(design: DesignMatrix, beta, tie_method: str = "efron") -> np.ndarray:
-    """Per-row score residuals (rows sum to the total score).
-
-    Rows in strata without events contribute zero.  These are the building
-    blocks of the cluster sandwich: sum them within ``design.cluster_id``
-    groups before forming the outer-product middle matrix.  A row
-    carries the summed residuals of its ``m`` blocks, mapped to the
-    coefficients by ``design.block_map``.
-    """
-    engine, ev = _evaluate(design, beta, tie_method)
-    return engine.residuals(ev).T @ engine.T
-
-
 def _aliased_columns(info: np.ndarray) -> np.ndarray:
     """Mark, in each matrix of an ``(R, p, p)`` stack, the columns whose pivot
     collapses during an in-order Cholesky sweep.
@@ -701,7 +688,7 @@ def robust_covariance(design: DesignMatrix, fit_result: CoxFit) -> np.ndarray:
     """Cluster sandwich ``A^-1 M A^-1`` at the fitted coefficients.
 
     ``A`` is the observed information and ``M`` sums, over clusters of rows
-    sharing ``design.cluster_id`` (the duplicated copies of a subject), the
+    sharing ``design.cluster_codes`` (the duplicated copies of a subject), the
     outer products of cluster-summed score residuals; the residuals are
     summed in block coordinates and only ``M`` is mapped to the coefficients.
     Aliased positions are NaN, matching the fitted coefficient vector;

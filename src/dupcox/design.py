@@ -21,7 +21,7 @@ row-bound construction, one block with the identity map.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -120,11 +120,11 @@ class DesignMatrix:
 
     Column order: exposure main terms, covariate main terms, exposure-by-type
     interactions, covariate-by-type interactions.  There is no type main
-    effect: it is absorbed by stratification.  ``cluster_id`` ties a
-    subject's rows together for the robust variance.  ``stratum_codes`` and
-    ``cluster_codes`` number the distinct ``str()`` of ``strata_key`` and
-    ``cluster_id`` in sorted order; they are derived from the labels unless
-    given.
+    effect: it is absorbed by stratification.  ``stratum_codes`` and
+    ``cluster_codes`` number each row's stratum and cluster from 0; the
+    cluster code ties a subject's rows together for the robust variance.  A
+    code array that is not one non-negative integer per row raises
+    :class:`ValidationError`.
     """
 
     blocks: np.ndarray               # float, (m, n, p_b)
@@ -132,19 +132,19 @@ class DesignMatrix:
     column_names: tuple[str, ...]
     exposure_main_columns: tuple[str, ...]
     interaction_columns: tuple[str, ...]
-    strata_key: np.ndarray           # object, (n,)
-    cluster_id: np.ndarray           # object, (n,)
+    stratum_codes: np.ndarray        # int, (n,)
+    cluster_codes: np.ndarray        # int, (n,)
     entry: np.ndarray                # float, (n,)
     exit: np.ndarray                 # float, (n,)
     event: np.ndarray                # bool, (n,)
-    stratum_codes: np.ndarray = field(default=None, repr=False)  # int, (n,)
-    cluster_codes: np.ndarray = field(default=None, repr=False)  # int, (n,)
 
     def __post_init__(self):
-        if self.stratum_codes is None:
-            object.__setattr__(self, "stratum_codes", label_codes(self.strata_key))
-        if self.cluster_codes is None:
-            object.__setattr__(self, "cluster_codes", label_codes(self.cluster_id))
+        for name in ("stratum_codes", "cluster_codes"):
+            codes = np.asarray(getattr(self, name))
+            if codes.shape != (len(self),) or codes.dtype.kind not in "iu" or (codes < 0).any():
+                raise ValidationError(f"{name} must hold one non-negative integer "
+                                      f"per row of the design ({len(self)} rows)")
+            object.__setattr__(self, name, codes)
 
     def __len__(self) -> int:
         return self.blocks.shape[1]
@@ -159,12 +159,6 @@ class DesignMatrix:
         if len(self.blocks) != 1 or not np.array_equal(self.block_map, np.eye(self.n_columns)):
             raise ValueError("only a one-block design with the identity map has a plain X")
         return self.blocks[0]
-
-    def column(self, name: str) -> int:
-        try:
-            return self.column_names.index(name)
-        except ValueError:
-            raise KeyError(f"no design column named {name!r}") from None
 
 
 def categorize_quantiles(values, k: int, name: str = "exposure"):
@@ -330,7 +324,9 @@ def build_design_matrix(aug: AugmentedDataset, spec: ExposureSpec) -> DesignMatr
     Interactions are generated for every non-reference type against every
     exposure term and every covariate; combined with type-stratification this
     makes the augmented fit algebraically equivalent to the separate
-    per-exposure fits.
+    per-exposure fits.  A row's stratum is its ``stratum|type`` label and
+    its cluster its subject id, each numbered by
+    :func:`~dupcox.data.label_codes`.
     """
     if len(aug) == 0:
         raise ValidationError("augmented dataset is empty")
@@ -357,8 +353,8 @@ def build_design_matrix(aug: AugmentedDataset, spec: ExposureSpec) -> DesignMatr
         column_names=column_names,
         exposure_main_columns=tuple(aug.term_names),
         interaction_columns=inter_names,
-        strata_key=join_labels([*aug.strata.T, aug.a_type]),
-        cluster_id=aug.subject_ids.copy(),
+        stratum_codes=label_codes(join_labels([*aug.strata.T, aug.a_type])),
+        cluster_codes=label_codes(aug.subject_ids),
         entry=aug.entry.copy(),
         exit=aug.exit.copy(),
         event=aug.event.copy(),
@@ -393,13 +389,11 @@ def block_design(dataset: Dataset, spec: ExposureSpec) -> DesignMatrix:
         column_names=column_names,
         exposure_main_columns=tuple(term_names),
         interaction_columns=inter_names,
-        strata_key=dataset.strata_keys(),
-        cluster_id=dataset.subject_ids.copy(),
+        stratum_codes=dataset.stratum_codes,
+        cluster_codes=dataset.subject_codes,
         entry=dataset.entry.copy(),
         exit=dataset.exit.copy(),
         event=dataset.event.copy(),
-        stratum_codes=dataset.stratum_codes,
-        cluster_codes=dataset.subject_codes,
     )
 
 

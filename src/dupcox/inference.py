@@ -371,8 +371,8 @@ def compare_exposures(dataset: Dataset, spec: ExposureSpec,
     ``[fit]`` or ``[wald]``, in front of its message.  This is
     :func:`compare_stack` of one cohort.
     """
-    (report,), _ = compare_stack([dataset], spec, options, confidence=confidence,
-                                 scale=scale, seed=seed)
+    (report,) = compare_stack([dataset], spec, options, confidence=confidence,
+                              scale=scale, seed=seed)
     if isinstance(report, DupcoxError):
         raise report
     return report
@@ -386,11 +386,10 @@ def compare_stack(cohorts, spec: ExposureSpec, options: FitOptions | None = None
     fitted by one :func:`~dupcox.cox.fit_stack` and reported in one pass over
     ``(R, p)`` coefficients and ``(R, p, p)`` covariances.  Returns each
     cohort's report (a non-converged fit gets no test and no hazard ratios)
-    or the :class:`DupcoxError` that refused it, and beside each report with
-    a test, the model-variance test of its first tested coefficient (else
-    ``None``).  Every error carries its stage, ``[design]``, ``[fit]`` or
-    ``[wald]``, in front of its message; one that is not a
-    :class:`DupcoxError`, or that refuses the whole stack, is raised.
+    or the :class:`DupcoxError` that refused it.  Every error carries its
+    stage, ``[design]``, ``[fit]`` or ``[wald]``, in front of its message;
+    one that is not a :class:`DupcoxError`, or that refuses the whole stack,
+    is raised.
     """
     if not 0 < confidence < 1:
         raise ConfigError(f"confidence must be in (0, 1), got {confidence}")
@@ -399,8 +398,7 @@ def compare_stack(cohorts, spec: ExposureSpec, options: FitOptions | None = None
         return ComparisonReport(exposures=exposures, difference_test=test, fit=fits[r],
                                 spec=spec, confidence=confidence, dataset=cohorts[r], seed=seed)
 
-    outcomes, first_tests = [None] * len(cohorts), [None] * len(cohorts)
-    refused = {}  # cohort -> (stage, error), labelled on the way out
+    outcomes = [None] * len(cohorts)
     stage = "design"
     try:
         designs, scales = {}, {}
@@ -410,14 +408,14 @@ def compare_stack(cohorts, spec: ExposureSpec, options: FitOptions | None = None
                 scales[r] = _per_exposure_scales(design, spec, scale)
                 designs[r] = design
             except DupcoxError as exc:
-                refused[r] = stage, exc
+                outcomes[r] = _stage(stage, exc)
 
         stage = "fit"
         fits = dict(zip(designs, fit_stack(list(designs.values()), options) if designs else ()))
         converged = []
         for r, fit_result in fits.items():
             if isinstance(fit_result, DupcoxError):
-                refused[r] = stage, fit_result
+                outcomes[r] = _stage(stage, fit_result)
             elif fit_result.converged:
                 converged.append(r)
             else:
@@ -430,7 +428,7 @@ def compare_stack(cohorts, spec: ExposureSpec, options: FitOptions | None = None
                 idx = np.array(_positions(fits[r], designs[r].interaction_columns))
                 where.append(r)
             except DupcoxError as exc:
-                refused[r] = stage, exc
+                outcomes[r] = _stage(stage, exc)
         if where:
             shared, kept = designs[where[0]], [fits[r] for r in where]
             names = shared.interaction_columns
@@ -440,7 +438,6 @@ def compare_stack(cohorts, spec: ExposureSpec, options: FitOptions | None = None
                               [f.robust_covariance for f in kept])
             model = np.array([f.model_covariance for f in kept])
             tests = _wald_tests(theta, robust, model, idx, names, "robust")
-            firsts = _wald_tests(theta, model, model, idx[:1], names[:1], "model")
 
             # An exposure term's row of T holds a 1 at its main term and, past
             # the first exposure, one at its interaction, so each entry of T
@@ -453,7 +450,7 @@ def compare_stack(cohorts, spec: ExposureSpec, options: FitOptions | None = None
             z = _quantile(confidence)
             for i, r in enumerate(where):
                 if isinstance(tests[i], DupcoxError):
-                    refused[r] = stage, tests[i]
+                    outcomes[r] = _stage(stage, tests[i])
                     continue
                 exposures = []
                 for j, source in enumerate(spec.source_columns):
@@ -464,12 +461,9 @@ def compare_stack(cohorts, spec: ExposureSpec, options: FitOptions | None = None
                                                   hr.value, hr.ci_lower, hr.ci_upper))
                     exposures.append(ExposureSummary(name=source, terms=tuple(terms)))
                 outcomes[r] = report(r, tuple(exposures), tests[i])
-                first_tests[r] = firsts[i]
     except Exception as exc:
         raise _stage(stage, exc)
-    for r, (name, exc) in refused.items():
-        outcomes[r] = _stage(name, exc)
-    return outcomes, first_tests
+    return outcomes
 
 
 def format_hr_ci(hr: float, lower: float, upper: float) -> str:

@@ -29,7 +29,7 @@ from .cox import STEP_HALVING_FAILED
 from .data import Dataset, Schema
 from .design import ExposureSpec, _is_integer
 from .errors import AliasedCoefficientError, ConfigError, DupcoxError, SingularMatrixError
-from .inference import compare_stack
+from .inference import chi_square_upper_tail, compare_stack
 
 
 @dataclass(frozen=True)
@@ -293,7 +293,7 @@ def _run_replicates(config: SimConfig, alpha: float, scenario: str, *,
     for start in range(0, config.replicate_count, chunk):
         cohorts = [simulate_cohort(config, r)
                    for r in range(start, min(start + chunk, config.replicate_count))]
-        for report, naive in zip(*compare_stack(cohorts, spec)):
+        for report in compare_stack(cohorts, spec):
             if isinstance(report, DupcoxError) or report.difference_test is None:
                 reasons[_failure_reason(report)] += 1
                 continue
@@ -303,14 +303,7 @@ def _run_replicates(config: SimConfig, alpha: float, scenario: str, *,
             if first.ci_lower <= second.ci_upper and second.ci_lower <= first.ci_upper:
                 overlaps += 1
             if include_naive:
-                # Separate-fit z-test of the first tested interaction, b2 - b1,
-                # ignoring the correlation between the estimates: its model
-                # variance is var1 + var2, because the information is
-                # block-diagonal over the types.  compare_stack takes it from
-                # the same batch as the report's own test.
-                if isinstance(naive, DupcoxError):
-                    raise naive
-                naive_p.append(naive.p_value)
+                naive_p.append(_naive_p(report))
 
     n_used = len(p_values)
     failures = sum(reasons.values())
@@ -334,6 +327,16 @@ def _run_replicates(config: SimConfig, alpha: float, scenario: str, *,
                               if naive_p else None),
         failure_reasons=reasons,
     )
+
+
+def _naive_p(report) -> float:
+    """Separate-fit z-test of a report's first tested interaction, b2 - b1,
+    ignoring the correlation between the estimates: its model variance is
+    var1 + var2, because the information is block-diagonal over the types."""
+    fit = report.fit
+    i = fit.column_names.index(report.difference_test.tested_coefficients[0])
+    b = fit.coefficients[i]
+    return chi_square_upper_tail(float(b * b / fit.model_covariance[i, i]), 1)
 
 
 def _is_null_config(config: SimConfig) -> bool:
@@ -364,11 +367,17 @@ def estimate_power(config: SimConfig, alpha: float = 0.05, *,
 
 
 def ks_uniform_statistic(p_values) -> float:
-    """Kolmogorov-Smirnov distance of the p-values from Uniform(0, 1)."""
+    """Kolmogorov-Smirnov distance of the p-values from Uniform(0, 1).
+
+    A p-value that is NaN or outside [0, 1] raises :class:`ConfigError`.
+    """
     p = np.sort(np.asarray(p_values, dtype=float))
     n = len(p)
     if n == 0:
         raise ConfigError("no p-values to test")
+    bad = p[~((p >= 0.0) & (p <= 1.0))]
+    if bad.size:
+        raise ConfigError(f"{bad.size} p-value(s) NaN or outside [0, 1], e.g. {float(bad[0])}")
     grid = np.arange(1, n + 1) / n
     return float(max((grid - p).max(), (p - (grid - 1.0 / n)).max()))
 
@@ -376,9 +385,14 @@ def ks_uniform_statistic(p_values) -> float:
 def ks_critical_value(n: int, level: float = 0.01) -> float:
     """Finite-sample critical value for the one-sample KS statistic.
 
-    The only use of scipy in the package; it is imported on the first call,
-    so ``import dupcox`` and the CLI do without it.
+    ``n`` must be an integer >= 1 and ``level`` lie in (0, 1), else
+    :class:`ConfigError`.  The only use of scipy in the package; it is
+    imported on the first call, so ``import dupcox`` and the CLI do without it.
     """
+    if not _is_integer(n) or n < 1:
+        raise ConfigError(f"n must be an integer >= 1, got {n!r}")
+    if not 0.0 < level < 1.0:
+        raise ConfigError(f"level must lie in (0, 1), got {level!r}")
     from scipy.stats import kstwo
 
     return float(kstwo.isf(level, n))

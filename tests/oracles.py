@@ -3,7 +3,8 @@
 Everything here is deliberately naive: direct risk-set enumeration with
 Python loops, explicit finite differences, sort-and-split quantiles, dense
 matrix arithmetic.  Nothing is shared with the package's vectorized code
-paths.
+paths, except in :func:`score_residuals`: the engine's own residuals mapped
+to the coefficients, which the tests hold against the oracles here.
 """
 
 import csv
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dupcox.cox import CoxFit
+from dupcox.cox import CoxFit, _evaluate
 from dupcox.data import Dataset
 from dupcox.design import DesignMatrix
 from dupcox.errors import ParseError, SchemaError, ValidationError
@@ -205,6 +206,15 @@ def per_bin_medians(categories, values):
     return out
 
 
+def score_residuals(design, beta, tie_method="efron"):
+    """Per-row score residuals of the engine (rows sum to the total score),
+    each row's ``m`` blocks summed and mapped to the coefficients by
+    ``design.block_map``; rows in strata without events are zero.  Summed
+    within clusters, they give the middle matrix of the sandwich."""
+    engine, ev = _evaluate(design, beta, tie_method)
+    return engine.residuals(ev).T @ engine.T
+
+
 def sandwich_from_residuals(residuals, cluster_ids, information):
     """Dense recomputation of A^-1 M A^-1 from exported per-row residuals."""
     groups = {}
@@ -236,8 +246,17 @@ def overlapping_subjects(subject_ids, entry, exit_):
     return tuple(overlapping)
 
 
+def codes_of(labels):
+    """Each label's rank among the distinct labels, compared as text."""
+    return np.unique(np.asarray(labels).astype(str), return_inverse=True)[1]
+
+
 def plain_design(X, exit_, event, entry=None, strata=None, cluster=None, names=None):
-    """Wrap raw arrays into a plain DesignMatrix (one block, identity map)."""
+    """Wrap raw arrays into a plain DesignMatrix (one block, identity map).
+
+    ``strata`` and ``cluster`` are per-row labels, numbered by :func:`codes_of`;
+    without them every row is in one stratum and its own cluster.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] != len(exit_):
         X = X.T
@@ -248,10 +267,8 @@ def plain_design(X, exit_, event, entry=None, strata=None, cluster=None, names=N
         column_names=tuple(names) if names else tuple(f"x{j + 1}" for j in range(p)),
         exposure_main_columns=(),
         interaction_columns=(),
-        strata_key=np.asarray(strata, dtype=object) if strata is not None
-        else np.array([""] * n, dtype=object),
-        cluster_id=np.asarray(cluster, dtype=object) if cluster is not None
-        else np.array([str(i) for i in range(n)], dtype=object),
+        stratum_codes=codes_of(strata if strata is not None else [""] * n),
+        cluster_codes=codes_of(cluster if cluster is not None else [str(i) for i in range(n)]),
         entry=np.asarray(entry, dtype=float) if entry is not None else np.zeros(n),
         exit=np.asarray(exit_, dtype=float),
         event=np.asarray(event, dtype=bool),
@@ -482,7 +499,7 @@ def per_stratum_evaluation(design, beta, tie_method="efron"):
     score = np.zeros((m, p_b))
     info = np.zeros((m, p_b, p_b))
     resid = np.zeros((n, m, p_b))
-    keys = np.asarray(design.strata_key).astype(str)
+    keys = design.stratum_codes
     for key in np.unique(keys):
         rows = np.flatnonzero(keys == key)
         rows = rows[np.argsort(-design.exit[rows], kind="stable")]

@@ -41,7 +41,7 @@ def test_criterion_1_likelihood_matches_brute_force():
         for method in ("breslow", "efron"):
             got = dc.log_partial_likelihood(d, beta, method)
             want = brute_force_loglik(d.entry, d.exit, d.event, d.X, beta,
-                                      d.strata_key, method)
+                                      d.stratum_codes, method)
             worst = max(worst, abs(got - want))
     elapsed = time.time() - start
     _criterion(
@@ -247,8 +247,8 @@ def test_criterion_8_structural_invariants():
     for f in (lambda t: t ** 3, lambda t: 10.0 * t + 1.0):
         warped = dc.DesignMatrix(
             blocks=d.blocks, block_map=d.block_map, column_names=d.column_names,
-            exposure_main_columns=(), interaction_columns=(), strata_key=d.strata_key,
-            cluster_id=d.cluster_id, entry=f(d.entry), exit=f(d.exit),
+            exposure_main_columns=(), interaction_columns=(), stratum_codes=d.stratum_codes,
+            cluster_codes=d.cluster_codes, entry=f(d.entry), exit=f(d.exit),
             event=d.event,
         )
         other = dc.fit(warped, robust=False).coefficients
@@ -259,14 +259,14 @@ def test_criterion_8_structural_invariants():
     beta = np.array([0.4, -0.3])
     total = dc.log_partial_likelihood(d, beta)
     parts = 0.0
-    for key in np.unique(d.strata_key.astype(str)):
-        rows = d.strata_key == key
+    for key in np.unique(d.stratum_codes):
+        rows = d.stratum_codes == key
         if not d.event[rows].any():
             continue
         sub = dc.DesignMatrix(
             blocks=d.blocks[:, rows], block_map=d.block_map, column_names=d.column_names,
             exposure_main_columns=(), interaction_columns=(),
-            strata_key=d.strata_key[rows], cluster_id=d.cluster_id[rows],
+            stratum_codes=d.stratum_codes[rows], cluster_codes=d.cluster_codes[rows],
             entry=d.entry[rows], exit=d.exit[rows], event=d.event[rows],
         )
         parts += dc.log_partial_likelihood(sub, beta)

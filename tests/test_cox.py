@@ -17,6 +17,7 @@ from oracles import (
     plain_design,
     random_design,
     sandwich_from_residuals,
+    score_residuals,
 )
 
 # Binary-covariate cohort used throughout: x = (1, 0, 1, 0), events at times
@@ -64,7 +65,7 @@ class TestLogPartialLikelihood:
             beta = rng.standard_normal(2)
             got = dc.log_partial_likelihood(d, beta, method)
             want = brute_force_loglik(d.entry, d.exit, d.event, d.X, beta,
-                                      d.strata_key, method)
+                                      d.stratum_codes, method)
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_efron_equals_breslow_without_ties(self):
@@ -81,8 +82,8 @@ class TestLogPartialLikelihood:
         beta = np.array([0.3, -0.2])
         total = dc.log_partial_likelihood(d, beta)
         parts = 0.0
-        for key in np.unique(d.strata_key.astype(str)):
-            rows = d.strata_key == key
+        for key in np.unique(d.stratum_codes):
+            rows = d.stratum_codes == key
             if not d.event[rows].any():
                 continue
             sub = plain_design(d.X[rows], d.exit[rows], d.event[rows],
@@ -250,7 +251,7 @@ class TestFit:
         d = random_design(rng, n=20, p=2, ties=False, truncation=True)
         base = dc.fit(d, robust=False)
         warped = plain_design(d.X, d.exit ** 3, d.event, entry=d.entry ** 3,
-                              strata=d.strata_key)
+                              strata=d.stratum_codes)
         other = dc.fit(warped, robust=False)
         assert other.coefficients == pytest.approx(base.coefficients, abs=1e-8)
 
@@ -270,7 +271,7 @@ class TestScoreResiduals:
         for _ in range(10):
             d = random_design(rng, n=9, p=2, ties=True, truncation=True, n_strata=2)
             beta = rng.standard_normal(2) * 0.4
-            resid = dc.score_residuals(d, beta, method)
+            resid = score_residuals(d, beta, method)
             assert resid.sum(axis=0) == pytest.approx(
                 dc.score(d, beta, method), abs=1e-10)
 
@@ -281,13 +282,13 @@ class TestScoreResiduals:
             d = random_design(rng, n=12, p=2, ties=True, truncation=True, n_strata=2)
             beta = rng.standard_normal(2) * 0.4
             want = brute_force_score_residuals(d.entry, d.exit, d.event, d.X, beta,
-                                               d.strata_key, method)
-            assert dc.score_residuals(d, beta, method) == pytest.approx(want, abs=1e-10)
+                                               d.stratum_codes, method)
+            assert score_residuals(d, beta, method) == pytest.approx(want, abs=1e-10)
 
     def test_eventless_stratum_rows_are_zero(self):
         d = plain_design(np.array([[1.0], [0.0], [1.0]]), [1.0, 2.0, 3.0],
                          [1, 0, 0], strata=["a", "a", "b"])
-        resid = dc.score_residuals(d, [0.2])
+        resid = score_residuals(d, [0.2])
         assert resid[2, 0] == 0.0
 
 
@@ -297,9 +298,9 @@ class TestRobustCovariance:
         d = random_design(rng, n=15, p=2, ties=True, truncation=False)
         result = dc.fit(d)
         beta = result.coefficients
-        resid = dc.score_residuals(d, beta)
+        resid = score_residuals(d, beta)
         info = dc.information(d, beta)
-        oracle = sandwich_from_residuals(resid, d.cluster_id, info)
+        oracle = sandwich_from_residuals(resid, d.cluster_codes, info)
         assert result.robust_covariance == pytest.approx(oracle, abs=1e-12)
 
     def test_duplicated_copies_share_cluster(self):
@@ -319,8 +320,8 @@ class TestRobustCovariance:
         )
         result = dc.fit(d)
         beta = result.coefficients
-        resid = dc.score_residuals(d, beta)
-        oracle = sandwich_from_residuals(resid, d.cluster_id, dc.information(d, beta))
+        resid = score_residuals(d, beta)
+        oracle = sandwich_from_residuals(resid, d.cluster_codes, dc.information(d, beta))
         assert result.robust_covariance == pytest.approx(oracle, abs=1e-12)
 
     def test_fit_reuses_index_without_changing_results(self):
@@ -329,7 +330,7 @@ class TestRobustCovariance:
         rng = np.random.default_rng(21)
         base = random_design(rng, n=60, p=2, ties=True, truncation=True, n_strata=2)
         d = plain_design(base.X, base.exit, base.event, entry=base.entry,
-                         strata=base.strata_key, cluster=[f"c{i // 3}" for i in range(60)])
+                         strata=base.stratum_codes, cluster=[f"c{i // 3}" for i in range(60)])
         assert np.any(d.entry > 0)
         assert len(np.unique(d.exit[d.event])) < d.event.sum()
         result = dc.fit(d)
@@ -425,10 +426,10 @@ class TestScaleFreeStop:
         self.check(50_000, 1, 2000.0, 0.0)
 
 
-def many_strata_design(seed, n_small=2000, n_big=1500):
+def many_strata_cohort(seed, n_small=2000, n_big=1500):
     """Thousands of strata of 1-3 rows, some without events, then one stratum
     of ``n_big`` three-row subjects with delayed entry, on integer times
-    (so events tie), as a :class:`DesignMatrix` with 3 columns."""
+    (so events tie), as the arguments of a :func:`plain_design` with 3 columns."""
     rng = np.random.default_rng(seed)
     size = rng.integers(1, 4, size=n_small)
     strata = np.repeat([f"a{k:04d}" for k in range(n_small)], size).tolist()
@@ -447,7 +448,7 @@ def many_strata_design(seed, n_small=2000, n_big=1500):
     event = np.concatenate([event, np.repeat(died, 3) & np.tile([False, False, True], n_big)])
     cluster = [f"c{i}" for i in range(size.sum())] + [f"s{i // 3}" for i in range(3 * n_big)]
     X = rng.standard_normal((len(exit_), 3))
-    return plain_design(X, exit_, event, entry=entry, strata=strata, cluster=cluster)
+    return dict(X=X, exit_=exit_, event=event, entry=entry, strata=strata, cluster=cluster)
 
 
 class TestSinglePassOverStrata:
@@ -460,26 +461,28 @@ class TestSinglePassOverStrata:
 
     @pytest.mark.parametrize("method", ["efron", "breslow"])
     def test_large_stratum_after_thousands_of_small_ones(self, method):
-        d = many_strata_design(7)
-        assert len(set(d.strata_key)) > 2000
+        d = plain_design(**many_strata_cohort(7))
+        assert len(np.unique(d.stratum_codes)) > 2000
         beta = np.array([0.3, -0.2, 0.1])
         ll, score, info, resid = per_stratum_evaluation(d, beta, method)
         got_ll = dc.log_partial_likelihood(d, beta, method)
         assert abs(got_ll - ll) <= 1e-12 * abs(ll)
         self.assert_close(dc.score(d, beta, method), score)
         self.assert_close(dc.information(d, beta, method), (info + info.T) / 2)
-        self.assert_close(dc.score_residuals(d, beta, method), resid)
+        self.assert_close(score_residuals(d, beta, method), resid)
 
     @pytest.mark.parametrize("method", ["efron", "breslow"])
     def test_block_design_with_many_strata(self, method):
-        d = many_strata_design(8, n_small=600, n_big=300)
+        cohort = many_strata_cohort(8, n_small=600, n_big=300)
+        d = plain_design(**cohort)
         rng = np.random.default_rng(9)
         schema = dc.Schema(id_column="id", entry_column="entry", exit_column="exit",
                            event_column="event", exposure_columns=("A1", "A2"),
                            covariate_columns=("L1",), strata_columns=("g",))
-        dataset = dc.Dataset(schema, d.cluster_id, d.entry, d.exit, d.event,
+        dataset = dc.Dataset(schema, np.asarray(cohort["cluster"], dtype=object),
+                             d.entry, d.exit, d.event,
                              rng.standard_normal((len(d), 2)), d.X[:, :1],
-                             np.asarray(d.strata_key, dtype=object).reshape(-1, 1))
+                             np.asarray(cohort["strata"], dtype=object).reshape(-1, 1))
         design = dc.block_design(dataset, dc.ExposureSpec("continuous", ("A1", "A2")))
         theta = np.array([0.2, -0.1, 0.15, 0.05])
         ll, score, info, resid = per_stratum_evaluation(design, theta, method)
@@ -487,7 +490,7 @@ class TestSinglePassOverStrata:
         assert abs(got_ll - ll) <= 1e-12 * abs(ll)
         self.assert_close(dc.score(design, theta, method), score)
         self.assert_close(dc.information(design, theta, method), (info + info.T) / 2)
-        self.assert_close(dc.score_residuals(design, theta, method), resid)
+        self.assert_close(score_residuals(design, theta, method), resid)
 
     @pytest.mark.parametrize("sizes", [[1] * 50 + [1000], [3, 4, 5, 7, 9, 17, 33, 64, 65, 200],
                                        list(range(1, 300)), [40] * 30])

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dupcox as dc
+from dupcox.data import join_labels, label_codes
 from dupcox.errors import ConfigError, SchemaError, ValidationError
 from conftest import simulated_cohort
-from oracles import CohortRow, dataset_from_rows, per_bin_medians, quantile_categories
+from oracles import (CohortRow, dataset_from_rows, per_bin_medians, plain_design,
+                     quantile_categories)
 
 
 class TestCategorizeQuantiles:
@@ -224,10 +226,14 @@ class TestBuildDesignMatrix:
     def test_strata_key_includes_a_type(self, four_row_dataset):
         spec = dc.ExposureSpec(kind="dichotomous", source_columns=("A", "Aprime"))
         design = dc.build_design_matrix(dc.duplicate_augment(four_row_dataset, spec), spec)
-        assert set(design.strata_key) == {"A", "Aprime"}
-        assert design.cluster_id.tolist() == ["1", "2", "3", "4"] * 2
+        # The type is the only stratum column: copy "A" is stratum 0, "Aprime" 1.
+        assert design.stratum_codes.tolist() == [0] * 4 + [1] * 4
+        assert design.cluster_codes.tolist() == [0, 1, 2, 3] * 2
 
-    def test_strata_key_joins_non_string_labels(self, four_row_dataset):
+    @staticmethod
+    def non_string_strata(four_row_dataset):
+        """The four-row cohort under two strata columns of ints, floats and None,
+        and its augmented copy."""
         strata = np.array([[1, 2.5], [1, None], [20, 2.5], [1, 2.5]], dtype=object)
         schema = dc.Schema(id_column="id", exit_column="time", event_column="Y",
                            exposure_columns=("A", "Aprime"), covariate_columns=("L1",),
@@ -235,15 +241,25 @@ class TestBuildDesignMatrix:
         ds = dc.Dataset(schema, four_row_dataset.subject_ids, four_row_dataset.entry,
                         four_row_dataset.exit, four_row_dataset.event,
                         four_row_dataset.exposures, four_row_dataset.covariates, strata)
-        assert ds.strata_keys().tolist() == ["|".join(str(v) for v in row) for row in strata]
         spec = dc.ExposureSpec(kind="dichotomous", source_columns=("A", "Aprime"))
-        aug = dc.duplicate_augment(ds, spec)
+        return ds, spec, dc.duplicate_augment(ds, spec)
+
+    def test_strata_key_joins_non_string_labels(self, four_row_dataset):
+        ds, spec, aug = self.non_string_strata(four_row_dataset)
+        assert ds.strata_keys().tolist() == ["|".join(str(v) for v in row) for row in ds.strata]
+        keys = ["|".join([str(v) for v in aug.strata[i]] + [str(aug.a_type[i])])
+                for i in range(len(aug))]
+        assert keys[0] == "1|2.5|A"
+        assert join_labels([*aug.strata.T, aug.a_type]).tolist() == keys
         design = dc.build_design_matrix(aug, spec)
-        assert design.strata_key.tolist() == [
-            "|".join([str(v) for v in aug.strata[i]] + [str(aug.a_type[i])])
-            for i in range(len(aug))
-        ]
-        assert design.strata_key[0] == "1|2.5|A"
+        assert design.stratum_codes.tolist() == np.unique(keys, return_inverse=True)[1].tolist()
+
+    def test_codes_are_label_codes_of_the_augmented_labels(self, four_row_dataset):
+        _, spec, aug = self.non_string_strata(four_row_dataset)
+        design = dc.build_design_matrix(aug, spec)
+        assert np.array_equal(design.stratum_codes,
+                              label_codes(join_labels([*aug.strata.T, aug.a_type])))
+        assert np.array_equal(design.cluster_codes, label_codes(aug.subject_ids))
 
     def test_no_events_is_an_error(self, four_row_schema):
         rows = [
@@ -256,6 +272,31 @@ class TestBuildDesignMatrix:
         spec = dc.ExposureSpec(kind="dichotomous", source_columns=("A", "Aprime"))
         with pytest.raises(dc.errors.EstimationError, match="no informative strata"):
             dc.build_design_matrix(dc.duplicate_augment(ds, spec), spec)
+
+
+class TestDesignCodes:
+    @staticmethod
+    def design():
+        return plain_design(np.arange(4.0), [1.0, 2.0, 3.0, 4.0], [1, 1, 0, 1],
+                            strata=["a", "a", "b", "b"])
+
+    @pytest.mark.parametrize("codes", [
+        [0, -1, 0, 1],                             # negative
+        np.array([0.0, 0.0, 1.0, 1.0]),            # float, though whole
+        np.array([True, True, False, False]),      # bool
+        np.array(["0", "0", "1", "1"]),            # text
+        [0, 0, 1],                                 # a row short
+        np.zeros((4, 1), dtype=int),               # not one per row
+    ], ids=["negative", "float", "bool", "text", "short", "column"])
+    @pytest.mark.parametrize("name", ["stratum_codes", "cluster_codes"])
+    def test_bad_codes_are_refused(self, name, codes):
+        with pytest.raises(ValidationError, match=f"{name} must hold one non-negative integer"):
+            dataclasses.replace(self.design(), **{name: codes})
+
+    def test_integer_codes_are_kept_as_an_array(self):
+        design = dataclasses.replace(self.design(), stratum_codes=[1, 1, 0, 0])
+        assert isinstance(design.stratum_codes, np.ndarray)
+        assert dc.fit(design).coefficients == pytest.approx(dc.fit(self.design()).coefficients)
 
 
 class TestRowRules:
@@ -364,6 +405,10 @@ class TestOneDesignType:
         fields = {cls: {f.name for f in dataclasses.fields(cls)}
                   for cls in (dc.DesignMatrix, dc.ComparisonReport)}
         assert "covariate_interaction_columns" not in fields[dc.DesignMatrix]
+        # Designs carry strata and clusters as integer codes only.
+        assert not {"strata_key", "cluster_id"} & fields[dc.DesignMatrix]
+        assert not hasattr(dc.DesignMatrix, "column")
+        assert "score_residuals" not in dc.__all__ and not hasattr(dc.cox, "score_residuals")
         assert "covariance_used" not in fields[dc.ComparisonReport]
         assert "covariance" not in inspect.signature(dc.compare_exposures).parameters
         # The times' order is all a fit sees, so no baseline-shape knob.

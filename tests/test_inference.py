@@ -274,7 +274,7 @@ class TestPruneAliased:
         spec = dc.ExposureSpec(kind="categorical", source_columns=("A", "B"), n_levels=3)
         design = dc.build_design_matrix(aug, spec)
         fit = dc.fit(design)
-        assert fit.aliased_mask[design.column("Exposures3:A_type2")]
+        assert fit.aliased_mask[design.column_names.index("Exposures3:A_type2")]
         with pytest.raises(AliasedCoefficientError, match="Exposures3:A_type2"):
             dc.wald_multivariate(fit, design.interaction_columns)
 
@@ -500,7 +500,7 @@ class TestCompareStack:
         flat[:, 1] = 0.0
         flat[3, 1] = 1.0
         cohorts = [first, dataclasses.replace(second, exposures=flat), second]
-        reports, _ = inference.compare_stack(cohorts, spec, scale="p10-p90", seed=5)
+        reports = inference.compare_stack(cohorts, spec, scale="p10-p90", seed=5)
         assert str(reports[1]) == ("[design] exposure 'A2' has a zero 10th-to-90th "
                                    "percentile increment")
         for cohort, report in zip(cohorts[::2], reports[::2]):
