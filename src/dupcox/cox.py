@@ -293,8 +293,9 @@ class _Engine:
             event = event == 1
         size = np.bincount(codes, minlength=n_codes)
         kept = np.flatnonzero(np.bincount(codes, weights=event, minlength=n_codes))
-        # Each kept stratum's problem; kept strata run by problem, then by label.
-        problem = np.repeat(np.arange(self.R), np.diff(code_start, append=n_codes))[kept]
+        # Each code's problem; kept strata run by problem, then by label.
+        owner = np.repeat(np.arange(self.R), np.diff(code_start, append=n_codes))
+        problem = owner[kept]
         kept_count = np.bincount(problem, minlength=self.R)
         # Each kept stratum's cell in a grid of problems by their strata in label order.
         self.stratum_cell = (problem, np.arange(len(kept))
@@ -302,7 +303,8 @@ class _Engine:
         self.width = int(kept_count.max())
         # Counted as in the augmented model: one stratum per block.
         self.n_strata_used = self.m * kept_count
-        self.n_strata_skipped = self.m * (np.diff(code_start, append=n_codes) - kept_count)
+        self.n_strata_skipped = self.m * (np.bincount(owner[size > 0], minlength=self.R)
+                                          - kept_count)
         self.n_events = self.m * np.array([int(d.event.sum()) for d in designs])
         if not self.n_events.all():
             raise EstimationError("no informative strata: the design contains no events")

@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -307,12 +308,14 @@ def load_dataset(path: str | Path, schema: Schema) -> Dataset:
     """Load a delimited cohort file into a :class:`Dataset`.
 
     The file is UTF-8, with or without a byte-order mark.  The delimiter
-    (comma or tab) is auto-detected from the header line.  Cells are stripped
-    of surrounding whitespace.  Blank lines are skipped but still counted in
-    data row numbers.  The event column must contain only ``0`` or ``1``.
-    Rows with a missing exposure or covariate cell are rejected (counted,
-    warned about), not imputed.  On a bad file the error is the first bad
-    row's, in file order.
+    (comma or tab) is auto-detected from the header line.  Records follow
+    the csv module's rules; while the text holds no quote and no CR they are
+    the lines split at the delimiter, and the loader splits them itself.
+    Cells are stripped of surrounding whitespace.  Blank lines are skipped
+    but still counted in data row numbers.  The event column must contain
+    only ``0`` or ``1``.  Rows with a missing exposure or covariate cell are
+    rejected (counted, warned about), not imputed.  On a bad file the error
+    is the first bad row's, in file order.
 
     Raises
     ------
@@ -322,8 +325,9 @@ def load_dataset(path: str | Path, schema: Schema) -> Dataset:
     ParseError
         If a row has fewer fields than the header, a cell cannot be parsed or
         is not finite (``nan``, ``inf``), or a subject id is empty; the error
-        names the data row and, for a cell, the column.  Also if the file is
-        not UTF-8 text.
+        names the data row and, for a cell, the column.  Also if a cell is
+        longer than ``csv.field_size_limit()`` characters (the error names the
+        data row), or the file is not UTF-8 text.
     ValidationError
         If a row has ``entry_time >= exit_time``; the error names the subject.
     """
@@ -358,36 +362,100 @@ def _read_chunks(path: Path, schema: Schema):
                 raise SchemaError(f"{path}: column '{name}' appears "
                                   f"{header.count(name)} times in header {header}")
             positions[name] = header.index(name)
-        # Records are read and turned into columns a chunk at a time, so that
-        # the row lists csv.reader builds die young.
         width = len(header)
-        reader = csv.reader(fh, delimiter=delimiter)
         chunks, n_rejected, row = [], 0, 0
-        while records := list(itertools.islice(reader, _CHUNK_ROWS)):
-            columns, n_missing = _parse_chunk(records, row, width, positions, schema)
-            chunks.append(columns)
-            n_rejected += n_missing
-            row += len(records)
+        try:
+            for chunk in _row_chunks(fh, delimiter, width):
+                columns, n_missing = _parse_chunk(chunk, row, width, positions, schema)
+                chunks.append(columns)
+                n_rejected += n_missing
+                row += len(chunk.full)
+        except csv.Error as exc:  # a field longer than csv.field_size_limit()
+            raise ParseError(f"{exc} at data row {row + 1}", row=row + 1) from None
     if not chunks:
-        chunks.append(_parse_chunk([], 0, width, positions, schema)[0])
+        chunks.append(_parse_chunk(_record_chunk([], width), 0, width, positions, schema)[0])
     return chunks, n_rejected
 
 
-def _parse_chunk(records, row: int, width: int, positions: dict[str, int], schema: Schema):
-    """The :class:`Dataset` columns of the good rows among ``records``, which
-    follow data row ``row``, and how many rows were rejected for a missing cell.
+# A chunk of data rows: ``full`` flags the rows with at least the header's
+# width of fields, ``column(j)`` gives field ``j`` of every full row and
+# ``record(i)`` the fields of row ``i``.
+_Chunk = namedtuple("_Chunk", "column full record")
+
+
+def _row_chunks(fh, delimiter: str, width: int):
+    """The data rows of ``fh``, ``_CHUNK_ROWS`` lines or records at a time.
+
+    Rows are read and turned into columns a chunk at a time, so that the
+    memory a chunk takes is bounded.  In text without a quote or a CR, csv's
+    records are the lines split at the delimiter: a chunk whose lines all
+    have the header's width, and none more characters than csv's field size
+    limit, is split in one pass and sliced into columns.  Other chunks go
+    through ``csv.reader``, and from the first chunk with a quote or a CR on
+    csv reads the rest of the file, since a quoted field may span lines.
+    """
+    limit = csv.field_size_limit()
+    while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
+        text = "".join(lines)
+        if '"' in text or "\r" in text:
+            reader = csv.reader(itertools.chain(lines, fh), delimiter=delimiter)
+            yield from _record_chunks(reader, width)
+            return
+        if (max(map(len, lines)) <= limit
+                and set(map(str.count, lines, itertools.repeat(delimiter))) == {width - 1}):
+            yield _line_chunk(text, lines, delimiter, width)
+        else:
+            yield from _record_chunks(csv.reader(lines, delimiter=delimiter), width)
+
+
+def _record_chunks(reader, width: int):
+    """The chunks of ``reader``'s records.
+
+    csv's error for a field longer than its field size limit is raised after
+    the chunk of the records before it, so that an earlier bad row's error
+    wins.
+    """
+    while True:
+        records = []
+        try:
+            records.extend(itertools.islice(reader, _CHUNK_ROWS))
+        except csv.Error:
+            # extend kept the records read before the failing one.
+            yield _record_chunk(records, width)
+            raise
+        if not records:
+            return
+        yield _record_chunk(records, width)
+
+
+def _line_chunk(text: str, lines: list[str], delimiter: str, width: int) -> _Chunk:
+    """The chunk of ``lines``, each ``width`` fields, whose concatenation is ``text``."""
+    n = len(lines)
+    fields = text.replace("\n", delimiter).split(delimiter)
+    return _Chunk(lambda j: fields[j:n * width:width], np.ones(n, dtype=bool),
+                  lambda i: lines[i].rstrip("\n").split(delimiter))
+
+
+def _record_chunk(records: list[list[str]], width: int) -> _Chunk:
+    full = np.fromiter(map(len, records), dtype=int, count=len(records)) >= width
+    rows = records if full.all() else list(itertools.compress(records, full))
+    return _Chunk((list(zip(*rows)) or [()] * width).__getitem__, full, records.__getitem__)
+
+
+def _parse_chunk(chunk: _Chunk, row: int, width: int, positions: dict[str, int],
+                 schema: Schema):
+    """The :class:`Dataset` columns of the good rows of ``chunk``, which
+    follows data row ``row``, and how many rows were rejected for a missing cell.
 
     A row is kept as parsed unless it is short or one of its checks fails;
     those rows alone go through the row rules, in file order, so a bad file
     raises the first bad row's error and blank or missing rows are dropped.
     """
-    full = np.fromiter(map(len, records), dtype=int, count=len(records)) >= width
-    rows = records if full.all() else list(itertools.compress(records, full))
-    n = len(rows)
-    columns = list(zip(*rows)) or [()] * width
+    full = chunk.full
+    n = int(np.count_nonzero(full))
 
     def column(name):
-        return columns[positions[name]]
+        return chunk.column(positions[name])
 
     measured = schema.exposure_columns + schema.covariate_columns
     values = np.empty((n, len(measured)))
@@ -408,7 +476,7 @@ def _parse_chunk(records, row: int, width: int, positions: dict[str, int], schem
     keep[full] = ~(nonfinite | misordered) & (event >= 0) & (subject_ids != "")
     n_missing = 0
     for i in np.flatnonzero(~keep):
-        status = _check_row(records[i], row + int(i) + 1, width, positions, schema)
+        status = _check_row(chunk.record(i), row + int(i) + 1, width, positions, schema)
         n_missing += status == "missing"
         keep[i] = status is None
     keep = keep[full]

@@ -345,6 +345,21 @@ def dataset_from_rows(rows, schema, n_rejected_missing=0):
                    n_rejected_missing=n_rejected_missing)
 
 
+def _records_by_rows(reader):
+    """``reader``'s records; csv's error for a field longer than its field
+    size limit is raised as a ParseError naming the record's data row."""
+    row = 0
+    while True:
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(f"{exc} at data row {row + 1}", row=row + 1) from None
+        row += 1
+        yield record
+
+
 def load_dataset_by_rows(path, schema):
     """Row-by-row cohort loader: one ``CohortRow`` per record, in file order.
 
@@ -372,7 +387,7 @@ def load_dataset_by_rows(path, schema):
         def cell(record, name):
             return record[positions[name]].strip()
 
-        for row_idx, record in enumerate(reader, start=1):
+        for row_idx, record in enumerate(_records_by_rows(reader), start=1):
             if not record or all(field.strip() == "" for field in record):
                 continue
             if len(record) < len(header):

@@ -141,6 +141,16 @@ class TestCompareCommand:
         assert "'time'" in err and "row 3" in err
         assert "Traceback" not in err
 
+    def test_cell_over_field_limit_exits_two(self, tmp_path, cohort_csv, capsys):
+        lines = cohort_csv.read_text(encoding="utf-8").splitlines()
+        lines[2] = "x" * 200_000 + lines[2][lines[2].index(","):]  # id of data row 2
+        cohort_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path, compare_config(cohort_csv, tmp_path))
+        assert main(["compare", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "field limit" in err and "data row 2" in err and "Traceback" not in err
+
     def test_human_format_writes_table(self, tmp_path, cohort_csv, capsys):
         doc = compare_config(cohort_csv, tmp_path)
         doc["format"] = "human"

@@ -263,6 +263,32 @@ class TestFit:
         assert result.diagnostics.n_strata_used == 1
         assert result.diagnostics.n_strata_skipped == 1
 
+    def test_strata_counted_from_codes_with_rows(self):
+        # Codes a design never uses are no strata.  Rows all coded 3 are one
+        # stratum and rows coded 5 and 2 are two; with events in code 5 alone
+        # (``silent``) one is used and one skipped.
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(8, 1))
+        dense = plain_design(X, np.arange(1.0, 9.0), [1, 1, 0, 1, 0, 0, 1, 0],
+                             strata=list("aaaabbbb"))
+        one = replace(dense, stratum_codes=np.full(8, 3))
+        two = replace(dense, stratum_codes=np.repeat([5, 2], 4))
+        for design, used in ((one, 1), (two, 2)):
+            diagnostics = dc.fit(design, robust=False).diagnostics
+            assert (diagnostics.n_strata_used, diagnostics.n_strata_skipped) == (used, 0)
+        silent = replace(two, event=np.array([1, 1, 0, 1, 0, 0, 0, 0], dtype=bool))
+        assert dc.fit(silent, robust=False).diagnostics.n_strata_skipped == 1
+        # In a stack, each problem counts its own codes, gapped or dense.
+        base = plain_design(X, np.arange(1.0, 9.0), silent.event, strata=list("aaaabbbb"))
+        for stack in ([silent, base], [base, one], [one, silent, base]):
+            for design, got in zip(stack, dc.cox.fit_stack(stack, robust=False)):
+                want = dc.fit(design, robust=False)
+                assert got.diagnostics == want.diagnostics
+                assert np.array_equal(got.coefficients, want.coefficients)
+        assert dc.fit(base, robust=False).diagnostics.n_strata_skipped == 1
+        zero = replace(one, stratum_codes=np.zeros(8, dtype=int))
+        assert np.array_equal(dc.fit(one).coefficients, dc.fit(zero).coefficients)
+
 
 class TestScoreResiduals:
     @pytest.mark.parametrize("method", ["breslow", "efron"])

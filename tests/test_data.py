@@ -330,6 +330,139 @@ class TestLoaderParity:
         assert got == _load_outcome(load_dataset_by_rows, path, schema)
         assert got[1][2] == bad_row
 
+    # Files longer than one parsing chunk: the loader splits lines at the
+    # delimiter until the first chunk with a quote or a CR, and csv reads
+    # the rest.
+
+    @staticmethod
+    def _assert_parity(path, schema, reference=None):
+        """``load_dataset`` of ``path`` has the outcome of the row-by-row loader
+        of ``reference`` (default ``path``); returns that outcome."""
+        got, got_detail = _load_outcome(dc.load_dataset, path, schema)
+        want, want_detail = _load_outcome(load_dataset_by_rows, reference or path, schema)
+        assert got_detail == want_detail
+        assert got == want
+        if isinstance(want, dc.Dataset):
+            assert got.n_rejected_missing == want.n_rejected_missing
+            for name in ("subject_ids", "entry", "exit", "event", "exposures",
+                         "covariates", "strata"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape, a.flags.c_contiguous) == \
+                    (b.dtype, b.shape, b.flags.c_contiguous)
+        return got, got_detail
+
+    @staticmethod
+    def _edit_lines(path, edit):
+        """Rewrite ``path`` with ``edit`` applied to its lines, line ends kept;
+        line ``r`` is data row ``r``."""
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_bytes("".join(edit(lines)).encode("utf-8"))
+
+    @pytest.mark.parametrize("row", [4097, 5000, 9000])
+    def test_first_quote_in_chunk_two(self, tmp_path, row):
+        path, schema = self._long_file(tmp_path, {row: '"q,1",1.5,1,1,0.5,1,"g 1"',
+                                                  row - 1: "y,1.5,1,1,,1,g1"})
+        got, _ = self._assert_parity(path, schema)
+        assert "q,1" in got.subject_ids.tolist() and got.n_rejected_missing == 1
+
+    @pytest.mark.parametrize("bad_row", [None, 4097, 6000])
+    def test_quoted_newline_straddles_chunk_boundary(self, tmp_path, bad_row):
+        edits = {4096: '"a,\nb",1.5,1,1,0.5,1,g1'}
+        if bad_row is not None:
+            edits[bad_row] = "x,1,2,1,1,1,g1"
+        path, schema = self._long_file(tmp_path, edits)
+        got, detail = self._assert_parity(path, schema)
+        if bad_row is None:
+            assert got.subject_ids[4095] == "a,\nb"
+        else:
+            assert detail[2] == bad_row
+
+    @pytest.mark.parametrize("bad_row", [None, 6000])
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"])
+    def test_carriage_returns_from_chunk_two(self, tmp_path, ending, bad_row):
+        path, schema = self._long_file(tmp_path, {} if bad_row is None
+                                       else {bad_row: "x,1,2,1,1,1,g1"})
+
+        def edit(lines):
+            if ending == "\r\n":
+                return lines[:4097] + [line.replace("\n", "\r\n") for line in lines[4097:]]
+            return lines[:5000] + [lines[5000].replace("\n", "\r")] + lines[5001:]
+
+        self._edit_lines(path, edit)
+        got, detail = self._assert_parity(path, schema)
+        if bad_row is None:
+            assert len(got) == 9000
+        else:
+            assert detail[2] == bad_row
+
+    @pytest.mark.parametrize("last", [None, "x,1,2,1,1,1,g1", "x,1.5,1,1,,1,g1",
+                                      '"q",1.5,1,1,0.5,1,g1', "x,1.5,1,1,0.5,1,g1,zz",
+                                      "x,1.5,1"])
+    def test_no_final_newline(self, tmp_path, last):
+        path, schema = self._long_file(tmp_path, {} if last is None else {9000: last})
+        path.write_bytes(path.read_bytes()[:-1])
+        self._assert_parity(path, schema)
+
+    def test_tab_delimited_with_byte_order_mark(self, tmp_path):
+        path, schema = self._long_file(tmp_path, {4000: ""})
+
+        def edit(lines):
+            lines = [line.replace(",", "\t") for line in lines]
+            lines[5000] = "a,b\t1.5\t1\t1\t0.5\t1\tg1\n"
+            return lines
+
+        self._edit_lines(path, edit)
+        reference = tmp_path / "plain.tsv"
+        reference.write_bytes(path.read_bytes())
+        path.write_bytes(b"\xef\xbb\xbf" + reference.read_bytes())
+        got, _ = self._assert_parity(path, schema, reference)
+        assert got.subject_ids[4998] == "a,b" and len(got) == 8999
+
+    @pytest.mark.parametrize("edits", [
+        {4096: "x,1.5,1,1,0.5,1,g1,zz"},
+        {4097: "x,1.5,1,1,0.5,1,g1,zz", 8193: "y,1.5,1,1,0.5,1,g1,,"},
+        {4096: "", 4097: "   "},
+        {4096: " \t ", 8192: "", 8193: ""},
+        {4096: ",,,,,,", 4097: " , , ,,,,"},
+        {4097: "x,1.5,1"},
+        {4096: "", 4097: "x,1.5,1,1,0.5,1,g1,zz", 4098: "x,1.5,1"},
+    ])
+    def test_long_blank_and_short_rows_at_chunk_boundary(self, tmp_path, edits):
+        path, schema = self._long_file(tmp_path, edits)
+        self._assert_parity(path, schema)
+
+    @pytest.mark.parametrize("row", [10, 5000])
+    @pytest.mark.parametrize("line", ["n\x00l,1.5,1,1,0.5,1,g1", "x,1.5,1,1,0.5,1,g\x00",
+                                      "x,1.5,1,1\x00,0.5,1,g1", "x,1.5,1,1_000,0.5,1,g1",
+                                      "x,1.5,1,١٢,0.5,1,g1"])
+    def test_unusual_cells(self, tmp_path, row, line):
+        path, schema = self._long_file(tmp_path, {row: line})
+        got, detail = self._assert_parity(path, schema)
+        if "\x00," in line:
+            assert detail[0] is ParseError and detail[2] == row
+        else:
+            assert got.exposure("A")[row - 1] == {"1_000": 1000.0, "١٢": 12.0}.get(
+                line.split(",")[3], 1.0)
+
+    @pytest.mark.parametrize("edits, bad_row", [
+        ({10: "BIG"}, 10),
+        ({5000: "BIG"}, 5000),
+        ({4096: "BIG", 4097: '"q",1.5,1,1,0.5,1,g1'}, 4096),
+        ({2: '"q",1.5,1,1,0.5,1,g1', 5000: "BIG"}, 5000),
+        ({4100: "x,1,2,1,1,1,g1", 4200: "BIG"}, 4100),
+        ({4100: "BIG", 4200: "x,1,2,1,1,1,g1"}, 4100),
+    ])
+    def test_cell_over_field_limit(self, tmp_path, edits, bad_row):
+        # A 200 000-character id cell, beyond csv's default field size limit.
+        big = "x" * 200_000 + ",1.5,1,1,0.5,1,g1"
+        path, schema = self._long_file(
+            tmp_path, {row: big if line == "BIG" else line for row, line in edits.items()})
+        _, (kind, message, row, column) = self._assert_parity(path, schema)
+        assert (kind, row) == (ParseError, bad_row)
+        if edits[bad_row] == "BIG":
+            assert message == f"field larger than field limit (131072) at data row {bad_row}"
+            assert column is None
+
 
 class TestSave:
     """``save_dataset`` writes the bytes of the row-by-row writer in ``oracles``."""
