@@ -22,7 +22,7 @@ from .cox import FitOptions
 from .data import Schema, load_dataset, validate
 from .design import ExposureSpec, block_design
 from .errors import ConfigError, DataError, DupcoxError, EstimationError
-from .inference import _finite_scale, compare_exposures, render_table
+from .inference import _check_confidence, _check_scale, compare_exposures, render_table
 from .simlab import SimConfig, _is_null_config, estimate_power, estimate_type1_error
 from . import cox
 
@@ -195,14 +195,14 @@ def _human_header(config: dict) -> str:
 
 def _run_inputs(config: dict):
     """The validated cohort, exposure spec, fit options and exposure block of
-    a ``compare`` or ``fit`` run; every block is checked before the cohort
-    is read."""
+    a ``compare`` or ``fit`` run; every block, with compare's own checks of
+    ``scale`` and ``confidence`` for any exposure kind, is checked before the
+    cohort is read."""
     schema = _build_schema(config["schema"])
     exposure = _check_keys(config.get("exposure") or {}, _EXPOSURE_KEYS, "exposure")
     spec = _build_spec(exposure, schema)
-    scale = exposure.get("scale", 1.0)
-    if not isinstance(scale, str):
-        _finite_scale(scale)
+    _check_scale(exposure.get("scale", 1.0))
+    _check_confidence(exposure.get("confidence", 0.95))
     options = _build_fit_options(config.get("fit"))
     try:
         dataset = load_dataset(config["input"], schema)

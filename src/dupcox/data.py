@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import itertools
 import json
 import math
 import warnings
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -109,16 +108,9 @@ class Dataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (
-            self.schema == other.schema
-            and np.array_equal(self.subject_ids, other.subject_ids)
-            and np.array_equal(self.entry, other.entry)
-            and np.array_equal(self.exit, other.exit)
-            and np.array_equal(self.event, other.event)
-            and np.array_equal(self.exposures, other.exposures)
-            and np.array_equal(self.covariates, other.covariates)
-            and np.array_equal(self.strata, other.strata)
-        )
+        return self.schema == other.schema and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self) if f.compare and f.name != "schema")
 
     def exposure(self, name: str) -> np.ndarray:
         j = self.schema.exposure_columns.index(name)
@@ -485,34 +477,26 @@ def _parse_chunk(chunk: _Chunk, row: int, width: int, positions: dict[str, int],
             values[keep, :n_exposures], values[keep, n_exposures:], strata[keep]), n_missing
 
 
-def _serialize(dataset: Dataset) -> str:
-    """Canonical CSV text for a dataset (used by save_dataset)."""
+def _chunk_columns(dataset: Dataset, rows: slice) -> tuple[list, bool]:
+    """The columns of ``rows`` of ``dataset``'s canonical CSV records, as
+    sequences of their fields, and whether a label needs csv to write it."""
     s = dataset.schema
 
     def floats(column):
-        return map(repr, np.asarray(column, dtype=float).tolist())
+        return map(repr, np.asarray(column[rows], dtype=float).tolist())
 
-    labels = [dataset.subject_ids.tolist()]
-    labels += [list(map(str, dataset.strata[:, j].tolist())) for j in range(dataset.strata.shape[1])]
+    labels = [dataset.subject_ids[rows].tolist()]
+    labels += [list(map(str, dataset.strata[rows, j].tolist()))
+               for j in range(dataset.strata.shape[1])]
     columns = labels[:1]
     if s.entry_column is not None:
         columns.append(floats(dataset.entry))
     columns.append(floats(dataset.exit))
-    columns.append(np.where(dataset.event, "1", "0").tolist())
+    columns.append(np.where(dataset.event[rows], "1", "0").tolist())
     columns += [floats(block[:, j]) for block in (dataset.exposures, dataset.covariates)
                 for j in range(block.shape[1])]
     columns += labels[1:]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(s.all_columns())
-    # csv quotes a field for a delimiter, quote or line break in it, which
-    # float and event text never holds; unless some label does, or is not a
-    # string, rows are joined without csv's per-field scan.
-    if any(map(_needs_quoting, labels)):
-        writer.writerows(zip(*columns))
-    else:
-        buf.writelines(map("%s\n".__mod__, map(",".join, zip(*columns))))
-    return buf.getvalue()
+    return columns, any(map(_needs_quoting, labels))
 
 
 def _needs_quoting(labels: list) -> bool:
@@ -524,8 +508,24 @@ def _needs_quoting(labels: list) -> bool:
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset back to CSV so that a reload reproduces it exactly."""
-    Path(path).write_text(_serialize(dataset), encoding="utf-8")
+    """Write a dataset back to CSV so that a reload reproduces it exactly.
+
+    The file is written ``_CHUNK_ROWS`` rows at a time, so the text held in
+    memory at once does not grow with the cohort.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(dataset.schema.all_columns())
+        for start in range(0, len(dataset), _CHUNK_ROWS):
+            columns, quoting = _chunk_columns(dataset, slice(start, start + _CHUNK_ROWS))
+            # csv quotes a field for a delimiter, quote or line break in it,
+            # which float and event text never holds; unless some label of
+            # the chunk does, or is not a string, its rows are joined without
+            # csv's per-field scan.
+            if quoting:
+                writer.writerows(zip(*columns))
+            else:
+                fh.write("".join(map("%s\n".__mod__, map(",".join, zip(*columns)))))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ with one stacked fit and one report pass (the simulation lab's replicates);
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from statistics import NormalDist
 
@@ -186,11 +186,32 @@ def _interval(est: float, var: float, scale: float, z: float):
 
 
 def _finite_scale(scale) -> float:
-    """A numeric reporting scale as a float, refused unless finite and > 0."""
-    scale = float(scale)
-    if not (math.isfinite(scale) and scale > 0):
-        raise ConfigError(f"scale must be a finite number > 0, got {scale}")
-    return scale
+    """A numeric reporting scale as a float, refused unless it is a number
+    (not a string, though ``float`` may parse one), finite and > 0."""
+    try:
+        if isinstance(scale, str):
+            raise TypeError
+        value = float(scale)
+    except (TypeError, ValueError):
+        raise ConfigError(f"scale must be a finite number > 0, got {scale!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"scale must be a finite number > 0, got {value}")
+    return value
+
+
+def _check_scale(scale):
+    """The reporting scale of a compare: ``"p10-p90"``, or a number as a
+    float, refused unless finite and > 0."""
+    if isinstance(scale, str):
+        if scale != "p10-p90":
+            raise ConfigError(f"scale must be a positive number or 'p10-p90', got {scale!r}")
+        return scale
+    return _finite_scale(scale)
+
+
+def _check_confidence(confidence: float) -> None:
+    if not 0 < confidence < 1:
+        raise ConfigError(f"confidence must be in (0, 1), got {confidence}")
 
 
 def hazard_ratio(fit_result: CoxFit, name: str, scale: float = 1.0,
@@ -201,8 +222,7 @@ def hazard_ratio(fit_result: CoxFit, name: str, scale: float = 1.0,
     10th-to-90th-percentile increment).
     """
     scale = _finite_scale(scale)
-    if not 0 < confidence < 1:
-        raise ConfigError(f"confidence must be in (0, 1), got {confidence}")
+    _check_confidence(confidence)
     (i,) = _positions(fit_result, (name,))
     var = fit_result.covariance(covariance)[i, i]
     return _interval(fit_result.coefficients[i], var, scale, _quantile(confidence))[1]
@@ -259,74 +279,53 @@ class ComparisonReport:
         diag = self.fit.diagnostics
         test = None
         if self.difference_test is not None:
-            test = {
-                "statistic": _json_float(self.difference_test.statistic),
-                "df": self.difference_test.df,
-                "p_value": _json_float(self.difference_test.p_value),
-                "tested_coefficients": list(self.difference_test.tested_coefficients),
-                "covariance": self.difference_test.covariance_used,
-            }
-        return {
+            test = asdict(self.difference_test)
+            test["covariance"] = test.pop("covariance_used")
+        return _json({
             "dataset": {
                 "fingerprint": self.dataset_fingerprint,
                 "n_rows": self.n_rows,
                 "n_events": self.n_events,
             },
-            "exposure_spec": {
-                "kind": self.spec.kind,
-                "source_columns": list(self.spec.source_columns),
-                "n_levels": self.spec.n_levels,
-                "reference_level": self.spec.reference_level,
-            },
+            "exposure_spec": asdict(self.spec),
             "fit": {
                 "converged": self.fit.converged,
                 "iterations": self.fit.iterations,
                 "tie_method": self.fit.options.tie_method,
                 "gradient_tolerance": self.fit.options.gradient_tolerance,
-                "log_partial_likelihood": _json_float(self.fit.log_partial_likelihood),
+                "log_partial_likelihood": self.fit.log_partial_likelihood,
                 "n_strata_used": diag.n_strata_used,
                 "n_strata_skipped": diag.n_strata_skipped,
                 "separation_suspected": diag.separation_suspected,
                 "aliased": [n for n, a in zip(self.fit.column_names, self.fit.aliased_mask) if a],
                 "message": diag.message,
             },
-            "exposures": [
-                {
-                    "name": e.name,
-                    "terms": [
-                        {
-                            "term": t.term,
-                            "coefficient": _json_float(t.coefficient),
-                            "se": _json_float(t.se),
-                            "scale": _json_float(t.scale),
-                            "hazard_ratio": _json_float(t.hazard_ratio),
-                            "ci_lower": _json_float(t.ci_lower),
-                            "ci_upper": _json_float(t.ci_upper),
-                        }
-                        for t in e.terms
-                    ],
-                }
-                for e in self.exposures
-            ],
+            "exposures": list(map(asdict, self.exposures)),
             "difference_test": test,
             "confidence": self.confidence,
             "seed": self.seed,
-        }
+        })
 
 
-def _json_float(x) -> float | None:
-    x = float(x)
-    return x if math.isfinite(x) else None
+def _json(value):
+    """``value`` as JSON data: tuples as lists, numpy scalars as Python
+    scalars, and a float that is not finite as None."""
+    if isinstance(value, dict):
+        return {key: _json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return list(map(_json, value))
+    if isinstance(value, np.generic):
+        value = value.item()
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _per_exposure_scales(design: DesignMatrix, spec: ExposureSpec, scale) -> list[float]:
-    """Resolve the reporting scale per exposure; 'p10-p90' uses the modeled column."""
+    """Resolve a scale that :func:`_check_scale` passed per exposure;
+    'p10-p90' uses the modeled column."""
     m = spec.n_compared
     if spec.kind == "categorical":
         return [1.0] * m
-    if isinstance(scale, str):
-        if scale != "p10-p90":
-            raise ConfigError(f"scale must be a positive number or 'p10-p90', got {scale!r}")
+    if scale == "p10-p90":
         out = []
         for j, name in enumerate(spec.source_columns):
             term = design.blocks[j, :, 0]
@@ -337,7 +336,7 @@ def _per_exposure_scales(design: DesignMatrix, spec: ExposureSpec, scale) -> lis
                 )
             out.append(width)
         return out
-    return [_finite_scale(scale)] * m
+    return [scale] * m
 
 
 def _stage(stage_name: str, exc: Exception) -> Exception:
@@ -391,8 +390,7 @@ def compare_stack(cohorts, spec: ExposureSpec, options: FitOptions | None = None
     one that is not a :class:`DupcoxError`, or that refuses the whole stack,
     is raised.
     """
-    if not 0 < confidence < 1:
-        raise ConfigError(f"confidence must be in (0, 1), got {confidence}")
+    _check_confidence(confidence)
 
     def report(r, exposures=(), test=None):
         return ComparisonReport(exposures=exposures, difference_test=test, fit=fits[r],
@@ -401,6 +399,7 @@ def compare_stack(cohorts, spec: ExposureSpec, options: FitOptions | None = None
     outcomes = [None] * len(cohorts)
     stage = "design"
     try:
+        scale = _check_scale(scale)
         designs, scales = {}, {}
         for r, cohort in enumerate(cohorts):
             try:

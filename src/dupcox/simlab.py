@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cox import STEP_HALVING_FAILED
-from .data import Dataset, Schema
+from .data import Dataset, Schema, label_codes
 from .design import ExposureSpec, _is_integer
 from .errors import AliasedCoefficientError, ConfigError, DupcoxError, SingularMatrixError
 from .inference import chi_square_upper_tail, compare_stack
@@ -177,8 +177,8 @@ def _labels(config: SimConfig) -> _Labels:
     n = config.n_subjects
     strata = np.array([f"s{v}" for v in range(config.n_strata)], dtype=object)
     ids = np.fromiter(map(str, range(1, n + 1)), dtype=object, count=n)
-    order = np.array(sorted(range(len(strata)), key=strata.__getitem__), dtype=np.intp)
-    codes = _decimal_ranks(n)
+    order = np.argsort(label_codes(strata))
+    codes = label_codes(ids)
     for array in (strata, order, ids, codes):
         array.flags.writeable = False
     return _Labels(config.schema(), ids, codes, strata, order)
@@ -191,23 +191,6 @@ def _sorted_ranks(order: np.ndarray, drawn: np.ndarray) -> np.ndarray:
     table = np.empty(len(order), dtype=np.intp)
     table[order] = np.cumsum(present) - 1
     return table[drawn]
-
-
-def _decimal_ranks(n: int) -> np.ndarray:
-    """Rank of ``str(i)`` among ``str(1), ..., str(n)`` in sorted order, for each i.
-
-    Padded on the right with zeros to the width of ``str(n)``, decimal
-    strings sort as integers.  Where two pad alike, one is a prefix of the
-    other: the shorter, which is the smaller number, sorts first, as a
-    stable sort keeps it.
-    """
-    i = np.arange(1, n + 1)
-    width = len(str(n))
-    powers = 10 ** np.arange(width + 1)
-    digits = np.searchsorted(powers, i, side="right")
-    ranks = np.empty(n, dtype=np.intp)
-    ranks[np.argsort(i * powers[width - digits], kind="stable")] = np.arange(n)
-    return ranks
 
 
 @dataclass(frozen=True)

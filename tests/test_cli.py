@@ -181,6 +181,22 @@ class TestCompareCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("exposure", [
+        {"kind": "categorical", "levels": 5, "scale": "p5-p95"},
+        {"kind": "continuous", "scale": "p5-p95"},
+        {"confidence": 1.5},
+    ], ids=["categorical-scale", "continuous-scale", "confidence"])
+    def test_scale_and_confidence_are_checked_before_the_cohort_is_read(
+            self, tmp_path, capsys, exposure):
+        doc = compare_config(tmp_path / "missing.csv", tmp_path, **exposure)
+        cfg = write_config(tmp_path, doc)
+        for command in ("compare", "fit"):
+            assert main([command, "--config", str(cfg)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: "), err
+            assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestFitCommand:
     def test_fit_prints_coefficient_table(self, tmp_path, cohort_csv, capsys):

@@ -2,7 +2,7 @@ import csv
 import io
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dupcox as dc
+from dupcox import data
 from dupcox.errors import DataError, ParseError, SchemaError, ValidationError
 from oracles import (
     CohortRow,
@@ -497,6 +498,20 @@ class TestSave:
         self._assert_same_bytes(ds, tmp_path)
         assert dc.load_dataset(tmp_path / "columns.csv", ds.schema) == ds
 
+    def test_each_chunk_quotes_on_its_own(self, tmp_path):
+        # Chunk 1 needs no quoting, chunk 2 holds a quoted id and a stratum
+        # label with a line break, chunk 3 a non-string id.
+        ds = dc.simulate_cohort(dc.SimConfig(n_subjects=10_000, exposure_correlation=0.3,
+                                             true_beta=(0.2, 0.1), n_strata=3), 0)
+        chunk = data._CHUNK_ROWS
+        assert len(ds) > 2 * chunk
+        ids, strata = ds.subject_ids.copy(), ds.strata.copy()
+        ids[chunk + 5] = 'q,"5"'
+        strata[chunk + 9, 0] = "s\n9"
+        ids[2 * chunk + 1] = 123456
+        ds = replace(ds, subject_ids=ids, strata=strata)
+        self._assert_same_bytes(ds, tmp_path)
+
 
 class TestValidate:
     def test_clean_dataset_passes_all_checks(self, four_row_dataset):
@@ -653,6 +668,37 @@ def _with_cell(ds, field, index, value):
     column = getattr(ds, field).copy()
     column[index] = value
     return replace(ds, **{field: column})
+
+
+class TestEquality:
+    @pytest.mark.parametrize("field, index, value", [
+        ("subject_ids", 2, "u4"),
+        ("entry", 3, 0.2),
+        ("exit", 0, 1.3),
+        ("event", 2, True),
+        ("exposures", (1, 1), 0.25),
+        ("covariates", (2, 0), 1e-300),
+        ("strata", (0, 1), "south"),
+    ])
+    def test_a_change_in_one_column_makes_cohorts_unequal(self, field, index, value):
+        ds = _delayed_entry_cohort()
+        assert _with_cell(ds, field, index, value) != ds
+        assert _with_cell(ds, field, index, value) == _with_cell(ds, field, index, value)
+
+    def test_a_change_in_the_schema_makes_cohorts_unequal(self):
+        ds = _delayed_entry_cohort()
+        other = replace(ds, schema=replace(ds.schema, covariate_columns=("d",)))
+        assert other != ds
+        assert other == replace(ds, schema=replace(ds.schema, covariate_columns=("d",)))
+
+    def test_every_compared_field_is_covered(self):
+        covered = {"schema", "subject_ids", "entry", "exit", "event", "exposures",
+                   "covariates", "strata"}
+        assert {f.name for f in fields(dc.Dataset) if f.compare} == covered
+
+    def test_rejected_row_count_is_ignored(self):
+        ds = _delayed_entry_cohort()
+        assert replace(ds, n_rejected_missing=3) == ds
 
 
 class TestFingerprint:

@@ -304,6 +304,29 @@ class TestHazardRatio:
         with pytest.raises(ConfigError, match=r"^\[design\] scale must be a finite number > 0"):
             dc.compare_exposures(ds, spec, scale=scale)
 
+    @pytest.mark.parametrize("scale", ["p10-p90", "2.0", None, [1.0]])
+    def test_hazard_ratio_refuses_a_scale_that_is_not_a_number(self, scale):
+        # hazard_ratio has no design to take a 10th-to-90th percentile from.
+        fit = fake_fit(["a", "b"], [0.2, 1.0], np.eye(2))
+        with pytest.raises(ConfigError, match="scale must be a finite number > 0"):
+            dc.hazard_ratio(fit, "a", scale=scale)
+
+    @pytest.mark.parametrize("scale", [None, b"x"])
+    def test_compare_refuses_a_scale_that_is_not_a_number(self, scale):
+        ds, spec = simulated_cohort(seed=31, n=200)
+        with pytest.raises(ConfigError, match=r"^\[design\] scale must be a finite number > 0"):
+            dc.compare_exposures(ds, spec, scale=scale)
+
+    def test_categorical_compare_checks_its_unused_scale(self):
+        ds, spec = simulated_cohort(seed=31, n=200)
+        spec = dc.ExposureSpec(kind="categorical", source_columns=spec.source_columns,
+                               n_levels=3)
+        with pytest.raises(ConfigError, match=r"^\[design\] scale must be a positive "
+                                              r"number or 'p10-p90', got 'p5-p95'"):
+            dc.compare_exposures(ds, spec, scale="p5-p95")
+        report = dc.compare_exposures(ds, spec, scale=2.5)
+        assert all(t.scale == 1.0 for e in report.exposures for t in e.terms)
+
     def test_interval_brackets_the_point(self):
         ds, spec = simulated_cohort(seed=31, n=200)
         report = dc.compare_exposures(ds, spec)
@@ -381,6 +404,22 @@ class TestCompareExposures:
         assert parsed["seed"] == 11
         assert parsed["difference_test"]["df"] == 1
         assert parsed["dataset"]["fingerprint"] == ds.fingerprint()
+
+    def test_report_json_has_null_for_non_finite_floats(self):
+        ds, spec = simulated_cohort(seed=46, n=120)
+        report = dc.compare_exposures(ds, spec)
+        first = report.exposures[0]
+        terms = (dataclasses.replace(first.terms[0], ci_upper=math.inf),) + first.terms[1:]
+        report = dataclasses.replace(
+            report,
+            exposures=(dataclasses.replace(first, terms=terms),) + report.exposures[1:],
+            difference_test=dataclasses.replace(report.difference_test, statistic=math.nan))
+        doc = report.to_dict()
+        assert doc["exposures"][0]["terms"][0]["ci_upper"] is None
+        assert doc["exposures"][0]["terms"][0]["ci_lower"] == first.terms[0].ci_lower
+        assert doc["difference_test"]["statistic"] is None
+        assert doc["difference_test"]["covariance"] == "robust"
+        assert json.loads(json.dumps(doc, allow_nan=False)) == doc
 
     def test_exposure_terms_sum_main_and_interaction(self):
         ds, _ = simulated_cohort(seed=47, n=300, betas=(0.5, 0.2))
