@@ -21,7 +21,7 @@ from . import __version__
 from .cox import FitOptions
 from .data import Schema, load_dataset, validate
 from .design import ExposureSpec, block_design
-from .errors import ConfigError, DataError, DupcoxError, EstimationError
+from .errors import ConfigError, DataError, DupcoxError, EstimationError, _is_integer, _is_number
 from .inference import _check_confidence, _check_scale, compare_exposures, render_table
 from .simlab import SimConfig, _is_null_config, estimate_power, estimate_type1_error
 from . import cox
@@ -59,9 +59,11 @@ def _is_type(value, kind) -> bool:
         return isinstance(value, list) and all(_is_type(v, kind[0]) for v in value)
     if kind is None:
         return value is None
-    if isinstance(value, bool):  # JSON true and false are not numbers
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is int:
+        return _is_integer(value)
+    if kind is float:
+        return _is_number(value)
+    return isinstance(value, kind)
 
 
 def _type_name(kind) -> str:

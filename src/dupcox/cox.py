@@ -52,7 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import DesignMatrix
-from .errors import ConfigError, EstimationError, SingularMatrixError, ValidationError
+from .errors import (ConfigError, EstimationError, SingularMatrixError, ValidationError,
+                     _is_integer, _is_number)
 
 TIE_METHODS = ("efron", "breslow")
 
@@ -88,12 +89,9 @@ class FitOptions:
         if self.tie_method not in TIE_METHODS:
             raise ConfigError(f"tie_method must be one of {TIE_METHODS}, got {self.tie_method!r}")
         tolerance, iterations = self.gradient_tolerance, self.max_iterations
-        if (isinstance(tolerance, bool)
-                or not isinstance(tolerance, (int, float, np.integer, np.floating))
-                or not math.isfinite(tolerance) or tolerance <= 0):
+        if not (_is_number(tolerance) and math.isfinite(tolerance) and tolerance > 0):
             raise ConfigError(f"gradient_tolerance must be a finite number > 0, got {tolerance!r}")
-        if (isinstance(iterations, bool) or not isinstance(iterations, (int, np.integer))
-                or iterations < 1):
+        if not (_is_integer(iterations) and iterations >= 1):
             raise ConfigError(f"max_iterations must be an integer >= 1, got {iterations!r}")
 
 
@@ -435,8 +433,7 @@ class _Engine:
 
 def _evaluate(design: DesignMatrix, beta, tie_method: str):
     """The engine of ``design`` alone, and its evaluation at ``beta`` over every column."""
-    if tie_method not in TIE_METHODS:
-        raise ConfigError(f"tie_method must be one of {TIE_METHODS}, got {tie_method!r}")
+    FitOptions(tie_method=tie_method)  # refuses an unknown tie method
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (design.n_columns,):
         raise ValueError(f"beta has shape {beta.shape}, expected ({design.n_columns},) "

@@ -26,14 +26,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, join_labels, label_codes, row_faults
-from .errors import ConfigError, EstimationError, SchemaError, ValidationError
+from .errors import ConfigError, EstimationError, SchemaError, ValidationError, _is_integer
 
 KINDS = ("continuous", "dichotomous", "categorical", "trend")
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer; a bool is not."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
 @dataclass(frozen=True)
@@ -238,9 +233,33 @@ def trend_scores(categories, raw_values, k: int) -> np.ndarray:
     return scores
 
 
+def _quantile_population(values: np.ndarray, subject_codes: np.ndarray):
+    """The population over which an exposure's quantiles are taken: one row of
+    each subject and distinct value, so that splitting a subject's follow-up
+    into more rows moves no cut point, trend median or p10-p90 scale.
+
+    ``subject_codes`` number the subjects densely from 0.  Returns the
+    population's ``rows`` and each row's place in it, ``inverse``, so that
+    ``values[rows][inverse]`` is ``values``.
+    """
+    n = len(values)
+    n_subjects = subject_codes.max() + 1 if n else 0
+    if n_subjects == n:  # one row per subject
+        return slice(None), slice(None)
+    rows = np.empty(n_subjects, dtype=np.intp)
+    rows[subject_codes] = np.arange(n)
+    if (values[rows][subject_codes] == values).all():  # one value per subject
+        return rows, subject_codes
+    ranks = np.unique(values, return_inverse=True)[1]
+    keys = subject_codes * (ranks.max() + 1) + ranks
+    return np.unique(keys, return_index=True, return_inverse=True)[1:]
+
+
 def _exposure_term_columns(dataset: Dataset, spec: ExposureSpec):
     """Per-source-column model terms: list of (n, n_terms) arrays plus names.
 
+    Quantile cut points and trend medians are taken over each exposure's
+    :func:`_quantile_population`; each row takes its own value's category.
     A cohort with a row that breaks :func:`~dupcox.data.row_faults`' rules
     is refused with a :class:`ValidationError` naming the rule and the count.
     """
@@ -266,13 +285,17 @@ def _exposure_term_columns(dataset: Dataset, spec: ExposureSpec):
                     f"{bad.tolist()}"
                 )
             blocks.append(raw.reshape(-1, 1))
-        elif spec.kind == "trend":
-            categories, _ = categorize_quantiles(raw, spec.n_levels, name=name)
-            blocks.append(trend_scores(categories, raw, spec.n_levels).reshape(-1, 1))
-        else:  # categorical
-            categories, _ = categorize_quantiles(raw, spec.n_levels, name=name)
-            matrix, names = dummy_code(categories, spec.reference_level, spec.n_levels)
-            blocks.append(matrix)
+        else:
+            rows, inverse = _quantile_population(raw, dataset.subject_codes)
+            population = raw[rows]
+            categories, _ = categorize_quantiles(population, spec.n_levels, name=name)
+            if spec.kind == "trend":
+                scores = trend_scores(categories, population, spec.n_levels)
+                blocks.append(scores[inverse].reshape(-1, 1))
+            else:  # categorical
+                matrix, names = dummy_code(categories[inverse], spec.reference_level,
+                                           spec.n_levels)
+                blocks.append(matrix)
     return blocks, names
 
 
@@ -404,7 +427,7 @@ def single_exposure_design(dataset: Dataset, spec: ExposureSpec, index: int) -> 
     coefficients are directly comparable with the main(+interaction)
     parameterization of the duplicated fit.
     """
-    if not 0 <= index < spec.n_compared:
+    if not (_is_integer(index) and 0 <= index < spec.n_compared):
         raise ConfigError(f"exposure index {index} outside 0..{spec.n_compared - 1}")
     design = block_design(dataset, spec)
     p_b = design.blocks.shape[2]

@@ -5,6 +5,19 @@ signals a bad run configuration, and ``EstimationError`` subclasses signal
 numerical problems during fitting or testing.
 """
 
+import numbers
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer (Python's or numpy's); a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """Whether ``value`` is a real number (Python's or numpy's integers and
+    floats, a ``Fraction``); a bool, a string and a ``Decimal`` are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
 
 class DupcoxError(Exception):
     """Base class for all package errors."""

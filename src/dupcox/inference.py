@@ -22,8 +22,9 @@ import numpy as np
 
 from .cox import CoxFit, FitOptions, fit_stack
 from .data import Dataset
-from .design import DesignMatrix, ExposureSpec, block_design
-from .errors import AliasedCoefficientError, ConfigError, DupcoxError, SingularMatrixError
+from .design import DesignMatrix, ExposureSpec, _quantile_population, block_design
+from .errors import (AliasedCoefficientError, ConfigError, DupcoxError, SingularMatrixError,
+                     _is_number)
 
 
 def chi_square_upper_tail(q: float, df: int) -> float:
@@ -39,13 +40,13 @@ def chi_square_upper_tail(q: float, df: int) -> float:
     so a small tail never cancels and no term overflows; relative error is
     below 1e-12 wherever the probability exceeds 1e-300.  ``q = 0`` gives 1,
     ``q = inf`` 0 and ``q = nan`` nan.  A ``df`` below 1 or not an integer,
-    or a negative ``q``, raises :class:`ConfigError`.
+    or a ``q`` that is negative or not a number, raises :class:`ConfigError`.
     """
+    if not (_is_number(df) and float(df).is_integer()):
+        raise ConfigError(f"degrees of freedom must be an integer, got {df}")
     if df < 1:
         raise ConfigError(f"degrees of freedom must be >= 1, got {df}")
-    if not float(df).is_integer():
-        raise ConfigError(f"degrees of freedom must be an integer, got {df}")
-    if q < 0:
+    if not _is_number(q) or q < 0:
         raise ConfigError(f"chi-square statistic must be >= 0, got {q}")
     if math.isnan(q):
         return math.nan
@@ -54,7 +55,7 @@ def chi_square_upper_tail(q: float, df: int) -> float:
     if math.isinf(q):
         return 0.0
     df = int(df)
-    y = q / 2.0
+    y = float(q) / 2.0
     log_y = math.log(y)
     terms = [math.exp(a * log_y - y - math.lgamma(a + 1.0))
              for a in (df / 2.0 - 1.0 - j for j in range(df // 2))]
@@ -186,14 +187,11 @@ def _interval(est: float, var: float, scale: float, z: float):
 
 
 def _finite_scale(scale) -> float:
-    """A numeric reporting scale as a float, refused unless it is a number
-    (not a string, though ``float`` may parse one), finite and > 0."""
-    try:
-        if isinstance(scale, str):
-            raise TypeError
-        value = float(scale)
-    except (TypeError, ValueError):
-        raise ConfigError(f"scale must be a finite number > 0, got {scale!r}") from None
+    """A numeric reporting scale as a float, refused unless it is a number,
+    finite and > 0."""
+    if not _is_number(scale):
+        raise ConfigError(f"scale must be a finite number > 0, got {scale!r}")
+    value = float(scale)
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"scale must be a finite number > 0, got {value}")
     return value
@@ -209,9 +207,11 @@ def _check_scale(scale):
     return _finite_scale(scale)
 
 
-def _check_confidence(confidence: float) -> None:
-    if not 0 < confidence < 1:
+def _check_confidence(confidence) -> float:
+    """A confidence level as a float, refused unless it is a number in (0, 1)."""
+    if not (_is_number(confidence) and 0 < confidence < 1):
         raise ConfigError(f"confidence must be in (0, 1), got {confidence}")
+    return float(confidence)
 
 
 def hazard_ratio(fit_result: CoxFit, name: str, scale: float = 1.0,
@@ -222,7 +222,7 @@ def hazard_ratio(fit_result: CoxFit, name: str, scale: float = 1.0,
     10th-to-90th-percentile increment).
     """
     scale = _finite_scale(scale)
-    _check_confidence(confidence)
+    confidence = _check_confidence(confidence)
     (i,) = _positions(fit_result, (name,))
     var = fit_result.covariance(covariance)[i, i]
     return _interval(fit_result.coefficients[i], var, scale, _quantile(confidence))[1]
@@ -321,7 +321,7 @@ def _json(value):
 
 def _per_exposure_scales(design: DesignMatrix, spec: ExposureSpec, scale) -> list[float]:
     """Resolve a scale that :func:`_check_scale` passed per exposure;
-    'p10-p90' uses the modeled column."""
+    'p10-p90' uses the modeled column over its quantile population."""
     m = spec.n_compared
     if spec.kind == "categorical":
         return [1.0] * m
@@ -329,6 +329,7 @@ def _per_exposure_scales(design: DesignMatrix, spec: ExposureSpec, scale) -> lis
         out = []
         for j, name in enumerate(spec.source_columns):
             term = design.blocks[j, :, 0]
+            term = term[_quantile_population(term, design.cluster_codes)[0]]
             width = float(np.quantile(term, 0.9) - np.quantile(term, 0.1))
             if width <= 0:
                 raise ConfigError(
@@ -390,7 +391,7 @@ def compare_stack(cohorts, spec: ExposureSpec, options: FitOptions | None = None
     one that is not a :class:`DupcoxError`, or that refuses the whole stack,
     is raised.
     """
-    _check_confidence(confidence)
+    confidence = _check_confidence(confidence)
 
     def report(r, exposures=(), test=None):
         return ComparisonReport(exposures=exposures, difference_test=test, fit=fits[r],

@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .cox import STEP_HALVING_FAILED
 from .data import Dataset, Schema, label_codes
-from .design import ExposureSpec, _is_integer
-from .errors import AliasedCoefficientError, ConfigError, DupcoxError, SingularMatrixError
+from .design import ExposureSpec
+from .errors import (AliasedCoefficientError, ConfigError, DupcoxError, SingularMatrixError,
+                     _is_integer, _is_number)
 from .inference import chi_square_upper_tail, compare_stack
 
 
@@ -46,35 +47,32 @@ class SimConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_subjects", "n_strata", "replicate_count", "master_seed"):
+        for name, lower in (("n_subjects", 2), ("n_strata", 1), ("replicate_count", 1),
+                            ("master_seed", 0)):
             value = getattr(self, name)
             if not _is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+            if value < lower:
+                raise ConfigError(f"{name} must be >= {lower}, got {value}")
         for name in ("true_beta", "covariate_effects"):
-            values = tuple(float(v) for v in getattr(self, name))
-            if not all(map(math.isfinite, values)):
-                raise ConfigError(f"{name} must be finite, got {list(values)}")
-            object.__setattr__(self, name, values)
+            values = getattr(self, name)
+            if isinstance(values, np.ndarray):
+                values = values.tolist()
+            if not (isinstance(values, (tuple, list))
+                    and all(_is_number(v) and math.isfinite(v) for v in values)):
+                raise ConfigError(f"{name} must be finite numbers, got {values!r}")
+            object.__setattr__(self, name, tuple(map(float, values)))
         m = len(self.true_beta)
         if m < 2:
             raise ConfigError("true_beta needs one entry per exposure, at least two")
-        if not -1.0 <= self.exposure_correlation <= 1.0:
+        rho = self.exposure_correlation
+        if not (_is_number(rho) and -1.0 <= rho <= 1.0):
             raise ConfigError("exposure_correlation must lie in [-1, 1]")
-        if m > 2 and self.exposure_correlation < -1.0 / (m - 1):
-            raise ConfigError(
-                f"equicorrelation {self.exposure_correlation} is not positive "
-                f"semidefinite for {m} exposures"
-            )
-        if self.n_subjects < 2:
-            raise ConfigError("n_subjects must be >= 2")
-        if not 0.0 <= self.censoring_rate < 1.0:
+        if m > 2 and rho < -1.0 / (m - 1):
+            raise ConfigError(f"equicorrelation {rho} is not positive semidefinite "
+                              f"for {m} exposures")
+        if not (_is_number(self.censoring_rate) and 0.0 <= self.censoring_rate < 1.0):
             raise ConfigError("censoring_rate must lie in [0, 1)")
-        if self.n_strata < 1:
-            raise ConfigError("n_strata must be >= 1")
-        if self.replicate_count < 1:
-            raise ConfigError("replicate_count must be >= 1")
 
     @property
     def n_exposures(self) -> int:
@@ -216,19 +214,11 @@ class CalibrationResult:
     failure_reasons: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "alpha": self.alpha,
-            "rejection_rate": self.rejection_rate,
-            "mc_ci": [self.ci_lower, self.ci_upper],
-            "n_replicates": self.n_replicates,
-            "n_used": self.n_used,
-            "n_failures": self.n_failures,
-            "failure_reasons": dict(self.failure_reasons),
-            "valid": self.valid,
-            "ci_overlap_fraction": self.ci_overlap_fraction,
-            "naive_rejection_rate": self.naive_rejection_rate,
-        }
+        """Every field but ``p_values``, with the interval as ``mc_ci``."""
+        out = asdict(self)
+        del out["p_values"]
+        out["mc_ci"] = [out.pop("ci_lower"), out.pop("ci_upper")]
+        return out
 
 
 # Scenarios with more than this fraction of failed replicate fits are marked
@@ -264,7 +254,7 @@ def _failure_reason(outcome) -> str:
 
 def _run_replicates(config: SimConfig, alpha: float, scenario: str, *,
                     include_naive: bool = False) -> CalibrationResult:
-    if not 0.0 < alpha <= 1.0:
+    if not (_is_number(alpha) and 0.0 < alpha <= 1.0):
         raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
     spec = config.exposure_spec()
     chunk = max(CHUNK_ROWS // config.n_subjects, 1)
@@ -374,7 +364,7 @@ def ks_critical_value(n: int, level: float = 0.01) -> float:
     """
     if not _is_integer(n) or n < 1:
         raise ConfigError(f"n must be an integer >= 1, got {n!r}")
-    if not 0.0 < level < 1.0:
+    if not (_is_number(level) and 0.0 < level < 1.0):
         raise ConfigError(f"level must lie in (0, 1), got {level!r}")
     from scipy.stats import kstwo
 

@@ -7,6 +7,7 @@ import pytest
 import dupcox as dc
 from dupcox.cox import _inverses, _symmetric_inverse
 from dupcox.errors import ConfigError, EstimationError, SingularMatrixError
+from conftest import simulated_cohort
 from oracles import (
     brute_force_loglik,
     brute_force_score_residuals,
@@ -240,6 +241,25 @@ class TestFit:
         for key in ("coefficients", "model_covariance", "robust_covariance"):
             assert np.array_equal(getattr(fitted, key), getattr(want, key))
         assert fitted.iterations == want.iterations
+
+    def test_information_not_positive_definite_fails_alone_in_a_stack(self):
+        # A covariate shifted by 1e8 leaves the information to cancellation:
+        # it is not positive definite, and only that problem is refused.
+        spec = dc.ExposureSpec("continuous", ("A1", "A2"))
+        good, _ = simulated_cohort(seed=31, n=200)
+        shifted = good.covariates + np.array([1e8])
+        designs = [dc.block_design(good, spec),
+                   dc.block_design(replace(good, covariates=shifted), spec)]
+        fitted, failed = dc.cox.fit_stack(designs)
+        assert isinstance(failed, SingularMatrixError)
+        assert "information matrix is not positive definite" in str(failed)
+        with pytest.raises(SingularMatrixError) as alone:
+            dc.fit(designs[1])
+        assert str(alone.value) == str(failed)
+        want = dc.fit(designs[0])
+        assert fitted.converged
+        for key in ("coefficients", "model_covariance", "robust_covariance"):
+            assert np.array_equal(getattr(fitted, key), getattr(want, key))
 
     def test_no_events_raises(self):
         d = plain_design(np.ones((2, 1)), [1.0, 2.0], [0, 0])

@@ -701,6 +701,33 @@ class TestEquality:
         assert replace(ds, n_rejected_missing=3) == ds
 
 
+
+class TestShape:
+    """A cohort whose columns do not line up with its rows or its schema."""
+
+    @pytest.mark.parametrize("field, message", [
+        ("entry", "column 'entry' has length != 4"),
+        ("exit", "column 'exit' has length != 4"),
+        ("event", "column 'event' has length != 4"),
+        ("exposures", "column block 'exposures' has 3 rows != 4"),
+        ("covariates", "column block 'covariates' has 3 rows != 4"),
+        ("strata", "column block 'strata' has 3 rows != 4"),
+    ])
+    def test_a_column_with_a_row_too_few_is_refused(self, field, message):
+        ds = _delayed_entry_cohort()
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            replace(ds, **{field: getattr(ds, field)[:3]})
+
+    @pytest.mark.parametrize("field, block", [("exposures", "exposure"),
+                                              ("covariates", "covariate"),
+                                              ("strata", "strata")])
+    def test_a_block_wider_than_the_schema_is_refused(self, field, block):
+        ds = _delayed_entry_cohort()
+        column = getattr(ds, field)
+        with pytest.raises(ValidationError,
+                           match=f"^{block} block width does not match schema$"):
+            replace(ds, **{field: np.concatenate([column, column[:, :1]], axis=1)})
+
 class TestFingerprint:
     def test_stable_across_save_and_load(self, tmp_path):
         ds = _delayed_entry_cohort()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import dupcox as dc
 from dupcox.data import join_labels, label_codes
+from dupcox.design import _quantile_population
 from dupcox.errors import ConfigError, SchemaError, ValidationError
 from conftest import simulated_cohort
 from oracles import (CohortRow, dataset_from_rows, per_bin_medians, plain_design,
@@ -420,3 +421,104 @@ class TestOneDesignType:
             assert not {"covariance", "options"} & set(params)
             # An old positional FitOptions must not land in include_naive.
             assert params["include_naive"].kind is inspect.Parameter.KEYWORD_ONLY
+
+
+class TestSpecRefusals:
+    def test_unknown_kind(self):
+        with pytest.raises(ConfigError, match="unknown exposure kind 'ordinal'"):
+            dc.ExposureSpec(kind="ordinal", source_columns=("A1", "A2"))
+
+    def test_fewer_than_two_levels(self):
+        with pytest.raises(ConfigError, match="kind 'trend' requires n_levels >= 2"):
+            dc.ExposureSpec(kind="trend", source_columns=("A1", "A2"), n_levels=1)
+
+    @pytest.mark.parametrize("reference", [0, 4])
+    def test_reference_level_outside_the_levels(self, reference):
+        with pytest.raises(ConfigError, match=rf"reference level {reference} outside 1\.\.3"):
+            dc.ExposureSpec(kind="categorical", source_columns=("A1", "A2"), n_levels=3,
+                            reference_level=reference)
+
+    def test_dichotomous_exposure_with_a_value_other_than_zero_or_one(self):
+        ds, _ = simulated_cohort(seed=5, n=40)
+        binary = (ds.exposures > 0).astype(float)
+        spec = dc.ExposureSpec(kind="dichotomous", source_columns=("A1", "A2"))
+        dc.block_design(dataclasses.replace(ds, exposures=binary), spec)
+        binary[[3, 8], 1] = [2.0, 0.5]
+        with pytest.raises(ValidationError, match=re.escape(
+                "dichotomous exposure 'A2' contains values other than 0/1: [0.5, 2.0]")):
+            dc.block_design(dataclasses.replace(ds, exposures=binary), spec)
+
+
+def split_follow_up(ds, chosen, rng, pieces=3):
+    """``ds`` with each chosen row's ``(entry, exit]`` cut into ``pieces``
+    rows at random times, the event on the last: the same partial likelihood."""
+    rows, entry, exit_, event = [], [], [], []
+    for i in range(len(ds)):
+        bounds = [ds.entry[i], ds.exit[i]]
+        if chosen[i]:
+            bounds[1:1] = np.sort(rng.uniform(ds.entry[i], ds.exit[i], pieces - 1))
+        for k in range(len(bounds) - 1):
+            rows.append(i)
+            entry.append(bounds[k])
+            exit_.append(bounds[k + 1])
+            event.append(ds.event[i] and k == len(bounds) - 2)
+    rows = np.array(rows)
+    return dc.Dataset(schema=ds.schema, subject_ids=ds.subject_ids[rows], entry=np.array(entry),
+                      exit=np.array(exit_), event=np.array(event),
+                      exposures=ds.exposures[rows], covariates=ds.covariates[rows],
+                      strata=ds.strata[rows])
+
+
+def report_floats(report, path="report"):
+    """Each float of a report's JSON tree outside its ``dataset`` block, by path."""
+    if isinstance(report, dc.ComparisonReport):
+        tree = report.to_dict()
+        del tree["dataset"]
+        return dict(report_floats(tree, path))
+    if isinstance(report, dict):
+        return [pair for key, item in report.items()
+                for pair in report_floats(item, f"{path}.{key}")]
+    if isinstance(report, list):
+        return [pair for i, item in enumerate(report)
+                for pair in report_floats(item, f"{path}[{i}]")]
+    return [(path, report)] if isinstance(report, float) else []
+
+
+class TestRowSplitInvariance:
+    """Quantile cuts, trend medians and p10-p90 scales are taken over one
+    value per subject and distinct value, so splitting some subjects'
+    follow-up into more rows changes no report."""
+
+    def test_population_is_one_row_per_subject_and_value(self):
+        codes = np.array([0, 0, 1, 1, 1, 2])
+        for values, want in (([1.0, 1.0, 2.0, 3.0, 3.0, 1.0], [1.0, 2.0, 3.0, 1.0]),
+                             ([1.0, 1.0, 2.0, 2.0, 2.0, 1.0], [1.0, 2.0, 1.0])):
+            values = np.array(values)
+            rows, inverse = _quantile_population(values, codes)
+            assert values[rows].tolist() == want
+            assert np.array_equal(values[rows][inverse], values)
+        values = np.array([3.0, 1.0, 2.0])
+        rows, inverse = _quantile_population(values, np.array([2, 0, 1]))
+        assert values[rows] is not values and np.array_equal(values[rows][inverse], values)
+
+    @pytest.mark.parametrize("exposure, scale", [
+        ({"kind": "categorical", "n_levels": 5}, 1.0),
+        ({"kind": "trend", "n_levels": 4}, "p10-p90"),
+        ({"kind": "continuous"}, "p10-p90"),
+    ], ids=["quintiles", "trend", "continuous"])
+    @pytest.mark.parametrize("time_varying", [False, True], ids=["constant", "time-varying"])
+    def test_uneven_splits_leave_the_report_unchanged(self, exposure, scale, time_varying):
+        rng = np.random.default_rng(14)
+        ds, _ = simulated_cohort(seed=14, n=300)
+        if time_varying:
+            # Every third subject's exposures change halfway through follow-up.
+            ds = split_follow_up(ds, np.arange(len(ds)) % 3 == 0, rng, pieces=2)
+            ds = dataclasses.replace(ds, exposures=ds.exposures + 0.25 * (ds.entry > 0)[:, None])
+        split = split_follow_up(ds, ds.exposure("A1") > 0.5, rng)
+        assert len(split) > len(ds)
+        spec = dc.ExposureSpec(source_columns=("A1", "A2"), **exposure)
+        want = report_floats(dc.compare_exposures(ds, spec, scale=scale))
+        got = report_floats(dc.compare_exposures(split, spec, scale=scale))
+        assert got.keys() == want.keys()
+        for path, value in want.items():
+            assert got[path] == pytest.approx(value, rel=1e-10, abs=0), path

@@ -548,6 +548,24 @@ class TestCompareStack:
         assert reports[0].exposures[0].terms[0].scale \
             != reports[2].exposures[0].terms[0].scale
 
+    def test_a_refused_wald_test_fails_alone_in_a_stack(self):
+        # Three subjects give a sandwich of rank at most 2, so the 3 x 3
+        # tested block of a 4-exposure compare is singular.
+        def cohort(n):
+            return dc.simulate_cohort(dc.SimConfig(
+                n_subjects=n, exposure_correlation=0.3, true_beta=(0.5,) * 4,
+                censoring_rate=0.2, replicate_count=1, master_seed=0), 0)
+
+        spec = dc.ExposureSpec("continuous", ("A1", "A2", "A3", "A4"))
+        cohorts = [cohort(80), cohort(3)]
+        report, refused = inference.compare_stack(cohorts, spec)
+        assert isinstance(refused, SingularMatrixError)
+        assert str(refused).startswith("[wald] test covariance block is singular")
+        with pytest.raises(SingularMatrixError) as alone:
+            dc.compare_exposures(cohorts[1], spec)
+        assert str(alone.value) == str(refused)
+        assert report.to_dict() == dc.compare_exposures(cohorts[0], spec).to_dict()
+
     @pytest.mark.parametrize("stage, target", [("design", "block_design"),
                                                ("fit", "fit_stack"),
                                                ("wald", "_wald_tests")])
