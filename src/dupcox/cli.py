@@ -75,11 +75,10 @@ def _type_name(kind) -> str:
             dict: "a key/value block", None: "null"}[kind]
 
 
-def _check_keys(block, keys: dict, context: str) -> dict:
+def _check_keys(block: dict, keys: dict, context: str) -> dict:
     """``block`` without its null values, once every key is known, of its
-    type, and present if required."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"{context}: expected a key/value block")
+    type, and present if required.  That a block is a key/value block is
+    checked with the keys of the block that holds it."""
     unknown = sorted(set(block) - set(keys))
     if unknown:
         raise ConfigError(f"{context}: unknown key(s) {unknown}")
@@ -102,7 +101,7 @@ def _load_config(path: str, command: str, overrides: dict) -> dict:
         raise ConfigError(f"config file {path} is not UTF-8 text ({exc.reason})") from None
     try:
         config = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigError("config: expected a key/value block")
@@ -118,11 +117,6 @@ def _load_config(path: str, command: str, overrides: dict) -> dict:
         )
     config["command"] = command
     return config
-
-
-def _config_hash(config: dict) -> str:
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def _build_schema(block: dict) -> Schema:
@@ -168,43 +162,36 @@ def _build_sim_config(block: dict, seed: int | None) -> SimConfig:
     return SimConfig(**fields)
 
 
-def _metadata(config: dict) -> dict:
-    return {
-        "tool": {"name": "dupcox", "version": __version__},
-        "config_hash": _config_hash(config),
-        "seed": config.get("seed"),
-        "command": config["command"],
-    }
-
-
-def _write_output(config: dict, human_text: str, machine_doc: dict) -> None:
-    path = config.get("output")
-    if path is None:
-        return
-    if config.get("format", "human") == "machine":
-        Path(path).write_text(json.dumps(machine_doc, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
-    else:
-        Path(path).write_text(human_text + "\n", encoding="utf-8")
-
-
-def _human_header(config: dict) -> str:
-    meta = _metadata(config)
-    seed = meta["seed"]
-    return (f"# dupcox {__version__}  command={meta['command']}  "
-            f"config={meta['config_hash'][:12]}  seed={seed if seed is not None else '-'}")
+def _emit(config: dict, human: str, machine: dict) -> None:
+    """Print a run's human report under its header line, and write the report
+    to ``output`` in the configured format, each stamped with the tool
+    version, the effective config's hash and the seed."""
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    meta = {"tool": {"name": "dupcox", "version": __version__},
+            "config_hash": hashlib.sha256(canon.encode("utf-8")).hexdigest(),
+            "seed": config.get("seed"), "command": config["command"]}
+    seed = "-" if meta["seed"] is None else meta["seed"]
+    human = (f"# dupcox {__version__}  command={meta['command']}  "
+             f"config={meta['config_hash'][:12]}  seed={seed}\n{human}")
+    print(human)
+    if config.get("output") is not None:
+        text = (json.dumps(meta | machine, indent=2, sort_keys=True)
+                if config.get("format") == "machine" else human)
+        Path(config["output"]).write_text(text + "\n", encoding="utf-8")
 
 
 def _run_inputs(config: dict):
-    """The validated cohort, exposure spec, fit options and exposure block of
-    a ``compare`` or ``fit`` run; every block, with compare's own checks of
-    ``scale`` and ``confidence`` for any exposure kind, is checked before the
-    cohort is read."""
+    """The validated cohort, exposure spec, fit options and compare's
+    reporting keys (``scale``, ``confidence``) of a ``compare`` or ``fit``
+    run.  Every block, and each reporting key given (for any exposure kind),
+    is checked before the cohort is read."""
     schema = _build_schema(config["schema"])
     exposure = _check_keys(config.get("exposure") or {}, _EXPOSURE_KEYS, "exposure")
     spec = _build_spec(exposure, schema)
-    _check_scale(exposure.get("scale", 1.0))
-    _check_confidence(exposure.get("confidence", 0.95))
+    checks = {"scale": _check_scale, "confidence": _check_confidence}
+    reporting = {key: exposure[key] for key in checks if key in exposure}
+    for key, value in reporting.items():
+        checks[key](value)
     options = _build_fit_options(config.get("fit"))
     try:
         dataset = load_dataset(config["input"], schema)
@@ -216,25 +203,17 @@ def _run_inputs(config: dict):
     for check in report.checks:
         if not check.passed:
             print(f"warning: {check.name}: {check.detail}", file=sys.stderr)
-    return dataset, spec, options, exposure
+    return dataset, spec, options, reporting
 
 
-def run_compare(config: dict) -> int:
-    dataset, spec, options, exposure = _run_inputs(config)
-    report = compare_exposures(
-        dataset, spec, options,
-        confidence=exposure.get("confidence", 0.95),
-        scale=exposure.get("scale", 1.0),
-        seed=config.get("seed"),
-    )
-    human = _human_header(config) + "\n" + render_table(report)
-    machine = _metadata(config) | {"report": report.to_dict()}
-    print(human)
-    _write_output(config, human, machine)
-    return 0 if report.fit.converged else 3
+# Each runner returns its exit code, human report and machine document.
+def run_compare(config: dict) -> tuple[int, str, dict]:
+    dataset, spec, options, reporting = _run_inputs(config)
+    report = compare_exposures(dataset, spec, options, seed=config.get("seed"), **reporting)
+    return 0 if report.fit.converged else 3, render_table(report), {"report": report.to_dict()}
 
 
-def run_fit(config: dict) -> int:
+def run_fit(config: dict) -> tuple[int, str, dict]:
     dataset, spec, options, _ = _run_inputs(config)
     fit_result = cox.fit(block_design(dataset, spec), options)
 
@@ -249,8 +228,7 @@ def run_fit(config: dict) -> int:
         rows.append((name, f"{fit_result.coefficients[i]: .6f}",
                      f"{se_robust:.6f}", f"{se_model:.6f}"))
     width = max(len(r[0]) for r in rows) + 2
-    lines = [_human_header(config),
-             f"{'term':<{width}}{'coef':>12}{'se(robust)':>14}{'se(model)':>14}"]
+    lines = [f"{'term':<{width}}{'coef':>12}{'se(robust)':>14}{'se(model)':>14}"]
     lines += [f"{r[0]:<{width}}{r[1]:>12}{r[2]:>14}{r[3]:>14}" for r in rows]
     diag = fit_result.diagnostics
     lines.append(f"log partial likelihood: {fit_result.log_partial_likelihood:.6f}")
@@ -261,9 +239,8 @@ def run_fit(config: dict) -> int:
     )
     if diag.message:
         lines.append(diag.message)
-    human = "\n".join(lines)
 
-    machine = _metadata(config) | {
+    machine = {
         "coefficients": [
             {
                 "term": name,
@@ -277,12 +254,10 @@ def run_fit(config: dict) -> int:
         "converged": fit_result.converged,
         "iterations": fit_result.iterations,
     }
-    print(human)
-    _write_output(config, human, machine)
-    return 0 if fit_result.converged else 3
+    return 0 if fit_result.converged else 3, "\n".join(lines), machine
 
 
-def run_simulate(config: dict) -> int:
+def run_simulate(config: dict) -> tuple[int, str, dict]:
     block = config["simulation"]
     sim_config = _build_sim_config(block, config.get("seed"))
     runner = estimate_type1_error if _is_null_config(sim_config) else estimate_power
@@ -290,7 +265,6 @@ def run_simulate(config: dict) -> int:
                                    if block.get(key) is not None})
 
     lines = [
-        _human_header(config),
         f"scenario: {result.scenario}  alpha={result.alpha}",
         f"rejection rate: {result.rejection_rate:.4f} "
         f"[{result.ci_lower:.4f}, {result.ci_upper:.4f}] (95% Monte Carlo CI)",
@@ -305,12 +279,7 @@ def run_simulate(config: dict) -> int:
     if result.naive_rejection_rate is not None:
         lines.append(f"naive (uncorrelated z) rejection rate: "
                      f"{result.naive_rejection_rate:.4f}")
-    human = "\n".join(lines)
-
-    machine = _metadata(config) | {"result": result.to_dict()}
-    print(human)
-    _write_output(config, human, machine)
-    return 0
+    return 0, "\n".join(lines), {"result": result.to_dict()}
 
 
 def main(argv=None) -> int:
@@ -342,7 +311,7 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "format": args.format,
         })
-        return runners[args.command](config)
+        code, human, machine = runners[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -352,6 +321,8 @@ def main(argv=None) -> int:
     except DupcoxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _emit(config, human, machine)
+    return code
 
 
 if __name__ == "__main__":

@@ -209,6 +209,12 @@ class _Bucket:
         self.segments = ends[:, :2].ravel()
         if self.segments[-1] == S * L:
             self.segments = self.segments[:-1]
+        # Each column centred on its mean over its stratum's own rows, so its
+        # rounding does not grow with its distance from zero; a shift within a
+        # stratum leaves that stratum's likelihood unchanged.  Empty cells stay 0.
+        mean = np.add.reduceat(self.X, self.segments, axis=2)[..., ::2] / (ends[:, 1] - ends[:, 0])
+        np.subtract(self.Z[:, 1:], mean[..., None], out=self.Z[:, 1:],
+                    where=(self.rows != n).reshape(S, L))
         self.fail_sum = np.add.reduceat(np.take(self.X, self.fail, axis=2), self.f_start, axis=2)
 
         # Per sub-step: rows with exit >= t, and late-entry rows with entry >= t,
@@ -490,10 +496,16 @@ def _symmetric_inverse(matrix: np.ndarray) -> np.ndarray:
 
     A matrix with no Cholesky factor raises :class:`SingularMatrixError`
     naming its smallest eigenvalue (zero or negative up to rounding) as well
-    as its condition number, which can read small for an indefinite matrix.
+    as its condition number, which can read small for an indefinite matrix;
+    so does one whose factor is not finite (an entry overflowed or is NaN).
     """
     try:
-        inv_factor = np.linalg.inv(np.linalg.cholesky(matrix))
+        factor = np.linalg.cholesky(matrix)
+        if not np.isfinite(factor).all():
+            raise SingularMatrixError("information matrix is not positive definite on the "
+                                      "non-aliased subspace: it is not finite",
+                                      condition_number=math.inf)
+        inv_factor = np.linalg.inv(factor)
     except np.linalg.LinAlgError:
         smallest = float(np.linalg.eigvalsh(matrix).min())
         cond = float(np.max(np.linalg.cond(matrix)))
@@ -573,7 +585,10 @@ def fit_stack(designs, options: FitOptions | None = None, robust: bool = True) -
     R, p = engine.R, designs[0].n_columns
 
     beta = np.zeros((R, p))
-    ev = engine.evaluate(beta)
+    # A column too large for its square overflows the information, which the
+    # first inverse then refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ev = engine.evaluate(beta)
     aliased = _aliased_columns(ev.info)
     ll, score_, info = ev.ll.copy(), ev.score.copy(), ev.info.copy()
     cov, step = np.full(info.shape, np.nan), np.zeros(beta.shape)
@@ -613,11 +628,14 @@ def fit_stack(designs, options: FitOptions | None = None, robust: bool = True) -
         cand = beta.copy()
         cand[live] += scale[live, None] * step[live]
         # Out-of-range candidates can underflow a risk-set sum to zero or
-        # overflow its inverse; the resulting -inf or NaN is rejected here.
+        # overflow its inverse; the resulting -inf or NaN, in the likelihood
+        # or the information, is rejected here.  So only a starting point's
+        # information reaches an inverse that refuses it for not being finite.
         ev = None  # the last evaluation's parts go before the next one's are formed
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ev = engine.evaluate(cand)
-        up = live & np.isfinite(ev.ll) & (ev.ll >= ll - slack)
+        up = (live & np.isfinite(ev.ll) & (ev.ll >= ll - slack)
+              & np.isfinite(ev.info).all(axis=(1, 2)))
         beta[up], score_[up], info[up] = cand[up], ev.score[up], ev.info[up]
         ll[up] = np.maximum(ev.ll[up], ll[up])
         iterations[up] += 1

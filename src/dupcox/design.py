@@ -118,8 +118,9 @@ class DesignMatrix:
     effect: it is absorbed by stratification.  ``stratum_codes`` and
     ``cluster_codes`` number each row's stratum and cluster from 0; the
     cluster code ties a subject's rows together for the robust variance.  A
-    code array that is not one non-negative integer per row raises
-    :class:`ValidationError`.
+    code array that is not one non-negative integer per row, a time or event
+    array that is not one value per row, or a block map that is not ``(m *
+    p_b, p)`` raises :class:`ValidationError`.
     """
 
     blocks: np.ndarray               # float, (m, n, p_b)
@@ -134,12 +135,23 @@ class DesignMatrix:
     event: np.ndarray                # bool, (n,)
 
     def __post_init__(self):
-        for name in ("stratum_codes", "cluster_codes"):
-            codes = np.asarray(getattr(self, name))
-            if codes.shape != (len(self),) or codes.dtype.kind not in "iu" or (codes < 0).any():
-                raise ValidationError(f"{name} must hold one non-negative integer "
-                                      f"per row of the design ({len(self)} rows)")
-            object.__setattr__(self, name, codes)
+        n = len(self)
+        for name in ("stratum_codes", "cluster_codes", "entry", "exit", "event"):
+            values = np.asarray(getattr(self, name))
+            if name.endswith("_codes"):
+                if values.shape != (n,) or values.dtype.kind not in "iu" or (values < 0).any():
+                    raise ValidationError(f"{name} must hold one non-negative integer "
+                                          f"per row of the design ({n} rows)")
+            elif values.shape != (n,):
+                raise ValidationError(f"{name} must hold one value per row of the design "
+                                      f"({n} rows), got shape {values.shape}")
+            object.__setattr__(self, name, values)
+        m, _, p_b = self.blocks.shape
+        shape = np.shape(self.block_map)
+        if shape != (m * p_b, len(self.column_names)):
+            raise ValidationError(f"block_map must have one row per block column ({m} x {p_b}) "
+                                  f"and one column per name ({len(self.column_names)}), "
+                                  f"got shape {shape}")
 
     def __len__(self) -> int:
         return self.blocks.shape[1]

@@ -14,9 +14,16 @@ def _is_integer(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """Whether ``value`` is a real number (Python's or numpy's integers and
-    floats, a ``Fraction``); a bool, a string and a ``Decimal`` are not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether ``value`` is a real number that a float can hold (Python's or
+    numpy's integers and floats, a ``Fraction``); a bool, a string, a
+    ``Decimal`` and an integer past float range (``10**400``) are not."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 class DupcoxError(Exception):

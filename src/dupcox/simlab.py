@@ -358,12 +358,13 @@ def ks_uniform_statistic(p_values) -> float:
 def ks_critical_value(n: int, level: float = 0.01) -> float:
     """Finite-sample critical value for the one-sample KS statistic.
 
-    ``n`` must be an integer >= 1 and ``level`` lie in (0, 1), else
-    :class:`ConfigError`.  The only use of scipy in the package; it is
-    imported on the first call, so ``import dupcox`` and the CLI do without it.
+    ``n`` must be an integer >= 1 that scipy takes as a 64-bit integer, and
+    ``level`` lie in (0, 1), else :class:`ConfigError`.  The only use of scipy
+    in the package; it is imported on the first call, so ``import dupcox`` and
+    the CLI do without it.
     """
-    if not _is_integer(n) or n < 1:
-        raise ConfigError(f"n must be an integer >= 1, got {n!r}")
+    if not (_is_integer(n) and 1 <= n < 2**63):
+        raise ConfigError(f"n must be an integer >= 1 and < 2**63, got {n!r}")
     if not (_is_number(level) and 0.0 < level < 1.0):
         raise ConfigError(f"level must lie in (0, 1), got {level!r}")
     from scipy.stats import kstwo

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import subprocess
@@ -19,6 +20,17 @@ def cohort_csv(tmp_path):
                        master_seed=314)
     path = tmp_path / "cohort.csv"
     dc.save_dataset(dc.simulate_cohort(cfg, 0), path)
+    return path
+
+
+def edited_csv(source, path, edit):
+    """A copy of the CSV ``source`` at ``path``, each row (a dict) passed through ``edit``."""
+    with open(source, encoding="utf-8", newline="") as fh:
+        rows = [edit(row) for row in csv.DictReader(fh)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     return path
 
 
@@ -128,6 +140,38 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: config file {cfg} is not UTF-8 text")
 
+    def test_missing_config_file_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "absent.json"
+        assert main(["compare", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config file {cfg}: ")
+
+    def test_invalid_json_exits_one(self, tmp_path, cohort_csv, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(compare_config(cohort_csv, tmp_path))[:-1], encoding="utf-8")
+        assert main(["compare", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: config file {cfg} is not valid JSON: ")
+
+    def test_integer_past_the_digit_limit_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"seed": ' + "1" * 5000 + "}", encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file {cfg} is not valid JSON: Exceeds")
+        assert "Traceback" not in err
+
+    def test_config_that_is_not_a_key_value_block_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, ["compare"])
+        assert main(["compare", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "config error: config: expected a key/value block\n"
+
+    def test_block_that_is_not_a_key_value_block_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TestSimulateCommand().simulate_config(tmp_path)
+                           | {"simulation": ["n_subjects"]})
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == ("config error: config: 'simulation' must be "
+                                           "a key/value block, got [\"n_subjects\"]\n")
+
     def test_non_finite_cell_exits_two(self, tmp_path, cohort_csv, capsys):
         lines = cohort_csv.read_text(encoding="utf-8").splitlines()
         cells = lines[3].split(",")
@@ -150,6 +194,28 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error:")
         assert "field limit" in err and "data row 2" in err and "Traceback" not in err
+
+    def test_run_without_output_prints_and_writes_no_file(self, tmp_path, cohort_csv, capsys):
+        doc = compare_config(cohort_csv, tmp_path)
+        del doc["output"]
+        cfg = write_config(tmp_path, doc)
+        files = sorted(tmp_path.iterdir())
+        assert main(["compare", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# dupcox ") and "Difference" in out
+        assert sorted(tmp_path.iterdir()) == files
+
+    def test_validation_warning_goes_to_stderr(self, tmp_path, cohort_csv, capsys):
+        silent = edited_csv(cohort_csv, tmp_path / "silent.csv", lambda row: row | {
+            "event": "0" if row["stratum"] == "s1" else row["event"]})
+        cfg = write_config(tmp_path, compare_config(silent, tmp_path))
+        assert main(["compare", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ("warning: stratum_events: "
+                                "1 non-informative stratum/strata (no events)\n")
+        assert "warning" not in captured.out
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["report"]["fit"]["converged"] is True
 
     def test_human_format_writes_table(self, tmp_path, cohort_csv, capsys):
         doc = compare_config(cohort_csv, tmp_path)
@@ -212,6 +278,39 @@ class TestFitCommand:
         names = [c["term"] for c in fitdoc["coefficients"]]
         assert names == ["Exposures", "L1", "Exposures:A_type2", "L1:A_type2"]
 
+    def test_aliased_column_is_reported(self, tmp_path, cohort_csv, capsys):
+        copied = edited_csv(cohort_csv, tmp_path / "copied.csv", lambda row: row | {
+            "L2": row["L1"]})
+        doc = compare_config(copied, tmp_path)
+        doc["schema"]["covariates"] = ["L1", "L2"]
+        doc["format"] = "human"
+        doc["output"] = str(tmp_path / "fit.txt")
+        cfg = write_config(tmp_path, doc)
+        assert main(["fit", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert [line.split() for line in lines if line.startswith("L2")] == [
+            ["L2", "aliased"], ["L2:A_type2", "aliased"]]
+        assert (tmp_path / "fit.txt").read_text() == out
+        assert main(["fit", "--config", str(cfg), "--format", "machine"]) == 0
+        fitdoc = json.loads((tmp_path / "fit.txt").read_text())
+        assert [(c["term"], c["aliased"], c["coefficient"] is None)
+                for c in fitdoc["coefficients"]] == [
+            ("Exposures", False, False), ("L1", False, False), ("L2", True, True),
+            ("Exposures:A_type2", False, False), ("L1:A_type2", False, False),
+            ("L2:A_type2", True, True)]
+
+    def test_diagnostics_message_is_printed_and_exits_three(self, tmp_path, cohort_csv, capsys):
+        doc = compare_config(cohort_csv, tmp_path) | {"fit": {"max_iterations": 1}}
+        doc["output"] = str(tmp_path / "fit.json")
+        cfg = write_config(tmp_path, doc)
+        assert main(["fit", "--config", str(cfg)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith("converged: NO (1 iterations); strata used: 4")
+        assert lines[-1] == "no convergence in 1 iterations"
+        fitdoc = json.loads((tmp_path / "fit.json").read_text())
+        assert fitdoc["converged"] is False and fitdoc["iterations"] == 1
+
 
 class TestSimulateCommand:
     def simulate_config(self, tmp_path, **overrides):
@@ -252,6 +351,21 @@ class TestSimulateCommand:
         reasons = json.loads((tmp_path / "sim.json").read_text())["result"]["failure_reasons"]
         assert reasons == dict.fromkeys(dc.simlab.FAILURE_REASONS, 0) | {
             "probable_separation": 16}
+
+    def test_include_naive_reports_the_naive_rate(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.simulate_config(tmp_path, include_naive=True))
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        rate = json.loads((tmp_path / "sim.json").read_text())["result"]["naive_rejection_rate"]
+        assert last == f"naive (uncorrelated z) rejection rate: {rate:.4f}"
+
+    def test_every_replicate_failing_is_an_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.simulate_config(tmp_path, n_subjects=2))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: all 10 replicates failed to fit\n"
+        assert captured.out == ""
+        assert not (tmp_path / "sim.json").exists()
 
     def test_seed_repetition_is_byte_identical(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.simulate_config(tmp_path))
@@ -368,6 +482,18 @@ class TestConfigTypes:
             err = capsys.readouterr().err
             assert err.startswith(f"config error: {block}: {key!r} must be ")
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("block, key", [("fit", "gradient_tolerance"),
+                                            ("exposure", "confidence"), ("exposure", "scale")])
+    def test_an_integer_past_float_range_is_no_number(self, tmp_path, cohort_csv, capsys,
+                                                      block, key):
+        doc = compare_config(cohort_csv, tmp_path)
+        doc.setdefault(block, {})[key] = 10**400
+        cfg = write_config(tmp_path, doc)
+        assert main(["compare", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {block}: {key!r} must be a number")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("key, value", [
         ("true_beta", ["a", "b"]),

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -124,6 +125,11 @@ class TestScoreInformation:
             want = -central_difference_jacobian(lambda b: dc.score(d, b, method), beta)
             assert got == pytest.approx(want, rel=1e-5, abs=1e-7)
 
+    @pytest.mark.parametrize("function", [dc.score, dc.information, dc.log_partial_likelihood])
+    def test_beta_of_another_shape_refused(self, function):
+        with pytest.raises(ValueError, match=r"^beta has shape \(2,\), expected \(1,\)"):
+            function(four_row_design(), [0.1, 0.2])
+
     def test_information_symmetric_psd(self):
         rng = np.random.default_rng(77)
         d = random_design(rng, n=10, p=3, ties=True, truncation=True, n_strata=2)
@@ -142,6 +148,11 @@ class TestFitOptions:
     def test_max_iterations_must_be_a_positive_integer(self, value):
         with pytest.raises(ConfigError, match="max_iterations must be an integer >= 1"):
             dc.FitOptions(max_iterations=value)
+
+    def test_unknown_tie_method_refused(self):
+        with pytest.raises(ConfigError, match=r"^tie_method must be one of \('efron', 'breslow'\), "
+                                              r"got 'exact'"):
+            dc.FitOptions(tie_method="exact")
 
     def test_numpy_scalars_accepted(self):
         options = dc.FitOptions(max_iterations=np.int64(3), gradient_tolerance=np.float32(1e-6))
@@ -189,6 +200,25 @@ class TestFit:
         assert errors[0] is None
         assert isinstance(errors[1], SingularMatrixError)
         assert np.isnan(inverse[1]).all()
+
+    def test_non_finite_information_is_refused(self):
+        # The square of 1e200 overflows; the fit refuses at its first inverse,
+        # with no warning on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError,
+                               match="^information matrix is not positive definite .*not finite"):
+                dc.fit(plain_design([[1e200], [0], [1], [2]], [1, 2, 3, 4], [1, 1, 1, 0]))
+
+    def test_non_finite_information_fails_alone_in_a_stack(self):
+        good = plain_design([[3.0], [0], [1], [2]], [1, 2, 3, 4], [1, 1, 1, 0])
+        huge = plain_design([[1e200], [0], [1], [2]], [1, 2, 3, 4], [1, 1, 1, 0])
+        failed, fitted = dc.cox.fit_stack([huge, good])
+        assert isinstance(failed, SingularMatrixError) and "not finite" in str(failed)
+        want = dc.fit(good)
+        assert fitted.converged
+        for key in ("coefficients", "model_covariance", "robust_covariance"):
+            assert np.array_equal(getattr(fitted, key), getattr(want, key))
 
     def test_perfect_separation_diagnosed(self):
         d = plain_design(np.array([[1.0], [0.0]]), [1.0, 2.0], [1, 0])
@@ -243,13 +273,14 @@ class TestFit:
         assert fitted.iterations == want.iterations
 
     def test_information_not_positive_definite_fails_alone_in_a_stack(self):
-        # A covariate shifted by 1e8 leaves the information to cancellation:
-        # it is not positive definite, and only that problem is refused.
+        # A covariate cell of 1e200 overflows the information: it is not
+        # finite, and only that problem is refused.
         spec = dc.ExposureSpec("continuous", ("A1", "A2"))
         good, _ = simulated_cohort(seed=31, n=200)
-        shifted = good.covariates + np.array([1e8])
+        huge = good.covariates.copy()
+        huge[0, 0] = 1e200
         designs = [dc.block_design(good, spec),
-                   dc.block_design(replace(good, covariates=shifted), spec)]
+                   dc.block_design(replace(good, covariates=huge), spec)]
         fitted, failed = dc.cox.fit_stack(designs)
         assert isinstance(failed, SingularMatrixError)
         assert "information matrix is not positive definite" in str(failed)
@@ -470,6 +501,12 @@ class TestScaleFreeStop:
 
     def test_pure_rescale_converges(self):
         self.check(50_000, 1, 2000.0, 0.0)
+
+    # Columns are centred per stratum, so a shift leaves the rounding of the
+    # score and information where it was without one.
+    @pytest.mark.parametrize("n, shift", [(5000, 2000.0), (50_000, 2000.0), (50_000, 2e7)])
+    def test_shift_converges(self, n, shift):
+        self.check(n, 4, 1.0, shift)
 
 
 def many_strata_cohort(seed, n_small=2000, n_big=1500):

@@ -49,6 +49,12 @@ class TestLoad:
         assert ds.exit.tolist() == [20.0, 19.0, 17.0, 21.0]
         assert ds.entry.tolist() == [0.0, 0.0, 0.0, 0.0]
 
+    def test_empty_file_refused(self, tmp_path, four_row_schema):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        with pytest.raises(SchemaError, match="empty.csv: file is empty, expected a header row"):
+            dc.load_dataset(path, four_row_schema)
+
     def test_header_only_file(self, tmp_path, four_row_schema):
         path = tmp_path / "empty.csv"
         path.write_text("id,A,Aprime,Y,time,L1\n", encoding="utf-8")

@@ -31,6 +31,14 @@ class TestCategorizeQuantiles:
         with pytest.raises(ValidationError, match="score_a"):
             dc.categorize_quantiles([3.0, 3.0, 3.0], k=2, name="score_a")
 
+    def test_fewer_than_two_categories_refused(self):
+        with pytest.raises(ConfigError, match="need k >= 2 quantile categories, got k=1"):
+            dc.categorize_quantiles([1.0, 2.0], k=1)
+
+    def test_no_values_refused(self):
+        with pytest.raises(ValidationError, match="A1: cannot categorize an empty value sequence"):
+            dc.categorize_quantiles([], k=3, name="A1")
+
     def test_matches_sort_and_split_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
@@ -73,6 +81,11 @@ class TestDummyCode:
         assert np.array_equal(matrix, expected)
         assert matrix[4].tolist() == [0.0, 0.0, 0.0, 1.0]
 
+    @pytest.mark.parametrize("reference", [0, 4])
+    def test_reference_outside_the_levels_refused(self, reference):
+        with pytest.raises(ConfigError, match=rf"reference level {reference} outside 1\.\.3"):
+            dc.dummy_code([1, 2, 3], reference, 3)
+
     def test_unseen_label_rejected(self):
         with pytest.raises(ValidationError, match="outside"):
             dc.dummy_code([1, 6], reference=1, k=5)
@@ -101,6 +114,10 @@ class TestTrendScores:
         cats, _ = dc.categorize_quantiles(values, k=4)
         scores = dc.trend_scores(cats, values, k=4)
         assert scores.tolist() == pytest.approx(per_bin_medians(cats, values))
+
+    def test_misaligned_arrays_refused(self):
+        with pytest.raises(ConfigError, match="categories and raw_values must align"):
+            dc.trend_scores([1, 2, 2], [0.5, 1.5], k=2)
 
     def test_quantile_categories_are_all_nonempty(self):
         rng = np.random.default_rng(2)
@@ -224,6 +241,11 @@ class TestBuildDesignMatrix:
         assert design.column_names[-(3 - 1) * 2:] == (
             "c1:A_type2", "c2:A_type2", "c1:A_type3", "c2:A_type3")
 
+    def test_empty_continuous_cohort_refused(self, four_row_schema):
+        spec = dc.ExposureSpec(kind="continuous", source_columns=("A", "Aprime"))
+        with pytest.raises(ValidationError, match="^dataset is empty$"):
+            dc.block_design(dataset_from_rows([], four_row_schema), spec)
+
     def test_strata_key_includes_a_type(self, four_row_dataset):
         spec = dc.ExposureSpec(kind="dichotomous", source_columns=("A", "Aprime"))
         design = dc.build_design_matrix(dc.duplicate_augment(four_row_dataset, spec), spec)
@@ -293,6 +315,21 @@ class TestDesignCodes:
     def test_bad_codes_are_refused(self, name, codes):
         with pytest.raises(ValidationError, match=f"{name} must hold one non-negative integer"):
             dataclasses.replace(self.design(), **{name: codes})
+
+    @pytest.mark.parametrize("name", ["entry", "exit", "event"])
+    def test_a_time_or_event_array_a_row_short_is_refused(self, name):
+        short = getattr(self.design(), name)[:-1]
+        with pytest.raises(ValidationError, match=rf"^{name} must hold one value per row "
+                                                  rf"of the design \(4 rows\), got shape \(3,\)"):
+            dataclasses.replace(self.design(), **{name: short})
+
+    @pytest.mark.parametrize("block_map", [np.eye(2), np.ones((1, 2)), np.ones(1)],
+                             ids=["rows", "columns", "vector"])
+    def test_a_block_map_of_another_shape_is_refused(self, block_map):
+        with pytest.raises(ValidationError, match=r"^block_map must have one row per block "
+                                                  r"column \(1 x 1\) and one column per name "
+                                                  r"\(1\), got shape"):
+            dataclasses.replace(self.design(), block_map=block_map)
 
     def test_integer_codes_are_kept_as_an_array(self):
         design = dataclasses.replace(self.design(), stratum_codes=[1, 1, 0, 0])

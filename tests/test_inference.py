@@ -94,6 +94,11 @@ class TestWald:
         assert result.df == 2
         assert result.p_value == pytest.approx(math.exp(-1), abs=1e-12)
 
+    def test_no_names_refused(self):
+        fit = fake_fit(["a", "b"], [1.0, 1.0], np.eye(2))
+        with pytest.raises(ConfigError, match="^no coefficients to test$"):
+            dc.wald_multivariate(fit, ())
+
     def test_zero_coefficients_give_q_zero_p_one(self):
         fit = fake_fit(["a", "b", "c"], [0.0, 0.0, 0.5], np.eye(3))
         result = dc.wald_multivariate(fit, ["a", "b"])
@@ -405,6 +410,14 @@ class TestCompareExposures:
         assert parsed["difference_test"]["df"] == 1
         assert parsed["dataset"]["fingerprint"] == ds.fingerprint()
 
+    def test_numpy_integer_levels_serialize_as_json_integers(self):
+        ds, _ = simulated_cohort(seed=46, n=120)
+        spec = dc.ExposureSpec(kind="trend", source_columns=("A1", "A2"), n_levels=4)
+        want = dc.compare_exposures(ds, spec).to_dict()
+        doc = dc.compare_exposures(ds, dataclasses.replace(spec, n_levels=np.int64(4))).to_dict()
+        assert type(doc["exposure_spec"]["n_levels"]) is int
+        assert json.dumps(doc) == json.dumps(want)
+
     def test_report_json_has_null_for_non_finite_floats(self):
         ds, spec = simulated_cohort(seed=46, n=120)
         report = dc.compare_exposures(ds, spec)
@@ -484,6 +497,16 @@ class TestCompareExposures:
             event[0] = bad
             with pytest.raises(ValidationError, match=r"^\[fit\] event indicators must be 0 or 1"):
                 dc.compare_exposures(dataclasses.replace(ds, event=event), spec)
+
+    def test_covariate_too_large_for_its_square_is_refused(self):
+        # Every cell is finite, so the cohort passes its checks; the
+        # information overflows and the fit refuses it.
+        ds, spec = simulated_cohort(seed=57, n=150)
+        covariates = ds.covariates.copy()
+        covariates[3, 0] = 1e200
+        with pytest.raises(SingularMatrixError, match=r"^\[fit\] information matrix is not "
+                                                      r"positive definite .*not finite"):
+            dc.compare_exposures(dataclasses.replace(ds, covariates=covariates), spec)
 
     def test_aliased_covariate_leaves_exposure_terms_alone(self):
         # A copy of L1 is aliased, as main term and interaction.  The exposure

@@ -60,6 +60,39 @@ def test_a_value_that_is_not_a_number_is_a_config_error(cohort, entry, value):
         call(cohort, value)
 
 
+PAST_FLOAT = [10**400, -10**400, Fraction(10**400)]
+
+
+@pytest.mark.parametrize("value", PAST_FLOAT, ids=["10**400", "-10**400", "Fraction(10**400)"])
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_a_number_past_float_range_is_a_config_error(cohort, entry, value):
+    call, text = ENTRIES[entry]
+    with pytest.raises(ConfigError, match=f"^{re.escape(text)}"):
+        call(cohort, value)
+
+
+# Each call with a setting past float range, and its refusal's start.
+PAST_FLOAT_RANGE = {
+    "FitOptions gradient_tolerance": (
+        lambda c: dc.FitOptions(gradient_tolerance=10**400),
+        "gradient_tolerance must be a finite number > 0"),
+    "SimConfig true_beta": (lambda c: sim_config(true_beta=(10**400, 0.1)),
+                            "true_beta must be finite"),
+    "compare_exposures scale": (lambda c: dc.compare_exposures(*c, scale=10**400),
+                                "[design] scale must be a finite number > 0"),
+    "hazard_ratio scale": (
+        lambda c: dc.hazard_ratio(dc.compare_exposures(*c).fit, "Exposures", scale=10**400),
+        "scale must be a finite number > 0"),
+}
+
+
+@pytest.mark.parametrize("entry", PAST_FLOAT_RANGE)
+def test_a_setting_past_float_range_keeps_its_own_refusal(cohort, entry):
+    call, text = PAST_FLOAT_RANGE[entry]
+    with pytest.raises(ConfigError, match=f"^{re.escape(text)}"):
+        call(cohort)
+
+
 @pytest.mark.parametrize("effects", [("0.4", "0.4"), "ab", (0.4, Decimal("0.4")),
                                      np.array(0.4), np.array([[0.4, 0.4]])])
 def test_simulation_effects_must_be_a_sequence_of_numbers(effects):
@@ -104,3 +137,9 @@ def test_numpy_scalars_and_fractions_are_numbers(cohort):
 ], ids=repr)
 def test_the_two_predicates(value, integer, number):
     assert (_is_integer(value), _is_number(value)) == (integer, number)
+
+
+def test_a_number_past_float_range_is_no_number():
+    assert [(_is_integer(v), _is_number(v)) for v in PAST_FLOAT] == [
+        (True, False), (True, False), (False, False)]
+    assert _is_number(Fraction(1, 10**400))  # float() holds it as 0.0

@@ -60,6 +60,11 @@ class TestSimConfig:
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             config(**{name: values})
 
+    def test_one_exposure_rejected(self):
+        with pytest.raises(ConfigError,
+                           match="^true_beta needs one entry per exposure, at least two$"):
+            config(true_beta=(0.4,))
+
     def test_numpy_integers_accepted(self):
         cfg = config(n_subjects=np.int64(30), replicate_count=np.int32(2))
         assert len(dc.simulate_cohort(cfg, 0)) == 30
@@ -420,6 +425,15 @@ class TestKolmogorovSmirnov:
     def test_critical_value_refuses_a_count_that_is_not_an_integer_of_one_or_more(self, n):
         with pytest.raises(ConfigError, match="n must be an integer >= 1"):
             dc.ks_critical_value(n)
+
+    @pytest.mark.parametrize("n", [2**63, 10**20, 10**400], ids=["2**63", "10**20", "10**400"])
+    def test_critical_value_refuses_a_count_past_64_bits(self, n):
+        with pytest.raises(ConfigError, match=r"^n must be an integer >= 1 and < 2\*\*63"):
+            dc.ks_critical_value(n)
+
+    def test_statistic_refuses_no_p_values(self):
+        with pytest.raises(ConfigError, match="^no p-values to test$"):
+            dc.ks_uniform_statistic([])
 
     @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.1, float("nan")])
     def test_critical_value_refuses_a_level_outside_the_unit_interval(self, level):
