@@ -52,8 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import DesignMatrix
-from .errors import (ConfigError, EstimationError, SingularMatrixError, ValidationError,
-                     _is_integer, _is_number)
+from .errors import ConfigError, EstimationError, SingularMatrixError, _is_integer, _is_number
 
 TIE_METHODS = ("efron", "breslow")
 
@@ -209,11 +208,14 @@ class _Bucket:
         self.segments = ends[:, :2].ravel()
         if self.segments[-1] == S * L:
             self.segments = self.segments[:-1]
-        # Each column centred on its mean over its stratum's own rows, so its
-        # rounding does not grow with its distance from zero; a shift within a
-        # stratum leaves that stratum's likelihood unchanged.  Empty cells stay 0.
-        mean = np.add.reduceat(self.X, self.segments, axis=2)[..., ::2] / (ends[:, 1] - ends[:, 0])
-        np.subtract(self.Z[:, 1:], mean[..., None], out=self.Z[:, 1:],
+        # Each column centred on the midpoint of its range over its stratum's
+        # own rows, so its rounding does not grow with its distance from zero
+        # and a column constant in the stratum becomes exactly 0; a shift
+        # within a stratum leaves that stratum's likelihood unchanged.  Empty
+        # cells stay 0.
+        mid = (np.maximum.reduceat(self.X, self.segments, axis=2)[..., ::2]
+               + np.minimum.reduceat(self.X, self.segments, axis=2)[..., ::2]) / 2
+        np.subtract(self.Z[:, 1:], mid[..., None], out=self.Z[:, 1:],
                     where=(self.rows != n).reshape(S, L))
         self.fail_sum = np.add.reduceat(np.take(self.X, self.fail, axis=2), self.f_start, axis=2)
 
@@ -291,10 +293,6 @@ class _Engine:
         self.cluster_codes, self.cluster_start, self.n_clusters = _offset_codes(
             [d.cluster_codes for d in designs])
         event = np.concatenate([d.event for d in designs])
-        if event.dtype != bool:  # 0 and 1 of any dtype are read as flags
-            if not np.isin(event, (0, 1)).all():
-                raise ValidationError("event indicators must be 0 or 1 (or False or True)")
-            event = event == 1
         size = np.bincount(codes, minlength=n_codes)
         kept = np.flatnonzero(np.bincount(codes, weights=event, minlength=n_codes))
         # Each code's problem; kept strata run by problem, then by label.

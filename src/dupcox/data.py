@@ -70,7 +70,11 @@ class Dataset:
     """Immutable cohort backed by column arrays.
 
     Rows preserve input order.  ``strata`` holds string labels; exposures and
-    covariates are float columns aligned with ``schema``.  The derived label
+    covariates are float columns aligned with ``schema``.  A cohort is
+    refused with a :class:`ValidationError` when it is built if a time,
+    exposure or covariate value is not finite, an entry time is not before
+    its exit time, or an event flag is not 0 or 1 (read as a boolean, of any
+    dtype); :func:`row_faults` names the row rules.  The derived label
     arrays (``strata_keys()``, ``stratum_codes``, ``subject_codes``) are
     derived from the labels once, unless the cohort's maker gave them, and
     read-only.
@@ -87,6 +91,14 @@ class Dataset:
     n_rejected_missing: int = field(default=0, compare=False)
 
     def __post_init__(self):
+        for name in ("entry", "exit", "exposures", "covariates"):
+            try:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            except (TypeError, ValueError):
+                raise ValidationError(f"column block '{name}' holds a value that is "
+                                      f"not a number") from None
+        for name in ("subject_ids", "strata"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=object))
         n = len(self.subject_ids)
         for name in ("entry", "exit", "event"):
             if len(getattr(self, name)) != n:
@@ -95,12 +107,18 @@ class Dataset:
             arr = getattr(self, name)
             if arr.shape[0] != n:
                 raise ValidationError(f"column block '{name}' has {arr.shape[0]} rows != {n}")
-        if self.exposures.shape[1] != len(self.schema.exposure_columns):
+        if self.exposures.shape[1:] != (len(self.schema.exposure_columns),):
             raise ValidationError("exposure block width does not match schema")
-        if self.covariates.shape[1] != len(self.schema.covariate_columns):
+        if self.covariates.shape[1:] != (len(self.schema.covariate_columns),):
             raise ValidationError("covariate block width does not match schema")
-        if self.strata.shape[1] != len(self.schema.strata_columns):
+        if self.strata.shape[1:] != (len(self.schema.strata_columns),):
             raise ValidationError("strata block width does not match schema")
+        object.__setattr__(self, "event", event_flags(self.event))
+        faults = row_faults(self.entry, self.exit, self.exposures, self.covariates)
+        for rows, rule in zip(faults, ("with a non-finite time, exposure or covariate value",
+                                       "whose entry time is not before the exit time")):
+            if rows.any():
+                raise ValidationError(f"{rows.sum()} row(s) {rule}")
 
     def __len__(self) -> int:
         return len(self.subject_ids)
@@ -200,8 +218,21 @@ def row_faults(entry, exit_, *blocks) -> tuple[np.ndarray, np.ndarray]:
     """
     finite = np.isfinite(entry) & np.isfinite(exit_)
     for block in blocks:
-        finite &= np.isfinite(block).all(axis=1)
+        cells = np.isfinite(block)
+        if not cells.all():  # a reduction per row is slow; most blocks need none
+            finite &= cells.all(axis=1)
     return ~finite, finite & ~(entry < exit_)
+
+
+def event_flags(event) -> np.ndarray:
+    """``event`` as booleans: 0 and 1 of any dtype are read as False and True,
+    and any other value raises :class:`ValidationError`."""
+    event = np.asarray(event)
+    if event.dtype != bool:
+        if not np.isin(event, (0, 1)).all():
+            raise ValidationError("event indicators must be 0 or 1 (or False or True)")
+        event = event == 1
+    return event
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -552,39 +583,15 @@ class ValidationReport:
 
 
 def validate(dataset: Dataset) -> ValidationReport:
-    """Run structural checks on a dataset and report findings.
+    """Run advisory checks on a dataset and report findings.
 
     Pure (never mutates the dataset) and report-style: nothing is raised
-    here.  Checks: finite times, exposures and covariates, interval ordering
-    (among finite rows), within-subject interval overlap, event count per
-    stratum, and constant (zero-variance) exposure/covariate columns.  The
-    first two are fatal: :func:`~dupcox.design.block_design` and
-    :func:`~dupcox.design.duplicate_augment` refuse a cohort that fails them.
+    here.  Checks: within-subject interval overlap, event count per stratum,
+    and constant (zero-variance) exposure/covariate columns.  The rules a fit
+    needs (finite cells, entry before exit, 0/1 event flags) are the
+    :class:`Dataset`'s own: no cohort that breaks them can be built.
     """
     checks: list[CheckResult] = []
-
-    s = dataset.schema
-    names = [s.entry_column or "entry", s.exit_column,
-             *s.exposure_columns, *s.covariate_columns]
-    values = np.column_stack([dataset.entry, dataset.exit, dataset.exposures, dataset.covariates])
-    nonfinite, misordered = row_faults(dataset.entry, dataset.exit, values[:, 2:])
-    bad_rows = np.flatnonzero(nonfinite)
-    bad_columns = [names[j] for j in np.flatnonzero(~np.isfinite(values[bad_rows]).all(axis=0))]
-    checks.append(CheckResult(
-        "finite_values", not bad_rows.size,
-        "every time, exposure and covariate value is finite" if not bad_rows.size
-        else f"{len(bad_rows)} row(s) with non-finite values in column(s): "
-             f"{', '.join(bad_columns)}",
-        tuple(dataset.subject_ids[bad_rows]),
-    ))
-
-    bad_order = dataset.subject_ids[misordered].tolist()
-    checks.append(CheckResult(
-        "interval_ordering", not bad_order,
-        "every interval satisfies entry < exit" if not bad_order
-        else f"{len(bad_order)} interval(s) with entry >= exit",
-        tuple(bad_order),
-    ))
 
     # In entry order a subject's first overlap is always between neighbours:
     # until then its intervals are disjoint, so the previous one ends last.
@@ -610,9 +617,10 @@ def validate(dataset: Dataset) -> ValidationReport:
         tuple(silent),
     ))
 
-    # Exposure and covariate columns follow the two time columns in ``values``.
-    constant = [names[2 + j] for j in np.flatnonzero(np.ptp(values[:, 2:], axis=0) == 0)] \
-        if len(dataset) else []
+    names = dataset.schema.exposure_columns + dataset.schema.covariate_columns
+    spans = np.concatenate([np.ptp(block, axis=0) for block in
+                            (dataset.exposures, dataset.covariates)]) if len(dataset) else []
+    constant = [names[j] for j in np.flatnonzero(np.equal(spans, 0))]
     checks.append(CheckResult(
         "constant_columns", not constant,
         "no constant exposure/covariate columns" if not constant

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, join_labels, label_codes, row_faults
+from .data import Dataset, event_flags, join_labels, label_codes
 from .errors import ConfigError, EstimationError, SchemaError, ValidationError, _is_integer
 
 KINDS = ("continuous", "dichotomous", "categorical", "trend")
@@ -119,7 +119,8 @@ class DesignMatrix:
     ``cluster_codes`` number each row's stratum and cluster from 0; the
     cluster code ties a subject's rows together for the robust variance.  A
     code array that is not one non-negative integer per row, a time or event
-    array that is not one value per row, or a block map that is not ``(m *
+    array that is not one value per row, an event flag that is not 0 or 1
+    (read as a boolean, of any dtype), or a block map that is not ``(m *
     p_b, p)`` raises :class:`ValidationError`.
     """
 
@@ -146,6 +147,7 @@ class DesignMatrix:
                 raise ValidationError(f"{name} must hold one value per row of the design "
                                       f"({n} rows), got shape {values.shape}")
             object.__setattr__(self, name, values)
+        object.__setattr__(self, "event", event_flags(self.event))
         m, _, p_b = self.blocks.shape
         shape = np.shape(self.block_map)
         if shape != (m * p_b, len(self.column_names)):
@@ -272,14 +274,7 @@ def _exposure_term_columns(dataset: Dataset, spec: ExposureSpec):
 
     Quantile cut points and trend medians are taken over each exposure's
     :func:`_quantile_population`; each row takes its own value's category.
-    A cohort with a row that breaks :func:`~dupcox.data.row_faults`' rules
-    is refused with a :class:`ValidationError` naming the rule and the count.
     """
-    faults = row_faults(dataset.entry, dataset.exit, dataset.exposures, dataset.covariates)
-    for rows, rule in zip(faults, ("with a non-finite time, exposure or covariate value",
-                                   "whose entry time is not before the exit time")):
-        if rows.any():
-            raise ValidationError(f"{rows.sum()} row(s) {rule}")
     for name in spec.source_columns:
         if name not in dataset.schema.exposure_columns:
             raise SchemaError(f"exposure column {name!r} not declared in the dataset schema")

@@ -52,7 +52,7 @@ class ParseError(DataError):
 
 
 class ValidationError(DataError):
-    """A loaded row violates a structural invariant (e.g. entry >= exit)."""
+    """A cohort's row or column violates a structural invariant (e.g. entry >= exit)."""
 
 
 class EstimationError(DupcoxError):

@@ -54,6 +54,8 @@ class SimConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < lower:
                 raise ConfigError(f"{name} must be >= {lower}, got {value}")
+        if self.n_subjects >= 2**63:  # numpy's sizes are 64-bit integers
+            raise ConfigError("n_subjects must be < 2**63")
         for name in ("true_beta", "covariate_effects"):
             values = getattr(self, name)
             if isinstance(values, np.ndarray):

@@ -271,7 +271,7 @@ def plain_design(X, exit_, event, entry=None, strata=None, cluster=None, names=N
         cluster_codes=codes_of(cluster if cluster is not None else [str(i) for i in range(n)]),
         entry=np.asarray(entry, dtype=float) if entry is not None else np.zeros(n),
         exit=np.asarray(exit_, dtype=float),
-        event=np.asarray(event, dtype=bool),
+        event=event,
     )
 
 

@@ -379,6 +379,12 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert "replicate_count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [2**63, 10**400], ids=["2**63", "10**400"])
+    def test_n_subjects_past_numpy_sizes_exits_one(self, tmp_path, capsys, n):
+        cfg = write_config(tmp_path, self.simulate_config(tmp_path, n_subjects=n))
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "config error: n_subjects must be < 2**63\n"
+
     def test_negative_seed_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.simulate_config(tmp_path) | {"seed": -1})
         assert main(["simulate", "--config", str(cfg)]) == 1

@@ -509,6 +509,41 @@ class TestScaleFreeStop:
         self.check(n, 4, 1.0, shift)
 
 
+class TestConstantCovariateIsAliased:
+    """A covariate constant within each stratum is reported aliased, not
+    refused: centred on its stratum's midpoint, its column is exactly 0."""
+
+    @staticmethod
+    def check(L1):
+        spec = dc.ExposureSpec(kind="continuous", source_columns=("A1", "A2"))
+        for seed in range(3):
+            config = dc.SimConfig(n_subjects=300, exposure_correlation=0.5,
+                                  true_beta=(0.4, 0.2), covariate_effects=(0.3,), n_strata=2,
+                                  master_seed=seed)
+            dataset = dc.simulate_cohort(config, 0)
+            without = dc.compare_exposures(replace(
+                dataset, schema=replace(dataset.schema, covariate_columns=()),
+                covariates=dataset.covariates[:, :0]), spec)
+            for column in L1(dataset):
+                report = dc.compare_exposures(replace(dataset, covariates=column[:, None]), spec)
+                assert report.to_dict()["fit"]["aliased"] == ["L1", "L1:A_type2"]
+                assert report.difference_test.statistic == pytest.approx(
+                    without.difference_test.statistic, rel=1e-10, abs=0.0)
+                coefficients = [report.fit.coefficient(name) for name in without.fit.column_names]
+                assert coefficients == pytest.approx(without.fit.coefficients, rel=1e-10, abs=0.0)
+
+    # Centred on its mean instead, about half of these columns are rounding noise,
+    # which the fit refuses as singular.
+    CONSTANTS = np.random.default_rng(7).uniform(-1000.0, 1000.0, 30)
+
+    def test_constant_over_the_cohort(self):
+        self.check(lambda ds: [np.full(len(ds), c) for c in self.CONSTANTS])
+
+    def test_constant_within_each_stratum(self):
+        self.check(lambda ds: [np.where(ds.stratum_codes == 0, c, 0.5 - c)
+                               for c in self.CONSTANTS])
+
+
 def many_strata_cohort(seed, n_small=2000, n_big=1500):
     """Thousands of strata of 1-3 rows, some without events, then one stratum
     of ``n_big`` three-row subjects with delayed entry, on integer times

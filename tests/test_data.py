@@ -524,8 +524,7 @@ class TestValidate:
         report = dc.validate(four_row_dataset)
         assert report.all_passed
         assert {c.name for c in report.checks} == {
-            "finite_values", "interval_ordering", "subject_overlap", "stratum_events",
-            "constant_columns",
+            "subject_overlap", "stratum_events", "constant_columns",
         }
 
     def test_overlapping_intervals_flagged(self, four_row_schema):
@@ -625,27 +624,6 @@ class TestValidate:
         assert check.offenders == want
         assert check.detail == f"{len(want)} non-informative stratum/strata (no events)"
 
-    def test_non_finite_values_flagged(self, four_row_dataset):
-        ds = replace(four_row_dataset,
-                     exit=np.array([20.0, np.nan, 17.0, 21.0]),
-                     covariates=np.array([[1.0], [1.0], [0.0], [np.inf]]))
-        report = dc.validate(ds)
-        assert not report.all_passed
-        check = report["finite_values"]
-        assert not check.passed
-        assert check.offenders == ("2", "4")
-        assert check.detail.endswith("column(s): time, L1")
-
-    def test_interval_ordering_counts_finite_rows(self, four_row_dataset):
-        # A row with a non-finite time is a finite_values offender alone.
-        ds = replace(four_row_dataset,
-                     entry=np.array([20.0, 1.0, np.inf, 30.0]),
-                     exit=np.array([20.0, 19.0, 17.0, 21.0]))
-        report = dc.validate(ds)
-        assert report["finite_values"].offenders == ("3",)
-        assert report["interval_ordering"].offenders == ("1", "4")
-        assert report["interval_ordering"].detail == "2 interval(s) with entry >= exit"
-
     def test_validate_is_pure(self, four_row_dataset):
         before = four_row_dataset.fingerprint()
         dc.validate(four_row_dataset)
@@ -733,6 +711,68 @@ class TestShape:
         with pytest.raises(ValidationError,
                            match=f"^{block} block width does not match schema$"):
             replace(ds, **{field: np.concatenate([column, column[:, :1]], axis=1)})
+
+    def test_a_block_of_one_dimension_is_refused(self):
+        ds = _delayed_entry_cohort()
+        with pytest.raises(ValidationError, match="^covariate block width does not match schema$"):
+            replace(ds, covariates=ds.covariates[:, 0])
+
+
+class TestRowRules:
+    """Rows that no fit can use are refused when the cohort is built."""
+
+    def test_non_finite_values_are_refused(self, four_row_dataset):
+        with pytest.raises(ValidationError, match=r"^2 row\(s\) with a non-finite time, "
+                                                  r"exposure or covariate value$"):
+            replace(four_row_dataset,
+                    exit=np.array([20.0, np.nan, 17.0, 21.0]),
+                    covariates=np.array([[1.0], [1.0], [0.0], [np.inf]]))
+
+    def test_misordered_intervals_are_refused(self, four_row_dataset):
+        rule = r"row\(s\) whose entry time is not before the exit time$"
+        with pytest.raises(ValidationError, match=rf"^2 {rule}"):
+            replace(four_row_dataset, entry=np.array([20.0, 1.0, 2.0, 30.0]),
+                    exit=np.array([20.0, 19.0, 17.0, 21.0]))
+        # A row with a non-finite time breaks the finite rule alone.
+        with pytest.raises(ValidationError, match=r"^1 row\(s\) with a non-finite time"):
+            replace(four_row_dataset, entry=np.array([0.0, 1.0, np.inf, 2.0]))
+
+    @pytest.mark.parametrize("flags", [[0, 1, 2, 1], [0.0, -1.0, 0.0, 1.0],
+                                       [0.0, np.nan, 0.0, 1.0], ["0", "1", "0", "1"]],
+                             ids=["two", "minus-one", "nan", "text"])
+    def test_event_flags_other_than_0_or_1_are_refused(self, flags):
+        with pytest.raises(ValidationError,
+                           match=r"^event indicators must be 0 or 1 \(or False or True\)$"):
+            replace(_delayed_entry_cohort(), event=np.array(flags))
+
+
+class TestNumericColumns:
+    """Times, exposures and covariates are float arrays, ids and strata object arrays."""
+
+    @pytest.mark.parametrize("field", ["entry", "exit", "exposures", "covariates"])
+    def test_a_cell_that_is_not_a_number_is_refused(self, field):
+        ds = _delayed_entry_cohort()
+        column = getattr(ds, field).astype(object)
+        column.flat[1] = "abc"
+        with pytest.raises(ValidationError, match=f"^column block '{field}' holds a value "
+                                                  f"that is not a number$"):
+            replace(ds, **{field: column})
+
+    def test_lists_are_read_as_arrays(self):
+        ds = _delayed_entry_cohort()
+        lists = replace(ds, **{name: getattr(ds, name).tolist() for name in (
+            "subject_ids", "entry", "exit", "event", "exposures", "covariates", "strata")})
+        assert lists == ds
+        assert lists.fingerprint() == ds.fingerprint()
+        for name in ("entry", "exit", "exposures", "covariates"):
+            assert getattr(lists, name).dtype == float
+        assert lists.subject_ids.dtype == lists.strata.dtype == object
+        assert lists.event.dtype == bool
+
+    def test_float_columns_are_not_copied(self):
+        ds = _delayed_entry_cohort()
+        assert np.shares_memory(replace(ds).exposures, ds.exposures)
+
 
 class TestFingerprint:
     def test_stable_across_save_and_load(self, tmp_path):

@@ -323,6 +323,12 @@ class TestDesignCodes:
                                                   rf"of the design \(4 rows\), got shape \(3,\)"):
             dataclasses.replace(self.design(), **{name: short})
 
+    def test_event_flags_other_than_0_or_1_are_refused(self):
+        with pytest.raises(ValidationError, match=r"^event indicators must be 0 or 1"):
+            plain_design([1.0, 2.0], [1.0, 2.0], [0, 2])
+        flags = plain_design([1.0, 2.0], [1.0, 2.0], np.array([0.0, 1.0])).event
+        assert flags.dtype == bool and flags.tolist() == [False, True]
+
     @pytest.mark.parametrize("block_map", [np.eye(2), np.ones((1, 2)), np.ones(1)],
                              ids=["rows", "columns", "vector"])
     def test_a_block_map_of_another_shape_is_refused(self, block_map):
@@ -338,7 +344,7 @@ class TestDesignCodes:
 
 
 class TestRowRules:
-    """Rows the fit cannot use are refused when the design is built."""
+    """Rows the fit cannot use are refused when the cohort is built."""
 
     @pytest.mark.parametrize("field, rows, value, rule", [
         ("exit", [5, 9], np.nan, "2 row(s) with a non-finite time"),
@@ -347,17 +353,13 @@ class TestRowRules:
         ("covariates", [7], np.nan, "1 row(s) with a non-finite time, exposure or covariate"),
     ], ids=["nan-exit", "entry-after-exit", "entry-at-exit", "nan-covariate"])
     def test_bad_rows_are_refused(self, field, rows, value, rule):
-        ds, spec = simulated_cohort(seed=9, n=80)
+        ds, _ = simulated_cohort(seed=9, n=80)
         column = getattr(ds, field).copy()
         column[rows] = value
-        bad = dataclasses.replace(ds, **{field: column})
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # refused before numpy sees the cell
-            for build in (dc.block_design, dc.duplicate_augment):
-                with pytest.raises(ValidationError, match=re.escape(rule)):
-                    build(bad, spec)
-            with pytest.raises(ValidationError, match=re.escape(f"[design] {rule}")):
-                dc.compare_exposures(bad, spec)
+            with pytest.raises(ValidationError, match=re.escape(rule)):
+                dataclasses.replace(ds, **{field: column})
 
 
 class TestDesignProperties:

@@ -495,8 +495,8 @@ class TestCompareExposures:
         for bad in (2.0, -1.0, np.nan):
             event = ds.event.astype(float)
             event[0] = bad
-            with pytest.raises(ValidationError, match=r"^\[fit\] event indicators must be 0 or 1"):
-                dc.compare_exposures(dataclasses.replace(ds, event=event), spec)
+            with pytest.raises(ValidationError, match=r"^event indicators must be 0 or 1"):
+                dataclasses.replace(ds, event=event)
 
     def test_covariate_too_large_for_its_square_is_refused(self):
         # Every cell is finite, so the cohort passes its checks; the

@@ -65,6 +65,11 @@ class TestSimConfig:
                            match="^true_beta needs one entry per exposure, at least two$"):
             config(true_beta=(0.4,))
 
+    @pytest.mark.parametrize("n", [2**63, 10**400], ids=["2**63", "10**400"])
+    def test_n_subjects_past_numpy_sizes_rejected(self, n):
+        with pytest.raises(ConfigError, match=r"^n_subjects must be < 2\*\*63$"):
+            dc.estimate_type1_error(config(n_subjects=n))
+
     def test_numpy_integers_accepted(self):
         cfg = config(n_subjects=np.int64(30), replicate_count=np.int32(2))
         assert len(dc.simulate_cohort(cfg, 0)) == 30
