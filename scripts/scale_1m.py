@@ -6,8 +6,11 @@ continuous exposures.  The script simulates it, writes it with
 ``save_dataset`` to a CSV file in a temporary directory, reads it back with
 ``load_dataset``, and runs ``compare_exposures`` on the simulated and then on
 the loaded cohort.  One JSON line gives each step's wall time and the
-process's peak RSS after it.  The exit code is 1 if the loaded cohort differs
-from the saved one or a fit did not converge.
+process's peak RSS after it, and for each compare the seconds of its engine
+set-up (``_setup_s``) and of its likelihood evaluations (``_evaluate_s``, with
+their count), timed by wrappers that this script alone installs.  The exit
+code is 1 if the loaded cohort differs from the saved one or a fit did not
+converge.
 
     PYTHONPATH=src python scripts/scale_1m.py --n 1000000
 """
@@ -23,11 +26,28 @@ import time
 from pathlib import Path
 
 import dupcox
+from dupcox import cox
 
 
 def peak_rss_mb() -> float:
     """The process's peak resident set size so far (Linux reports KiB)."""
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
+def timed(owner, name: str, totals: dict) -> None:
+    """Wrap ``owner.name`` so that each call adds its wall time and a count
+    to ``totals[name]``."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            totals[name][0] += time.perf_counter() - start
+            totals[name][1] += 1
+
+    setattr(owner, name, wrapper)
 
 
 def main(argv=None) -> int:
@@ -54,8 +74,16 @@ def main(argv=None) -> int:
         step("save", lambda: dupcox.save_dataset(cohort, path))
         line["csv_bytes"] = path.stat().st_size
         loaded = step("load", lambda: dupcox.load_dataset(path, cohort.schema))
-    fits = [step(f"compare_{name}", lambda: dupcox.compare_exposures(data, spec)).fit
-            for name, data in (("simulated", cohort), ("loaded", loaded))]
+    totals = {}
+    timed(cox._Engine, "__init__", totals)
+    timed(cox._Engine, "evaluate", totals)
+    fits = []
+    for name, data in (("simulated", cohort), ("loaded", loaded)):
+        totals.update(__init__=[0.0, 0], evaluate=[0.0, 0])
+        fits.append(step(f"compare_{name}", lambda: dupcox.compare_exposures(data, spec)).fit)
+        line[f"compare_{name}_setup_s"] = round(totals["__init__"][0], 3)
+        line[f"compare_{name}_evaluate_s"] = round(totals["evaluate"][0], 3)
+        line[f"compare_{name}_evaluations"] = totals["evaluate"][1]
     line["same_cohort"] = loaded == cohort
     line["iterations"] = [fit.iterations for fit in fits]
     line["converged"] = all(fit.converged for fit in fits)

@@ -151,6 +151,39 @@ def _grid(groups, n_groups: int):
     return starts, groups * width + 1 + np.arange(len(groups)) - starts[groups], width
 
 
+# Bound on the integer keys made unique for a sort; past it, a stable argsort.
+SORT_KEY_BOUND = np.iinfo(np.int64).max
+
+
+def _stable_order(keys, bound: int) -> np.ndarray:
+    """The stable sorting order of non-negative integer ``keys`` below
+    ``bound``.  Each key made unique by its place in the low bits sorts its
+    place along with it, so one sort of values, faster than an argsort, finds
+    the order.  Keys that would pass ``SORT_KEY_BOUND`` take a stable argsort."""
+    n = len(keys)
+    shift = max(n - 1, 0).bit_length()
+    if bound << shift > SORT_KEY_BOUND:
+        return np.argsort(keys, kind="stable")
+    return np.sort(keys << shift | np.arange(n)) & ((1 << shift) - 1)
+
+
+def _ranks(*times) -> list:
+    """Each value's rank among the distinct values of all ``times`` arrays,
+    as one array of ranks per array.  Each array is sorted on its own,
+    unstably, and the sorted runs are merged by a stable sort, which finds
+    them: faster than one sort of all the values, which slows on a value
+    repeated many times (an entry time of 0, say)."""
+    at = np.cumsum([0] + [len(values) for values in times])
+    merged = np.concatenate([np.argsort(values) + a for values, a in zip(times, at)])
+    values = np.concatenate(times)
+    if len(times) > 1:
+        merged = merged[np.argsort(values[merged], kind="stable")]
+    values = values[merged]
+    ranks = np.empty(len(values), dtype=np.intp)
+    ranks[merged] = np.cumsum(np.concatenate(([False], values[1:] != values[:-1])))
+    return np.split(ranks, at[1:-1])
+
+
 def _offset_codes(code_arrays):
     """A stack's codes, each problem's numbered after the previous problem's;
     each problem's first code, and the number of codes."""
@@ -172,29 +205,39 @@ class _Bucket:
     late risk set is summed from its own few terms, never as the difference
     of two whole-stratum totals.  Empty cells have ``Z = 0`` and weight 0.
 
-    ``rows`` are original row numbers by stratum and decreasing exit, ``s``
-    their stratum in the bucket, ``strata`` the strata's places in label
-    order, ``problem`` their problems, and ``entry`` and ``exit_`` time
-    ranks below ``span``.  ``Z`` holds ``[1 | block]'`` ``(m, q, n + 1)`` for
-    every row, and zeros at row ``n``; arrays keep the rows last, so that
-    every pass runs along them.
+    ``rows`` are original row numbers by stratum, decreasing exit and row,
+    ``s`` their stratum in the bucket, ``strata`` the strata's places in label
+    order, ``problem`` their problems, and ``entry`` and ``exit_`` time ranks
+    below ``span``; ``entry`` is ``None`` where no row enters late.  ``Z``
+    gathers ``[1 | block]'`` from the stack's block columns ``cols`` ``(m,
+    p_b, n)``; arrays keep the rows last, so that every pass runs along them.
     """
 
-    def __init__(self, Z, rows, s, strata, problem, entry, exit_, event, span: int,
+    def __init__(self, cols, rows, s, strata, problem, entry, exit_, event, span: int,
                  efron: bool):
-        m, q, n = Z.shape[0], Z.shape[1], Z.shape[2] - 1
+        m, q, n = cols.shape[0], cols.shape[1] + 1, cols.shape[2]
         self.strata, self.problem, S = strata, problem, len(strata)
         start, cell, L = _grid(s, S)
         self.rows = np.full(S * L, n)                    # empty cells map past the end
         self.rows[cell] = rows
-        self.Z = np.take(Z, self.rows, axis=2).reshape(m, q, S, L)
+        empty = self.rows == n
+        self.Z = np.empty((m, q, S * L))
+        self.Z[:, 0] = 1.0
+        for j in range(m):  # clipped, an empty cell reads the last row until zeroed
+            np.take(cols[j], self.rows, axis=1, out=self.Z[j, 1:], mode="clip")
+        self.Z[..., empty] = 0.0
+        self.Z = self.Z.reshape(m, q, S, L)
         self.X = self.Z[:, 1:].reshape(m, q - 1, S * L)  # a view
-        self.pad = np.where(self.rows == n, -np.inf, 0.0).reshape(S, L)
+        self.pad = np.where(empty, -np.inf, 0.0).reshape(S, L)
 
-        fail = np.flatnonzero(event)[::-1]
-        fail = fail[np.argsort(s[fail], kind="stable")]  # by stratum, increasing exit
-        fs, times = s[fail], exit_[fail]
+        # Events by stratum and increasing exit: each stratum's run of events
+        # in the bucket's order, reversed.
+        fail = np.flatnonzero(event)
+        fs = s[fail]
         self.f_start, self.fail_step, self.E = _grid(fs, S)
+        f_last = np.append(self.f_start[1:], len(fail)) - 1
+        fail = fail[self.f_start[fs] + f_last[fs] - np.arange(len(fail))]
+        times = exit_[fail]
         self.fail = cell[fail]
 
         # Each stratum's own cells and sub-steps.  Large strata take BLAS
@@ -211,32 +254,52 @@ class _Bucket:
         # Each column centred on the midpoint of its range over its stratum's
         # own rows, so its rounding does not grow with its distance from zero
         # and a column constant in the stratum becomes exactly 0; a shift
-        # within a stratum leaves that stratum's likelihood unchanged.  Empty
-        # cells stay 0.
-        mid = (np.maximum.reduceat(self.X, self.segments, axis=2)[..., ::2]
-               + np.minimum.reduceat(self.X, self.segments, axis=2)[..., ::2]) / 2
-        np.subtract(self.Z[:, 1:], mid[..., None], out=self.Z[:, 1:],
-                    where=(self.rows != n).reshape(S, L))
-        self.fail_sum = np.add.reduceat(np.take(self.X, self.fail, axis=2), self.f_start, axis=2)
+        # within a stratum leaves that stratum's likelihood unchanged.  Each
+        # end is halved first, which is exact, so the sum cannot overflow.
+        # Empty cells stay 0.
+        mid = (np.maximum.reduceat(self.X, self.segments, axis=2)[..., ::2] / 2
+               + np.minimum.reduceat(self.X, self.segments, axis=2)[..., ::2] / 2)
+        np.subtract(self.Z[:, 1:], mid[..., None], out=self.Z[:, 1:], where=~empty.reshape(S, L))
+        self.fail_sum = np.add.reduceat(self.take_X(self.fail), self.f_start, axis=2)
 
-        # Per sub-step: rows with exit >= t, and late-entry rows with entry >= t,
-        # counted on (stratum, time rank) keys so that strata never mix.
-        query = fs * span + (span - 1 - times)
-        self.exit_at = fs * L + np.searchsorted(
-            s * span + (span - 1 - exit_), query, side="right") - start[fs]
-        late = np.flatnonzero(entry >= times[self.f_start][s])
-        late = late[np.lexsort((-entry[late], s[late]))]  # by stratum, decreasing entry
-        late_key = s[late] * span + (span - 1 - entry[late])
-        z_start, late_cell, K = _grid(s[late], S)
-        self.late = np.zeros((S, K), dtype=int)
-        self.late.flat[late_cell] = cell[late]
-        self.late_at = fs * K + np.searchsorted(late_key, query, side="right") - z_start[fs]
+        # The bucket's runs of rows tied in stratum and exit.  An event at time
+        # t has the rows up to its run's last at risk (exit >= t); a row's
+        # window ends after its stratum's events from its run's first on
+        # (time <= exit).
+        new = np.empty(len(s), dtype=bool)
+        new[0] = True
+        np.not_equal(exit_[1:], exit_[:-1], out=new[1:])
+        new[1:] |= s[1:] != s[:-1]
+        run = np.cumsum(new) - 1
+        run_first = np.flatnonzero(new)
+        self.exit_at = cell[np.append(run_first[1:], len(s))[run[fail]] - 1]
+        before = np.cumsum(event) - event                 # events before each row
+        self.window_end = np.zeros(S * L, dtype=int)      # empty cells read 0
+        self.window_end[cell] = s * self.E + f_last[s] + 1 - before[run_first[run]]
 
-        # Per row: the sub-steps lo <= k < hi of event times inside (entry, exit].
+        # Late-entry rows, by stratum and decreasing entry, and per sub-step
+        # those with entry >= t, counted on (stratum, time rank) keys so that
+        # strata never mix.  Every other row's window starts at its
+        # stratum's empty cell, so without late rows there is no late grid
+        # and no window has a start.
         fail_key = fs * span + times
-        self.window = np.zeros((2, S * L), dtype=int)
-        self.window[:, cell] = s * self.E - self.f_start[s] + np.searchsorted(
-            fail_key, s * span + np.stack((entry, exit_)), side="right")
+        self.late = self.late_at = self.window_start = None
+        late = (np.flatnonzero(entry >= times[self.f_start][s]) if entry is not None
+                else np.empty(0, dtype=int))
+        if late.size:
+            late_key = s[late] * span + (span - 1 - entry[late])
+            order = _stable_order(late_key, S * span)
+            late, late_key = late[order], late_key[order]
+            z_start, late_cell, K = _grid(s[late], S)
+            self.late = np.zeros((S, K), dtype=int)
+            self.late.flat[late_cell] = cell[late]
+            self.late_at = fs * K + np.searchsorted(
+                late_key, fs * span + (span - 1 - times), side="right") - z_start[fs]
+            self.window_start = np.zeros(S * L, dtype=int)
+            self.window_start[cell] = s * self.E
+            s_late = s[late]
+            self.window_start[cell[late]] = s_late * self.E - self.f_start[s_late] + \
+                np.searchsorted(fail_key, s_late * span + entry[late], side="right")
 
         # Under Efron, sub-step k of d events tied at one time removes J = k/d
         # of the tied rows' own sum.  Only the events at tied times are
@@ -250,6 +313,17 @@ class _Bucket:
         self.tied_starts, self.tied_group = np.flatnonzero(new), np.cumsum(new) - 1
         self.J = (self.tied - g_start[group]) / d[self.tied]
 
+    def take_X(self, cells) -> np.ndarray:
+        """``X`` at ``cells``, ``(m, q - 1, len(cells))``, gathered block by
+        block from ``Z``'s contiguous rows: ``np.take`` would first copy the
+        strided ``X``.  (Every cell is in range; ``clip`` only spares
+        ``np.take`` a buffer for ``out``.)"""
+        m, q, _, _ = self.Z.shape
+        out = np.empty((m, q - 1, len(cells)))
+        for j in range(m):
+            np.take(self.Z[j, 1:].reshape(q - 1, -1), cells, axis=1, out=out[j], mode="clip")
+        return out
+
     def at_risk_sums(self, per_step):
         """Sums of ``per_step`` ``(m, q, events)`` over each row's at-risk
         sub-steps, ``(m, q, S * L)``; at a tied event's own time, sub-step
@@ -258,8 +332,9 @@ class _Bucket:
         grid = np.zeros((m, q, len(self.strata), self.E))
         grid.reshape(m, q, -1)[..., self.fail_step] = per_step
         total = _running(grid)
-        sums = np.take(total, self.window[1], axis=2)
-        sums -= np.take(total, self.window[0], axis=2)
+        sums = np.take(total, self.window_end, axis=2)
+        if self.window_start is not None:
+            sums -= np.take(total, self.window_start, axis=2)
         if self.tied.size:
             own = np.add.reduceat(self.J * np.take(per_step, self.tied, axis=2),
                                   self.tied_starts, axis=2)
@@ -287,8 +362,7 @@ class _Engine:
     def __init__(self, designs, tie_method: str):
         self.T, self.R = designs[0].block_map, len(designs)
         self.m, _, self.p_b = designs[0].blocks.shape
-        sizes = [len(d) for d in designs]
-        self.n = sum(sizes)
+        self.n = sum(len(d) for d in designs)
         codes, code_start, n_codes = _offset_codes([d.stratum_codes for d in designs])
         self.cluster_codes, self.cluster_start, self.n_clusters = _offset_codes(
             [d.cluster_codes for d in designs])
@@ -316,25 +390,29 @@ class _Engine:
         s[kept[by_size]] = np.arange(len(kept))
         s = s[codes]                 # each row's stratum by size; -1 without events
         # Time ranks below span, so that (stratum, time) pairs are integer keys.
-        entry, exit_ = np.unique(np.concatenate([d.entry for d in designs]
-                                                + [d.exit for d in designs]),
-                                 return_inverse=True)[1].reshape(2, -1)
+        # Entries before every event time put no row in a late risk set, and
+        # only the exits are ranked.
+        entry = np.concatenate([d.entry for d in designs])
+        exit_ = np.concatenate([d.exit for d in designs])
+        if entry.max() < exit_[event].min():
+            entry, (exit_,) = None, _ranks(exit_)
+        else:
+            entry, exit_ = _ranks(entry, exit_)
         span = 2 * self.n
-        Z = np.zeros((self.m, 1 + self.p_b, self.n + 1))
-        Z[:, 0, :-1] = 1.0
-        for d, at in zip(designs, np.cumsum([0] + sizes)):
-            Z[:, 1:, at:at + len(d)] = d.blocks.transpose(0, 2, 1)
+        cols = np.asarray(designs[0].blocks.transpose(0, 2, 1) if self.R == 1 else
+                          np.concatenate([d.blocks.transpose(0, 2, 1) for d in designs],
+                                         axis=2), dtype=float)
         rows = np.flatnonzero(s >= 0)
-        rows = rows[np.argsort(s[rows] * span + (span - 1 - exit_[rows]), kind="stable")]
+        rows = rows[_stable_order(s[rows] * span + (span - 1 - exit_[rows]), len(kept) * span)]
         size = np.sort(size[kept])
         ends = np.cumsum(size)
         self.buckets, a = [], 0
         while a < len(kept):
             z = int(np.searchsorted(size, 2 * size[a], side="right"))
             r = rows[ends[a] - size[a]:ends[z - 1]]
-            self.buckets.append(_Bucket(Z, r, s[r] - a, by_size[a:z], problem[by_size[a:z]],
-                                        entry[r], exit_[r], event[r], span,
-                                        tie_method == "efron"))
+            self.buckets.append(_Bucket(cols, r, s[r] - a, by_size[a:z], problem[by_size[a:z]],
+                                        None if entry is None else entry[r], exit_[r], event[r],
+                                        span, tie_method == "efron"))
             a = z
 
     def evaluate(self, theta) -> _Evaluation:
@@ -376,7 +454,7 @@ class _Engine:
         w = np.exp(lp, out=lp).reshape(m, -1)
         wZ = w[:, None] * bk.Z.reshape(m, q, -1)
         # Late and tied rows' terms are read before the running total overwrites wZ.
-        late = np.take(wZ, bk.late, axis=2) if bk.late.shape[1] > 1 else None
+        late = np.take(wZ, bk.late, axis=2) if bk.late is not None else None
         if bk.tied.size:
             tied = np.add.reduceat(np.take(wZ, bk.tied_rows, axis=2), bk.tied_starts, axis=2)
         S_fl = np.take(_running(wZ.reshape(bk.Z.shape)), bk.exit_at, axis=2)
@@ -421,9 +499,10 @@ class _Engine:
             # delta (X - mbar) - w (a X - window sum of xbar / S0), where mbar
             # is xbar averaged over the sub-steps of each tied time.
             resid = bk.at_risk_sums(xbar * lam_fl[:, None])
-            resid -= bk.X * a[:, None]
+            for i in range(self.p_b):  # a column at a time: no full-size temporary
+                resid[:, i] -= bk.X[:, i] * a
             resid *= w[:, None]
-            delta = np.take(bk.X, bk.fail, axis=2)
+            delta = bk.take_X(bk.fail)
             delta -= xbar
             if bk.tied.size:
                 d = np.diff(bk.tied_starts, append=bk.tied.size)  # events per time
@@ -579,13 +658,14 @@ def fit_stack(designs, options: FitOptions | None = None, robust: bool = True) -
     stack; a problem that has stopped is evaluated at its last iterate.
     """
     options = options or FitOptions()
-    engine = _Engine(designs, options.tie_method)
-    R, p = engine.R, designs[0].n_columns
+    R, p = len(designs), designs[0].n_columns
 
     beta = np.zeros((R, p))
     # A column too large for its square overflows the information, which the
-    # first inverse then refuses.
+    # first inverse then refuses; its sums over events in the set-up overflow
+    # alike.
     with np.errstate(over="ignore", invalid="ignore"):
+        engine = _Engine(designs, options.tie_method)
         ev = engine.evaluate(beta)
     aliased = _aliased_columns(ev.info)
     ll, score_, info = ev.ll.copy(), ev.score.copy(), ev.info.copy()

@@ -181,18 +181,30 @@ class Dataset:
         h = hashlib.sha256()
         h.update(json.dumps([asdict(self.schema), len(self)], sort_keys=True).encode("utf-8"))
         for block in (self.entry, self.exit, self.exposures, self.covariates):
-            h.update(np.ascontiguousarray(block, dtype="<f8").tobytes())
-        h.update(np.asarray(self.event, dtype=np.uint8).tobytes())
+            h.update(np.ascontiguousarray(block, dtype="<f8"))
+        h.update(np.ascontiguousarray(self.event, dtype=np.uint8))
         for labels in (self.subject_ids, self.strata.ravel()):
-            strs = list(map(str, labels))
-            text = "".join(strs)
-            data = text.encode()
-            # One byte per character: every label is ASCII, its length its byte count.
-            lengths = (map(len, strs) if len(data) == len(text)
-                       else (len(s.encode()) for s in strs))
-            h.update(np.fromiter(lengths, dtype="<u8", count=len(strs)).tobytes())
+            lengths, data = _label_bytes(labels.tolist())
+            h.update(lengths)
             h.update(data)
         return h.hexdigest()
+
+
+def _label_bytes(labels: list):
+    """``str()`` of each label in UTF-8: the byte lengths as ``<u8``, and the
+    bytes of all of them in order."""
+    # str() of a str is itself, so only other labels are converted.  One join
+    # then encodes all of them, and unless a label holds a "\n" of its own,
+    # the separators mark where each one ends.
+    if not set(map(type, labels)) <= {str}:
+        labels = list(map(str, labels))
+    data = "\n".join(labels).encode()
+    ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+    if len(ends) == len(labels) - 1:
+        lengths = np.diff(ends, prepend=-1, append=len(data)) - 1
+        return lengths.astype("<u8"), data.replace(b"\n", b"")
+    encoded = [label.encode() for label in labels]
+    return np.fromiter(map(len, encoded), dtype="<u8", count=len(encoded)), b"".join(encoded)
 
 
 def join_labels(columns) -> np.ndarray:

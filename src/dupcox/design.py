@@ -189,14 +189,19 @@ def categorize_quantiles(values, k: int, name: str = "exposure"):
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValidationError(f"{name}: cannot categorize an empty value sequence")
-    n_distinct = len(np.unique(values))
-    if n_distinct < k:
-        raise ValidationError(
-            f"{name}: only {n_distinct} distinct value(s), cannot form {k} quantile categories"
-        )
     cuts = np.quantile(values, np.arange(1, k) / k, method="inverted_cdf")
-    categories = 1 + np.searchsorted(cuts, values, side="left").astype(int)
-    if len(np.unique(cuts)) < len(cuts):
+    tied = len(np.unique(cuts)) < len(cuts)
+    # The cuts are values: k - 1 distinct ones and a value above the last
+    # make k distinct values, without counting them.
+    if tied or not values.max() > cuts[-1]:
+        n_distinct = len(np.unique(values))
+        if n_distinct < k:
+            raise ValidationError(f"{name}: only {n_distinct} distinct value(s), "
+                                  f"cannot form {k} quantile categories")
+    categories = np.ones(len(values), dtype=int)
+    for cut in cuts:  # 1 + the number of cuts below each value
+        categories += values > cut
+    if tied:
         sizes = np.bincount(categories, minlength=k + 1)[1:]
         warnings.warn(
             f"{name}: tied quantile cut points produce unbalanced bins "
@@ -220,13 +225,17 @@ def dummy_code(categories, reference: int, k: int):
     if not 1 <= reference <= k:
         raise ConfigError(f"reference level {reference} outside 1..{k}")
     categories = np.asarray(categories, dtype=int)
-    unseen = np.setdiff1d(np.unique(categories), np.arange(1, k + 1))
-    if unseen.size:
-        raise ValidationError(f"category label(s) {unseen.tolist()} outside 1..{k}")
+    outside = (categories < 1) | (categories > k)
+    if outside.any():
+        raise ValidationError(f"category label(s) {np.unique(categories[outside]).tolist()} "
+                              f"outside 1..{k}")
     levels = [c for c in range(1, k + 1) if c != reference]
-    matrix = np.column_stack([(categories == c).astype(float) for c in levels])
+    # Filled column by column, each contiguous; the matrix is their transpose.
+    columns = np.empty((len(levels), len(categories)))
+    for column, c in zip(columns, levels):
+        np.equal(categories, c, out=column)
     names = tuple(f"Exposures{c}" for c in levels)
-    return matrix, names
+    return columns.T, names
 
 
 def trend_scores(categories, raw_values, k: int) -> np.ndarray:
@@ -413,8 +422,14 @@ def block_design(dataset: Dataset, spec: ExposureSpec) -> DesignMatrix:
             block_map[j, k, index[name]] = 1.0
             if j:
                 block_map[j, k, index[f"{name}:A_type{j + 1}"]] = 1.0
+    # Each block filled once, column by column; blocks[j] is its transpose.
+    n_terms = len(term_names)
+    columns = np.empty((spec.n_compared, len(base), len(dataset)))
+    columns[:, n_terms:] = dataset.covariates.T
+    for block, term in zip(columns, terms):
+        block[:n_terms] = term.T
     return DesignMatrix(
-        blocks=np.stack([np.column_stack([t, dataset.covariates]) for t in terms]),
+        blocks=columns.transpose(0, 2, 1),
         block_map=block_map.reshape(-1, len(column_names)),
         column_names=column_names,
         exposure_main_columns=tuple(term_names),

@@ -175,14 +175,23 @@ def _quantile(confidence: float) -> float:
     return _STANDARD_NORMAL.inv_cdf((1.0 + confidence) / 2.0)
 
 
+def _exp(x: float) -> float:
+    """``exp(x)``, or ``inf`` where it is beyond float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _interval(est: float, var: float, scale: float, z: float):
     """Standard error of ``est`` and its hazard ratio with the symmetric Wald
-    interval of normal quantile ``z``."""
+    interval of normal quantile ``z``; a ratio or bound beyond float range
+    is ``inf``."""
     se = math.sqrt(max(var, 0.0))
     return se, HazardRatio(
-        value=math.exp(scale * est),
-        ci_lower=math.exp(scale * (est - z * se)),
-        ci_upper=math.exp(scale * (est + z * se)),
+        value=_exp(scale * est),
+        ci_lower=_exp(scale * (est - z * se)),
+        ci_upper=_exp(scale * (est + z * se)),
     )
 
 

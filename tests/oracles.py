@@ -480,6 +480,49 @@ def fingerprint_by_labels(dataset):
     return h.hexdigest()
 
 
+def bucket_layout(design, strata, L, E, K):
+    """One engine bucket's risk-set index of ``design`` by its definitions,
+    one stratum and row at a time, comparing times as floats.
+
+    ``strata`` are the bucket's stratum codes in its order and ``L``, ``E``
+    and ``K`` the widths of its grids of rows, of sub-steps and of late rows;
+    each grid row leads with an empty cell.  A stratum's rows run by
+    decreasing exit, then by row; its events by increasing exit, then by
+    decreasing row; its late rows (entry at or after its first event time)
+    by decreasing entry, then in the order of its rows.  Returns the row in
+    each cell (``n`` in an empty one), the events' cells, per event the cell
+    of the last row with exit >= t and the late-grid cell of the last late
+    row with entry >= t, and per cell its window of sub-steps with entry < t
+    <= exit.
+    """
+    n = len(design)
+    entry, exit_, event = design.entry, design.exit, design.event
+    rows = np.full((len(strata), L), n)
+    late = np.zeros((len(strata), K), dtype=int)
+    window = np.zeros((2, len(strata), L), dtype=int)
+    fail, exit_at, late_at = [], [], []
+    for k, code in enumerate(strata):
+        own = np.flatnonzero(design.stratum_codes == code)
+        own = own[np.lexsort((own, -exit_[own]))]
+        rows[k, 1:len(own) + 1] = own
+        cell = {row: k * L + 1 + i for i, row in enumerate(own)}
+        events = own[event[own]]
+        events = events[np.lexsort((-events, exit_[events]))]
+        times = exit_[events]
+        fail += [cell[row] for row in events]
+        exit_at += [k * L + int((exit_[own] >= t).sum()) for t in times]
+        late_rows = sorted((row for row in own if entry[row] >= times[0]),
+                           key=lambda row: (-entry[row], cell[row]))
+        late[k, 1:len(late_rows) + 1] = [cell[row] for row in late_rows]
+        late_at += [k * K + sum(entry[row] >= t for row in late_rows) for t in times]
+        for i, row in enumerate(own):
+            window[:, k, 1 + i] = (k * E + int((times <= entry[row]).sum()),
+                                   k * E + int((times <= exit_[row]).sum()))
+    return dict(rows=rows.ravel(), fail=np.array(fail), exit_at=np.array(exit_at),
+                window_start=window[0].ravel(), window_end=window[1].ravel(), late=late,
+                late_at=np.array(late_at))
+
+
 def strata_without_events(keys, event):
     """Stratum labels with no event, in first-seen order, one label at a time."""
     silent = []

@@ -264,6 +264,43 @@ class TestCompareCommand:
         assert not (tmp_path / "report.json").exists()
 
 
+    def test_hazard_ratio_beyond_float_range_reads_na(self, tmp_path, capsys):
+        # The demo cohort's exposures in units of 1e-4: e to the coefficient
+        # is past float range, so the table reads NA and the JSON null.
+        demo = Path(__file__).resolve().parents[1] / "demos" / "data" / "synthetic_cohort.csv"
+        fine = edited_csv(demo, tmp_path / "fine.csv", lambda row: {
+            **row, "A1": repr(float(row["A1"]) * 1e-4), "A2": repr(float(row["A2"]) * 1e-4)})
+        doc = compare_config(fine, tmp_path)
+        doc["format"] = "human"
+        assert main(["compare", "--config", str(write_config(tmp_path, doc))]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in table if line.startswith("A")] == [
+            ["A1", "NA"], ["A2", "NA"]]
+        doc["format"] = "machine"
+        assert main(["compare", "--config", str(write_config(tmp_path, doc))]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())["report"]
+        assert report["difference_test"]["p_value"] < 0.05
+        for exposure in report["exposures"]:
+            assert [term["hazard_ratio"] for term in exposure["terms"]] == [None]
+
+    def test_constant_covariate_is_reported_aliased(self, tmp_path, capsys):
+        # A covariate constant over the cohort is aliased, as main term and
+        # interaction, and the compare still reports a difference test.  Each
+        # column is centred on its stratum's midpoint, so such a column is
+        # exactly 0; centred on its mean, 250.19 left rounding noise that the
+        # fit refused as not positive definite.
+        lines = ["id,time,event,A1,A2,L1,g"] + [
+            f"{i},{i},{i % 2},{i % 3},{i * 7 % 11},250.19,{i % 4 // 2}" for i in range(1, 41)]
+        path = tmp_path / "constant.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        doc = compare_config(path, tmp_path)
+        doc["schema"]["strata"] = ["g"]
+        assert main(["compare", "--config", str(write_config(tmp_path, doc))]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())["report"]
+        assert report["fit"]["aliased"] == ["L1", "L1:A_type2"]
+        assert report["difference_test"] is not None
+
+
 class TestFitCommand:
     def test_fit_prints_coefficient_table(self, tmp_path, cohort_csv, capsys):
         doc = compare_config(cohort_csv, tmp_path)

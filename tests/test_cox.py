@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 import dupcox as dc
+from dupcox import cox
 from dupcox.cox import _inverses, _symmetric_inverse
 from dupcox.errors import ConfigError, EstimationError, SingularMatrixError
 from conftest import simulated_cohort
 from oracles import (
     brute_force_loglik,
     brute_force_score_residuals,
+    bucket_layout,
     central_difference_gradient,
     central_difference_jacobian,
     golden_section_max,
@@ -543,6 +545,24 @@ class TestConstantCovariateIsAliased:
         self.check(lambda ds: [np.where(ds.stratum_codes == 0, c, 0.5 - c)
                                for c in self.CONSTANTS])
 
+    def test_constant_near_float_max_is_aliased_without_a_warning(self):
+        # The midpoint halves each end before adding them, so (max + min)
+        # cannot overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.check(lambda ds: [np.full(len(ds), 1.5e308), np.full(len(ds), -1.5e308)])
+
+    def test_values_near_float_max_are_refused_without_a_warning(self):
+        # Centred, the column is finite, but its sum over events and its
+        # square overflow: the fit refuses the information as not finite.
+        dataset, spec = simulated_cohort(seed=0, n=300)
+        L1 = np.where(dataset.covariates[:, 0] > 0, 1.5e308, -1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError, match=r"^\[fit\] information matrix is "
+                                                          r"not positive definite .*not finite"):
+                dc.compare_exposures(replace(dataset, covariates=L1[:, None]), spec)
+
 
 def many_strata_cohort(seed, n_small=2000, n_big=1500):
     """Thousands of strata of 1-3 rows, some without events, then one stratum
@@ -567,6 +587,73 @@ def many_strata_cohort(seed, n_small=2000, n_big=1500):
     cluster = [f"c{i}" for i in range(size.sum())] + [f"s{i // 3}" for i in range(3 * n_big)]
     X = rng.standard_normal((len(exit_), 3))
     return dict(X=X, exit_=exit_, event=event, entry=entry, strata=strata, cluster=cluster)
+
+
+class TestRiskSetIndex:
+    """The engine orders rows by sorting integer keys made unique, and finds
+    its windows by linear passes; each bucket equals its definition."""
+
+    @staticmethod
+    def check(design):
+        engine = cox._Engine([design], "efron")
+        kept = np.flatnonzero(np.bincount(design.stratum_codes, weights=design.event))
+        for bk in engine.buckets:
+            (S, L), K = bk.pad.shape, 1 if bk.late is None else bk.late.shape[1]
+            want = bucket_layout(design, kept[bk.strata], L, bk.E, K)
+            for name in ("rows", "fail", "exit_at", "window_end"):
+                np.testing.assert_array_equal(getattr(bk, name), want[name], err_msg=name)
+            if bk.late is None:  # no late rows: every window starts at its stratum's empty cell
+                assert not want["late"].any()
+                empty = np.where(bk.rows < len(design), np.arange(S * L) // L * bk.E, 0)
+                np.testing.assert_array_equal(want["window_start"], empty)
+            else:
+                for name in ("late", "late_at", "window_start"):
+                    np.testing.assert_array_equal(getattr(bk, name), want[name], err_msg=name)
+        return engine
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_delayed_entry_ties_and_many_strata(self, seed):
+        self.check(plain_design(**many_strata_cohort(seed, n_small=300, n_big=200)))
+
+    def test_without_delayed_entry(self):
+        cohort = many_strata_cohort(5, n_small=300, n_big=200)
+        self.check(plain_design(**{**cohort, "entry": np.zeros(len(cohort["exit_"]))}))
+
+    def test_stable_sort_when_keys_would_overflow(self, monkeypatch):
+        design = plain_design(**many_strata_cohort(6, n_small=300, n_big=200))
+        beta = np.array([0.3, -0.2, 0.1])
+        unique = self.check(design).evaluate(beta[None])
+        monkeypatch.setattr(cox, "SORT_KEY_BOUND", 1)
+        stable = self.check(design).evaluate(beta[None])
+        for got, want in zip(stable[:3], unique[:3]):
+            np.testing.assert_array_equal(got, want)
+
+    def test_integer_blocks_read_as_floats(self):
+        floats = plain_design(**many_strata_cohort(7, n_small=50, n_big=20))
+        integers = replace(floats, blocks=np.round(floats.blocks * 10).astype(int))
+        beta = np.array([0.03, -0.02, 0.01])
+        as_floats = replace(floats, blocks=integers.blocks * 1.0)
+        np.testing.assert_array_equal(dc.score(integers, beta), dc.score(as_floats, beta))
+
+    def test_ranks_are_those_of_the_distinct_values(self):
+        rng = np.random.default_rng(1)
+        entry = np.concatenate([np.zeros(300), -np.zeros(50), rng.integers(0, 40, 200) / 4])
+        exit_ = np.concatenate([rng.integers(1, 60, 400) / 4, [0.0, -0.0],
+                                rng.exponential(size=98)])
+        want = np.unique(np.concatenate([entry, exit_]), return_inverse=True)[1]
+        for got, expected in zip(cox._ranks(entry, exit_), np.split(want, [len(entry)])):
+            np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(cox._ranks(exit_)[0],
+                                      np.unique(exit_, return_inverse=True)[1])
+
+    @pytest.mark.parametrize("bound", [None, 1])
+    def test_stable_order_is_a_stable_argsort(self, monkeypatch, bound):
+        if bound is not None:
+            monkeypatch.setattr(cox, "SORT_KEY_BOUND", bound)
+        keys = np.random.default_rng(0).integers(0, 50, size=5000)
+        np.testing.assert_array_equal(cox._stable_order(keys, 50),
+                                      np.argsort(keys, kind="stable"))
+        assert cox._stable_order(keys[:0], 50).size == 0
 
 
 class TestSinglePassOverStrata:

@@ -630,6 +630,14 @@ class TestValidate:
         assert four_row_dataset.fingerprint() == before
 
 
+class _Tagged(str):
+    """A label whose ``str()`` is not its characters: the fingerprint hashes
+    ``str()`` of each label, so it must not join the characters."""
+
+    def __str__(self):
+        return "tag:" + super().__str__()
+
+
 def _delayed_entry_cohort():
     """Three subjects, one with two intervals, delayed entry, two strata columns."""
     schema = dc.Schema(id_column="id", entry_column="t0", exit_column="t1",
@@ -802,11 +810,25 @@ class TestFingerprint:
         (["é", "é", "日本", "ü"], [["é", "日本"], ["é", "日本"], ["ß", "日"], ["é", "ø"]]),
         (["u1", "u1", "日本", "u3"], [["f", "north"], ["f", "north"], ["m", "south"], ["f", "é"]]),
         ([1, 1, 2, 30], [["f", "north"], ["f", "north"], ["m", "south"], ["f", "x"]]),
-    ], ids=["ascii", "non-ascii", "mixed", "integer-ids"])
+        ([np.str_("u1"), np.str_("u1"), np.str_("ü"), np.str_("u3")],
+         [[np.str_("f"), "n"], [np.str_("f"), "n"], ["m", "s"], ["f", "s"]]),
+        (["a\nb", "a\nb", "\n", "c"], [["f", "\n"], ["f", "\n"], ["m\n", "s"], ["f", "s"]]),
+        (["", "", "x", ""], [["", ""], ["", ""], ["m", ""], ["", "s"]]),
+        ([_Tagged("u1"), _Tagged("u1"), "u2", "u3"], [[_Tagged("f"), "n"], [_Tagged("f"), "n"],
+                                                     ["m", "s"], ["f", "s"]]),
+    ], ids=["ascii", "non-ascii", "mixed", "integer-ids", "numpy-str", "newlines", "empty",
+            "str-subclass"])
     def test_equals_per_label_reference(self, ids, strata):
         ds = replace(_delayed_entry_cohort(), subject_ids=np.array(ids, dtype=object),
                      strata=np.array(strata, dtype=object))
         assert ds.fingerprint() == fingerprint_by_labels(ds)
+
+    def test_empty_cohort_equals_per_label_reference(self):
+        ds = _delayed_entry_cohort()
+        empty = replace(ds, **{name: getattr(ds, name)[:0] for name in (
+            "subject_ids", "entry", "exit", "event", "exposures", "covariates", "strata")})
+        assert len(empty) == 0
+        assert empty.fingerprint() == fingerprint_by_labels(empty)
 
     def test_label_boundaries_are_hashed(self):
         ds = _delayed_entry_cohort()

@@ -332,6 +332,30 @@ class TestHazardRatio:
         report = dc.compare_exposures(ds, spec, scale=2.5)
         assert all(t.scale == 1.0 for e in report.exposures for t in e.terms)
 
+    def test_ratio_beyond_float_range_is_inf(self):
+        fit = fake_fit(["a", "b"], [800.0, -800.0], np.eye(2))
+        high, low = dc.hazard_ratio(fit, "a"), dc.hazard_ratio(fit, "b")
+        assert high.value == high.ci_lower == high.ci_upper == math.inf
+        assert low.value == low.ci_lower == low.ci_upper == 0.0
+
+    def test_exposures_in_fine_units_report_inf_ratios(self):
+        # Exposures written in units of 1e-4 take coefficients in the
+        # thousands, whose hazard ratios are past float range: inf, null in
+        # the report's JSON and NA in its table.  The Wald test does not move.
+        ds, spec = simulated_cohort(seed=1, n=5000)
+        fine = dc.compare_exposures(dataclasses.replace(ds, exposures=ds.exposures * 1e-4), spec)
+        plain = dc.compare_exposures(ds, spec)
+        assert fine.difference_test.statistic == pytest.approx(
+            plain.difference_test.statistic, rel=1e-12)
+        for summary in fine.exposures:
+            (term,) = summary.terms
+            assert term.hazard_ratio == term.ci_lower == term.ci_upper == math.inf
+        for summary in fine.to_dict()["exposures"]:
+            (term,) = summary["terms"]
+            assert term["hazard_ratio"] is term["ci_lower"] is term["ci_upper"] is None
+        rows = dc.render_table(fine).splitlines()
+        assert [row.split()[1] for row in rows[1:3]] == ["NA", "NA"]
+
     def test_interval_brackets_the_point(self):
         ds, spec = simulated_cohort(seed=31, n=200)
         report = dc.compare_exposures(ds, spec)
