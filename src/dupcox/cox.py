@@ -40,7 +40,14 @@ order, one at a time.
 Score residuals stay in block coordinates: the sandwich sums them by cluster
 there and maps only its small middle matrix through ``T``.  Mapping each row
 through ``T`` would be a product over all rows, which OpenBLAS splits across
-its threads, and the woken worker then spins: CPU time for no speed.
+its threads, and the woken worker then spins: CPU time for no speed.  They
+are streamed one column of one block at a time: each bucket forms its
+residuals in its cells, one index gathers the buckets' cells into row
+order, and the row is summed by cluster at once.  So the sandwich holds one
+row of residuals, never all ``m * p_b`` of them, and every sum keeps the
+order it would have in a whole matrix: elementwise terms per cell, running
+totals per grid row, ``reduceat`` per segment and ``bincount`` in row
+order.
 """
 
 from __future__ import annotations
@@ -138,8 +145,8 @@ class CoxFit:
 
 
 def _running(grid: np.ndarray) -> np.ndarray:
-    """Running totals in place along an ``(m, q, S, W)`` grid's rows, flattened."""
-    return np.cumsum(grid, axis=3, out=grid).reshape(grid.shape[0], grid.shape[1], -1)
+    """Running totals in place along a ``(..., S, W)`` grid's rows, flattened."""
+    return np.cumsum(grid, axis=-1, out=grid).reshape(grid.shape[:-2] + (-1,))
 
 
 def _grid(groups, n_groups: int):
@@ -311,6 +318,7 @@ class _Bucket:
         self.tied_rows, group = self.fail[self.tied], group[self.tied]
         new = np.diff(group, prepend=-1) != 0
         self.tied_starts, self.tied_group = np.flatnonzero(new), np.cumsum(new) - 1
+        self.tied_sizes = d[self.tied][self.tied_starts]      # events per tied time
         self.J = (self.tied - g_start[group]) / d[self.tied]
 
     def take_X(self, cells) -> np.ndarray:
@@ -325,21 +333,46 @@ class _Bucket:
         return out
 
     def at_risk_sums(self, per_step):
-        """Sums of ``per_step`` ``(m, q, events)`` over each row's at-risk
-        sub-steps, ``(m, q, S * L)``; at a tied event's own time, sub-step
-        ``k`` counts with weight ``1 - J_k``."""
-        m, q, _ = per_step.shape
-        grid = np.zeros((m, q, len(self.strata), self.E))
-        grid.reshape(m, q, -1)[..., self.fail_step] = per_step
+        """Sums of each block's ``per_step`` ``(m, events)`` over each row's
+        at-risk sub-steps, ``(m, S * L)``; at a tied event's own time,
+        sub-step ``k`` counts with weight ``1 - J_k``.  Cells are assigned
+        block by block: a 1-D fancy assignment is several times faster than
+        one over two axes."""
+        grid = np.zeros((len(per_step), len(self.strata), self.E))
+        for cells, values in zip(grid.reshape(len(per_step), -1), per_step):
+            cells[self.fail_step] = values
         total = _running(grid)
-        sums = np.take(total, self.window_end, axis=2)
+        sums = np.take(total, self.window_end, axis=1)
         if self.window_start is not None:
-            sums -= np.take(total, self.window_start, axis=2)
+            sums -= np.take(total, self.window_start, axis=1)
         if self.tied.size:
-            own = np.add.reduceat(self.J * np.take(per_step, self.tied, axis=2),
-                                  self.tied_starts, axis=2)
-            sums[..., self.tied_rows] -= np.take(own, self.tied_group, axis=2)
+            own = np.add.reduceat(self.J * np.take(per_step, self.tied, axis=1),
+                                  self.tied_starts, axis=1)
+            own = np.take(own, self.tied_group, axis=1)
+            for cells, values in zip(sums, own):
+                cells[self.tied_rows] -= values
         return sums
+
+    def residuals(self, j: int, i: int, part, out) -> None:
+        """Column ``i`` of block ``j``: its score residuals at the point of
+        ``part``, written to ``out`` ``(S * L,)``: ``delta (X - mbar) - w (a
+        X - window sum of xbar / S0)``, where ``mbar`` is ``xbar`` averaged
+        over the sub-steps of each tied time.  Every array is one block's
+        contiguous row, so no gather copies its source first, and the at-risk
+        sums are fresh arrays, never ``a``'s storage."""
+        w, a, xbar, lam_fl = part
+        x, xbar = self.X[j, i], xbar[j, i]
+        resid = self.at_risk_sums((xbar * lam_fl[j])[None])[0]
+        resid -= x * a[j]
+        np.multiply(resid, w[j], out=out)
+        delta = np.take(x, self.fail)
+        delta -= xbar
+        if self.tied.size:
+            tied = np.take(xbar, self.tied)
+            means = np.add.reduceat(tied, self.tied_starts) / self.tied_sizes
+            delta[self.tied] += tied - np.take(means, self.tied_group)
+        delta += np.take(out, self.fail)
+        out[self.fail] = delta
 
 
 # Each problem's log-likelihood, score and information at one point, and what
@@ -469,7 +502,7 @@ class _Engine:
         ll = (lp_fail - np.add.reduceat(np.log(S0_fl), bk.f_start, axis=1)).sum(axis=0)
         score = bk.fail_sum - np.add.reduceat(xbar, bk.f_start, axis=2)
         lam_fl = 1.0 / S0_fl
-        a = bk.at_risk_sums(lam_fl[:, None])[:, 0]
+        a = bk.at_risk_sums(lam_fl)
         # wZ's space, free again, takes w a Z.
         Xwa = np.multiply(bk.Z.reshape(wZ.shape), (w * a)[:, None], out=wZ)[:, 1:]
         # Each stratum's information from its own rows and events alone.
@@ -490,28 +523,40 @@ class _Engine:
                        - xbar[..., steps] @ xbar[..., steps].transpose(0, 2, 1))
         return ll, score.transpose(2, 0, 1), info, (w, a, xbar, lam_fl)
 
-    def residuals(self, ev: _Evaluation) -> np.ndarray:
+    def residual_rows(self, ev: _Evaluation):
         """Per-row score residuals at ``ev``'s points in block coordinates,
-        ``(m * p_b, n)`` with contiguous rows; mapped by ``T``, a problem's
-        rows sum to its score."""
-        out = np.zeros((self.m, self.p_b, self.n + 1))
-        for bk, (w, a, xbar, lam_fl) in zip(self.buckets, ev.parts):
-            # delta (X - mbar) - w (a X - window sum of xbar / S0), where mbar
-            # is xbar averaged over the sub-steps of each tied time.
-            resid = bk.at_risk_sums(xbar * lam_fl[:, None])
-            for i in range(self.p_b):  # a column at a time: no full-size temporary
-                resid[:, i] -= bk.X[:, i] * a
-            resid *= w[:, None]
-            delta = bk.take_X(bk.fail)
-            delta -= xbar
-            if bk.tied.size:
-                d = np.diff(bk.tied_starts, append=bk.tied.size)  # events per time
-                means = np.add.reduceat(np.take(xbar, bk.tied, axis=2), bk.tied_starts, axis=2) / d
-                delta[..., bk.tied] += np.take(xbar, bk.tied, axis=2) \
-                    - np.take(means, bk.tied_group, axis=2)
-            resid[..., bk.fail] += delta
-            out[:, :, bk.rows] = resid
-        return out.reshape(-1, self.n + 1)[:, :-1]
+        one ``(n,)`` row at a time, block by block and column by column:
+        stacked, ``(m * p_b, n)``; mapped by ``T``, a problem's rows sum to
+        its score.  Each bucket writes its cells into one array of
+        concatenated cells, which one index gathers into row order; a row of
+        a stratum without events reads the zero cell after them.  The index
+        is built here, not at set-up, so that it is not held through the
+        evaluations."""
+        cell_start = np.cumsum([0] + [bk.rows.size for bk in self.buckets])
+        cell_of_row = np.full(self.n + 1, cell_start[-1])  # empty cells write past the end
+        for bk, at in zip(self.buckets, cell_start):
+            cell_of_row[bk.rows] = np.arange(at, at + bk.rows.size)
+        cell_of_row = cell_of_row[:-1]
+        flat = np.empty(cell_start[-1] + 1)
+        flat[-1] = 0.0
+        for j in range(self.m):
+            for i in range(self.p_b):
+                for bk, at, part in zip(self.buckets, cell_start, ev.parts):
+                    bk.residuals(j, i, part, flat[at:at + bk.rows.size])
+                yield np.take(flat, cell_of_row)
+
+    def cluster_sums(self, ev: _Evaluation) -> np.ndarray:
+        """The score residuals at ``ev``'s points summed by cluster in block
+        coordinates, ``G`` ``(m * p_b, clusters)``.  Each residual row goes
+        into its row of ``G`` as it is formed, by one ``bincount`` in row
+        order; each problem's clusters are numbered after the previous
+        problem's, so one ``bincount`` serves the stack."""
+        C = self.n_clusters
+        G = np.empty((self.m * self.p_b, C))
+        rows = self.residual_rows(ev)
+        for sums in G:  # no row outlives its bincount
+            sums[:] = np.bincount(self.cluster_codes, weights=next(rows), minlength=C)
+        return G
 
 
 def _evaluate(design: DesignMatrix, beta, tie_method: str):
@@ -552,10 +597,16 @@ def _aliased_columns(info: np.ndarray) -> np.ndarray:
     collapses during an in-order Cholesky sweep.
 
     Keeps the earliest column of any collinear group (mirroring how aliased
-    terms surface as NA in common model summaries).
+    terms surface as NA in common model summaries).  The sweep runs on a copy
+    whose row and column ``k`` are scaled by ``2^-e_k``, with ``e_k`` the
+    binary exponent of ``sqrt(info_kk)``, so its diagonal is near 1 and its
+    products cannot overflow for a column in large units; the scaling is
+    exact, so no pivot decision in normal range changes.
     """
-    A = info.copy()
-    diag0 = np.diagonal(info, axis1=1, axis2=2).copy()
+    root = np.sqrt(np.abs(np.diagonal(info, axis1=1, axis2=2)))
+    scale = np.ldexp(1.0, -np.frexp(root)[1])
+    A = info * scale[:, :, None] * scale[:, None, :]
+    diag0 = np.diagonal(A, axis1=1, axis2=2).copy()
     aliased = np.zeros(diag0.shape, dtype=bool)
     for k in range(info.shape[1]):
         hit = (A[:, k, k] <= ALIASING_PIVOT_RATIO * diag0[:, k]) | (diag0[:, k] <= 0.0)
@@ -761,17 +812,15 @@ def _sandwich(engine: _Engine, ev: _Evaluation, a_inv: np.ndarray) -> np.ndarray
     """Each problem's ``A^-1 M A^-1``, given its ``A^-1`` ``(R, p, p)`` at its
     point in ``ev``.
 
-    The score residuals are summed by cluster in block coordinates, ``G``
-    ``(m * p_b, clusters)``; each problem's clusters are numbered after the
-    previous problem's, so one ``bincount`` per row of ``G`` serves the
-    stack.  Cluster sums commute with the block map, so ``M = T' (G G') T``,
-    the same matrix as the outer products of cluster-summed residuals in
-    coefficient columns; each problem's ``G G'`` is a product over exactly
-    its own clusters.
+    The score residuals are streamed one column of one block at a time,
+    straight into their cluster sums ``G`` (:meth:`_Engine.cluster_sums`),
+    so no ``(m * p_b, n)`` matrix of residuals is ever formed.  Cluster sums
+    commute with the block map, so ``M = T' (G G') T``, the same matrix as
+    the outer products of cluster-summed residuals in coefficient columns;
+    each problem's ``G G'`` is a product over exactly its own clusters.
     """
     C = engine.n_clusters
-    G = np.array([np.bincount(engine.cluster_codes, weights=r, minlength=C)
-                  for r in engine.residuals(ev)])
+    G = engine.cluster_sums(ev)
     ends = np.append(engine.cluster_start, C)
     M = np.array([g @ g.T for g in (G[:, a:z] for a, z in zip(ends[:-1], ends[1:]))])
     T = engine.T
@@ -785,7 +834,8 @@ def robust_covariance(design: DesignMatrix, fit_result: CoxFit) -> np.ndarray:
     ``A`` is the observed information and ``M`` sums, over clusters of rows
     sharing ``design.cluster_codes`` (the duplicated copies of a subject), the
     outer products of cluster-summed score residuals; the residuals are
-    summed in block coordinates and only ``M`` is mapped to the coefficients.
+    streamed one column of one block at a time into their cluster sums in block
+    coordinates, and only ``M`` is mapped to the coefficients.
     Aliased positions are NaN, matching the fitted coefficient vector;
     ``A^-1`` is the fit's model covariance, pinned there as in the fit, with
     those coefficients at 0.  ``fit`` computes the same matrix from its own

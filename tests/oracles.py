@@ -3,8 +3,9 @@
 Everything here is deliberately naive: direct risk-set enumeration with
 Python loops, explicit finite differences, sort-and-split quantiles, dense
 matrix arithmetic.  Nothing is shared with the package's vectorized code
-paths, except in :func:`score_residuals`: the engine's own residuals mapped
-to the coefficients, which the tests hold against the oracles here.
+paths, except in :func:`block_residuals` and :func:`score_residuals`: the
+engine's own residual rows, stacked and mapped to the coefficients, which
+the tests hold against the oracles here.
 """
 
 import csv
@@ -206,13 +207,20 @@ def per_bin_medians(categories, values):
     return out
 
 
+def block_residuals(engine, ev):
+    """The engine's per-row score residuals at ``ev``'s points in block
+    coordinates, ``(m * p_b, n)``: the rows it streams into the sandwich's
+    cluster sums, one column of one block at a time, stacked."""
+    return np.array(list(engine.residual_rows(ev))).reshape(-1, engine.n)
+
+
 def score_residuals(design, beta, tie_method="efron"):
     """Per-row score residuals of the engine (rows sum to the total score),
     each row's ``m`` blocks summed and mapped to the coefficients by
     ``design.block_map``; rows in strata without events are zero.  Summed
     within clusters, they give the middle matrix of the sandwich."""
     engine, ev = _evaluate(design, beta, tie_method)
-    return engine.residuals(ev).T @ engine.T
+    return block_residuals(engine, ev).T @ engine.T
 
 
 def sandwich_from_residuals(residuals, cluster_ids, information):

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -299,6 +300,72 @@ class TestCompareCommand:
         report = json.loads((tmp_path / "report.json").read_text())["report"]
         assert report["fit"]["aliased"] == ["L1", "L1:A_type2"]
         assert report["difference_test"] is not None
+
+
+    @pytest.mark.parametrize("exposure", [
+        {"kind": "categorical", "levels": 5},
+        {"kind": "trend", "levels": 4, "scale": "p10-p90"},
+        {"kind": "continuous", "scale": "p10-p90"},
+    ], ids=["quintiles", "trend", "continuous"])
+    def test_row_split_invariance(self, tmp_path, capsys, exposure):
+        # The demo cohort with an entry column of 0, and a copy in which each
+        # subject with A1 > 0.5 has its follow-up cut into three (entry, exit]
+        # rows at random times, the event on the last row: the partial
+        # likelihood is the same.  Quantiles are taken over one value per
+        # subject and distinct value, so every report float outside
+        # "dataset" agrees within 1e-10 relative.
+        demo = Path(__file__).resolve().parents[1] / "demos" / "data" / "synthetic_cohort.csv"
+        with open(demo, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rng = random.Random(22)
+        plain, split = [], []
+        for row in rows:
+            row = dict(row, entry="0")
+            plain.append(row)
+            if float(row["A1"]) <= 0.5:
+                split.append(row)
+                continue
+            cuts = [0.0, *sorted(rng.uniform(0.0, float(row["time"])) for _ in range(2))]
+            ends = [*map(repr, cuts[1:]), row["time"]]
+            for k, (entry, end) in enumerate(zip(cuts, ends)):
+                split.append(dict(row, entry=repr(entry), time=end,
+                                  event=row["event"] if k == 2 else "0"))
+        assert len(split) > len(plain)
+        schema = {"id": "id", "entry": "entry", "exit": "time", "event": "event",
+                  "exposures": ["A1", "A2"], "covariates": ["L1"], "strata": ["stratum"]}
+        cfg = write_config(tmp_path, {"schema": schema, "exposure": exposure,
+                                      "format": "machine"})
+        reports = []
+        for name, table in (("plain", plain), ("split", split)):
+            path = tmp_path / f"{name}.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.DictWriter(fh, list(plain[0]), lineterminator="\n")
+                writer.writeheader()
+                writer.writerows(table)
+            out = tmp_path / f"{name}.out"
+            assert main(["compare", "--config", str(cfg), "--input", str(path),
+                         "--output", str(out)]) == 0
+            report = json.loads(out.read_text())["report"]
+            del report["dataset"]
+            reports.append(dict(report_floats(report, "report")))
+        capsys.readouterr()
+        plain, split = reports
+        assert plain.keys() == split.keys()
+        for path, a in plain.items():
+            b = split[path]
+            assert abs(a - b) <= 1e-10 * max(abs(a), abs(b)), (path, a, b)
+
+
+def report_floats(value, path):
+    """Each float of a report's JSON, by its path."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from report_floats(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from report_floats(item, f"{path}[{i}]")
+    elif isinstance(value, float):
+        yield path, value
 
 
 class TestFitCommand:

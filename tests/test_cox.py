@@ -11,6 +11,7 @@ from dupcox.cox import _inverses, _symmetric_inverse
 from dupcox.errors import ConfigError, EstimationError, SingularMatrixError
 from conftest import simulated_cohort
 from oracles import (
+    block_residuals,
     brute_force_loglik,
     brute_force_score_residuals,
     bucket_layout,
@@ -430,6 +431,30 @@ class TestRobustCovariance:
             assert np.max(np.abs(b - b.T)) <= 1e-10 * np.max(np.abs(b))
             assert np.array_equal(result.model_covariance, result.model_covariance.T)
 
+    @pytest.mark.parametrize("method", ["efron", "breslow"])
+    def test_cluster_sums_are_those_of_the_residual_rows(self, method):
+        # Tied integer times, delayed entry, clusters of three rows and
+        # strata of 1 to 600 rows in several buckets, in a stack of three.
+        # The sandwich's cluster sums G, streamed one block column at a
+        # time, are bit for bit the bincount of the stacked residual rows,
+        # and a problem's columns of G are those of its stack of one.
+        designs = [many_strata_block_design(seed, n_small=200, n_big=200)
+                   for seed in (11, 13, 15)]
+        theta = np.random.default_rng(4).standard_normal((3, designs[0].n_columns)) * 0.2
+        stack = cox._Engine(designs, method)
+        assert len(stack.buckets) > 1
+        ev = stack.evaluate(theta)
+        G = stack.cluster_sums(ev)
+        want = np.array([np.bincount(stack.cluster_codes, weights=row,
+                                     minlength=stack.n_clusters)
+                         for row in block_residuals(stack, ev)])
+        np.testing.assert_array_equal(G, want)
+        ends = np.append(stack.cluster_start, stack.n_clusters)
+        for r, design in enumerate(designs):
+            alone = cox._Engine([design], method)
+            np.testing.assert_array_equal(alone.cluster_sums(alone.evaluate(theta[r:r + 1])),
+                                          G[:, ends[r]:ends[r + 1]])
+
     def test_requires_converged_fit(self):
         d = plain_design(np.array([[1.0], [0.0]]), [1.0, 2.0], [1, 0])
         result = dc.fit(d, dc.FitOptions(max_iterations=1), robust=False)
@@ -589,6 +614,23 @@ def many_strata_cohort(seed, n_small=2000, n_big=1500):
     return dict(X=X, exit_=exit_, event=event, entry=entry, strata=strata, cluster=cluster)
 
 
+def many_strata_block_design(seed, n_small, n_big):
+    """The block design of :func:`many_strata_cohort` ``seed``, its first
+    column a covariate, compared as two continuous exposures drawn from
+    ``seed + 1``; subjects of the big stratum are clusters of three rows."""
+    cohort = many_strata_cohort(seed, n_small=n_small, n_big=n_big)
+    d = plain_design(**cohort)
+    rng = np.random.default_rng(seed + 1)
+    schema = dc.Schema(id_column="id", entry_column="entry", exit_column="exit",
+                       event_column="event", exposure_columns=("A1", "A2"),
+                       covariate_columns=("L1",), strata_columns=("g",))
+    dataset = dc.Dataset(schema, np.asarray(cohort["cluster"], dtype=object),
+                         d.entry, d.exit, d.event,
+                         rng.standard_normal((len(d), 2)), d.X[:, :1],
+                         np.asarray(cohort["strata"], dtype=object).reshape(-1, 1))
+    return dc.block_design(dataset, dc.ExposureSpec("continuous", ("A1", "A2")))
+
+
 class TestRiskSetIndex:
     """The engine orders rows by sorting integer keys made unique, and finds
     its windows by linear passes; each bucket equals its definition."""
@@ -678,17 +720,7 @@ class TestSinglePassOverStrata:
 
     @pytest.mark.parametrize("method", ["efron", "breslow"])
     def test_block_design_with_many_strata(self, method):
-        cohort = many_strata_cohort(8, n_small=600, n_big=300)
-        d = plain_design(**cohort)
-        rng = np.random.default_rng(9)
-        schema = dc.Schema(id_column="id", entry_column="entry", exit_column="exit",
-                           event_column="event", exposure_columns=("A1", "A2"),
-                           covariate_columns=("L1",), strata_columns=("g",))
-        dataset = dc.Dataset(schema, np.asarray(cohort["cluster"], dtype=object),
-                             d.entry, d.exit, d.event,
-                             rng.standard_normal((len(d), 2)), d.X[:, :1],
-                             np.asarray(cohort["strata"], dtype=object).reshape(-1, 1))
-        design = dc.block_design(dataset, dc.ExposureSpec("continuous", ("A1", "A2")))
+        design = many_strata_block_design(8, n_small=600, n_big=300)
         theta = np.array([0.2, -0.1, 0.15, 0.05])
         ll, score, info, resid = per_stratum_evaluation(design, theta, method)
         got_ll = dc.log_partial_likelihood(design, theta, method)

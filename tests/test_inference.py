@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -531,6 +532,21 @@ class TestCompareExposures:
         with pytest.raises(SingularMatrixError, match=r"^\[fit\] information matrix is not "
                                                       r"positive definite .*not finite"):
             dc.compare_exposures(dataclasses.replace(ds, covariates=covariates), spec)
+
+    @pytest.mark.parametrize("unit", [1.0, 1e77, 1e100, 1e-150])
+    def test_covariate_unit_leaves_the_test_alone(self, unit):
+        # The aliasing sweep scales each column by a power of two first: at
+        # 1e77 and 1e100 its products used to overflow, which marked
+        # L1:A_type2 aliased and doubled p, with only a warning.
+        ds, spec = simulated_cohort(seed=1, n=5000)
+        plain = dc.compare_exposures(ds, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = dc.compare_exposures(
+                dataclasses.replace(ds, covariates=ds.covariates * unit), spec)
+        assert not scaled.fit.aliased_mask.any()
+        assert scaled.difference_test.p_value == pytest.approx(
+            plain.difference_test.p_value, rel=1e-12)
 
     def test_aliased_covariate_leaves_exposure_terms_alone(self):
         # A copy of L1 is aliased, as main term and interaction.  The exposure
