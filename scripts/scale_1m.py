@@ -11,22 +11,34 @@ set-up (``_setup_s``), of its likelihood evaluations (``_evaluate_s``, with
 their count) and of its sandwich (``_sandwich_s``), timed by wrappers that
 this script alone installs.  With ``--compare-only`` the script skips the
 file and compares the simulated cohort alone, so the peak RSS is that of a
-process that only simulates and compares.  The exit code is 1 if the loaded
-cohort differs from the saved one or a fit did not converge.
+process that only simulates and compares.
+
+With ``--grouped K`` each exit time is moved up to the end of its interval
+among K quantile intervals of the exits, so the events are tied at K times,
+and the cohort is compared under Efron's and then Breslow's tie correction,
+each in a fresh worker process that simulates, groups and compares: each
+``compare_<ties>_peak_rss_mb`` is that of a process that did only this.  The
+simulate and group figures are the last worker's.  The exit code is 1 if the
+loaded cohort differs from the saved one or a fit did not converge.
 
     PYTHONPATH=src python scripts/scale_1m.py --n 1000000
     PYTHONPATH=src python scripts/scale_1m.py --n 1000000 --compare-only
+    PYTHONPATH=src python scripts/scale_1m.py --n 1000000 --grouped 24
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import multiprocessing
 import resource
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 import dupcox
 from dupcox import cox
@@ -53,47 +65,102 @@ def timed(owner, name: str, totals: dict) -> None:
     setattr(owner, name, wrapper)
 
 
+class Run:
+    """One JSON line of step timings, and the compares' split of their time.
+    Making one installs the timing wrappers, so a process makes one."""
+
+    def __init__(self, n: int):
+        self.config = dupcox.SimConfig(
+            n_subjects=n, exposure_correlation=0.7, true_beta=(0.5, 0.3),
+            covariate_effects=(0.2, -0.1), n_strata=4, replicate_count=1, master_seed=1,
+        )
+        self.line = {"n": n}
+        self.totals = {}
+        timed(cox._Engine, "__init__", self.totals)
+        timed(cox._Engine, "evaluate", self.totals)
+        timed(cox, "_sandwich", self.totals)
+
+    def step(self, name: str, call):
+        """``call()``, with its wall time and the peak RSS after it."""
+        start = time.perf_counter()
+        result = call()
+        self.line[f"{name}_s"] = round(time.perf_counter() - start, 3)
+        self.line[f"{name}_peak_rss_mb"] = peak_rss_mb()
+        return result
+
+    def compare(self, name: str, data, options=None):
+        """The fit of ``data``'s compare, stepped as ``compare_<name>``."""
+        spec = self.config.exposure_spec()
+        self.totals.update(__init__=[0.0, 0], evaluate=[0.0, 0], _sandwich=[0.0, 0])
+        fit = self.step(f"compare_{name}",
+                        lambda: dupcox.compare_exposures(data, spec, options)).fit
+        self.line[f"compare_{name}_setup_s"] = round(self.totals["__init__"][0], 3)
+        self.line[f"compare_{name}_evaluate_s"] = round(self.totals["evaluate"][0], 3)
+        self.line[f"compare_{name}_evaluations"] = self.totals["evaluate"][1]
+        self.line[f"compare_{name}_sandwich_s"] = round(self.totals["_sandwich"][0], 3)
+        return fit
+
+
+def grouped_exits(exit_: np.ndarray, k: int) -> np.ndarray:
+    """Each exit time moved up to the end of its interval among ``k``
+    quantile intervals of ``exit_``."""
+    ends = np.quantile(exit_, np.arange(1, k + 1) / k)
+    return ends[np.searchsorted(ends, exit_)]
+
+
+def grouped_compare(n: int, k: int, ties: str) -> tuple[dict, int, bool]:
+    """Simulate, group the exits into ``k`` intervals and compare under
+    ``ties``: the step timings, the iterations and convergence."""
+    run = Run(n)
+    cohort = run.step("simulate", lambda: dupcox.simulate_cohort(run.config, 0))
+    # The labels are unchanged, so the grouped cohort keeps the codes that
+    # simulate_cohort gave it, as the untied compare does.
+    cohort = run.step("group", lambda: dataclasses.replace(
+        cohort, exit=grouped_exits(cohort.exit, k))._with_codes(
+            cohort.strata_keys(), cohort.stratum_codes, cohort.subject_codes))
+    run.line["distinct_exits"] = int(np.unique(cohort.exit).size)
+    fit = run.compare(ties, cohort, dupcox.FitOptions(tie_method=ties))
+    return run.line, fit.iterations, fit.converged
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=1_000_000, help="subjects in the cohort")
     parser.add_argument("--compare-only", action="store_true",
                         help="compare the simulated cohort alone, without saving or loading it")
+    parser.add_argument("--grouped", type=int, metavar="K",
+                        help="tie the exits at K quantile times and compare under Efron "
+                             "and Breslow, each in its own process")
     args = parser.parse_args(argv)
-    config = dupcox.SimConfig(
-        n_subjects=args.n, exposure_correlation=0.7, true_beta=(0.5, 0.3),
-        covariate_effects=(0.2, -0.1), n_strata=4, replicate_count=1, master_seed=1,
-    )
-    spec = config.exposure_spec()
-    line = {"n": args.n}
+    if args.grouped is not None:
+        if args.grouped < 1:
+            parser.error("--grouped needs K >= 1")
+        line = {"n": args.n, "grouped": args.grouped}
+        iterations, converged = [], True
+        # One worker at a time, each a fresh interpreter: its peak RSS is its own.
+        with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
+            for ties in cox.TIE_METHODS:
+                worker, its, ok = pool.apply(grouped_compare, (args.n, args.grouped, ties))
+                line.update(worker)
+                iterations.append(its)
+                converged &= ok
+        line["iterations"] = iterations
+        line["converged"] = converged
+        print(json.dumps(line), flush=True)
+        return 0 if converged else 1
 
-    def step(name, call):
-        start = time.perf_counter()
-        result = call()
-        line[f"{name}_s"] = round(time.perf_counter() - start, 3)
-        line[f"{name}_peak_rss_mb"] = peak_rss_mb()
-        return result
-
-    cohort = step("simulate", lambda: dupcox.simulate_cohort(config, 0))
+    run = Run(args.n)
+    cohort = run.step("simulate", lambda: dupcox.simulate_cohort(run.config, 0))
     cohorts = [("simulated", cohort)]
     if not args.compare_only:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cohort.csv"
-            step("save", lambda: dupcox.save_dataset(cohort, path))
-            line["csv_bytes"] = path.stat().st_size
-            loaded = step("load", lambda: dupcox.load_dataset(path, cohort.schema))
+            run.step("save", lambda: dupcox.save_dataset(cohort, path))
+            run.line["csv_bytes"] = path.stat().st_size
+            loaded = run.step("load", lambda: dupcox.load_dataset(path, cohort.schema))
         cohorts.append(("loaded", loaded))
-    totals = {}
-    timed(cox._Engine, "__init__", totals)
-    timed(cox._Engine, "evaluate", totals)
-    timed(cox, "_sandwich", totals)
-    fits = []
-    for name, data in cohorts:
-        totals.update(__init__=[0.0, 0], evaluate=[0.0, 0], _sandwich=[0.0, 0])
-        fits.append(step(f"compare_{name}", lambda: dupcox.compare_exposures(data, spec)).fit)
-        line[f"compare_{name}_setup_s"] = round(totals["__init__"][0], 3)
-        line[f"compare_{name}_evaluate_s"] = round(totals["evaluate"][0], 3)
-        line[f"compare_{name}_evaluations"] = totals["evaluate"][1]
-        line[f"compare_{name}_sandwich_s"] = round(totals["_sandwich"][0], 3)
+    fits = [run.compare(name, data) for name, data in cohorts]
+    line = run.line
     if not args.compare_only:
         line["same_cohort"] = cohorts[1][1] == cohort
     line["iterations"] = [fit.iterations for fit in fits]

@@ -149,6 +149,15 @@ def _running(grid: np.ndarray) -> np.ndarray:
     return np.cumsum(grid, axis=-1, out=grid).reshape(grid.shape[:-2] + (-1,))
 
 
+def _subtract(S0, S1, cells, less) -> None:
+    """Subtract, at ``cells`` of the last axis, ``less``'s row 0 from ``S0``
+    ``(m, k)`` and its rows ``1:`` from ``S1`` ``(m, q - 1, k)``, in place.
+    Passed in, ``less`` is freed when the call returns, not held through
+    the rest of an evaluation."""
+    S0[..., cells] -= less[:, 0]
+    S1[..., cells] -= less[:, 1:]
+
+
 def _grid(groups, n_groups: int):
     """For items sorted by group: group starts, each item's flat cell in a grid of
     padded rows led by an empty cell (a running total reads 0 there), grid width."""
@@ -490,12 +499,17 @@ class _Engine:
         late = np.take(wZ, bk.late, axis=2) if bk.late is not None else None
         if bk.tied.size:
             tied = np.add.reduceat(np.take(wZ, bk.tied_rows, axis=2), bk.tied_starts, axis=2)
-        S_fl = np.take(_running(wZ.reshape(bk.Z.shape)), bk.exit_at, axis=2)
+        # S0 and the S1 rows as two arrays, so that xbar, which the residuals
+        # read, holds no S0 row; each block's rows are contiguous.
+        total = _running(wZ.reshape(bk.Z.shape))
+        S0_fl, xbar = np.empty((m, len(bk.exit_at))), np.empty((m, q - 1, len(bk.exit_at)))
+        for j in range(m):
+            np.take(total[j, 0], bk.exit_at, out=S0_fl[j], mode="clip")
+            np.take(total[j, 1:], bk.exit_at, axis=1, out=xbar[j], mode="clip")
         if late is not None:
-            S_fl -= np.take(_running(late), bk.late_at, axis=2)
+            _subtract(S0_fl, xbar, slice(None), np.take(_running(late), bk.late_at, axis=2))
         if bk.tied.size:
-            S_fl[..., bk.tied] -= bk.J * np.take(tied, bk.tied_group, axis=2)
-        S0_fl, xbar = S_fl[:, 0], S_fl[:, 1:]
+            _subtract(S0_fl, xbar, bk.tied, bk.J * np.take(tied, bk.tied_group, axis=2))
         xbar /= S0_fl[:, None]
 
         # Each stratum's own log-likelihood, summed block by block.

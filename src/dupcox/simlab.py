@@ -228,9 +228,13 @@ class CalibrationResult:
 MAX_FAILURE_FRACTION = 0.02
 
 # Most cohort rows fitted together in one engine pass (at least one
-# replicate).  A pass holds its cohorts, designs and engine at once, about
-# 0.6 kB a row, so a bound keeps memory from growing with replicate_count.
-CHUNK_ROWS = 5_000
+# replicate).  A pass holds its cohorts, designs and engine at once, so a
+# bound keeps memory from growing with replicate_count; each pass pays its
+# own engine set-up, Newton bookkeeping, sandwich and report pass.
+# scripts/stack_sweep.py measures the trade: at n = 500, 20 000 rows (40
+# replicates) is within 5% of the fastest bound swept, and such a full stack
+# adds about 8 MB of peak RSS (about 0.5 kB a row) over one of 5 000 rows.
+CHUNK_ROWS = 20_000
 
 # Why a replicate failed.  A fit that stopped short of convergence with a
 # coefficient beyond +-20 counts as probable separation, whatever stopped it;

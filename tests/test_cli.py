@@ -196,6 +196,32 @@ class TestCompareCommand:
         assert err.startswith("data error:")
         assert "field limit" in err and "data row 2" in err and "Traceback" not in err
 
+    def test_quoted_crlf_and_cr_input_give_the_same_report(self, tmp_path, capsys):
+        # The demo cohort is split at the delimiter; its copies with every
+        # field quoted, with CRLF and with CR line ends are read by csv.  (Cells
+        # are stripped, so CRLF lines split at the delimiter would read the
+        # same; CR lines would not.)
+        repo = Path(__file__).resolve().parents[1]
+        demo = repo / "demos" / "data" / "synthetic_cohort.csv"
+        lines = demo.read_text(encoding="utf-8").splitlines()
+        quoted = tmp_path / "quoted.csv"
+        with open(quoted, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(
+                csv.reader(lines))
+        copies = [demo, quoted]
+        for name, end in (("crlf", "\r\n"), ("cr", "\r")):
+            copies.append(tmp_path / f"{name}.csv")
+            copies[-1].write_bytes((end.join(lines) + end).encode("utf-8"))
+        cfg = repo / "demos" / "configs" / "compare_continuous.json"
+        reports = []
+        for path in copies:
+            out = tmp_path / f"{path.stem}.json"
+            assert main(["compare", "--config", str(cfg), "--input", str(path),
+                         "--output", str(out)]) == 0
+            reports.append(json.loads(out.read_text())["report"])
+        capsys.readouterr()
+        assert all(report == reports[0] for report in reports[1:])
+
     def test_run_without_output_prints_and_writes_no_file(self, tmp_path, cohort_csv, capsys):
         doc = compare_config(cohort_csv, tmp_path)
         del doc["output"]

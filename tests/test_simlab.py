@@ -301,24 +301,49 @@ def assert_matches_own_compare(cohorts, spec):
     return reports
 
 
-class TestBatchedReplicates:
-    def test_p_values_do_not_depend_on_count_or_chunks(self, monkeypatch):
-        full = dc.estimate_type1_error(config(replicate_count=20), 0.05).p_values
-        assert len(full) == 20
-        for count in (1, 7):
-            assert dc.estimate_type1_error(config(replicate_count=count), 0.05).p_values \
-                == full[:count]
-        # Chunks of 3 replicates: a chunk boundary after every third one.
-        monkeypatch.setattr(simlab, "CHUNK_ROWS", 3 * 120 + 50)
-        assert dc.estimate_type1_error(config(replicate_count=20), 0.05).p_values == full
+def stacks_at(monkeypatch, rows):
+    """Set the stack bound to ``rows`` cohort rows; the list that each
+    ``compare_stack`` call of the simulation lab appends its size to."""
+    monkeypatch.setattr(simlab, "CHUNK_ROWS", rows)
+    sizes = []
 
-    def test_failing_scenario_does_not_depend_on_chunks(self, monkeypatch):
+    def counted(cohorts, spec):
+        sizes.append(len(cohorts))
+        return inference.compare_stack(cohorts, spec)
+
+    monkeypatch.setattr(simlab, "compare_stack", counted)
+    return sizes
+
+
+class TestBatchedReplicates:
+    # At n = 500 the 20 replicates are one stack at the default bound, two of
+    # 10 at 5 000 rows, and stacks of 3 at 3 * 500 + 50; each replicate alone
+    # is the reference.
+    @pytest.mark.parametrize("rows, stacks", [(3 * 500 + 50, 7), (5_000, 2),
+                                              (simlab.CHUNK_ROWS, 1)])
+    def test_p_values_do_not_depend_on_count_or_chunks(self, monkeypatch, rows, stacks):
+        cfg = config(n_subjects=500)
+        sizes = stacks_at(monkeypatch, rows)
+        stacked = dc.estimate_type1_error(cfg, 0.05, include_naive=True)
+        assert len(sizes) == stacks
+        for count in (1, 7):
+            assert dc.estimate_type1_error(config(n_subjects=500, replicate_count=count),
+                                           0.05).p_values == stacked.p_values[:count]
+        stacks_at(monkeypatch, 1)
+        alone = dc.estimate_type1_error(cfg, 0.05, include_naive=True)
+        assert len(alone.p_values) == 20
+        assert stacked.p_values == alone.p_values
+        assert stacked.to_dict() == alone.to_dict()
+
+    @pytest.mark.parametrize("rows", [7 * 15, 5_000, simlab.CHUNK_ROWS])
+    def test_failing_scenario_does_not_depend_on_chunks(self, monkeypatch, rows):
         cfg = dc.SimConfig(**FAILING)
-        whole = dc.estimate_power(cfg, 0.05, include_naive=True)
-        monkeypatch.setattr(simlab, "CHUNK_ROWS", 7 * 15)
+        stacks_at(monkeypatch, rows)
         chunked = dc.estimate_power(cfg, 0.05, include_naive=True)
-        assert chunked.to_dict() == whole.to_dict()
-        assert chunked.p_values == whole.p_values
+        stacks_at(monkeypatch, 1)
+        alone = dc.estimate_power(cfg, 0.05, include_naive=True)
+        assert chunked.to_dict() == alone.to_dict()
+        assert chunked.p_values == alone.p_values
 
     def test_each_replicate_matches_its_own_compare(self):
         cfg = dc.SimConfig(**FAILING)
