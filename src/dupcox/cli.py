@@ -23,7 +23,8 @@ from .data import Schema, load_dataset, validate
 from .design import ExposureSpec, block_design
 from .errors import ConfigError, DataError, DupcoxError, EstimationError, _is_integer, _is_number
 from .inference import _check_confidence, _check_scale, compare_exposures, render_table
-from .simlab import SimConfig, _is_null_config, estimate_power, estimate_type1_error
+from .simlab import (MAX_FAILURE_FRACTION, SimConfig, _is_null_config, estimate_power,
+                     estimate_type1_error)
 from . import cox
 
 # Each block's keys and the JSON type of each: str, int, float (any number),
@@ -264,6 +265,7 @@ def run_simulate(config: dict) -> tuple[int, str, dict]:
     result = runner(sim_config, **{key: block[key] for key in _RUNNER_KEYS
                                    if block.get(key) is not None})
 
+    valid = "yes" if result.valid else f"NO (failure fraction > {MAX_FAILURE_FRACTION:.0%})"
     lines = [
         f"scenario: {result.scenario}  alpha={result.alpha}",
         f"rejection rate: {result.rejection_rate:.4f} "
@@ -273,7 +275,7 @@ def run_simulate(config: dict) -> tuple[int, str, dict]:
         "failed fits by reason: " + (", ".join(
             f"{reason} {count}" for reason, count in result.failure_reasons.items() if count)
             or "none"),
-        f"scenario valid: {'yes' if result.valid else 'NO (failure fraction > 2%)'}",
+        f"scenario valid: {valid}",
         f"per-exposure CI overlap fraction: {result.ci_overlap_fraction:.4f}",
     ]
     if result.naive_rejection_rate is not None:

@@ -804,8 +804,9 @@ def fit_stack(designs, options: FitOptions | None = None, robust: bool = True) -
         separation = bool(np.abs(beta[r]).max() > SEPARATION_COEF_BOUND)
         message = messages[r]
         if separation:
-            message = (message + "; " if message else "") + \
-                "coefficient magnitude > 20 with increasing likelihood: probable separation"
+            message = (message + "; " if message else "") + (
+                f"coefficient magnitude > {SEPARATION_COEF_BOUND:g} with increasing "
+                "likelihood: probable separation")
         diagnostics = FitDiagnostics(int(engine.n_strata_used[r]),
                                      int(engine.n_strata_skipped[r]),
                                      int(engine.n_events[r]), separation, message)

@@ -147,8 +147,8 @@ class Dataset:
     @cached_property
     def stratum_codes(self) -> np.ndarray:
         """Per-row stratum code: the rank of the row's ``strata_keys()`` label
-        among the distinct labels in sorted order."""
-        return _read_only(label_codes(self.strata_keys()))
+        among the distinct labels in sorted order (see :func:`tuple_codes`)."""
+        return _read_only(tuple_codes(self.strata_keys(), self.strata.T))
 
     @cached_property
     def subject_codes(self) -> np.ndarray:
@@ -218,7 +218,42 @@ def join_labels(columns) -> np.ndarray:
 def label_codes(labels) -> np.ndarray:
     """Integer code of each label: the rank of its ``str()`` among the
     distinct labels in sorted order."""
-    return np.unique(np.asarray(labels).astype(str), return_inverse=True)[1]
+    labels = np.asarray(labels)
+    if "\x00" in _label_text(labels):
+        # numpy's fixed-width text drops a trailing NUL, which would give "1"
+        # and "1\x00" one code; such labels are ranked as Python strings.
+        text = np.array(list(map(str, labels.tolist())), dtype=object)
+        return np.unique(text, return_inverse=True)[1]
+    return np.unique(labels.astype(str), return_inverse=True)[1]
+
+
+def tuple_codes(keys, columns) -> np.ndarray:
+    """Integer code of each row of the label ``columns``, whose
+    :func:`join_labels` keys are ``keys``: the rank of its key among the
+    distinct keys in sorted order.
+
+    Rows whose labels differ get distinct codes.  A label holding a "|" (of
+    one of two or more columns) or a NUL can make two such rows join to one
+    key; then the rows of one key are ranked by their labels' own codes,
+    column by column.
+    """
+    # The keys are join_labels' fixed-width text, which holds no trailing NUL.
+    codes = np.unique(np.asarray(keys).astype(str), return_inverse=True)[1]
+    texts = list(map(_label_text, columns))
+    if any("\x00" in text for text in texts) or (
+            len(texts) > 1 and any("|" in text for text in texts)):
+        rows = np.column_stack([codes, *map(label_codes, columns)])
+        codes = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+    return codes
+
+
+def _label_text(labels: np.ndarray) -> str:
+    """The ``str()`` of every label, concatenated."""
+    labels = labels.tolist()
+    try:
+        return "".join(labels)
+    except TypeError:  # a label that is not a string
+        return "".join(map(str, labels))
 
 
 def row_faults(entry, exit_, *blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -554,8 +589,14 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset back to CSV so that a reload reproduces it exactly.
 
     The file is written ``_CHUNK_ROWS`` rows at a time, so the text held in
-    memory at once does not grow with the cohort.
+    memory at once does not grow with the cohort.  A cohort whose schema
+    names no entry column is refused with a :class:`ValidationError` unless
+    every entry time is 0, since the file would not hold them.
     """
+    if dataset.schema.entry_column is None and dataset.entry.any():
+        raise ValidationError(
+            f"cannot save {np.count_nonzero(dataset.entry)} row(s) whose entry time is "
+            f"not 0: the schema names no entry column to hold it")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(dataset.schema.all_columns())

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, event_flags, join_labels, label_codes
+from .data import Dataset, event_flags, join_labels, label_codes, tuple_codes
 from .errors import ConfigError, EstimationError, SchemaError, ValidationError, _is_integer
 
 KINDS = ("continuous", "dichotomous", "categorical", "trend")
@@ -363,9 +363,9 @@ def build_design_matrix(aug: AugmentedDataset, spec: ExposureSpec) -> DesignMatr
     Interactions are generated for every non-reference type against every
     exposure term and every covariate; combined with type-stratification this
     makes the augmented fit algebraically equivalent to the separate
-    per-exposure fits.  A row's stratum is its ``stratum|type`` label and
-    its cluster its subject id, each numbered by
-    :func:`~dupcox.data.label_codes`.
+    per-exposure fits.  A row's stratum is its ``stratum|type`` label,
+    numbered by :func:`~dupcox.data.tuple_codes`, and its cluster its
+    subject id, numbered by :func:`~dupcox.data.label_codes`.
     """
     if len(aug) == 0:
         raise ValidationError("augmented dataset is empty")
@@ -385,6 +385,7 @@ def build_design_matrix(aug: AugmentedDataset, spec: ExposureSpec) -> DesignMatr
                         + [aug.covariates * ind for ind in indicators])
     column_names, inter_names = _column_names(
         aug.term_names, aug.covariate_names, len(aug.a_type_labels))
+    labels = [*aug.strata.T, aug.a_type]
 
     return DesignMatrix(
         blocks=X[None],
@@ -392,7 +393,7 @@ def build_design_matrix(aug: AugmentedDataset, spec: ExposureSpec) -> DesignMatr
         column_names=column_names,
         exposure_main_columns=tuple(aug.term_names),
         interaction_columns=inter_names,
-        stratum_codes=label_codes(join_labels([*aug.strata.T, aug.a_type])),
+        stratum_codes=tuple_codes(join_labels(labels), labels),
         cluster_codes=label_codes(aug.subject_ids),
         entry=aug.entry.copy(),
         exit=aug.exit.copy(),

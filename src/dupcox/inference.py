@@ -524,9 +524,9 @@ def render_table(report: ComparisonReport) -> str:
     widths = [max(len(str(r[i])) for r in [headers] + rows) for i in range(len(headers))]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
     lines = [fmt.format(*headers)] + [fmt.format(*r) for r in rows]
-    pct = round(report.confidence * 100)
     lines.append("")
-    lines.append(f"Numbers are hazard ratios [{pct}% confidence intervals].")
+    lines.append(f"Numbers are hazard ratios [{report.confidence * 100:.12g}% "
+                 f"confidence intervals].")
     if report.difference_test is not None:
         t = report.difference_test
         lines.append(

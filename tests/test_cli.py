@@ -2,8 +2,10 @@ import csv
 import dataclasses
 import json
 import random
+import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -94,7 +96,8 @@ class TestCompareCommand:
         doc["extranous"] = 1
         cfg = write_config(tmp_path, doc)
         assert main(["compare", "--config", str(cfg)]) == 1
-        assert "extranous" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config: unknown key(s) ['extranous']")
 
     @pytest.mark.parametrize("fmt", ["Machine", "json", ""])
     def test_unknown_format_exits_one(self, tmp_path, cohort_csv, capsys, fmt):
@@ -290,6 +293,28 @@ class TestCompareCommand:
             assert "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("lines, covariates, exposure, code, message", [
+        # A1 is 1 on row 8 alone, so its 10th and 90th percentiles are both 0.
+        (["id,time,event,A1,A2"] + [f"{i},{i},{i % 2},{int(i == 8)},{i % 5}"
+                                    for i in range(1, 21)],
+         [], {"scale": "p10-p90"}, 1,
+         "config error: [design] exposure 'A1' has a zero 10th-to-90th percentile increment"),
+        # A covariate cell of 1e200 is finite, but its square in the
+        # information is not.
+        (["id,time,event,A1,A2,L1"] + [f"{i},{i},{i % 2},{i % 3},{i % 5},{i % 7}"
+                                       for i in range(1, 21)] + ["21,21,1,1,2,1e200"],
+         ["L1"], {}, 2, "data error: [fit] information matrix is not positive definite"),
+    ], ids=["zero-width-scale", "covariate-overflow"])
+    def test_cohort_the_compare_refuses(self, tmp_path, capsys, lines, covariates, exposure,
+                                        code, message):
+        path = tmp_path / "cohort.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        doc = compare_config(path, tmp_path, **exposure)
+        doc["schema"] |= {"covariates": covariates, "strata": []}
+        assert main(["compare", "--config", str(write_config(tmp_path, doc))]) == code
+        err = capsys.readouterr().err
+        assert err.splitlines()[0].startswith(message), err
+        assert not (tmp_path / "report.json").exists()
 
     def test_hazard_ratio_beyond_float_range_reads_na(self, tmp_path, capsys):
         # The demo cohort's exposures in units of 1e-4: e to the coefficient
@@ -476,7 +501,9 @@ class TestSimulateCommand:
             covariate_effects=[0.3], censoring_rate=0.5, n_strata=2, replicate_count=60)
             | {"seed": 5, "format": "human"})
         assert main(["simulate", "--config", str(cfg)]) == 0
-        assert "failed fits by reason: probable_separation 16\n" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "failed fits by reason: probable_separation 16\n" in out
+        assert "scenario valid: NO (failure fraction > 2%)\n" in out
         assert main(["simulate", "--config", str(cfg), "--format", "machine"]) == 0
         reasons = json.loads((tmp_path / "sim.json").read_text())["result"]["failure_reasons"]
         assert reasons == dict.fromkeys(dc.simlab.FAILURE_REASONS, 0) | {
@@ -695,10 +722,30 @@ class TestConfigTypes:
         assert "missing required key 'schema'" in capsys.readouterr().err
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(tmp_path):
     # A fresh interpreter, so that modules other tests imported do not count.
-    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import dupcox, dupcox.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    done = subprocess.run([sys.executable, "-c", probe, str(Path(dc.__file__).parents[1])],
-                          capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    # scipy is blocked before dupcox is imported, so an import of it, at
+    # module level or on the compare or simulate path, fails the probe.  The
+    # configs read demos/data/synthetic_cohort.csv relative to the working
+    # directory.
+    repo = Path(__file__).resolve().parents[1]
+    (tmp_path / "demos" / "data").mkdir(parents=True)
+    shutil.copy(repo / "demos" / "data" / "synthetic_cohort.csv", tmp_path / "demos" / "data")
+    probe = textwrap.dedent("""
+        import contextlib, io, json, sys
+        sys.modules["scipy"] = None
+        sys.path.insert(0, sys.argv[1])
+        from dupcox import cli
+        runs = [("compare", "compare_continuous"), ("compare", "compare_quintiles"),
+                ("simulate", "simulate_null")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main([command, "--config", f"{sys.argv[2]}/{name}.json"])
+                     for command, name in runs]
+        print(json.dumps(codes))
+    """)
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(Path(dc.__file__).parents[1]),
+         str(repo / "demos" / "configs")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [0, 0, 0], done.stderr

@@ -227,7 +227,8 @@ class TestFit:
         d = plain_design(np.array([[1.0], [0.0]]), [1.0, 2.0], [1, 0])
         result = dc.fit(d, robust=False)
         assert result.diagnostics.separation_suspected
-        assert "separation" in result.diagnostics.message
+        assert result.diagnostics.message.endswith(
+            "coefficient magnitude > 20 with increasing likelihood: probable separation")
 
     def test_duplicated_column_aliased(self):
         rng = np.random.default_rng(99)

@@ -504,6 +504,20 @@ class TestSave:
         self._assert_same_bytes(ds, tmp_path)
         assert dc.load_dataset(tmp_path / "columns.csv", ds.schema) == ds
 
+    def test_entry_times_without_an_entry_column_are_refused(self, tmp_path):
+        # The file would have no entry column, so a reload would start every
+        # interval at 0.
+        ds = _delayed_entry_cohort()
+        ds = replace(ds, schema=replace(ds.schema, entry_column=None))
+        path = tmp_path / "cohort.csv"
+        with pytest.raises(ValidationError, match="^cannot save 3 row[(]s[)] whose entry time "
+                                                  "is not 0: the schema names no entry column"):
+            dc.save_dataset(ds, path)
+        assert not path.exists()
+        started = replace(ds, entry=np.zeros(4), exit=ds.exit + 1.0)
+        dc.save_dataset(started, path)
+        assert dc.load_dataset(path, started.schema) == started
+
     def test_each_chunk_quotes_on_its_own(self, tmp_path):
         # Chunk 1 needs no quoting, chunk 2 holds a quoted id and a stratum
         # label with a line break, chunk 3 a non-string id.
@@ -691,6 +705,39 @@ class TestEquality:
     def test_rejected_row_count_is_ignored(self):
         ds = _delayed_entry_cohort()
         assert replace(ds, n_rejected_missing=3) == ds
+
+
+class TestLabelCodes:
+    """Labels that differ get distinct stratum and subject codes, in the
+    cohort and in its augmented and block designs."""
+
+    @staticmethod
+    def two_rows(ids, strata):
+        schema = dc.Schema(id_column="id", exit_column="t", event_column="y",
+                           exposure_columns=("a", "b"), strata_columns=("g", "h"))
+        return dc.Dataset(schema, np.array(ids, dtype=object), np.zeros(2), np.array([1.0, 2.0]),
+                          np.ones(2, dtype=bool), np.eye(2), np.zeros((2, 0)),
+                          np.array(strata, dtype=object))
+
+    @pytest.mark.parametrize("strata", [
+        [["a|b", "c"], ["a", "b|c"]],  # both join to "a|b|c"
+        [["g", "c"], ["g\x00", "c"]],  # fixed-width text drops a trailing NUL
+        [["g", "c\x00"], ["g", "c"]],
+    ], ids=["bar", "nul-first", "nul-last"])
+    def test_stratum_tuples_that_join_to_one_key(self, strata):
+        ds = self.two_rows(["1", "2"], strata)
+        assert sorted(ds.stratum_codes.tolist()) == [0, 1]
+        spec = dc.ExposureSpec(kind="continuous", source_columns=("a", "b"))
+        augmented = dc.build_design_matrix(dc.duplicate_augment(ds, spec), spec)
+        assert sorted(augmented.stratum_codes.tolist()) == [0, 1, 2, 3]
+
+    def test_ids_that_differ_by_a_trailing_nul(self):
+        ds = self.two_rows(["1", "1\x00"], [["g", "c"]] * 2)
+        assert ds.subject_codes.tolist() == [0, 1]
+        spec = dc.ExposureSpec(kind="continuous", source_columns=("a", "b"))
+        assert dc.block_design(ds, spec).cluster_codes.tolist() == [0, 1]
+        augmented = dc.build_design_matrix(dc.duplicate_augment(ds, spec), spec)
+        assert augmented.cluster_codes.tolist() == [0, 1, 0, 1]
 
 
 

@@ -682,6 +682,13 @@ class TestRenderTable:
                                                    by_level[c].ci_upper)
                 for c in range(1, 6)]
 
+    @pytest.mark.parametrize("confidence, level", [(0.95, "95"), (0.999, "99.9"),
+                                                   (0.975, "97.5")])
+    def test_footer_states_the_confidence_level(self, confidence, level):
+        ds, spec = simulated_cohort(seed=51, n=150)
+        text = dc.render_table(dc.compare_exposures(ds, spec, confidence=confidence))
+        assert f"Numbers are hazard ratios [{level}% confidence intervals]." in text.splitlines()
+
     def test_p_formatting(self):
         assert dc.format_p(0.005) == "P = 0.005"
         assert dc.format_p(5e-5) == "P < 0.0001"

@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -385,6 +386,15 @@ class TestBatchedReplicates:
         assert simlab._failure_reason(SingularMatrixError("x")) == "singular"
         assert simlab._failure_reason(AliasedCoefficientError("x")) == "aliased_tested_term"
         assert simlab._failure_reason(ConfigError("x")) == "other"
+
+    @pytest.mark.parametrize("separation, reason", [(False, "step_halving_failed"),
+                                                    (True, "probable_separation")])
+    def test_failure_reason_of_a_fit_stopped_by_halvings(self, separation, reason):
+        # A fit that step halving stopped counts as probable separation only
+        # with a coefficient beyond the bound.
+        diagnostics = cox.FitDiagnostics(4, 0, 20, separation, cox.STEP_HALVING_FAILED)
+        outcome = SimpleNamespace(fit=SimpleNamespace(diagnostics=diagnostics))
+        assert simlab._failure_reason(outcome) == reason
 
     @pytest.mark.parametrize("kind, m, rho", [
         ("categorical", 2, 0.5),  # 3 tested interactions: 3 x 3 blocks
