@@ -13,13 +13,22 @@ this script alone installs.  With ``--compare-only`` the script skips the
 file and compares the simulated cohort alone, so the peak RSS is that of a
 process that only simulates and compares.
 
+Before the timed run, a fresh worker process simulates the cohort and
+compares it with tracemalloc on from the compare's start, so the tracing
+slows no timed step.  For each stage, ``traced_<stage>_live_mb`` is the MB
+that the compare had allocated and still held when the stage began and
+``traced_<stage>_peak_mb`` its traced peak during the stage, each the largest
+over the stage's calls; the cohort itself is not counted.  A stage that
+never ran has no figures.
+
 With ``--grouped K`` each exit time is moved up to the end of its interval
 among K quantile intervals of the exits, so the events are tied at K times,
 and the cohort is compared under Efron's and then Breslow's tie correction,
 each in a fresh worker process that simulates, groups and compares: each
 ``compare_<ties>_peak_rss_mb`` is that of a process that did only this.  The
 simulate and group figures are the last worker's.  The exit code is 1 if the
-loaded cohort differs from the saved one or a fit did not converge.
+loaded cohort differs from the saved one, a fit did not converge or, outside
+``--grouped``, a stage of the traced compare never ran.
 
     PYTHONPATH=src python scripts/scale_1m.py --n 1000000
     PYTHONPATH=src python scripts/scale_1m.py --n 1000000 --compare-only
@@ -36,6 +45,7 @@ import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -49,20 +59,56 @@ def peak_rss_mb() -> float:
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
-def timed(owner, name: str, totals: dict) -> None:
-    """Wrap ``owner.name`` so that each call adds its wall time and a count
-    to ``totals[name]``."""
-    original = getattr(owner, name)
+# A compare's stages: engine set-up, likelihood evaluations and sandwich.
+STAGES = {"setup": (cox._Engine, "__init__"), "evaluate": (cox._Engine, "evaluate"),
+          "sandwich": (cox, "_sandwich")}
 
-    def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        try:
-            return original(*args, **kwargs)
-        finally:
-            totals[name][0] += time.perf_counter() - start
-            totals[name][1] += 1
 
-    setattr(owner, name, wrapper)
+def wrap_stages(before, after) -> None:
+    """Wrap each stage's function so that ``after(stage, before())`` runs
+    when a call ends."""
+    for stage, (owner, name) in STAGES.items():
+        def wrapper(*args, _stage=stage, _original=getattr(owner, name), **kwargs):
+            state = before()
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                after(_stage, state)
+
+        setattr(owner, name, wrapper)
+
+
+def cohort_config(n: int):
+    return dupcox.SimConfig(
+        n_subjects=n, exposure_correlation=0.7, true_beta=(0.5, 0.3),
+        covariate_effects=(0.2, -0.1), n_strata=4, replicate_count=1, master_seed=1,
+    )
+
+
+def traced_compare(n: int) -> dict:
+    """Simulate, then compare with tracemalloc on from the compare's start:
+    each stage's largest traced MB live at a call's start and at a call's
+    peak."""
+    config = cohort_config(n)
+    cohort = dupcox.simulate_cohort(config, 0)
+    stages = {}
+
+    def before():
+        tracemalloc.reset_peak()
+        return tracemalloc.get_traced_memory()[0]
+
+    def after(stage, live):
+        most = stages.setdefault(stage, [0, 0])
+        most[:] = max(most[0], live), max(most[1], tracemalloc.get_traced_memory()[1])
+
+    wrap_stages(before, after)
+    tracemalloc.start()
+    try:
+        dupcox.compare_exposures(cohort, config.exposure_spec())
+    finally:
+        tracemalloc.stop()
+    return {f"traced_{stage}_{kind}_mb": round(value / 2 ** 20, 1)
+            for stage, most in stages.items() for kind, value in zip(("live", "peak"), most)}
 
 
 class Run:
@@ -70,15 +116,15 @@ class Run:
     Making one installs the timing wrappers, so a process makes one."""
 
     def __init__(self, n: int):
-        self.config = dupcox.SimConfig(
-            n_subjects=n, exposure_correlation=0.7, true_beta=(0.5, 0.3),
-            covariate_effects=(0.2, -0.1), n_strata=4, replicate_count=1, master_seed=1,
-        )
+        self.config = cohort_config(n)
         self.line = {"n": n}
         self.totals = {}
-        timed(cox._Engine, "__init__", self.totals)
-        timed(cox._Engine, "evaluate", self.totals)
-        timed(cox, "_sandwich", self.totals)
+
+        def after(stage, start):
+            self.totals[stage][0] += time.perf_counter() - start
+            self.totals[stage][1] += 1
+
+        wrap_stages(time.perf_counter, after)
 
     def step(self, name: str, call):
         """``call()``, with its wall time and the peak RSS after it."""
@@ -91,13 +137,12 @@ class Run:
     def compare(self, name: str, data, options=None):
         """The fit of ``data``'s compare, stepped as ``compare_<name>``."""
         spec = self.config.exposure_spec()
-        self.totals.update(__init__=[0.0, 0], evaluate=[0.0, 0], _sandwich=[0.0, 0])
+        self.totals = {stage: [0.0, 0] for stage in STAGES}
         fit = self.step(f"compare_{name}",
                         lambda: dupcox.compare_exposures(data, spec, options)).fit
-        self.line[f"compare_{name}_setup_s"] = round(self.totals["__init__"][0], 3)
-        self.line[f"compare_{name}_evaluate_s"] = round(self.totals["evaluate"][0], 3)
+        for stage, (seconds, _) in self.totals.items():
+            self.line[f"compare_{name}_{stage}_s"] = round(seconds, 3)
         self.line[f"compare_{name}_evaluations"] = self.totals["evaluate"][1]
-        self.line[f"compare_{name}_sandwich_s"] = round(self.totals["_sandwich"][0], 3)
         return fit
 
 
@@ -149,6 +194,9 @@ def main(argv=None) -> int:
         print(json.dumps(line), flush=True)
         return 0 if converged else 1
 
+    # The traced worker first, while this process holds no cohort.
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        traced = pool.apply(traced_compare, (args.n,))
     run = Run(args.n)
     cohort = run.step("simulate", lambda: dupcox.simulate_cohort(run.config, 0))
     cohorts = [("simulated", cohort)]
@@ -160,13 +208,14 @@ def main(argv=None) -> int:
             loaded = run.step("load", lambda: dupcox.load_dataset(path, cohort.schema))
         cohorts.append(("loaded", loaded))
     fits = [run.compare(name, data) for name, data in cohorts]
-    line = run.line
+    line = run.line | traced
     if not args.compare_only:
         line["same_cohort"] = cohorts[1][1] == cohort
     line["iterations"] = [fit.iterations for fit in fits]
     line["converged"] = all(fit.converged for fit in fits)
     print(json.dumps(line), flush=True)
-    return 0 if line.get("same_cohort", True) and line["converged"] else 1
+    traced_all = len(traced) == 2 * len(STAGES)
+    return 0 if line.get("same_cohort", True) and line["converged"] and traced_all else 1
 
 
 if __name__ == "__main__":

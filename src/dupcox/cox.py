@@ -150,12 +150,12 @@ def _running(grid: np.ndarray) -> np.ndarray:
 
 
 def _subtract(S0, S1, cells, less) -> None:
-    """Subtract, at ``cells`` of the last axis, ``less``'s row 0 from ``S0``
-    ``(m, k)`` and its rows ``1:`` from ``S1`` ``(m, q - 1, k)``, in place.
-    Passed in, ``less`` is freed when the call returns, not held through
-    the rest of an evaluation."""
-    S0[..., cells] -= less[:, 0]
-    S1[..., cells] -= less[:, 1:]
+    """Subtract, at ``cells`` of the last axis, ``less``'s row 0 from one
+    block's ``S0`` ``(k,)`` and its rows ``1:`` from its ``S1`` ``(p_b,
+    k)``, in place.  Passed in, ``less`` is freed when the call returns, not
+    held through the rest of an evaluation."""
+    S0[cells] -= less[0]
+    S1[:, cells] -= less[1:]
 
 
 def _grid(groups, n_groups: int):
@@ -219,32 +219,30 @@ class _Bucket:
     or after their stratum's first event time (none without left truncation)
     are also gathered into an ``(S, K)`` grid by decreasing entry, so a small
     late risk set is summed from its own few terms, never as the difference
-    of two whole-stratum totals.  Empty cells have ``Z = 0`` and weight 0.
+    of two whole-stratum totals.  Empty cells have ``X = 0`` and weight 0.
 
     ``rows`` are original row numbers by stratum, decreasing exit and row,
     ``s`` their stratum in the bucket, ``strata`` the strata's places in label
     order, ``problem`` their problems, and ``entry`` and ``exit_`` time ranks
-    below ``span``; ``entry`` is ``None`` where no row enters late.  ``Z``
-    gathers ``[1 | block]'`` from the stack's block columns ``cols`` ``(m,
-    p_b, n)``; arrays keep the rows last, so that every pass runs along them.
+    below ``span``; ``entry`` is ``None`` where no row enters late.  ``X``
+    ``(m, p_b, S * L)`` gathers the stack's block columns ``cols`` ``(m, p_b,
+    n)``, and ``empty`` marks the empty cells; arrays keep the rows last, so
+    that every pass runs along them.
     """
 
     def __init__(self, cols, rows, s, strata, problem, entry, exit_, event, span: int,
                  efron: bool):
-        m, q, n = cols.shape[0], cols.shape[1] + 1, cols.shape[2]
+        m, p_b, n = cols.shape
         self.strata, self.problem, S = strata, problem, len(strata)
         start, cell, L = _grid(s, S)
         self.rows = np.full(S * L, n)                    # empty cells map past the end
         self.rows[cell] = rows
         empty = self.rows == n
-        self.Z = np.empty((m, q, S * L))
-        self.Z[:, 0] = 1.0
+        self.X = np.empty((m, p_b, S * L))
         for j in range(m):  # clipped, an empty cell reads the last row until zeroed
-            np.take(cols[j], self.rows, axis=1, out=self.Z[j, 1:], mode="clip")
-        self.Z[..., empty] = 0.0
-        self.Z = self.Z.reshape(m, q, S, L)
-        self.X = self.Z[:, 1:].reshape(m, q - 1, S * L)  # a view
-        self.pad = np.where(empty, -np.inf, 0.0).reshape(S, L)
+            np.take(cols[j], self.rows, axis=1, out=self.X[j], mode="clip")
+        self.X[..., empty] = 0.0
+        self.empty = empty.reshape(S, L)
 
         # Events by stratum and increasing exit: each stratum's run of events
         # in the bucket's order, reversed.
@@ -275,8 +273,9 @@ class _Bucket:
         # Empty cells stay 0.
         mid = (np.maximum.reduceat(self.X, self.segments, axis=2)[..., ::2] / 2
                + np.minimum.reduceat(self.X, self.segments, axis=2)[..., ::2] / 2)
-        np.subtract(self.Z[:, 1:], mid[..., None], out=self.Z[:, 1:], where=~empty.reshape(S, L))
-        self.fail_sum = np.add.reduceat(self.take_X(self.fail), self.f_start, axis=2)
+        grid = self.X.reshape(m, p_b, S, L)
+        np.subtract(grid, mid[..., None], out=grid, where=~self.empty)
+        self.fail_sum = np.add.reduceat(np.take(self.X, self.fail, axis=2), self.f_start, axis=2)
 
         # The bucket's runs of rows tied in stratum and exit.  An event at time
         # t has the rows up to its run's last at risk (exit >= t); a row's
@@ -330,17 +329,6 @@ class _Bucket:
         self.tied_sizes = d[self.tied][self.tied_starts]      # events per tied time
         self.J = (self.tied - g_start[group]) / d[self.tied]
 
-    def take_X(self, cells) -> np.ndarray:
-        """``X`` at ``cells``, ``(m, q - 1, len(cells))``, gathered block by
-        block from ``Z``'s contiguous rows: ``np.take`` would first copy the
-        strided ``X``.  (Every cell is in range; ``clip`` only spares
-        ``np.take`` a buffer for ``out``.)"""
-        m, q, _, _ = self.Z.shape
-        out = np.empty((m, q - 1, len(cells)))
-        for j in range(m):
-            np.take(self.Z[j, 1:].reshape(q - 1, -1), cells, axis=1, out=out[j], mode="clip")
-        return out
-
     def at_risk_sums(self, per_step):
         """Sums of each block's ``per_step`` ``(m, events)`` over each row's
         at-risk sub-steps, ``(m, S * L)``; at a tied event's own time,
@@ -361,6 +349,62 @@ class _Bucket:
             for cells, values in zip(sums, own):
                 cells[self.tied_rows] -= values
         return sums
+
+    def risk_set_sums(self, w):
+        """Each block's risk-set sums at its sub-steps, ``S0`` ``(m, events)``
+        and the ``S1`` rows ``(m, p_b, events)``, at row weights ``w`` ``(m,
+        S * L)``, 0 at empty cells: running totals of ``w Z``, ``Z = [1 |
+        X]``, by decreasing exit, less the terms of rows entering late and,
+        at a tied time's sub-steps, the share ``J`` of its own rows.  Two
+        arrays, so that ``S1``, which becomes the residuals' ``xbar``, holds
+        no ``S0`` row.  Each block is formed in turn in one buffer, freed on
+        return, so that the arrays formed next can take its space."""
+        m, p_b, _ = self.X.shape
+        wZ = np.empty((1 + p_b, w.shape[1]))
+        S0, S1 = np.empty((m, len(self.exit_at))), np.empty((m, p_b, len(self.exit_at)))
+        for j in range(m):
+            wZ[0] = w[j]
+            np.multiply(w[j], self.X[j], out=wZ[1:])
+            # Late and tied rows' terms are read before the running total overwrites wZ.
+            late = np.take(wZ, self.late, axis=1) if self.late is not None else None
+            if self.tied.size:
+                tied = np.add.reduceat(np.take(wZ, self.tied_rows, axis=1), self.tied_starts,
+                                       axis=1)
+            total = _running(wZ.reshape(1 + p_b, *self.empty.shape))
+            np.take(total[0], self.exit_at, out=S0[j], mode="clip")
+            np.take(total[1:], self.exit_at, axis=1, out=S1[j], mode="clip")
+            if late is not None:
+                _subtract(S0[j], S1[j], slice(None), np.take(_running(late), self.late_at, axis=1))
+            if self.tied.size:
+                _subtract(S0[j], S1[j], self.tied, self.J * np.take(tied, self.tied_group, axis=1))
+        return S0, S1
+
+    def information(self, w, a, xbar):
+        """Each stratum's information in each block, ``(S, m, p_b, p_b)``,
+        from its own rows and events alone: the sum over its rows of ``w a X
+        X'`` less that over its sub-steps of ``xbar xbar'``.  Each block's
+        ``w a X`` is formed in turn in one buffer, whose row 0 holds ``w
+        a``."""
+        m, p_b, _ = self.X.shape
+        info = np.empty((len(self.strata), m, p_b, p_b))
+        buf = np.empty((1 + p_b, w.shape[1]))
+        small = len(self.own) < len(self.strata)
+        if small:  # the upper triangle row by row, the products in two reused buffers
+            by_row, by_step = np.empty((p_b, w.shape[1])), np.empty((p_b, xbar.shape[2]))
+        for j in range(m):
+            X, xb = self.X[j], xbar[j]
+            Xwa = np.multiply(X, np.multiply(w[j], a[j], out=buf[0]), out=buf[1:])
+            if small:
+                for i in range(p_b):
+                    rows = np.multiply(Xwa[i, None], X[i:], out=by_row[:p_b - i])
+                    steps = np.multiply(xb[i, None], xb[i:], out=by_step[:p_b - i])
+                    upper = (np.add.reduceat(rows, self.segments, axis=1)[:, ::2]
+                             - np.add.reduceat(steps, self.f_start, axis=1))
+                    info[:, j, i, i:] = info[:, j, i:, i] = upper.T
+            for k, rows, steps in self.own:
+                outer = Xwa[:, rows] @ X[:, rows].T
+                info[k, j] = (outer + outer.T) / 2.0 - xb[:, steps] @ xb[:, steps].T
+        return info
 
     def residuals(self, j: int, i: int, part, out) -> None:
         """Column ``i`` of block ``j``: its score residuals at the point of
@@ -484,32 +528,18 @@ class _Engine:
         return np.cumsum(grid, axis=1)[:, -1]
 
     def _bucket(self, bk: _Bucket, b):
-        m, q = self.m, self.p_b + 1
+        m = self.m
         b = b[bk.problem].transpose(1, 2, 0)[..., None]  # each stratum's problem's, (m, p_b, S, 1)
         # Term by term, so that a row's value, unlike a matrix product's, does
         # not depend on where it sits or on the other strata.
-        lp = np.repeat(bk.pad[None], m, axis=0)
+        lp = np.zeros((m,) + bk.empty.shape)
+        lp[:, bk.empty] = -np.inf
         for i in range(self.p_b):
-            lp += bk.Z[:, i + 1] * b[:, i]
+            lp += bk.X[:, i].reshape(lp.shape) * b[:, i]
         lp -= lp.max(axis=2, keepdims=True)  # cancels exactly in the likelihood
         lp_fail = np.add.reduceat(np.take(lp.reshape(m, -1), bk.fail, axis=1), bk.f_start, axis=1)
         w = np.exp(lp, out=lp).reshape(m, -1)
-        wZ = w[:, None] * bk.Z.reshape(m, q, -1)
-        # Late and tied rows' terms are read before the running total overwrites wZ.
-        late = np.take(wZ, bk.late, axis=2) if bk.late is not None else None
-        if bk.tied.size:
-            tied = np.add.reduceat(np.take(wZ, bk.tied_rows, axis=2), bk.tied_starts, axis=2)
-        # S0 and the S1 rows as two arrays, so that xbar, which the residuals
-        # read, holds no S0 row; each block's rows are contiguous.
-        total = _running(wZ.reshape(bk.Z.shape))
-        S0_fl, xbar = np.empty((m, len(bk.exit_at))), np.empty((m, q - 1, len(bk.exit_at)))
-        for j in range(m):
-            np.take(total[j, 0], bk.exit_at, out=S0_fl[j], mode="clip")
-            np.take(total[j, 1:], bk.exit_at, axis=1, out=xbar[j], mode="clip")
-        if late is not None:
-            _subtract(S0_fl, xbar, slice(None), np.take(_running(late), bk.late_at, axis=2))
-        if bk.tied.size:
-            _subtract(S0_fl, xbar, bk.tied, bk.J * np.take(tied, bk.tied_group, axis=2))
+        S0_fl, xbar = bk.risk_set_sums(w)
         xbar /= S0_fl[:, None]
 
         # Each stratum's own log-likelihood, summed block by block.
@@ -517,25 +547,7 @@ class _Engine:
         score = bk.fail_sum - np.add.reduceat(xbar, bk.f_start, axis=2)
         lam_fl = 1.0 / S0_fl
         a = bk.at_risk_sums(lam_fl)
-        # wZ's space, free again, takes w a Z.
-        Xwa = np.multiply(bk.Z.reshape(wZ.shape), (w * a)[:, None], out=wZ)[:, 1:]
-        # Each stratum's information from its own rows and events alone.
-        p_b = self.p_b
-        info = np.empty((len(bk.strata), m, p_b, p_b))
-        if len(bk.own) < len(bk.strata):
-            # The upper triangle row by row, the products in two reused buffers.
-            by_row, by_step = np.empty(Xwa.shape), np.empty(xbar.shape)
-            for i in range(p_b):
-                rows = np.multiply(Xwa[:, i, None], bk.X[:, i:], out=by_row[:, :p_b - i])
-                steps = np.multiply(xbar[:, i, None], xbar[:, i:], out=by_step[:, :p_b - i])
-                upper = (np.add.reduceat(rows, bk.segments, axis=2)[..., ::2]
-                         - np.add.reduceat(steps, bk.f_start, axis=2))
-                info[:, :, i, i:] = info[:, :, i:, i] = upper.transpose(2, 0, 1)
-        for k, rows, steps in bk.own:
-            outer = Xwa[..., rows] @ bk.X[..., rows].transpose(0, 2, 1)
-            info[k] = ((outer + outer.transpose(0, 2, 1)) / 2.0
-                       - xbar[..., steps] @ xbar[..., steps].transpose(0, 2, 1))
-        return ll, score.transpose(2, 0, 1), info, (w, a, xbar, lam_fl)
+        return ll, score.transpose(2, 0, 1), bk.information(w, a, xbar), (w, a, xbar, lam_fl)
 
     def residual_rows(self, ev: _Evaluation):
         """Per-row score residuals at ``ev``'s points in block coordinates,
@@ -721,9 +733,12 @@ def fit_stack(designs, options: FitOptions | None = None, robust: bool = True) -
     is its :class:`CoxFit`, or the :class:`~dupcox.errors.DupcoxError` that
     :func:`fit` would raise for it.  Every evaluation covers the whole
     stack; a problem that has stopped is evaluated at its last iterate.
+    Once the engine is built only the designs' column names are kept, so a
+    design that the caller does not hold is freed before the Newton loop.
     """
     options = options or FitOptions()
     R, p = len(designs), designs[0].n_columns
+    names = [design.column_names for design in designs]
 
     beta = np.zeros((R, p))
     # A column too large for its square overflows the information, which the
@@ -731,6 +746,7 @@ def fit_stack(designs, options: FitOptions | None = None, robust: bool = True) -
     # alike.
     with np.errstate(over="ignore", invalid="ignore"):
         engine = _Engine(designs, options.tie_method)
+        del designs  # the engine holds its own copy of what it reads
         ev = engine.evaluate(beta)
     aliased = _aliased_columns(ev.info)
     ll, score_, info = ev.ll.copy(), ev.score.copy(), ev.info.copy()
@@ -797,7 +813,7 @@ def fit_stack(designs, options: FitOptions | None = None, robust: bool = True) -
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             sandwich = _sandwich(engine, ev, cov)
     results = []
-    for r, design in enumerate(designs):
+    for r in range(R):
         if errors[r] is not None:
             results.append(errors[r])
             continue
@@ -811,7 +827,7 @@ def fit_stack(designs, options: FitOptions | None = None, robust: bool = True) -
                                      int(engine.n_strata_skipped[r]),
                                      int(engine.n_events[r]), separation, message)
         results.append(CoxFit(
-            column_names=design.column_names,
+            column_names=names[r],
             coefficients=np.where(aliased[r], np.nan, beta[r]),
             model_covariance=_nan_at(cov[r], aliased[r]),
             robust_covariance=(_nan_at(sandwich[r], aliased[r])

@@ -591,12 +591,16 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     The file is written ``_CHUNK_ROWS`` rows at a time, so the text held in
     memory at once does not grow with the cohort.  A cohort whose schema
     names no entry column is refused with a :class:`ValidationError` unless
-    every entry time is 0, since the file would not hold them.
+    every entry time is +0.0, since the file would not hold them: a reload
+    starts every interval at +0.0, and even a -0.0 changes the fingerprint.
     """
-    if dataset.schema.entry_column is None and dataset.entry.any():
+    entry = dataset.entry
+    if dataset.schema.entry_column is None and (entry.any() or np.signbit(entry).any()):
+        signed = np.count_nonzero(np.signbit(entry) & (entry == 0))
         raise ValidationError(
-            f"cannot save {np.count_nonzero(dataset.entry)} row(s) whose entry time is "
-            f"not 0: the schema names no entry column to hold it")
+            f"cannot save {np.count_nonzero(entry) + signed} row(s) whose entry time is "
+            f"not 0: the schema names no entry column to hold it"
+            + (f" ({signed} hold -0.0, which would reload as 0.0)" if signed else ""))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(dataset.schema.all_columns())
@@ -635,6 +639,15 @@ class ValidationReport:
         raise KeyError(name)
 
 
+def _stratum_name(labels: list) -> str:
+    """A stratum's name: ``str()`` of its one label, or of each of its labels
+    joined by "|", with a "\\" before each "\\" and "|" in a label, so that
+    two strata never share a name."""
+    if len(labels) == 1:
+        return str(labels[0])
+    return "|".join(str(label).replace("\\", "\\\\").replace("|", "\\|") for label in labels)
+
+
 def validate(dataset: Dataset) -> ValidationReport:
     """Run advisory checks on a dataset and report findings.
 
@@ -662,7 +675,7 @@ def validate(dataset: Dataset) -> ValidationReport:
     _, first = np.unique(dataset.stratum_codes, return_index=True)
     events = np.bincount(dataset.stratum_codes, weights=dataset.event, minlength=len(first))
     seen = np.argsort(first)  # strata in first-seen order
-    silent = dataset.strata_keys()[first[seen][events[seen] == 0]].tolist()
+    silent = list(map(_stratum_name, dataset.strata[first[seen][events[seen] == 0]].tolist()))
     checks.append(CheckResult(
         "stratum_events", not silent,
         "every stratum contains at least one event" if not silent

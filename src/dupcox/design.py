@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, event_flags, join_labels, label_codes, tuple_codes
+from .data import Dataset, _read_only, event_flags, join_labels, label_codes, tuple_codes
 from .errors import ConfigError, EstimationError, SchemaError, ValidationError, _is_integer
 
 KINDS = ("continuous", "dichotomous", "categorical", "trend")
@@ -405,7 +405,8 @@ def block_design(dataset: Dataset, spec: ExposureSpec) -> DesignMatrix:
     """The design of :func:`build_design_matrix` without copying the cohort.
 
     Fitting it gives the augmented fit's coefficients, covariances and
-    diagnostics, over ``n`` rows instead of ``m * n``.
+    diagnostics, over ``n`` rows instead of ``m * n``.  Its codes, entry,
+    exit and event arrays are read-only views of the cohort's.
     """
     terms, term_names = _exposure_term_columns(dataset, spec)
     if len(dataset) == 0:
@@ -437,9 +438,9 @@ def block_design(dataset: Dataset, spec: ExposureSpec) -> DesignMatrix:
         interaction_columns=inter_names,
         stratum_codes=dataset.stratum_codes,
         cluster_codes=dataset.subject_codes,
-        entry=dataset.entry.copy(),
-        exit=dataset.exit.copy(),
-        event=dataset.event.copy(),
+        entry=_read_only(dataset.entry.view()),
+        exit=_read_only(dataset.exit.view()),
+        event=_read_only(dataset.event.view()),
     )
 
 
@@ -448,11 +449,13 @@ def single_exposure_design(dataset: Dataset, spec: ExposureSpec, index: int) -> 
 
     Block ``index`` of :func:`block_design` under the identity map, so its
     coefficients are directly comparable with the main(+interaction)
-    parameterization of the duplicated fit.
+    parameterization of the duplicated fit.  The design owns its block, so it
+    holds no other exposure's.
     """
     if not (_is_integer(index) and 0 <= index < spec.n_compared):
         raise ConfigError(f"exposure index {index} outside 0..{spec.n_compared - 1}")
     design = block_design(dataset, spec)
     p_b = design.blocks.shape[2]
-    return replace(design, blocks=design.blocks[index:index + 1], block_map=np.eye(p_b),
-                   column_names=design.column_names[:p_b], interaction_columns=())
+    return replace(design, blocks=design.blocks[index:index + 1].copy(order="K"),
+                   block_map=np.eye(p_b), column_names=design.column_names[:p_b],
+                   interaction_columns=())

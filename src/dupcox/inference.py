@@ -14,6 +14,7 @@ with one stacked fit and one report pass (the simulation lab's replicates);
 from __future__ import annotations
 
 import math
+import traceback
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from statistics import NormalDist
@@ -413,14 +414,22 @@ def compare_stack(cohorts, spec: ExposureSpec, options: FitOptions | None = None
         designs, scales = {}, {}
         for r, cohort in enumerate(cohorts):
             try:
-                design = block_design(cohort, spec)
-                scales[r] = _per_exposure_scales(design, spec, scale)
-                designs[r] = design
+                designs[r] = block_design(cohort, spec)
+                scales[r] = _per_exposure_scales(designs[r], spec, scale)
             except DupcoxError as exc:
+                designs.pop(r, None)
+                traceback.clear_frames(exc.__traceback__)  # whose locals hold the design
                 outcomes[r] = _stage(stage, exc)
+        # All that the report reads of the designs.  They are popped into the
+        # fit, so that it holds the only reference to each and frees them once
+        # its engine is built.
+        tested = {r: design.interaction_columns for r, design in designs.items()}
+        T, main_columns = next(((design.block_map, design.exposure_main_columns)
+                                for design in designs.values()), (None, ()))
 
         stage = "fit"
-        fits = dict(zip(designs, fit_stack(list(designs.values()), options) if designs else ()))
+        fits = dict(zip(tested, fit_stack([designs.pop(r) for r in tested], options)
+                        if tested else ()))
         converged = []
         for r, fit_result in fits.items():
             if isinstance(fit_result, DupcoxError):
@@ -434,13 +443,12 @@ def compare_stack(cohorts, spec: ExposureSpec, options: FitOptions | None = None
         where = []
         for r in converged:
             try:
-                idx = np.array(_positions(fits[r], designs[r].interaction_columns))
+                idx = np.array(_positions(fits[r], tested[r]))
                 where.append(r)
             except DupcoxError as exc:
                 outcomes[r] = _stage(stage, exc)
         if where:
-            shared, kept = designs[where[0]], [fits[r] for r in where]
-            names = shared.interaction_columns
+            kept, names = [fits[r] for r in where], tested[where[0]]
             aliased = np.array([f.aliased_mask for f in kept])
             theta = np.where(aliased, 0.0, [f.coefficients for f in kept])
             robust = np.where(aliased[:, :, None] | aliased[:, None, :], 0.0,
@@ -453,7 +461,7 @@ def compare_stack(cohorts, spec: ExposureSpec, options: FitOptions | None = None
             # theta and of diag(T V T') is one sum of at most two terms, the
             # same in any order; the zeros at aliased positions add nothing,
             # as if those were dropped.
-            T, shape = shared.block_map, (len(kept), spec.n_compared, -1)
+            shape = (len(kept), spec.n_compared, -1)
             b = (theta @ T.T).reshape(shape).tolist()
             var = ((T @ robust) * T).sum(axis=2).reshape(shape).tolist()
             z = _quantile(confidence)
@@ -464,7 +472,7 @@ def compare_stack(cohorts, spec: ExposureSpec, options: FitOptions | None = None
                 exposures = []
                 for j, source in enumerate(spec.source_columns):
                     terms = []
-                    for k, term in enumerate(shared.exposure_main_columns):
+                    for k, term in enumerate(main_columns):
                         se, hr = _interval(b[i][j][k], var[i][j][k], scales[r][j], z)
                         terms.append(ExposureTerm(term, b[i][j][k], se, scales[r][j],
                                                   hr.value, hr.ci_lower, hr.ci_upper))

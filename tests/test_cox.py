@@ -641,7 +641,7 @@ class TestRiskSetIndex:
         engine = cox._Engine([design], "efron")
         kept = np.flatnonzero(np.bincount(design.stratum_codes, weights=design.event))
         for bk in engine.buckets:
-            (S, L), K = bk.pad.shape, 1 if bk.late is None else bk.late.shape[1]
+            (S, L), K = bk.empty.shape, 1 if bk.late is None else bk.late.shape[1]
             want = bucket_layout(design, kept[bk.strata], L, bk.E, K)
             for name in ("rows", "fail", "exit_at", "window_end"):
                 np.testing.assert_array_equal(getattr(bk, name), want[name], err_msg=name)

@@ -518,6 +518,23 @@ class TestSave:
         dc.save_dataset(started, path)
         assert dc.load_dataset(path, started.schema) == started
 
+    def test_a_negative_zero_entry_without_an_entry_column_is_refused(self, tmp_path):
+        # A reload would read +0.0: equal to -0.0, but with another fingerprint.
+        schema = dc.Schema(id_column="id", exit_column="t", event_column="y",
+                           exposure_columns=("a", "b"))
+        ds = dc.Dataset(schema, np.array(["1", "2"], dtype=object), np.array([-0.0, 0.0]),
+                        np.array([1.0, 2.0]), np.array([True, False]), np.zeros((2, 2)),
+                        np.zeros((2, 0)), np.empty((2, 0), dtype=object))
+        path = tmp_path / "cohort.csv"
+        with pytest.raises(ValidationError, match=r"^cannot save 1 row[(]s[)] whose entry time "
+                                                  r"is not 0: .*[(]1 hold -0[.]0, which would "
+                                                  r"reload as 0[.]0[)]$"):
+            dc.save_dataset(ds, path)
+        assert not path.exists()
+        positive = replace(ds, entry=np.zeros(2))
+        dc.save_dataset(positive, path)
+        assert dc.load_dataset(path, schema).fingerprint() == positive.fingerprint()
+
     def test_each_chunk_quotes_on_its_own(self, tmp_path):
         # Chunk 1 needs no quoting, chunk 2 holds a quoted id and a stratum
         # label with a line break, chunk 3 a non-string id.
@@ -618,6 +635,17 @@ class TestValidate:
         report = dc.validate(dataset_from_rows(rows, schema))
         assert not report["stratum_events"].passed
         assert report["stratum_events"].offenders == ("y",)
+
+    def test_eventless_strata_are_named_apart(self):
+        # Joined by a bare "|", both strata would read 'a|b|c'.
+        schema = dc.Schema(id_column="id", exit_column="t", event_column="y",
+                           exposure_columns=("a", "b"), strata_columns=("g", "h"))
+        strata = np.array([["a|b", "c"], ["a", "b|c"], ["a\\", "b"]], dtype=object)
+        ds = dc.Dataset(schema, np.array(["1", "2", "3"], dtype=object), np.zeros(3),
+                        np.ones(3), np.zeros(3, dtype=bool), np.zeros((3, 2)),
+                        np.zeros((3, 0)), strata)
+        check = dc.validate(ds)["stratum_events"]
+        assert check.offenders == ("a\\|b|c", "a|b\\|c", "a\\\\|b")
 
     def test_eventless_strata_match_loop_over_1000_strata(self):
         rng = np.random.default_rng(31)

@@ -420,6 +420,21 @@ class TestOneDesignType:
             assert np.array_equal(single.stratum_codes, full.stratum_codes)
             assert np.array_equal(single.cluster_codes, full.cluster_codes)
 
+    def test_single_exposure_design_owns_its_block(self):
+        # A view of block j would keep every exposure's block alive with it.
+        ds, spec = simulated_cohort(seed=4, n=80)
+        for j in range(2):
+            assert dc.single_exposure_design(ds, spec, j).blocks.flags.owndata
+
+    def test_block_design_times_are_read_only_views_of_the_cohort(self):
+        ds, spec = simulated_cohort(seed=5, n=80)
+        design = dc.block_design(ds, spec)
+        for name in ("entry", "exit", "event"):
+            values = getattr(design, name)
+            assert np.shares_memory(values, getattr(ds, name)), name
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = values[0]
+
     def test_single_exposure_design_refuses_eventless_cohort(self, four_row_schema):
         rows = [
             CohortRow(str(i), 0.0, float(i + 1), False,

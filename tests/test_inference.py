@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dupcox as dc
-from dupcox import inference
+from dupcox import cox, inference
 from dupcox.errors import (AliasedCoefficientError, ConfigError, EstimationError,
                            SingularMatrixError, ValidationError)
 from conftest import simulated_cohort
@@ -642,6 +643,42 @@ class TestCompareStack:
         monkeypatch.setattr(inference, target, broken)
         with pytest.raises(ZeroDivisionError, match=rf"^\[{stage}\] boom$"):
             inference.compare_stack([first, second], spec)
+
+    @pytest.mark.parametrize("n_cohorts", [1, 4])
+    def test_no_design_block_is_alive_in_the_newton_loop(self, monkeypatch, n_cohorts):
+        # The engine copies what it reads of the designs at set-up, so their
+        # (m, n, p_b) blocks are freed before its first evaluation; so is
+        # the design of a cohort refused for its scale.
+        cohorts = [simulated_cohort(seed=70 + r, n=150)[0] for r in range(n_cohorts)]
+        spec = simulated_cohort(seed=70, n=150)[1]
+        if n_cohorts > 1:
+            flat = cohorts[-1].exposures.copy()
+            flat[:, 1] = 0.0
+            flat[3, 1] = 1.0
+            cohorts[-1] = dataclasses.replace(cohorts[-1], exposures=flat)
+        refs, alive = [], []
+        build, evaluate = inference.block_design, cox._Engine.evaluate
+
+        def recorded(dataset, spec):
+            design = build(dataset, spec)
+            refs.extend(map(weakref.ref, (design.blocks, design.blocks.base)))
+            return design
+
+        def first_evaluation(engine, theta):
+            if not alive:
+                alive.append([ref() is not None for ref in refs])
+            return evaluate(engine, theta)
+
+        monkeypatch.setattr(inference, "block_design", recorded)
+        monkeypatch.setattr(cox._Engine, "evaluate", first_evaluation)
+        if n_cohorts == 1:
+            dc.compare_exposures(cohorts[0], spec)
+        else:
+            *reports, refused = inference.compare_stack(cohorts, spec, scale="p10-p90")
+            assert all(report.fit.converged for report in reports)
+            assert isinstance(refused, ConfigError)
+        assert len(refs) == 2 * n_cohorts
+        assert alive == [[False] * len(refs)]
 
 
 class TestRenderTable:
