@@ -4,14 +4,16 @@ The cohort is ``simulate_cohort(SimConfig(n, rho=0.7, beta=(0.5, 0.3),
 gamma=(0.2, -0.1), n_strata=4, master_seed=1), 0)``, compared as two
 continuous exposures.  The script simulates it, writes it with
 ``save_dataset`` to a CSV file in a temporary directory, reads it back with
-``load_dataset``, and runs ``compare_exposures`` on the simulated and then on
-the loaded cohort.  One JSON line gives each step's wall time and the
-process's peak RSS after it, and for each compare the seconds of its engine
-set-up (``_setup_s``), of its likelihood evaluations (``_evaluate_s``, with
-their count) and of its sandwich (``_sandwich_s``), timed by wrappers that
-this script alone installs.  With ``--compare-only`` the script skips the
-file and compares the simulated cohort alone, so the peak RSS is that of a
-process that only simulates and compares.
+``load_dataset``, derives the loaded cohort's stratum and subject codes
+(step ``codes``, which the simulated cohort is given), and runs
+``compare_exposures`` on the simulated and then on the loaded cohort.  One
+JSON line gives each step's wall time and the process's peak RSS after it,
+and for each compare the seconds of its engine set-up (``_setup_s``), of its
+likelihood evaluations (``_evaluate_s``, with their count) and of its
+sandwich (``_sandwich_s``), timed by wrappers that this script alone
+installs.  With ``--compare-only`` the script skips the file and compares
+the simulated cohort alone, so the peak RSS is that of a process that only
+simulates and compares.
 
 Before the timed run, a fresh worker process simulates the cohort and
 compares it with tracemalloc on from the compare's start, so the tracing
@@ -162,7 +164,7 @@ def grouped_compare(n: int, k: int, ties: str) -> tuple[dict, int, bool]:
     # simulate_cohort gave it, as the untied compare does.
     cohort = run.step("group", lambda: dataclasses.replace(
         cohort, exit=grouped_exits(cohort.exit, k))._with_codes(
-            cohort.strata_keys(), cohort.stratum_codes, cohort.subject_codes))
+            cohort.stratum_codes, cohort.subject_codes))
     run.line["distinct_exits"] = int(np.unique(cohort.exit).size)
     fit = run.compare(ties, cohort, dupcox.FitOptions(tie_method=ties))
     return run.line, fit.iterations, fit.converged
@@ -206,6 +208,7 @@ def main(argv=None) -> int:
             run.step("save", lambda: dupcox.save_dataset(cohort, path))
             run.line["csv_bytes"] = path.stat().st_size
             loaded = run.step("load", lambda: dupcox.load_dataset(path, cohort.schema))
+        run.step("codes", lambda: (loaded.stratum_codes, loaded.subject_codes))
         cohorts.append(("loaded", loaded))
     fits = [run.compare(name, data) for name, data in cohorts]
     line = run.line | traced

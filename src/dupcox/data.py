@@ -76,8 +76,8 @@ class Dataset:
     its exit time, or an event flag is not 0 or 1 (read as a boolean, of any
     dtype); :func:`row_faults` names the row rules.  The derived label
     arrays (``strata_keys()``, ``stratum_codes``, ``subject_codes``) are
-    derived from the labels once, unless the cohort's maker gave them, and
-    read-only.
+    derived from the labels once, unless the cohort's maker gave the two
+    codes (:meth:`_with_codes`), and read-only.
     """
 
     schema: Schema
@@ -114,11 +114,8 @@ class Dataset:
         if self.strata.shape[1:] != (len(self.schema.strata_columns),):
             raise ValidationError("strata block width does not match schema")
         object.__setattr__(self, "event", event_flags(self.event))
-        faults = row_faults(self.entry, self.exit, self.exposures, self.covariates)
-        for rows, rule in zip(faults, ("with a non-finite time, exposure or covariate value",
-                                       "whose entry time is not before the exit time")):
-            if rows.any():
-                raise ValidationError(f"{rows.sum()} row(s) {rule}")
+        refuse_faults("time, exposure or covariate value",
+                      self.entry, self.exit, self.exposures, self.covariates)
 
     def __len__(self) -> int:
         return len(self.subject_ids)
@@ -135,20 +132,22 @@ class Dataset:
         return self.exposures[:, j]
 
     def strata_keys(self) -> np.ndarray:
-        """Per-row composite stratum label from the original strata columns."""
+        """Per-row stratum name: :func:`_stratum_name` of the row's labels,
+        the name ``validate`` gives an eventless stratum."""
         return self._strata_keys
 
     @cached_property
     def _strata_keys(self) -> np.ndarray:
-        if self.strata.shape[1] == 0:
-            return _read_only(np.full(len(self), "", dtype=object))
-        return _read_only(join_labels(self.strata.T))
+        # One name per distinct stratum, from its first row.
+        _, first = np.unique(self.stratum_codes, return_index=True)
+        names = np.array(list(map(_stratum_name, self.strata[first].tolist())), dtype=object)
+        return _read_only(names[self.stratum_codes])
 
     @cached_property
     def stratum_codes(self) -> np.ndarray:
-        """Per-row stratum code: the rank of the row's ``strata_keys()`` label
-        among the distinct labels in sorted order (see :func:`tuple_codes`)."""
-        return _read_only(tuple_codes(self.strata_keys(), self.strata.T))
+        """Per-row stratum code: the rank of the row's tuple of labels among
+        the distinct tuples in sorted order (see :func:`tuple_codes`)."""
+        return _read_only(tuple_codes(self.strata.T))
 
     @cached_property
     def subject_codes(self) -> np.ndarray:
@@ -156,15 +155,14 @@ class Dataset:
         among the distinct ids in sorted order."""
         return _read_only(label_codes(self.subject_ids))
 
-    def _with_codes(self, strata_keys, stratum_codes, subject_codes) -> Dataset:
-        """This cohort, with its derived label arrays set to the given ones.
+    def _with_codes(self, stratum_codes, subject_codes) -> Dataset:
+        """This cohort, with its stratum and subject codes set to the given ones.
 
         For a caller that knows them without a string pass; they must equal
-        what ``strata_keys()``, ``stratum_codes`` and ``subject_codes`` would
-        derive from the labels.
+        what ``stratum_codes`` and ``subject_codes`` would derive from the
+        labels.
         """
         self.__dict__.update(
-            _strata_keys=_read_only(strata_keys),
             stratum_codes=_read_only(np.asarray(stratum_codes, dtype=np.intp)),
             subject_codes=_read_only(np.asarray(subject_codes, dtype=np.intp)),
         )
@@ -207,53 +205,39 @@ def _label_bytes(labels: list):
     return np.fromiter(map(len, encoded), dtype="<u8", count=len(encoded)), b"".join(encoded)
 
 
-def join_labels(columns) -> np.ndarray:
-    """Per-row ``"|".join`` of ``str()`` of each label column, as an object array."""
-    key = np.asarray(columns[0]).astype(str)
-    for column in columns[1:]:
-        key = np.char.add(np.char.add(key, "|"), np.asarray(column).astype(str))
-    return key.astype(object)
-
-
 def label_codes(labels) -> np.ndarray:
     """Integer code of each label: the rank of its ``str()`` among the
     distinct labels in sorted order."""
     labels = np.asarray(labels)
-    if "\x00" in _label_text(labels):
+    texts = labels.tolist()
+    try:
+        joined = "".join(texts)
+    except TypeError:  # a label that is not a string
+        texts = list(map(str, texts))
+        joined = "".join(texts)
+    if "\x00" in joined:
         # numpy's fixed-width text drops a trailing NUL, which would give "1"
         # and "1\x00" one code; such labels are ranked as Python strings.
-        text = np.array(list(map(str, labels.tolist())), dtype=object)
-        return np.unique(text, return_inverse=True)[1]
+        return np.unique(np.array(texts, dtype=object), return_inverse=True)[1]
     return np.unique(labels.astype(str), return_inverse=True)[1]
 
 
-def tuple_codes(keys, columns) -> np.ndarray:
-    """Integer code of each row of the label ``columns``, whose
-    :func:`join_labels` keys are ``keys``: the rank of its key among the
-    distinct keys in sorted order.
+def tuple_codes(columns) -> np.ndarray:
+    """Integer code of each row of the label ``columns``: the rank of its
+    tuple of labels among the distinct tuples in sorted order, compared
+    column by column, each column in :func:`label_codes`' order.
 
-    Rows whose labels differ get distinct codes.  A label holding a "|" (of
-    one of two or more columns) or a NUL can make two such rows join to one
-    key; then the rows of one key are ranked by their labels' own codes,
-    column by column.
+    One column gives its :func:`label_codes`; zero columns, as a ``(0, n)``
+    array, give all zeros.
     """
-    # The keys are join_labels' fixed-width text, which holds no trailing NUL.
-    codes = np.unique(np.asarray(keys).astype(str), return_inverse=True)[1]
-    texts = list(map(_label_text, columns))
-    if any("\x00" in text for text in texts) or (
-            len(texts) > 1 and any("|" in text for text in texts)):
-        rows = np.column_stack([codes, *map(label_codes, columns)])
-        codes = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+    coded = [label_codes(column) for column in columns]
+    if not coded:
+        return np.zeros(np.shape(columns)[1], dtype=np.intp)
+    codes = coded[0]
+    for column in coded[1:]:
+        # Both codes are below n, so the mixed-radix key is below n**2.
+        codes = np.unique(codes * (column.max(initial=0) + 1) + column, return_inverse=True)[1]
     return codes
-
-
-def _label_text(labels: np.ndarray) -> str:
-    """The ``str()`` of every label, concatenated."""
-    labels = labels.tolist()
-    try:
-        return "".join(labels)
-    except TypeError:  # a label that is not a string
-        return "".join(map(str, labels))
 
 
 def row_faults(entry, exit_, *blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -269,6 +253,16 @@ def row_faults(entry, exit_, *blocks) -> tuple[np.ndarray, np.ndarray]:
         if not cells.all():  # a reduction per row is slow; most blocks need none
             finite &= cells.all(axis=1)
     return ~finite, finite & ~(entry < exit_)
+
+
+def refuse_faults(values: str, entry, exit_, *blocks) -> None:
+    """Raise :class:`ValidationError` for the first :func:`row_faults` rule
+    that a row breaks; ``values`` names what a non-finite row holds."""
+    for rows, rule in zip(row_faults(entry, exit_, *blocks),
+                          (f"with a non-finite {values}",
+                           "whose entry time is not before the exit time")):
+        if rows.any():
+            raise ValidationError(f"{rows.sum()} row(s) {rule}")
 
 
 def event_flags(event) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, _read_only, event_flags, join_labels, label_codes, tuple_codes
+from .data import Dataset, _read_only, event_flags, label_codes, refuse_faults, tuple_codes
 from .errors import ConfigError, EstimationError, SchemaError, ValidationError, _is_integer
 
 KINDS = ("continuous", "dichotomous", "categorical", "trend")
@@ -117,11 +117,12 @@ class DesignMatrix:
     interactions, covariate-by-type interactions.  There is no type main
     effect: it is absorbed by stratification.  ``stratum_codes`` and
     ``cluster_codes`` number each row's stratum and cluster from 0; the
-    cluster code ties a subject's rows together for the robust variance.  A
-    code array that is not one non-negative integer per row, a time or event
-    array that is not one value per row, an event flag that is not 0 or 1
-    (read as a boolean, of any dtype), or a block map that is not ``(m *
-    p_b, p)`` raises :class:`ValidationError`.
+    cluster code ties a subject's rows together for the robust variance.
+    ``blocks`` that are not a 3-D array, codes that are not one non-negative
+    integer per row, times or events that are not one value per row, a row
+    that breaks a rule of :func:`~dupcox.data.row_faults`, an event flag that
+    is not 0 or 1 (read as a boolean, of any dtype), or a block map that is
+    not ``(m * p_b, p)`` raises :class:`ValidationError`.
     """
 
     blocks: np.ndarray               # float, (m, n, p_b)
@@ -136,6 +137,9 @@ class DesignMatrix:
     event: np.ndarray                # bool, (n,)
 
     def __post_init__(self):
+        if not isinstance(self.blocks, np.ndarray) or self.blocks.ndim != 3:
+            raise ValidationError(f"blocks must be a 3-D (m, n, p_b) array, got "
+                                  f"{type(self.blocks).__name__} of shape {np.shape(self.blocks)}")
         n = len(self)
         for name in ("stratum_codes", "cluster_codes", "entry", "exit", "event"):
             values = np.asarray(getattr(self, name))
@@ -148,6 +152,7 @@ class DesignMatrix:
                                       f"({n} rows), got shape {values.shape}")
             object.__setattr__(self, name, values)
         object.__setattr__(self, "event", event_flags(self.event))
+        refuse_faults("entry or exit time", self.entry, self.exit)
         m, _, p_b = self.blocks.shape
         shape = np.shape(self.block_map)
         if shape != (m * p_b, len(self.column_names)):
@@ -363,8 +368,8 @@ def build_design_matrix(aug: AugmentedDataset, spec: ExposureSpec) -> DesignMatr
     Interactions are generated for every non-reference type against every
     exposure term and every covariate; combined with type-stratification this
     makes the augmented fit algebraically equivalent to the separate
-    per-exposure fits.  A row's stratum is its ``stratum|type`` label,
-    numbered by :func:`~dupcox.data.tuple_codes`, and its cluster its
+    per-exposure fits.  A row's stratum is its tuple of strata labels and
+    type, numbered by :func:`~dupcox.data.tuple_codes`, and its cluster its
     subject id, numbered by :func:`~dupcox.data.label_codes`.
     """
     if len(aug) == 0:
@@ -385,7 +390,6 @@ def build_design_matrix(aug: AugmentedDataset, spec: ExposureSpec) -> DesignMatr
                         + [aug.covariates * ind for ind in indicators])
     column_names, inter_names = _column_names(
         aug.term_names, aug.covariate_names, len(aug.a_type_labels))
-    labels = [*aug.strata.T, aug.a_type]
 
     return DesignMatrix(
         blocks=X[None],
@@ -393,7 +397,7 @@ def build_design_matrix(aug: AugmentedDataset, spec: ExposureSpec) -> DesignMatr
         column_names=column_names,
         exposure_main_columns=tuple(aug.term_names),
         interaction_columns=inter_names,
-        stratum_codes=tuple_codes(join_labels(labels), labels),
+        stratum_codes=tuple_codes([*aug.strata.T, aug.a_type]),
         cluster_codes=label_codes(aug.subject_ids),
         entry=aug.entry.copy(),
         exit=aug.exit.copy(),

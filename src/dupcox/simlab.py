@@ -156,7 +156,7 @@ def simulate_cohort(config: SimConfig, replicate_index: int) -> Dataset:
         exposures=exposures,
         covariates=covariates,
         strata=keys.reshape(-1, 1).copy(),
-    )._with_codes(keys, _sorted_ranks(labels.strata_order, strata), labels.subject_codes)
+    )._with_codes(_sorted_ranks(labels.strata_order, strata), labels.subject_codes)
 
 
 @dataclass(frozen=True)

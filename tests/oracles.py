@@ -255,8 +255,26 @@ def overlapping_subjects(subject_ids, entry, exit_):
 
 
 def codes_of(labels):
-    """Each label's rank among the distinct labels, compared as text."""
-    return np.unique(np.asarray(labels).astype(str), return_inverse=True)[1]
+    """Each label's rank among the distinct labels, compared as ``str()``
+    text (numpy's fixed-width text would drop a trailing NUL)."""
+    return label_tuple_codes(zip(labels))
+
+
+def label_tuple_codes(rows):
+    """Each row of labels' rank among the distinct rows, each row compared as
+    the tuple of its labels' ``str()``, in sorted order."""
+    keys = [tuple(map(str, row)) for row in rows]
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return np.array([rank[key] for key in keys], dtype=np.intp)
+
+
+def stratum_name_by_labels(labels):
+    """A stratum's name, one character at a time: its one label's ``str()``,
+    or each label's with a "\\" put before each "\\" and "|", joined by "|"."""
+    texts = [str(label) for label in labels]
+    if len(texts) == 1:
+        return texts[0]
+    return "|".join("".join("\\" + c if c in "\\|" else c for c in text) for text in texts)
 
 
 def plain_design(X, exit_, event, entry=None, strata=None, cluster=None, names=None):
@@ -533,11 +551,10 @@ def bucket_layout(design, strata, L, E, K):
 
 def strata_without_events(keys, event):
     """Stratum labels with no event, in first-seen order, one label at a time."""
-    silent = []
-    for key in dict.fromkeys(keys):
-        if not np.asarray(event)[keys == key].any():
-            silent.append(key)
-    return tuple(silent)
+    # Compared as Python strings: numpy's text would drop a trailing NUL.
+    pairs = list(zip(keys, event))
+    return tuple(key for key in dict.fromkeys(keys)
+                 if not any(flag for other, flag in pairs if other == key))
 
 
 def per_stratum_evaluation(design, beta, tie_method="efron"):

@@ -17,9 +17,11 @@ from oracles import (
     CohortRow,
     dataset_from_rows,
     fingerprint_by_labels,
+    label_tuple_codes,
     load_dataset_by_rows,
     overlapping_subjects,
     serialize_by_rows,
+    stratum_name_by_labels,
     strata_without_events,
 )
 
@@ -735,6 +737,16 @@ class TestEquality:
         assert replace(ds, n_rejected_missing=3) == ds
 
 
+# Labels that text joins or numpy's fixed-width text can confuse: "|", "\\",
+# NUL (trailing and inner), non-ASCII, empty, and labels that are not str.
+_LABELS = st.one_of(
+    st.sampled_from(["", "|", "\\", "a|b", "a\\|", "1", "10", "1|0", "a\x00", "\x00a",
+                     "a\x00b", "\x00", "é", "日本", None, 1, 10, -0.0, 2.5]),
+    st.text(alphabet="ab|\\\x00é1", max_size=3),
+    st.integers(-2, 12),
+)
+
+
 class TestLabelCodes:
     """Labels that differ get distinct stratum and subject codes, in the
     cohort and in its augmented and block designs."""
@@ -758,6 +770,52 @@ class TestLabelCodes:
         spec = dc.ExposureSpec(kind="continuous", source_columns=("a", "b"))
         augmented = dc.build_design_matrix(dc.duplicate_augment(ds, spec), spec)
         assert sorted(augmented.stratum_codes.tolist()) == [0, 1, 2, 3]
+
+    @staticmethod
+    def labelled(strata, event):
+        """A cohort of ``strata``'s rows, with the given event flags."""
+        n, k = strata.shape
+        schema = dc.Schema(id_column="id", exit_column="t", event_column="y",
+                           exposure_columns=("a", "b"),
+                           strata_columns=tuple(f"g{j}" for j in range(k)))
+        return dc.Dataset(schema, np.arange(n).astype(str).astype(object), np.zeros(n),
+                          np.arange(1.0, n + 1), event,
+                          np.column_stack([np.arange(n) % 3, np.arange(n) % 2]),
+                          np.zeros((n, 0)), strata)
+
+    def assert_labels_follow_the_rule(self, ds):
+        rows = ds.strata.tolist()
+        assert np.array_equal(ds.stratum_codes, label_tuple_codes(rows))
+        assert ds.strata_keys().tolist() == list(map(stratum_name_by_labels, rows))
+        keys = ds.strata_keys()
+        assert dc.validate(ds)["stratum_events"].offenders == strata_without_events(keys, ds.event)
+        spec = dc.ExposureSpec(kind="continuous", source_columns=("a", "b"))
+        aug = dc.duplicate_augment(ds, spec)
+        design = dc.build_design_matrix(aug, spec)
+        assert np.array_equal(design.stratum_codes,
+                              label_tuple_codes(zip(*aug.strata.T, aug.a_type)))
+
+    @given(st.integers(0, 3).flatmap(lambda k: st.lists(
+        st.lists(_LABELS, min_size=k, max_size=k), min_size=1, max_size=12)),
+        st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_codes_and_names_follow_the_label_rule(self, rows, data):
+        strata = np.empty((len(rows), len(rows[0])), dtype=object)
+        for (i, j), _ in np.ndenumerate(strata):
+            strata[i, j] = rows[i][j]  # one cell at a time, so numpy casts no label
+        event = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows),
+                                                 max_size=len(rows))))
+        event[0] = True
+        self.assert_labels_follow_the_rule(self.labelled(strata, event))
+
+    def test_a_label_that_prefixes_another_sorts_first(self):
+        # Joined as text, "10|a" sorted before "1|a", since "0" < "|".
+        strata = np.array([["1", "a"], ["10", "a"], ["1", "b"]], dtype=object)
+        ds = self.labelled(strata, np.array([True, False, True]))
+        assert ds.stratum_codes.tolist() == [0, 2, 1]
+        assert ds.strata_keys().tolist() == ["1|a", "10|a", "1|b"]
+        assert dc.validate(ds)["stratum_events"].offenders == ("10|a",)
+        self.assert_labels_follow_the_rule(ds)
 
     def test_ids_that_differ_by_a_trailing_nul(self):
         ds = self.two_rows(["1", "1\x00"], [["g", "c"]] * 2)

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dupcox as dc
-from dupcox.data import join_labels, label_codes
+from dupcox.data import label_codes
 from dupcox.design import _quantile_population
 from dupcox.errors import ConfigError, SchemaError, ValidationError
 from conftest import simulated_cohort
-from oracles import (CohortRow, dataset_from_rows, per_bin_medians, plain_design,
-                     quantile_categories)
+from oracles import (CohortRow, dataset_from_rows, label_tuple_codes, per_bin_medians,
+                     plain_design, quantile_categories)
 
 
 class TestCategorizeQuantiles:
@@ -270,18 +270,16 @@ class TestBuildDesignMatrix:
     def test_strata_key_joins_non_string_labels(self, four_row_dataset):
         ds, spec, aug = self.non_string_strata(four_row_dataset)
         assert ds.strata_keys().tolist() == ["|".join(str(v) for v in row) for row in ds.strata]
-        keys = ["|".join([str(v) for v in aug.strata[i]] + [str(aug.a_type[i])])
-                for i in range(len(aug))]
-        assert keys[0] == "1|2.5|A"
-        assert join_labels([*aug.strata.T, aug.a_type]).tolist() == keys
+        rows = [[*aug.strata[i], aug.a_type[i]] for i in range(len(aug))]
+        assert rows[0] == [1, 2.5, "A"]
         design = dc.build_design_matrix(aug, spec)
-        assert design.stratum_codes.tolist() == np.unique(keys, return_inverse=True)[1].tolist()
+        assert design.stratum_codes.tolist() == label_tuple_codes(rows).tolist()
 
     def test_codes_are_label_codes_of_the_augmented_labels(self, four_row_dataset):
         _, spec, aug = self.non_string_strata(four_row_dataset)
         design = dc.build_design_matrix(aug, spec)
         assert np.array_equal(design.stratum_codes,
-                              label_codes(join_labels([*aug.strata.T, aug.a_type])))
+                              label_tuple_codes(zip(*aug.strata.T, aug.a_type)))
         assert np.array_equal(design.cluster_codes, label_codes(aug.subject_ids))
 
     def test_no_events_is_an_error(self, four_row_schema):
@@ -336,6 +334,30 @@ class TestDesignCodes:
                                                   r"column \(1 x 1\) and one column per name "
                                                   r"\(1\), got shape"):
             dataclasses.replace(self.design(), block_map=block_map)
+
+    def test_blocks_given_as_a_list_are_refused(self):
+        blocks = list(self.design().blocks)
+        with pytest.raises(ValidationError, match=r"^blocks must be a 3-D \(m, n, p_b\) array, "
+                                                  r"got list"):
+            dataclasses.replace(self.design(), blocks=blocks)
+
+    def test_two_dimensional_blocks_are_refused(self):
+        with pytest.raises(ValidationError, match=r"^blocks must be a 3-D \(m, n, p_b\) array, "
+                                                  r"got ndarray of shape \(4, 1\)"):
+            dataclasses.replace(self.design(), blocks=self.design().blocks[0])
+
+    @pytest.mark.parametrize("entry, exit_, rule", [
+        ([0, 0, 5, 0, 0, 0], [1, 2, 3, 4, 5, 6],
+         "1 row(s) whose entry time is not before the exit time"),
+        ([0, 0, 0, 0, 0, 0], [1, 2, 3, 4, 5, np.inf],
+         "1 row(s) with a non-finite entry or exit time"),
+        ([-np.inf, 0, 0, 0, 0, 0], [1, 2, 3, 4, 5, 6],
+         "1 row(s) with a non-finite entry or exit time"),
+    ], ids=["entry-after-exit", "inf-exit", "inf-entry"])
+    def test_rows_outside_the_interval_rules_are_refused(self, entry, exit_, rule):
+        # Every row an event: the misordered row's event is not in its own risk set.
+        with pytest.raises(ValidationError, match=re.escape(rule)):
+            plain_design(np.arange(6.0), exit_, np.ones(6, dtype=bool), entry=entry)
 
     def test_integer_codes_are_kept_as_an_array(self):
         design = dataclasses.replace(self.design(), stratum_codes=[1, 1, 0, 0])
