@@ -35,11 +35,9 @@ from .cox import (
     CoxFit,
     FitDiagnostics,
     FitOptions,
+    evaluate,
     fit,
-    information,
-    log_partial_likelihood,
     robust_covariance,
-    score,
 )
 from .inference import (
     ComparisonReport,
@@ -75,8 +73,7 @@ __all__ = [
     "categorize_quantiles", "dummy_code", "trend_scores",
     "duplicate_augment", "build_design_matrix", "block_design", "single_exposure_design",
     "FitOptions", "FitDiagnostics", "CoxFit",
-    "log_partial_likelihood", "score", "information",
-    "fit", "robust_covariance",
+    "evaluate", "fit", "robust_covariance",
     "TestResult", "HazardRatio", "ExposureTerm", "ExposureSummary",
     "ComparisonReport", "chi_square_upper_tail",
     "wald_multivariate", "wald_univariate", "hazard_ratio",

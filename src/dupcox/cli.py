@@ -127,16 +127,16 @@ def _build_schema(block: dict) -> Schema:
         entry_column=block.get("entry"),
         exit_column=block["exit"],
         event_column=block["event"],
-        exposure_columns=tuple(block["exposures"]),
-        covariate_columns=tuple(block.get("covariates", ())),
-        strata_columns=tuple(block.get("strata", ())),
+        exposure_columns=block["exposures"],
+        covariate_columns=block.get("covariates", ()),
+        strata_columns=block.get("strata", ()),
     )
 
 
 def _build_spec(block: dict, schema: Schema) -> ExposureSpec:
     """The spec of an ``exposure`` block that :func:`_check_keys` passed."""
     kind = block.get("kind", "continuous")
-    columns = tuple(block.get("columns", schema.exposure_columns))
+    columns = block.get("columns", schema.exposure_columns)
     missing = [c for c in columns if c not in schema.exposure_columns]
     if missing:
         raise ConfigError(f"exposure column(s) {missing} are not declared in the schema")

@@ -75,10 +75,16 @@ OWN_PRODUCT_ROWS = 1024
 # as probable monotone likelihood (separation).
 SEPARATION_COEF_BOUND = 20.0
 
-# Most halvings of a Newton step that lowers the log partial likelihood, and
-# the message of a fit that ran out of them.
+# Most halvings of a Newton step that lowers the log partial likelihood.
 STEP_HALVINGS_MAX = 10
-STEP_HALVING_FAILED = "step halving failed to increase the log partial likelihood"
+
+# How a Newton problem can stop, and its message, filled with max_iterations;
+# the simulation lab counts a failed replicate by these names.
+STOPS = {
+    "converged": "",
+    "not_converged": "no convergence in {} iterations",
+    "step_halving_failed": "step halving failed to increase the log partial likelihood",
+}
 
 
 @dataclass(frozen=True)
@@ -108,6 +114,11 @@ class FitDiagnostics:
     n_events: int
     separation_suspected: bool
     message: str = ""
+    stop: str = "converged"
+
+    def __post_init__(self):
+        if self.stop not in STOPS:
+            raise ConfigError(f"stop must be one of {tuple(STOPS)}, got {self.stop!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +128,8 @@ class CoxFit:
     Aliased coefficients (dropped for exact collinearity) are NaN in
     ``coefficients`` and NaN rows/columns in both covariance matrices;
     ``aliased_mask`` marks them.  ``robust_covariance`` is present when the
-    fit converged and the cluster sandwich was requested.
+    fit converged and the cluster sandwich was requested.  How the fit
+    stopped is ``diagnostics.stop`` alone; ``converged`` reads it.
     """
 
     column_names: tuple[str, ...]
@@ -126,10 +138,13 @@ class CoxFit:
     robust_covariance: np.ndarray | None
     log_partial_likelihood: float
     iterations: int
-    converged: bool
     aliased_mask: np.ndarray
     options: FitOptions
     diagnostics: FitDiagnostics
+
+    @property
+    def converged(self) -> bool:
+        return self.diagnostics.stop == "converged"
 
     def coefficient(self, name: str) -> float:
         return float(self.coefficients[self.column_names.index(name)])
@@ -485,9 +500,8 @@ class _Engine:
         else:
             entry, exit_ = _ranks(entry, exit_)
         span = 2 * self.n
-        cols = np.asarray(designs[0].blocks.transpose(0, 2, 1) if self.R == 1 else
-                          np.concatenate([d.blocks.transpose(0, 2, 1) for d in designs],
-                                         axis=2), dtype=float)
+        cols = (designs[0].blocks.transpose(0, 2, 1) if self.R == 1 else
+                np.concatenate([d.blocks.transpose(0, 2, 1) for d in designs], axis=2))
         rows = np.flatnonzero(s >= 0)
         rows = rows[_stable_order(s[rows] * span + (span - 1 - exit_[rows]), len(kept) * span)]
         size = np.sort(size[kept])
@@ -585,37 +599,24 @@ class _Engine:
         return G
 
 
-def _evaluate(design: DesignMatrix, beta, tie_method: str):
-    """The engine of ``design`` alone, and its evaluation at ``beta`` over every column."""
+Evaluation = namedtuple("Evaluation", "log_partial_likelihood score information")
+
+
+def evaluate(design: DesignMatrix, beta, tie_method: str = "efron") -> Evaluation:
+    """The stratified Cox log partial likelihood at ``beta``, its gradient and
+    the observed information (negative Hessian), from one evaluation.  The
+    likelihood sums, over strata and event times, the event terms less the
+    log of the tie-corrected sums over the risk set, the rows of the stratum
+    with ``entry < t <= exit``."""
     FitOptions(tie_method=tie_method)  # refuses an unknown tie method
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (design.n_columns,):
         raise ValueError(f"beta has shape {beta.shape}, expected ({design.n_columns},) "
                          "to match the design columns")
-    engine = _Engine([design], tie_method)
-    return engine, engine.evaluate(beta[None])
-
-
-def log_partial_likelihood(design: DesignMatrix, beta, tie_method: str = "efron") -> float:
-    """Stratified Cox log partial likelihood at ``beta``.
-
-    Sum over strata and distinct event times of the event terms minus the
-    log of the (tie-corrected) risk-set sums; the risk set at time ``t``
-    contains rows with ``entry < t <= exit`` in the same stratum.
-    """
     # Out-of-range coefficients can underflow a risk-set sum to zero: -inf.
     with np.errstate(divide="ignore", invalid="ignore"):
-        return float(_evaluate(design, beta, tie_method)[1].ll[0])
-
-
-def score(design: DesignMatrix, beta, tie_method: str = "efron") -> np.ndarray:
-    """Analytic gradient of the log partial likelihood."""
-    return _evaluate(design, beta, tie_method)[1].score[0]
-
-
-def information(design: DesignMatrix, beta, tie_method: str = "efron") -> np.ndarray:
-    """Observed information (negative Hessian); symmetric PSD."""
-    return _evaluate(design, beta, tie_method)[1].info[0]
+        ev = _Engine([design], tie_method).evaluate(beta[None])
+    return Evaluation(float(ev.ll[0]), ev.score[0], ev.info[0])
 
 
 def _aliased_columns(info: np.ndarray) -> np.ndarray:
@@ -715,9 +716,9 @@ def fit(design: DesignMatrix, options: FitOptions | None = None,
     ``gradient_tolerance**2``) and, on exit, the model covariance; an ``I``
     that is not positive definite raises :class:`SingularMatrixError`.  A step that decreases the log
     partial likelihood is halved up to ``STEP_HALVINGS_MAX`` times.  A
-    non-converged fit is returned (not raised) with diagnostics, including a
-    probable-separation flag when a coefficient runs beyond +-20 with the
-    likelihood still increasing.
+    non-converged fit is returned (not raised) with diagnostics: how it
+    stopped (a key of ``STOPS``) and a probable-separation flag when a
+    coefficient runs beyond +-20 with the likelihood still increasing.
     """
     (result,) = fit_stack([design], options, robust)
     if isinstance(result, Exception):
@@ -736,7 +737,9 @@ def fit_stack(designs, options: FitOptions | None = None, robust: bool = True) -
     Once the engine is built only the designs' column names are kept, so a
     design that the caller does not hold is freed before the Newton loop.
     """
-    options = options or FitOptions()
+    options = FitOptions() if options is None else options
+    if not isinstance(options, FitOptions):
+        raise ConfigError(f"options must be a FitOptions or None, got {options!r}")
     R, p = len(designs), designs[0].n_columns
     names = [design.column_names for design in designs]
 
@@ -749,11 +752,10 @@ def fit_stack(designs, options: FitOptions | None = None, robust: bool = True) -
         del designs  # the engine holds its own copy of what it reads
         ev = engine.evaluate(beta)
     aliased = _aliased_columns(ev.info)
-    ll, score_, info = ev.ll.copy(), ev.score.copy(), ev.info.copy()
+    ll, score, info = ev.ll.copy(), ev.score.copy(), ev.info.copy()
     cov, step = np.full(info.shape, np.nan), np.zeros(beta.shape)
     scale, halvings, slack = np.ones(R), np.zeros(R, dtype=int), np.zeros(R)
-    iterations, converged = np.zeros(R, dtype=int), np.zeros(R, dtype=bool)
-    messages = [""] * R
+    iterations, stop = np.zeros(R, dtype=int), np.full(R, None)  # a key of STOPS once stopped
     errors = [EstimationError("all design columns are aliased; nothing to fit")
               if a.all() else None for a in aliased]
     live = ~aliased.all(axis=1)    # still iterating
@@ -762,18 +764,16 @@ def fit_stack(designs, options: FitOptions | None = None, robust: bool = True) -
         new = np.flatnonzero(fresh)
         if new.size:
             fresh[:] = False
-            score_[aliased] = 0.0
+            score[aliased] = 0.0
             cov[new], failed = _inverses(_pin(info, aliased)[new])
             for r, exc in zip(new, failed):
                 if exc is not None:
                     errors[r], live[r] = exc, False
-            step[new] = (cov[new] @ score_[new, :, None])[..., 0]
-            decrement = (score_[new] * step[new]).sum(axis=1)
+            step[new] = (cov[new] @ score[new, :, None])[..., 0]
+            decrement = (score[new] * step[new]).sum(axis=1)
             done = live[new] & (decrement <= options.gradient_tolerance ** 2)
-            converged[new[done]] = True
             out = live[new] & ~done & (iterations[new] == options.max_iterations)
-            for r in new[out]:
-                messages[r] = f"no convergence in {options.max_iterations} iterations"
+            stop[new[done]], stop[new[out]] = "converged", "not_converged"
             live[new[done | out]] = False
             # Near the optimum a productive Newton step moves the likelihood by
             # less than float resolution while the score still shrinks; halve
@@ -795,17 +795,17 @@ def fit_stack(designs, options: FitOptions | None = None, robust: bool = True) -
             ev = engine.evaluate(cand)
         up = (live & np.isfinite(ev.ll) & (ev.ll >= ll - slack)
               & np.isfinite(ev.info).all(axis=(1, 2)))
-        beta[up], score_[up], info[up] = cand[up], ev.score[up], ev.info[up]
+        beta[up], score[up], info[up] = cand[up], ev.score[up], ev.info[up]
         ll[up] = np.maximum(ev.ll[up], ll[up])
         iterations[up] += 1
         fresh |= up
         down = live & ~up
         scale[down] /= 2.0
         halvings[down] += 1
-        for r in np.flatnonzero(down & (halvings > STEP_HALVINGS_MAX)):
-            messages[r] = STEP_HALVING_FAILED
-            live[r] = False
+        exhausted = down & (halvings > STEP_HALVINGS_MAX)
+        stop[exhausted], live[exhausted] = "step_halving_failed", False
 
+    converged = stop == "converged"
     sandwich = None
     if robust and converged.any():
         # A problem that failed in the last evaluation sits at its rejected
@@ -818,14 +818,14 @@ def fit_stack(designs, options: FitOptions | None = None, robust: bool = True) -
             results.append(errors[r])
             continue
         separation = bool(np.abs(beta[r]).max() > SEPARATION_COEF_BOUND)
-        message = messages[r]
+        message = STOPS[stop[r]].format(options.max_iterations)
         if separation:
             message = (message + "; " if message else "") + (
                 f"coefficient magnitude > {SEPARATION_COEF_BOUND:g} with increasing "
                 "likelihood: probable separation")
         diagnostics = FitDiagnostics(int(engine.n_strata_used[r]),
                                      int(engine.n_strata_skipped[r]),
-                                     int(engine.n_events[r]), separation, message)
+                                     int(engine.n_events[r]), separation, message, stop[r])
         results.append(CoxFit(
             column_names=names[r],
             coefficients=np.where(aliased[r], np.nan, beta[r]),
@@ -833,8 +833,7 @@ def fit_stack(designs, options: FitOptions | None = None, robust: bool = True) -
             robust_covariance=(_nan_at(sandwich[r], aliased[r])
                                if sandwich is not None and converged[r] else None),
             log_partial_likelihood=float(ll[r]), iterations=int(iterations[r]),
-            converged=bool(converged[r]), aliased_mask=aliased[r].copy(), options=options,
-            diagnostics=diagnostics,
+            aliased_mask=aliased[r].copy(), options=options, diagnostics=diagnostics,
         ))
     return results
 

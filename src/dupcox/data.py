@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, ValidationError
+from .errors import ParseError, SchemaError, ValidationError, _names
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,8 @@ class Schema:
     entry_column: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "exposure_columns", tuple(self.exposure_columns))
-        object.__setattr__(self, "covariate_columns", tuple(self.covariate_columns))
-        object.__setattr__(self, "strata_columns", tuple(self.strata_columns))
+        for name in ("exposure_columns", "covariate_columns", "strata_columns"):
+            object.__setattr__(self, name, _names(getattr(self, name), name, SchemaError))
         names = self.all_columns()
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})

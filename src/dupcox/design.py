@@ -26,7 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, _read_only, event_flags, label_codes, refuse_faults, tuple_codes
-from .errors import ConfigError, EstimationError, SchemaError, ValidationError, _is_integer
+from .errors import (ConfigError, EstimationError, SchemaError, ValidationError, _is_integer,
+                     _names)
 
 KINDS = ("continuous", "dichotomous", "categorical", "trend")
 
@@ -46,7 +47,7 @@ class ExposureSpec:
     reference_level: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "source_columns", tuple(self.source_columns))
+        object.__setattr__(self, "source_columns", _names(self.source_columns, "source_columns"))
         if self.kind not in KINDS:
             raise ConfigError(f"unknown exposure kind {self.kind!r}, expected one of {KINDS}")
         if len(self.source_columns) < 2:
@@ -118,11 +119,13 @@ class DesignMatrix:
     effect: it is absorbed by stratification.  ``stratum_codes`` and
     ``cluster_codes`` number each row's stratum and cluster from 0; the
     cluster code ties a subject's rows together for the robust variance.
-    ``blocks`` that are not a 3-D array, codes that are not one non-negative
-    integer per row, times or events that are not one value per row, a row
-    that breaks a rule of :func:`~dupcox.data.row_faults`, an event flag that
-    is not 0 or 1 (read as a boolean, of any dtype), or a block map that is
-    not ``(m * p_b, p)`` raises :class:`ValidationError`.
+    ``blocks``, ``entry`` and ``exit`` become float arrays.  ``blocks`` that
+    are not a 3-D array, a value that is not a number, codes that are not
+    one non-negative integer per row, times or events that are not one value
+    per row, a row (its times and block values) that breaks a rule of
+    :func:`~dupcox.data.row_faults`, an event flag that is not 0 or 1 (read
+    as a boolean, of any dtype), or a block map that is not ``(m * p_b, p)``
+    raises :class:`ValidationError`.
     """
 
     blocks: np.ndarray               # float, (m, n, p_b)
@@ -141,6 +144,11 @@ class DesignMatrix:
             raise ValidationError(f"blocks must be a 3-D (m, n, p_b) array, got "
                                   f"{type(self.blocks).__name__} of shape {np.shape(self.blocks)}")
         n = len(self)
+        for name in ("blocks", "entry", "exit"):
+            try:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            except (TypeError, ValueError):
+                raise ValidationError(f"{name} holds a value that is not a number") from None
         for name in ("stratum_codes", "cluster_codes", "entry", "exit", "event"):
             values = np.asarray(getattr(self, name))
             if name.endswith("_codes"):
@@ -152,7 +160,7 @@ class DesignMatrix:
                                       f"({n} rows), got shape {values.shape}")
             object.__setattr__(self, name, values)
         object.__setattr__(self, "event", event_flags(self.event))
-        refuse_faults("entry or exit time", self.entry, self.exit)
+        refuse_faults("entry or exit time, or block value", self.entry, self.exit, *self.blocks)
         m, _, p_b = self.blocks.shape
         shape = np.shape(self.block_map)
         if shape != (m * p_b, len(self.column_names)):
@@ -189,6 +197,8 @@ def categorize_quantiles(values, k: int, name: str = "exposure"):
     categories : ndarray of int, values in 1..k
     cut_points : ndarray of float, length k - 1
     """
+    if not _is_integer(k):
+        raise ConfigError(f"k must be an integer, got {k!r}")
     if k < 2:
         raise ConfigError(f"need k >= 2 quantile categories, got k={k}")
     values = np.asarray(values, dtype=float)
@@ -227,6 +237,9 @@ def dummy_code(categories, reference: int, k: int):
     matrix : ndarray of float, shape (n, k - 1)
     names : tuple of str
     """
+    for name, value in (("reference", reference), ("k", k)):
+        if not _is_integer(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if not 1 <= reference <= k:
         raise ConfigError(f"reference level {reference} outside 1..{k}")
     categories = np.asarray(categories, dtype=int)
@@ -249,6 +262,8 @@ def trend_scores(categories, raw_values, k: int) -> np.ndarray:
     The resulting single continuous column makes the downstream comparison
     identical to the continuous-exposure case.
     """
+    if not _is_integer(k):
+        raise ConfigError(f"k must be an integer, got {k!r}")
     categories = np.asarray(categories, dtype=int)
     raw_values = np.asarray(raw_values, dtype=float)
     if categories.shape != raw_values.shape:

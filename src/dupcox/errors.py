@@ -69,3 +69,12 @@ class SingularMatrixError(EstimationError):
 
 class AliasedCoefficientError(EstimationError):
     """A coefficient required by a test was dropped for collinearity."""
+
+
+def _names(values, what: str, error=ConfigError) -> tuple:
+    """``values`` as a tuple of names.  A bare string, which would be read as
+    its characters, or a set, whose order its hashing sets, raises ``error``
+    naming ``what``."""
+    if isinstance(values, (str, bytes, set, frozenset)):
+        raise error(f"{what} must be a sequence of names, got {values!r}")
+    return tuple(values)

@@ -25,7 +25,7 @@ from .cox import CoxFit, FitOptions, fit_stack
 from .data import Dataset
 from .design import DesignMatrix, ExposureSpec, _quantile_population, block_design
 from .errors import (AliasedCoefficientError, ConfigError, DupcoxError, SingularMatrixError,
-                     _is_number)
+                     _is_number, _names)
 
 
 def chi_square_upper_tail(q: float, df: int) -> float:
@@ -144,7 +144,7 @@ def wald_multivariate(fit_result: CoxFit, test_names, covariance: str = "robust"
     ``test_names``; under the null ``Q`` is chi-square with one degree of
     freedom per tested coefficient.  It is the stacked test of one fit.
     """
-    test_names = tuple(test_names)
+    test_names = _names(test_names, "test_names")
     if not test_names:
         raise ConfigError("no coefficients to test")
     idx = np.array(_positions(fit_result, test_names))

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cox import STEP_HALVING_FAILED
+from .cox import STOPS
 from .data import Dataset, Schema, label_codes
 from .design import ExposureSpec
 from .errors import (AliasedCoefficientError, ConfigError, DupcoxError, SingularMatrixError,
@@ -236,10 +236,10 @@ MAX_FAILURE_FRACTION = 0.02
 # adds about 8 MB of peak RSS (about 0.5 kB a row) over one of 5 000 rows.
 CHUNK_ROWS = 20_000
 
-# Why a replicate failed.  A fit that stopped short of convergence with a
-# coefficient beyond +-20 counts as probable separation, whatever stopped it;
-# "singular" is a singular information matrix or tested covariance block.
-FAILURE_REASONS = ("not_converged", "step_halving_failed", "probable_separation",
+# Why a replicate failed: how its fit stopped, or probable separation for a
+# coefficient beyond +-20, whatever stopped it; "singular" is a singular
+# information matrix or tested covariance block.
+FAILURE_REASONS = (*(stop for stop in STOPS if stop != "converged"), "probable_separation",
                    "singular", "aliased_tested_term", "other")
 
 
@@ -253,9 +253,7 @@ def _failure_reason(outcome) -> str:
     if isinstance(outcome, DupcoxError):
         return "other"
     diag = outcome.fit.diagnostics
-    if diag.separation_suspected:
-        return "probable_separation"
-    return "step_halving_failed" if STEP_HALVING_FAILED in diag.message else "not_converged"
+    return "probable_separation" if diag.separation_suspected else diag.stop
 
 
 def _run_replicates(config: SimConfig, alpha: float, scenario: str, *,

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dupcox.cox import CoxFit, _evaluate
+from dupcox.cox import CoxFit, _Engine
 from dupcox.data import Dataset
 from dupcox.design import DesignMatrix
 from dupcox.errors import ParseError, SchemaError, ValidationError
@@ -219,7 +219,8 @@ def score_residuals(design, beta, tie_method="efron"):
     each row's ``m`` blocks summed and mapped to the coefficients by
     ``design.block_map``; rows in strata without events are zero.  Summed
     within clusters, they give the middle matrix of the sandwich."""
-    engine, ev = _evaluate(design, beta, tie_method)
+    engine = _Engine([design], tie_method)
+    ev = engine.evaluate(np.asarray(beta, dtype=float)[None])
     return block_residuals(engine, ev).T @ engine.T
 
 

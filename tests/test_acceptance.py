@@ -39,7 +39,7 @@ def test_criterion_1_likelihood_matches_brute_force():
                           truncation=True, n_strata=int(rng.integers(1, 3)))
         beta = rng.standard_normal(2)
         for method in ("breslow", "efron"):
-            got = dc.log_partial_likelihood(d, beta, method)
+            got = dc.evaluate(d, beta, method).log_partial_likelihood
             want = brute_force_loglik(d.entry, d.exit, d.event, d.X, beta,
                                       d.stratum_codes, method)
             worst = max(worst, abs(got - want))
@@ -60,13 +60,13 @@ def test_criterion_2_gradient_and_hessian_checks():
                           n_strata=int(rng.integers(1, 3)))
         beta = rng.standard_normal(3) * 0.6
         method = "efron" if trial % 2 else "breslow"
-        sc = dc.score(d, beta, method)
+        sc = dc.evaluate(d, beta, method).score
         fd = central_difference_gradient(
-            lambda b: dc.log_partial_likelihood(d, b, method), beta, step=1e-5)
+            lambda b: dc.evaluate(d, b, method).log_partial_likelihood, beta, step=1e-5)
         worst_score = max(worst_score, np.max(np.abs(sc - fd) / (1.0 + np.abs(fd))))
-        info = dc.information(d, beta, method)
+        info = dc.evaluate(d, beta, method).information
         fdj = -central_difference_jacobian(
-            lambda b: dc.score(d, b, method), beta, step=1e-5)
+            lambda b: dc.evaluate(d, b, method).score, beta, step=1e-5)
         worst_info = max(worst_info, np.max(np.abs(info - fdj) / (1.0 + np.abs(fdj))))
     _criterion(
         2, "analytic score/information match finite differences (rel 1e-6 / 1e-5)",
@@ -161,7 +161,7 @@ def test_criterion_5_wald_arithmetic_oracle():
         coefficients=np.array([1.0, 1.0]),
         model_covariance=np.eye(2),
         robust_covariance=np.eye(2),
-        log_partial_likelihood=0.0, iterations=1, converged=True,
+        log_partial_likelihood=0.0, iterations=1,
         aliased_mask=np.zeros(2, dtype=bool), options=dc.FitOptions(),
         diagnostics=dc.FitDiagnostics(1, 0, 1, False),
     )
@@ -257,7 +257,7 @@ def test_criterion_8_structural_invariants():
     d = random_design(np.random.default_rng(8010), n=24, p=2, ties=True,
                       truncation=True, n_strata=3)
     beta = np.array([0.4, -0.3])
-    total = dc.log_partial_likelihood(d, beta)
+    total = dc.evaluate(d, beta).log_partial_likelihood
     parts = 0.0
     for key in np.unique(d.stratum_codes):
         rows = d.stratum_codes == key
@@ -269,7 +269,7 @@ def test_criterion_8_structural_invariants():
             stratum_codes=d.stratum_codes[rows], cluster_codes=d.cluster_codes[rows],
             entry=d.entry[rows], exit=d.exit[rows], event=d.event[rows],
         )
-        parts += dc.log_partial_likelihood(sub, beta)
+        parts += dc.evaluate(sub, beta).log_partial_likelihood
     separable = total == parts
 
     _criterion(

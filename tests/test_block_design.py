@@ -185,5 +185,5 @@ def test_sandwich_matches_cluster_sums_in_coefficient_columns():
     assert len(clusters) * 3 == len(design)
     U = np.zeros((len(clusters), design.n_columns))
     np.add.at(U, codes, score_residuals(design, beta))
-    a_inv = np.linalg.inv(dc.information(design, beta))
+    a_inv = np.linalg.inv(dc.evaluate(design, beta).information)
     assert _relative(result.robust_covariance, a_inv @ (U.T @ U) @ a_inv) <= 1e-12

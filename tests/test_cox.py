@@ -42,23 +42,24 @@ def four_row_design():
 class TestLogPartialLikelihood:
     def test_three_rows_beta_zero_counts_risk_sets(self):
         d = plain_design(np.zeros((3, 1)), [1.0, 2.0, 3.0], [1, 1, 1])
-        assert dc.log_partial_likelihood(d, [0.0]) == pytest.approx(-math.log(6), abs=1e-12)
+        assert dc.evaluate(d, [0.0]).log_partial_likelihood == pytest.approx(-math.log(6),
+                                                                             abs=1e-12)
 
     def test_singleton_risk_set_is_zero(self):
         d = plain_design(np.ones((1, 1)), [5.0], [1])
-        assert dc.log_partial_likelihood(d, [0.0]) == 0.0
+        assert dc.evaluate(d, [0.0]).log_partial_likelihood == 0.0
 
     def test_four_row_example_at_half(self):
         d = four_row_design()
-        value = dc.log_partial_likelihood(d, [0.5], "breslow")
+        value = dc.evaluate(d, [0.5], "breslow").log_partial_likelihood
         assert value == pytest.approx(FOUR_LL_AT_HALF, abs=1e-12)
-        assert dc.log_partial_likelihood(d, [0.5], "efron") == pytest.approx(
+        assert dc.evaluate(d, [0.5], "efron").log_partial_likelihood == pytest.approx(
             FOUR_LL_AT_HALF, abs=1e-12)
 
     def test_no_events_is_an_error(self):
         d = plain_design(np.ones((2, 1)), [1.0, 2.0], [0, 0])
         with pytest.raises(EstimationError, match="no informative strata"):
-            dc.log_partial_likelihood(d, [0.0])
+            dc.evaluate(d, [0.0]).log_partial_likelihood
 
     @pytest.mark.parametrize("ties", [False, True])
     @pytest.mark.parametrize("method", ["breslow", "efron"])
@@ -68,7 +69,7 @@ class TestLogPartialLikelihood:
             d = random_design(rng, n=int(rng.integers(3, 9)), p=2, ties=ties,
                               truncation=True, n_strata=int(rng.integers(1, 3)))
             beta = rng.standard_normal(2)
-            got = dc.log_partial_likelihood(d, beta, method)
+            got = dc.evaluate(d, beta, method).log_partial_likelihood
             want = brute_force_loglik(d.entry, d.exit, d.event, d.X, beta,
                                       d.stratum_codes, method)
             assert got == pytest.approx(want, abs=1e-10)
@@ -78,14 +79,14 @@ class TestLogPartialLikelihood:
         for _ in range(10):
             d = random_design(rng, n=7, p=2, ties=False, truncation=True)
             beta = rng.standard_normal(2)
-            assert dc.log_partial_likelihood(d, beta, "efron") == \
-                dc.log_partial_likelihood(d, beta, "breslow")
+            assert dc.evaluate(d, beta, "efron").log_partial_likelihood == \
+                dc.evaluate(d, beta, "breslow").log_partial_likelihood
 
     def test_stratified_equals_sum_of_per_stratum(self):
         rng = np.random.default_rng(44)
         d = random_design(rng, n=12, p=2, ties=True, truncation=True, n_strata=3)
         beta = np.array([0.3, -0.2])
-        total = dc.log_partial_likelihood(d, beta)
+        total = dc.evaluate(d, beta).log_partial_likelihood
         parts = 0.0
         for key in np.unique(d.stratum_codes):
             rows = d.stratum_codes == key
@@ -93,19 +94,19 @@ class TestLogPartialLikelihood:
                 continue
             sub = plain_design(d.X[rows], d.exit[rows], d.event[rows],
                                entry=d.entry[rows])
-            parts += dc.log_partial_likelihood(sub, beta)
+            parts += dc.evaluate(sub, beta).log_partial_likelihood
         assert total == parts
 
 
 class TestScoreInformation:
     def test_score_at_zero_binary_covariate(self):
-        got = dc.score(four_row_design(), [0.0])
+        got = dc.evaluate(four_row_design(), [0.0]).score
         assert got[0] == pytest.approx(FOUR_SCORE_AT_ZERO, abs=1e-14)
 
     def test_constant_within_risk_sets_gives_zero(self):
         d = plain_design(np.ones((4, 1)), [1.0, 2.0, 3.0, 4.0], [1, 1, 0, 1])
-        assert dc.score(d, [0.7])[0] == pytest.approx(0.0, abs=1e-14)
-        assert dc.information(d, [0.7])[0, 0] == pytest.approx(0.0, abs=1e-14)
+        assert dc.evaluate(d, [0.7]).score[0] == pytest.approx(0.0, abs=1e-14)
+        assert dc.evaluate(d, [0.7]).information[0, 0] == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("method", ["breslow", "efron"])
     def test_score_matches_finite_differences(self, method):
@@ -113,9 +114,9 @@ class TestScoreInformation:
         for _ in range(10):
             d = random_design(rng, n=8, p=3, ties=True, truncation=True, n_strata=2)
             beta = rng.standard_normal(3) * 0.5
-            got = dc.score(d, beta, method)
+            got = dc.evaluate(d, beta, method).score
             want = central_difference_gradient(
-                lambda b: dc.log_partial_likelihood(d, b, method), beta)
+                lambda b: dc.evaluate(d, b, method).log_partial_likelihood, beta)
             assert got == pytest.approx(want, rel=1e-6, abs=1e-8)
 
     @pytest.mark.parametrize("method", ["breslow", "efron"])
@@ -124,19 +125,19 @@ class TestScoreInformation:
         for _ in range(10):
             d = random_design(rng, n=8, p=2, ties=True, truncation=True)
             beta = rng.standard_normal(2) * 0.5
-            got = dc.information(d, beta, method)
-            want = -central_difference_jacobian(lambda b: dc.score(d, b, method), beta)
+            got = dc.evaluate(d, beta, method).information
+            want = -central_difference_jacobian(lambda b: dc.evaluate(d, b, method).score, beta)
             assert got == pytest.approx(want, rel=1e-5, abs=1e-7)
 
-    @pytest.mark.parametrize("function", [dc.score, dc.information, dc.log_partial_likelihood])
-    def test_beta_of_another_shape_refused(self, function):
+    @pytest.mark.parametrize("field", ["score", "information", "log_partial_likelihood"])
+    def test_beta_of_another_shape_refused(self, field):
         with pytest.raises(ValueError, match=r"^beta has shape \(2,\), expected \(1,\)"):
-            function(four_row_design(), [0.1, 0.2])
+            getattr(dc.evaluate(four_row_design(), [0.1, 0.2]), field)
 
     def test_information_symmetric_psd(self):
         rng = np.random.default_rng(77)
         d = random_design(rng, n=10, p=3, ties=True, truncation=True, n_strata=2)
-        info = dc.information(d, rng.standard_normal(3))
+        info = dc.evaluate(d, rng.standard_normal(3)).information
         assert np.max(np.abs(info - info.T)) <= 1e-10 * max(np.max(np.abs(info)), 1.0)
         assert np.linalg.eigvalsh(info).min() >= -1e-10
 
@@ -157,10 +158,49 @@ class TestFitOptions:
                                               r"got 'exact'"):
             dc.FitOptions(tie_method="exact")
 
+    @pytest.mark.parametrize("options", ["efron", {"tie_method": "efron"}, 25])
+    def test_options_that_are_not_fit_options_are_refused(self, options):
+        with pytest.raises(ConfigError, match=r"^options must be a FitOptions or None, got "):
+            dc.fit(four_row_design(), options)
+
     def test_numpy_scalars_accepted(self):
         options = dc.FitOptions(max_iterations=np.int64(3), gradient_tolerance=np.float32(1e-6))
         result = dc.fit(four_row_design(), options, robust=False)
         assert result.iterations <= 3
+
+
+class TestStop:
+    """How a fit ended is one value, ``diagnostics.stop``."""
+
+    def test_an_unknown_stop_is_refused(self):
+        with pytest.raises(ConfigError, match=r"^stop must be one of \('converged', "
+                                              r"'not_converged', 'step_halving_failed'\), "
+                                              r"got 'diverged'"):
+            dc.FitDiagnostics(1, 0, 1, False, stop="diverged")
+
+    def test_a_converged_fit(self):
+        result = dc.fit(four_row_design())
+        assert result.converged and result.diagnostics.stop == "converged"
+        assert result.diagnostics.message == ""
+
+    def test_a_fit_out_of_iterations(self):
+        ds, spec = simulated_cohort(seed=3, n=120)
+        result = dc.fit(dc.block_design(ds, spec), dc.FitOptions(max_iterations=1))
+        assert result.diagnostics.stop == "not_converged" and not result.converged
+        assert result.diagnostics.message == "no convergence in 1 iterations"
+        assert result.robust_covariance is None
+        with pytest.raises(AttributeError):
+            result.converged = True
+
+    def test_evaluate_is_one_evaluation(self):
+        d = random_design(np.random.default_rng(5), n=12, p=2, ties=True, truncation=True)
+        beta = np.array([0.2, -0.1])
+        got = dc.evaluate(d, beta, "breslow")
+        assert got._fields == ("log_partial_likelihood", "score", "information")
+        want = cox._Engine([d], "breslow").evaluate(beta[None])
+        assert got.log_partial_likelihood == want.ll[0]
+        np.testing.assert_array_equal(got.score, want.score[0])
+        np.testing.assert_array_equal(got.information, want.info[0])
 
 
 class TestFit:
@@ -179,8 +219,8 @@ class TestFit:
         result = dc.fit(d)
         assert result.converged
         beta = result.coefficients
-        s = dc.score(d, beta)
-        decrement = s @ np.linalg.solve(dc.information(d, beta), s)
+        s = dc.evaluate(d, beta).score
+        decrement = s @ np.linalg.solve(dc.evaluate(d, beta).information, s)
         assert 0.0 <= decrement <= result.options.gradient_tolerance ** 2
 
     def test_information_not_positive_definite_raises(self):
@@ -354,7 +394,7 @@ class TestScoreResiduals:
             beta = rng.standard_normal(2) * 0.4
             resid = score_residuals(d, beta, method)
             assert resid.sum(axis=0) == pytest.approx(
-                dc.score(d, beta, method), abs=1e-10)
+                dc.evaluate(d, beta, method).score, abs=1e-10)
 
     @pytest.mark.parametrize("method", ["breslow", "efron"])
     def test_rows_match_brute_force(self, method):
@@ -380,7 +420,7 @@ class TestRobustCovariance:
         result = dc.fit(d)
         beta = result.coefficients
         resid = score_residuals(d, beta)
-        info = dc.information(d, beta)
+        info = dc.evaluate(d, beta).information
         oracle = sandwich_from_residuals(resid, d.cluster_codes, info)
         assert result.robust_covariance == pytest.approx(oracle, abs=1e-12)
 
@@ -402,7 +442,7 @@ class TestRobustCovariance:
         result = dc.fit(d)
         beta = result.coefficients
         resid = score_residuals(d, beta)
-        oracle = sandwich_from_residuals(resid, d.cluster_codes, dc.information(d, beta))
+        oracle = sandwich_from_residuals(resid, d.cluster_codes, dc.evaluate(d, beta).information)
         assert result.robust_covariance == pytest.approx(oracle, abs=1e-12)
 
     def test_fit_reuses_index_without_changing_results(self):
@@ -418,7 +458,7 @@ class TestRobustCovariance:
         assert result.converged
         assert result.robust_covariance == pytest.approx(
             dc.robust_covariance(d, result), abs=1e-12)
-        info = dc.information(d, result.coefficients)
+        info = dc.evaluate(d, result.coefficients).information
         assert result.model_covariance == pytest.approx(np.linalg.inv(info), abs=1e-12)
 
     def test_symmetry_on_random_instances(self):
@@ -676,7 +716,8 @@ class TestRiskSetIndex:
         integers = replace(floats, blocks=np.round(floats.blocks * 10).astype(int))
         beta = np.array([0.03, -0.02, 0.01])
         as_floats = replace(floats, blocks=integers.blocks * 1.0)
-        np.testing.assert_array_equal(dc.score(integers, beta), dc.score(as_floats, beta))
+        np.testing.assert_array_equal(dc.evaluate(integers, beta).score,
+                                      dc.evaluate(as_floats, beta).score)
 
     def test_ranks_are_those_of_the_distinct_values(self):
         rng = np.random.default_rng(1)
@@ -713,10 +754,10 @@ class TestSinglePassOverStrata:
         assert len(np.unique(d.stratum_codes)) > 2000
         beta = np.array([0.3, -0.2, 0.1])
         ll, score, info, resid = per_stratum_evaluation(d, beta, method)
-        got_ll = dc.log_partial_likelihood(d, beta, method)
+        got_ll = dc.evaluate(d, beta, method).log_partial_likelihood
         assert abs(got_ll - ll) <= 1e-12 * abs(ll)
-        self.assert_close(dc.score(d, beta, method), score)
-        self.assert_close(dc.information(d, beta, method), (info + info.T) / 2)
+        self.assert_close(dc.evaluate(d, beta, method).score, score)
+        self.assert_close(dc.evaluate(d, beta, method).information, (info + info.T) / 2)
         self.assert_close(score_residuals(d, beta, method), resid)
 
     @pytest.mark.parametrize("method", ["efron", "breslow"])
@@ -724,10 +765,10 @@ class TestSinglePassOverStrata:
         design = many_strata_block_design(8, n_small=600, n_big=300)
         theta = np.array([0.2, -0.1, 0.15, 0.05])
         ll, score, info, resid = per_stratum_evaluation(design, theta, method)
-        got_ll = dc.log_partial_likelihood(design, theta, method)
+        got_ll = dc.evaluate(design, theta, method).log_partial_likelihood
         assert abs(got_ll - ll) <= 1e-12 * abs(ll)
-        self.assert_close(dc.score(design, theta, method), score)
-        self.assert_close(dc.information(design, theta, method), (info + info.T) / 2)
+        self.assert_close(dc.evaluate(design, theta, method).score, score)
+        self.assert_close(dc.evaluate(design, theta, method).information, (info + info.T) / 2)
         self.assert_close(score_residuals(design, theta, method), resid)
 
     @pytest.mark.parametrize("sizes", [[1] * 50 + [1000], [3, 4, 5, 7, 9, 17, 33, 64, 65, 200],

@@ -40,6 +40,14 @@ class TestSchema:
                       exposure_columns=("a",))
 
 
+    @pytest.mark.parametrize("columns", ["AB", {"A", "B"}], ids=["str", "set"])
+    @pytest.mark.parametrize("name", ["exposure_columns", "covariate_columns", "strata_columns"])
+    def test_column_names_that_are_not_a_sequence_are_refused(self, name, columns):
+        names = dict(exposure_columns=("a", "b")) | {name: columns}
+        with pytest.raises(SchemaError, match=rf"^{name} must be a sequence of names, "):
+            dc.Schema(id_column="id", exit_column="t", event_column="y", **names)
+
+
 class TestLoad:
     def test_four_row_example(self, four_row_dataset):
         ds = four_row_dataset

@@ -35,6 +35,12 @@ class TestCategorizeQuantiles:
         with pytest.raises(ConfigError, match="need k >= 2 quantile categories, got k=1"):
             dc.categorize_quantiles([1.0, 2.0], k=1)
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3", True, None])
+    def test_k_that_is_not_an_integer_refused(self, k):
+        # 2.5 used to give three categories, cut at the 0.4 and 0.8 quantiles.
+        with pytest.raises(ConfigError, match=r"^k must be an integer, got "):
+            dc.categorize_quantiles(np.arange(10.0), k)
+
     def test_no_values_refused(self):
         with pytest.raises(ValidationError, match="A1: cannot categorize an empty value sequence"):
             dc.categorize_quantiles([], k=3, name="A1")
@@ -86,6 +92,12 @@ class TestDummyCode:
         with pytest.raises(ConfigError, match=rf"reference level {reference} outside 1\.\.3"):
             dc.dummy_code([1, 2, 3], reference, 3)
 
+    @pytest.mark.parametrize("reference, k, name", [(1, 2.5, "k"), (1, "3", "k"),
+                                                     (1.0, 3, "reference"), (True, 3, "reference")])
+    def test_levels_that_are_not_integers_refused(self, reference, k, name):
+        with pytest.raises(ConfigError, match=rf"^{name} must be an integer, got "):
+            dc.dummy_code([1, 2], reference, k)
+
     def test_unseen_label_rejected(self):
         with pytest.raises(ValidationError, match="outside"):
             dc.dummy_code([1, 6], reference=1, k=5)
@@ -118,6 +130,11 @@ class TestTrendScores:
     def test_misaligned_arrays_refused(self):
         with pytest.raises(ConfigError, match="categories and raw_values must align"):
             dc.trend_scores([1, 2, 2], [0.5, 1.5], k=2)
+
+    @pytest.mark.parametrize("k", [2.5, "2"])
+    def test_k_that_is_not_an_integer_refused(self, k):
+        with pytest.raises(ConfigError, match=r"^k must be an integer, got "):
+            dc.trend_scores([1, 2], [0.5, 1.5], k)
 
     def test_quantile_categories_are_all_nonempty(self):
         rng = np.random.default_rng(2)
@@ -359,6 +376,26 @@ class TestDesignCodes:
         with pytest.raises(ValidationError, match=re.escape(rule)):
             plain_design(np.arange(6.0), exit_, np.ones(6, dtype=bool), entry=entry)
 
+    @pytest.mark.parametrize("name", ["entry", "exit", "blocks"])
+    def test_values_that_are_not_numbers_are_refused(self, name):
+        text = np.full(np.shape(getattr(self.design(), name)), "t")
+        with pytest.raises(ValidationError, match=rf"^{name} holds a value that is not a number"):
+            dataclasses.replace(self.design(), **{name: text})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_block_value_is_refused(self, value):
+        # It used to reach the fit, which refused the information as not finite.
+        blocks = self.design().blocks.copy()
+        blocks[0, 2, 0] = value
+        with pytest.raises(ValidationError, match=re.escape(
+                "1 row(s) with a non-finite entry or exit time, or block value")):
+            dataclasses.replace(self.design(), blocks=blocks)
+
+    def test_integer_blocks_and_times_become_floats(self):
+        design = dataclasses.replace(self.design(), blocks=np.arange(4).reshape(1, 4, 1),
+                                     entry=np.zeros(4, dtype=int), exit=np.arange(1, 5))
+        assert {a.dtype for a in (design.blocks, design.entry, design.exit)} == {np.dtype(float)}
+
     def test_integer_codes_are_kept_as_an_array(self):
         design = dataclasses.replace(self.design(), stratum_codes=[1, 1, 0, 0])
         assert isinstance(design.stratum_codes, np.ndarray)
@@ -513,6 +550,14 @@ class TestSpecRefusals:
         with pytest.raises(ConfigError, match=rf"reference level {reference} outside 1\.\.3"):
             dc.ExposureSpec(kind="categorical", source_columns=("A1", "A2"), n_levels=3,
                             reference_level=reference)
+
+    @pytest.mark.parametrize("columns", ["AB", {"A1", "A2", "A3"}, frozenset({"A1", "A2"})],
+                             ids=["str", "set", "frozenset"])
+    def test_source_columns_that_are_not_a_sequence_are_refused(self, columns):
+        # A string was read as its characters, and a set's order, which sets
+        # the reference exposure, changed with PYTHONHASHSEED.
+        with pytest.raises(ConfigError, match=r"^source_columns must be a sequence of names, "):
+            dc.ExposureSpec(kind="continuous", source_columns=columns)
 
     def test_dichotomous_exposure_with_a_value_other_than_zero_or_one(self):
         ds, _ = simulated_cohort(seed=5, n=40)

@@ -31,7 +31,6 @@ def fake_fit(names, coefs, cov, aliased=None, robust=None):
         robust_covariance=cov if robust is None else np.asarray(robust, dtype=float),
         log_partial_likelihood=0.0,
         iterations=1,
-        converged=True,
         aliased_mask=np.zeros(p, dtype=bool) if aliased is None
         else np.asarray(aliased, dtype=bool),
         options=dc.FitOptions(),
@@ -95,6 +94,12 @@ class TestWald:
         assert result.statistic == pytest.approx(2.0, abs=1e-15)
         assert result.df == 2
         assert result.p_value == pytest.approx(math.exp(-1), abs=1e-12)
+
+    @pytest.mark.parametrize("names", ["b", {"a", "b"}], ids=["str", "set"])
+    def test_names_that_are_not_a_sequence_are_refused(self, names):
+        fit = fake_fit(["a", "b"], [1.0, 1.0], np.eye(2))
+        with pytest.raises(ConfigError, match=r"^test_names must be a sequence of names, "):
+            dc.wald_multivariate(fit, names)
 
     def test_no_names_refused(self):
         fit = fake_fit(["a", "b"], [1.0, 1.0], np.eye(2))
@@ -372,6 +377,12 @@ class TestCompareExposures:
         report = dc.compare_exposures(ds, spec)
         assert abs(report.fit.coefficient("Exposures:A_type2")) < 1e-9
         assert report.difference_test.p_value > 0.999
+
+    def test_options_that_are_not_fit_options_are_refused(self):
+        ds, spec = simulated_cohort(seed=41, n=60)
+        with pytest.raises(ConfigError, match=r"^\[fit\] options must be a FitOptions or "
+                                              r"None, got 'efron'$"):
+            dc.compare_exposures(ds, spec, "efron")
 
     def test_quintile_pipeline_has_df_four(self):
         ds, _ = simulated_cohort(seed=42, n=250)

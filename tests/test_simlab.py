@@ -392,7 +392,8 @@ class TestBatchedReplicates:
     def test_failure_reason_of_a_fit_stopped_by_halvings(self, separation, reason):
         # A fit that step halving stopped counts as probable separation only
         # with a coefficient beyond the bound.
-        diagnostics = cox.FitDiagnostics(4, 0, 20, separation, cox.STEP_HALVING_FAILED)
+        diagnostics = cox.FitDiagnostics(4, 0, 20, separation, cox.STOPS["step_halving_failed"],
+                                         "step_halving_failed")
         outcome = SimpleNamespace(fit=SimpleNamespace(diagnostics=diagnostics))
         assert simlab._failure_reason(outcome) == reason
 
@@ -426,7 +427,8 @@ class TestBatchedReplicates:
             report = dc.compare_exposures(dc.simulate_cohort(cfg, 11), cfg.exposure_spec())
             result = dc.estimate_power(cfg, 0.05)
         assert not report.fit.converged and report.difference_test is None
-        assert report.fit.diagnostics.message.startswith(cox.STEP_HALVING_FAILED)
+        assert report.fit.diagnostics.message.startswith(cox.STOPS["step_halving_failed"])
+        assert report.fit.diagnostics.stop == "step_halving_failed"
         assert result.n_failures == 4
 
     @pytest.mark.parametrize("sizes", [(40, 70), (900, 1500), (1100, 2000)])
